@@ -20,14 +20,12 @@ from .crossing import (CrossingProfile, OptimalityReport, prefix_profile,
                        prefix_table_of, random_two_way_nfa, schmidt_matrix,
                        suffix_profile, suffix_table_of, verify_optimality)
 from .errors import CapacityError
-from .exact_linalg import IntMatrix, rank_exact, rank_mod_p
-from .tables import (BipartiteArcGraph, LayerStructure, PrefixTable, SuffixTable,
-                     augment, break_set, breaks_through, drops_down,
-                     enumerate_prefix_tables, enumerate_suffix_tables, haspath,
-                     is_ordered, layer_structure, starting_state, table_size,
-                     table_rank_via_matrix)
+from .exact_linalg import rank_exact, rank_mod_p
+from .tables import (LayerStructure, PrefixTable, SuffixTable, augment, break_set,
+                     drop_layers, enumerate_prefix_tables, enumerate_suffix_tables,
+                     is_ordered, layer_structure, starting_state, table_size)
 from .witness import (BoolMatrix, GammaSymbol, PrefixSym, StartState, SuffixSym,
-                      WitnessAutomaton, build_K, build_M, build_g_I,
-                      decode_string, encode_string, m_entry)
+                      WitnessAutomaton, acceptance_matrix, build_K, build_M,
+                      build_g_I, decode_string, encode_string, m_entry)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,8 +7,8 @@ itself.  Counting each factor separately gives the closed form
     count(n) = sum over k of  k! * stirling2(n+1, k+1) * (k+1)! * stirling2(n, k+1)
 
 with k running over the possible chain lengths 0..n-1, equivalently
-sum_{k=1}^{n} (k-1)! k! stirling2(n, k) stirling2(n+1, k).  Both index
-forms are evaluated and compared on every call as a transcription guard.
+sum_{k=1}^{n} (k-1)! k! stirling2(n, k) stirling2(n+1, k); the ``verify``
+suite compares the two index forms.
 
 Naming note: this module deliberately distinguishes ``stirling2`` (set
 partitions) from ``s_count`` (nested set sequences); the two are related
@@ -71,11 +71,7 @@ def s_count(n: int, k: int) -> int:
 def count_ordered_prefix_tables(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
-    low = sum(p_count(n, k) * s_count(n, k) for k in range(n))
-    high = sum(factorial(k - 1) * factorial(k) * stirling2(n, k) * stirling2(n + 1, k)
-               for k in range(1, n + 1))
-    assert low == high, "the two index forms of the count disagree"
-    return low
+    return sum(p_count(n, k) * s_count(n, k) for k in range(n))
 
 
 @dataclass(frozen=True)

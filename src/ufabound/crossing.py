@@ -25,7 +25,7 @@ from .automata import (LEFT_MARKER, RIGHT_MARKER, Configuration, TwoWayNfa,
 from .combinatorics import count_ordered_prefix_tables
 from .statesets import full_mask
 from .tables import PrefixTable, SuffixTable
-from .witness import BoolMatrix, m_entry
+from .witness import BoolMatrix, acceptance_matrix
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,10 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     pruned = matrix.select(keep_rows, keep_cols)
 
     # entries are a function of the induced tables alone
-    for i in keep_rows:
-        for j in keep_cols:
-            if matrix.entry(i, j) != m_entry(fx[i], gy[j]):
-                ok = False
+    universal = acceptance_matrix([fx[i] for i in keep_rows],
+                                  [gy[j] for j in keep_cols], a.state_count)
+    if universal.bits != pruned.bits:
+        ok = False
 
     rep_rows, seen_f = [], set()
     for i in keep_rows:
@@ -234,9 +234,9 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
             rep_cols.append(j)
     dedup = matrix.select(rep_rows, rep_cols)
 
-    rank = exact_linalg.rank_exact(matrix.to_lists())
-    rank_pruned = exact_linalg.rank_exact(pruned.to_lists())
-    rank_dedup = exact_linalg.rank_exact(dedup.to_lists())
+    rank = exact_linalg.rank_exact(matrix)
+    rank_pruned = exact_linalg.rank_exact(pruned)
+    rank_dedup = exact_linalg.rank_exact(dedup)
     bound = count_ordered_prefix_tables(a.state_count)
     ok = ok and rank == rank_pruned == rank_dedup and rank <= bound
 

@@ -13,45 +13,20 @@ Pivoting is deterministic: first non-zero entry in column order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError
 
 RANK_EXACT_MAX_ENTRIES = 10**7
+# primes must stay below this so that products of two residues fit in int64
+MOD_P_LIMIT = 2**31
 
 # rows per chunk in the mod-p update; caps temporary allocations
 _CHUNK_ELEMS = 4_000_000
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """A dense matrix of arbitrary-precision integers."""
-
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("dimensions must be non-negative")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
-        return cls(len(data), len(data[0]) if data else 0, data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
-
-
 def _as_rows(m) -> list[list[int]]:
-    if isinstance(m, IntMatrix):
-        return [list(r) for r in m.data]
     if hasattr(m, "to_lists"):  # packed 0/1 matrices
         return m.to_lists()
     return [[int(x) for x in row] for row in m]
@@ -140,8 +115,7 @@ def _to_mod_array(m, p: int) -> np.ndarray:
     elif hasattr(m, "to_numpy"):  # packed 0/1 matrices
         arr = m.to_numpy(np.int64)
     else:
-        rows = m.data if isinstance(m, IntMatrix) else m
-        arr = np.array([[int(x) % p for x in row] for row in rows], dtype=np.int64)
+        arr = np.array([[int(x) % p for x in row] for row in m], dtype=np.int64)
         if arr.ndim == 1:
             arr = arr.reshape(0, 0)
     arr %= p
@@ -149,19 +123,23 @@ def _to_mod_array(m, p: int) -> np.ndarray:
 
 
 def rank_mod_p(m, p: int, jobs: int = 1) -> int:
-    """Rank over GF(p).  Always a lower bound on :func:`rank_exact`.
+    """Rank over GF(p) for a prime p below ``MOD_P_LIMIT`` (2^31).  Always a
+    lower bound on :func:`rank_exact`.
 
     ``jobs`` > 1 threads the row updates inside each pivot step; rows are
     disjoint, so the result is identical.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p >= MOD_P_LIMIT:
+        raise CapacityError(
+            f"rank_mod_p needs a prime below 2^31, got {p}: the int64 "
+            "elimination is exact only while p^2 stays below 2^62")
     if p == 2:
         if hasattr(m, "bits"):  # packed 0/1 matrices keep their row ints
             return _rank_mod_2(list(m.bits))
-        rows = m.data if isinstance(m, IntMatrix) else m
         bits = []
-        for row in rows:
+        for row in m:
             b = 0
             for j, x in enumerate(row):
                 if int(x) & 1:

@@ -9,10 +9,11 @@ each state to the set of states in which the automaton can leave a fixed
 suffix to the left, with a special marker for states from which it can
 accept outright; any accepting entry is saturated to the full set.
 
-Tables double as bipartite graphs: left vertices feed right vertices
-through a prefix table's arcs, right vertices feed left vertices through a
-suffix table's arcs, and acceptance of the combined string is exactly the
-existence of a path from the starting state to an accepting right vertex.
+Together a prefix and a suffix table form a bipartite graph: left vertices
+feed right vertices through the prefix table's arcs, right vertices feed
+left vertices through the suffix table's arcs, and acceptance of the
+combined string is exactly the existence of a path from the starting state
+to an accepting right vertex (decided in :mod:`ufabound.witness`).
 
 ``values`` tuples are bit masks over {1..n} (see :mod:`ufabound.statesets`)
 with values[u-1] holding the set for state u.
@@ -24,10 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import exact_linalg
 from .errors import CapacityError
-from .statesets import (check_n, elements, format_set, full_mask, is_subset,
-                        mask_of, parse_set)
+from .statesets import (check_n, format_set, full_mask, is_subset, mask_of,
+                        parse_set)
 
 ENUMERATION_MAX_N = 4
 
@@ -92,73 +92,6 @@ class SuffixTable:
         return self.values[v - 1]
 
 
-@dataclass(frozen=True)
-class BipartiteArcGraph:
-    """Arcs between left and right copies of {1..n}.
-
-    left_to_right[u-1] is the mask of right vertices with an arc from
-    (L, u); right_to_left[v-1] the mask of left vertices reachable from
-    (R, v).
-    """
-
-    n: int
-    left_to_right: tuple[int, ...]
-    right_to_left: tuple[int, ...]
-
-    def __post_init__(self):
-        check_n(self.n)
-        full = full_mask(self.n)
-        for arcs in (self.left_to_right, self.right_to_left):
-            if len(arcs) != self.n or any(not is_subset(m, full) for m in arcs):
-                raise ValueError("bad arc masks")
-
-    def union(self, other: "BipartiteArcGraph") -> "BipartiteArcGraph":
-        if self.n != other.n:
-            raise ValueError("mismatched sizes")
-        return BipartiteArcGraph(
-            self.n,
-            tuple(a | b for a, b in zip(self.left_to_right, other.left_to_right)),
-            tuple(a | b for a, b in zip(self.right_to_left, other.right_to_left)))
-
-
-def prefix_graph(f: PrefixTable) -> BipartiteArcGraph:
-    return BipartiteArcGraph(f.n, f.values, (0,) * f.n)
-
-
-def suffix_graph(g: SuffixTable) -> BipartiteArcGraph:
-    return BipartiteArcGraph(g.n, (0,) * g.n, g.values)
-
-
-def haspath(graph: BipartiteArcGraph, start: int, targets: int) -> bool:
-    """Is some right vertex in ``targets`` reachable from left vertex ``start``?
-
-    Arcs only run left-to-right and right-to-left, so reachable-set masks
-    grow monotonically side by side until they stabilize.
-    """
-    if not 1 <= start <= graph.n:
-        raise ValueError(f"start vertex {start} out of range")
-    lmask = 1 << start
-    rmask = 0
-    while True:
-        new_r = rmask
-        m = lmask
-        while m:
-            low = m & -m
-            m ^= low
-            new_r |= graph.left_to_right[low.bit_length() - 2]
-        if new_r & targets:
-            return True
-        new_l = lmask
-        m = new_r
-        while m:
-            low = m & -m
-            m ^= low
-            new_l |= graph.right_to_left[low.bit_length() - 2]
-        if new_l == lmask and new_r == rmask:
-            return False
-        lmask, rmask = new_l, new_r
-
-
 def starting_state(f: PrefixTable) -> int:
     """The minimal state whose value is contained in every other value."""
     common = full_mask(f.n)
@@ -201,28 +134,10 @@ def augment(f: PrefixTable, u1: int, u2: int, v1: int, v2: int
     return patched(True, False), patched(False, True), patched(True, True)
 
 
-def _unordered_witness(f: PrefixTable):
-    # literal scan for a pair of states with cross-missing arcs
-    for u1, u2 in itertools.permutations(range(1, f.n + 1), 2):
-        a, b = f.value(u1), f.value(u2)
-        for v1 in elements(a & ~b):
-            for v2 in elements(b & ~a):
-                return (u1, u2, v1, v2)
-    return None
-
-
 def is_ordered(f: PrefixTable) -> bool:
-    """True iff the values of f form a chain under inclusion.
-
-    Both available characterizations (no cross-missing arc quadruple, and
-    pairwise comparability of values) are evaluated and must agree; the
-    agreement is a structural fact this package re-checks on every call.
-    """
-    quadruple_free = _unordered_witness(f) is None
-    chain = all(is_subset(a, b) or is_subset(b, a)
-                for a, b in itertools.combinations(f.values, 2))
-    assert quadruple_free == chain, f"orderedness characterizations disagree on {f}"
-    return chain
+    """True iff the values of f form a chain under inclusion."""
+    return all(is_subset(a, b) or is_subset(b, a)
+               for a, b in itertools.combinations(f.values, 2))
 
 
 @dataclass(frozen=True)
@@ -257,22 +172,6 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
     return LayerStructure(rank_k, tuple(chain), pl, tuple(sl))
 
 
-def table_rank_via_matrix(f: PrefixTable) -> int:
-    """Rank of the complement matrix (1 at (u, v) iff v not in f(u)).
-
-    Must coincide with the chain length from :func:`layer_structure`; the
-    equality is asserted here as a cross-check between the combinatorial
-    and the linear-algebraic views.
-    """
-    ls = layer_structure(f)
-    full = full_mask(f.n)
-    rows = [[(~f.value(u) & full) >> v & 1 for v in range(1, f.n + 1)]
-            for u in range(1, f.n + 1)]
-    r = exact_linalg.rank_exact(rows)
-    assert r == ls.rank_k, f"matrix rank {r} != layer rank {ls.rank_k}"
-    return r
-
-
 def _cumulative_reach(f: PrefixTable, ls0: LayerStructure) -> list[int]:
     # reach[i] = union of f(u) over all u whose prefix layer in ls0 is <= i
     reach = [0] * (ls0.rank_k + 1)
@@ -288,18 +187,9 @@ def _require_ordered(f: PrefixTable) -> None:
         raise ValueError("operation is defined for ordered tables only")
 
 
-def breaks_through(f: PrefixTable, f0: PrefixTable, i: int) -> bool:
-    """Does f, from f0's layers up to i, reach past f0's suffix layer i?"""
-    ls0 = layer_structure(f0)
-    if not 0 <= i < ls0.rank_k:
-        raise ValueError(f"layer {i} out of range 0..{ls0.rank_k - 1}")
-    _require_ordered(f)
-    reach = _cumulative_reach(f, ls0)
-    above = full_mask(f.n) & ~ls0.nested_sets[i]
-    return bool(reach[i] & above)
-
-
 def break_set(f: PrefixTable, f0: PrefixTable) -> set[int]:
+    """Layers i of f0 through which f breaks: from f0's layers up to i, f
+    reaches past f0's suffix layer i."""
     ls0 = layer_structure(f0)
     _require_ordered(f)
     reach = _cumulative_reach(f, ls0)
@@ -308,19 +198,9 @@ def break_set(f: PrefixTable, f0: PrefixTable) -> set[int]:
             if reach[i] & (full & ~ls0.nested_sets[i])}
 
 
-def drops_down(f: PrefixTable, f0: PrefixTable, i: int) -> bool:
-    """Does f, from f0's layers up to i, stay strictly below suffix layer i?"""
-    ls0 = layer_structure(f0)
-    if not 0 <= i < ls0.rank_k:
-        raise ValueError(f"layer {i} out of range 0..{ls0.rank_k - 1}")
-    _require_ordered(f)
-    reach = _cumulative_reach(f, ls0)
-    below = ls0.nested_sets[i - 1] if i >= 1 else 0
-    return is_subset(reach[i], below)
-
-
 def drop_layers(f: PrefixTable, f0: PrefixTable) -> set[int]:
-    """Layers of f0 from which f drops down."""
+    """Layers i of f0 from which f drops down: from f0's layers up to i, f
+    stays strictly below f0's suffix layer i."""
     ls0 = layer_structure(f0)
     _require_ordered(f)
     reach = _cumulative_reach(f, ls0)

@@ -9,10 +9,13 @@ identical reports.
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import factorial
 from typing import Callable, NamedTuple
 
 from . import combinatorics, crossing, exact_linalg, tables, witness
+from .statesets import elements, full_mask
 
 MERSENNE_PRIME = 2**31 - 1
 
@@ -30,33 +33,46 @@ def _tables_for(n: int, level: str, rng: random.Random):
     return ordered
 
 
+def _unordered_witness(f: tables.PrefixTable):
+    """A quadruple (u1, u2, v1, v2) with v1 in f(u1) - f(u2) and v2 in
+    f(u2) - f(u1), or None: the second characterization of orderedness."""
+    for u1, u2 in itertools.permutations(range(1, f.n + 1), 2):
+        a, b = f.value(u1), f.value(u2)
+        for v1 in elements(a & ~b):
+            for v2 in elements(b & ~a):
+                return (u1, u2, v1, v2)
+    return None
+
+
 def check_orderedness_agreement(n: int, level: str, rng: random.Random) -> CheckResult:
-    count = 0
-    for f in tables.enumerate_prefix_tables(min(n, 3)):
-        tables.is_ordered(f)  # asserts the two characterizations agree
-        count += 1
+    name = "orderedness characterizations agree"
+    fs = tables.enumerate_prefix_tables(min(n, 3))
     if n >= 4:
-        for f in rng.sample(tables.enumerate_prefix_tables(4), 500):
-            tables.is_ordered(f)
-            count += 1
-    return CheckResult("orderedness characterizations agree", True,
-                       f"{count} tables")
+        fs += rng.sample(tables.enumerate_prefix_tables(4), 500)
+    for f in fs:
+        if (_unordered_witness(f) is None) != tables.is_ordered(f):
+            return CheckResult(name, False, f"they disagree on {f}")
+    return CheckResult(name, True, f"{len(fs)} tables")
 
 
 def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> CheckResult:
+    name = "graph entries match two-way simulation"
+    size = min(n, 3)
+    m = witness.build_M(size)
     if n <= 2:
-        fs = tables.enumerate_prefix_tables(n)
-        gs = tables.enumerate_suffix_tables(n)
-        pairs = [(f, g) for f in fs for g in gs]
+        pairs = [(i, j) for i in range(m.rows) for j in range(m.cols)]
     else:
-        fs = tables.enumerate_prefix_tables(3)
-        gs = tables.enumerate_suffix_tables(3)
-        size = 10_000 if level == "full" else 500
-        pairs = [(rng.choice(fs), rng.choice(gs)) for _ in range(size)]
-    for f, g in pairs:
-        witness.m_entry(f, g, cross_check=True)
-    return CheckResult("graph entries match two-way simulation", True,
-                       f"{len(pairs)} pairs")
+        count = 10_000 if level == "full" else 500
+        pairs = [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(count)]
+    automaton = witness.WitnessAutomaton(size)
+    for i, j in pairs:
+        f, g = m.row_labels[i], m.col_labels[j]
+        simulated = int(automaton.accepts(witness.encode_string(f, g)))
+        if m.entry(i, j) != simulated:
+            return CheckResult(name, False,
+                               f"entry {m.entry(i, j)}, simulation {simulated} "
+                               f"on {f}, {g}")
+    return CheckResult(name, True, f"{len(pairs)} pairs")
 
 
 def check_augmentation_identity(n: int, level: str, rng: random.Random) -> CheckResult:
@@ -72,8 +88,8 @@ def check_augmentation_identity(n: int, level: str, rng: random.Random) -> Check
                     continue
                 cross = f.value(u1) & ~f.value(u2)
                 other = f.value(u2) & ~f.value(u1)
-                for v1 in tables.elements(cross):
-                    for v2 in tables.elements(other):
+                for v1 in elements(cross):
+                    for v2 in elements(other):
                         fe, fep, fee = tables.augment(f, u1, u2, v1, v2)
                         a = m.bits[index[f.values]]
                         d = m.bits[index[fee.values]]
@@ -87,13 +103,25 @@ def check_augmentation_identity(n: int, level: str, rng: random.Random) -> Check
     return CheckResult("augmented-row identity", True, detail)
 
 
+def _complement_rank(f: tables.PrefixTable) -> int:
+    """Rational rank of f's complement matrix: 1 at (u, v) iff v is not in
+    f(u).  For an ordered table it equals the layer rank."""
+    full = full_mask(f.n)
+    rows = [[(~f.value(u) & full) >> v & 1 for v in range(1, f.n + 1)]
+            for u in range(1, f.n + 1)]
+    return exact_linalg.rank_exact(rows)
+
+
 def check_layer_rank(n: int, level: str, rng: random.Random) -> CheckResult:
-    count = 0
-    for f in _tables_for(min(n, 4), level, rng):
-        tables.table_rank_via_matrix(f)  # asserts equality internally
-        count += 1
-    return CheckResult("layer rank equals complement-matrix rank", True,
-                       f"{count} tables")
+    name = "layer rank equals complement-matrix rank"
+    fs = _tables_for(min(n, 4), level, rng)
+    for f in fs:
+        layer_rank = tables.layer_structure(f).rank_k
+        matrix_rank = _complement_rank(f)
+        if matrix_rank != layer_rank:
+            return CheckResult(name, False, f"layer rank {layer_rank}, "
+                               f"complement-matrix rank {matrix_rank} for {f}")
+    return CheckResult(name, True, f"{len(fs)} tables")
 
 
 def _table_pair_sample(n: int, level: str, rng: random.Random):
@@ -107,6 +135,10 @@ def _table_pair_sample(n: int, level: str, rng: random.Random):
     return ordered, pairs
 
 
+def _stage_set(bits: int, k: int) -> set[int]:
+    return {i for i in range(k) if bits >> i & 1}
+
+
 def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckResult:
     size = min(n, 4)
     _, pairs = _table_pair_sample(size, level, rng)
@@ -114,7 +146,7 @@ def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckR
         ls = tables.layer_structure(f0)
         k = ls.rank_k
         for bits in range(1 << k):
-            stage = {i for i in range(k) if bits >> i & 1}
+            stage = _stage_set(bits, k)
             g = witness.build_g_I(f0, stage)
             if k - 1 in stage:
                 expected = tables.mask_of(
@@ -129,42 +161,60 @@ def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckR
                        f"{len({f0 for _, f0 in pairs})} base tables")
 
 
+def _staged_rows(size: int, pairs) -> dict:
+    """For each pair (f, f0), f's entries against the 2^k staged suffix
+    tables of f0, packed so that bit b holds stage set {i : bit i of b}.
+
+    Each base table's staged tables are built once and every distinct f is
+    one row of a single acceptance matrix over all of them.
+    """
+    offsets, staged = {}, []
+    for f0 in dict.fromkeys(f0 for _, f0 in pairs):
+        k = tables.layer_structure(f0).rank_k
+        offsets[f0] = (len(staged), k)
+        staged += [witness.build_g_I(f0, _stage_set(bits, k)) for bits in range(1 << k)]
+    fs = list(dict.fromkeys(f for f, _ in pairs))
+    row_of = dict(zip(fs, witness.acceptance_matrix(fs, staged, size).bits))
+    out = {}
+    for f, f0 in pairs:
+        start, k = offsets[f0]
+        out[f, f0] = row_of[f] >> start & ((1 << (1 << k)) - 1)
+    return out
+
+
 def check_drop_down_rows(n: int, level: str, rng: random.Random) -> CheckResult:
+    name = "drop-down rows vanish"
     size = min(n, 4)
     _, pairs = _table_pair_sample(size, level, rng)
+    pairs = [(f, f0) for f, f0 in pairs if tables.drop_layers(f, f0)]
+    rows = _staged_rows(size, pairs)
     checked = 0
     for f, f0 in pairs:
-        k = tables.layer_structure(f0).rank_k
-        if not tables.drop_layers(f, f0):
-            continue
-        for bits in range(1 << k):
-            stage = {i for i in range(k) if bits >> i & 1}
-            if witness.m_entry(f, witness.build_g_I(f0, stage)) != 0:
-                return CheckResult("drop-down rows vanish", False,
-                                   f"non-zero entry for {f} against {f0}")
-            checked += 1
+        if rows[f, f0]:
+            return CheckResult(name, False, f"non-zero entry for {f} against {f0}")
+        checked += 1 << tables.layer_structure(f0).rank_k
     detail = f"{checked} entries" if checked else "vacuous: no drop-downs at this size"
-    return CheckResult("drop-down rows vanish", True, detail)
+    return CheckResult(name, True, detail)
 
 
 def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> CheckResult:
+    name = "breakthrough completion determines entries"
     size = min(n, 4)
     _, pairs = _table_pair_sample(size, level, rng)
+    pairs = [(f, f0) for f, f0 in pairs if not tables.drop_layers(f, f0)]
+    rows = _staged_rows(size, pairs)
     checked = 0
     for f, f0 in pairs:
         k = tables.layer_structure(f0).rank_k
-        if tables.drop_layers(f, f0):
-            continue
         breaks = tables.break_set(f, f0)
         for bits in range(1 << k):
-            stage = {i for i in range(k) if bits >> i & 1}
+            stage = _stage_set(bits, k)
             expected = int(stage | breaks == set(range(k)))
-            if witness.m_entry(f, witness.build_g_I(f0, stage)) != expected:
-                return CheckResult("breakthrough completion determines entries", False,
-                                   f"mismatch for {f} against {f0}, stage {sorted(stage)}")
+            if rows[f, f0] >> bits & 1 != expected:
+                return CheckResult(name, False, f"mismatch for {f} against {f0}, "
+                                   f"stage {sorted(stage)}")
             checked += 1
-    return CheckResult("breakthrough completion determines entries", True,
-                       f"{checked} entries")
+    return CheckResult(name, True, f"{checked} entries")
 
 
 def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckResult:
@@ -187,17 +237,17 @@ def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckR
     if n <= 2:
         m = witness.build_M(n)
         k = witness.build_K(n)
-        got_m = exact_linalg.rank_exact(m.to_lists())
-        got_k = exact_linalg.rank_exact(k.to_lists())
+        got_m = exact_linalg.rank_exact(m)
+        got_k = exact_linalg.rank_exact(k)
     elif n == 3:
         m = witness.build_M(n)
         k = witness.build_K(n)
-        got_m = exact_linalg.rank_mod_p(m.to_numpy(), MERSENNE_PRIME)
-        got_k = exact_linalg.rank_exact(k.to_lists())
+        got_m = exact_linalg.rank_mod_p(m, MERSENNE_PRIME)
+        got_k = exact_linalg.rank_exact(k)
     else:
         # size 4 is heavy: certify through the cheap packed-bit field only
         k = witness.build_K(n)
-        got_k = exact_linalg.rank_mod_p(k.to_lists(), 2)
+        got_k = exact_linalg.rank_mod_p(k, 2)
         got_m = got_k
     ok = got_m == got_k == expected
     return CheckResult("matrix rank equals the ordered-table count", ok,
@@ -216,14 +266,27 @@ def check_random_automata_bound(n: int, level: str, rng: random.Random) -> Check
                        f"{instances} instances with {states} states")
 
 
+def _count_by_second_index_form(n: int) -> int:
+    """sum_{k=1}^{n} (k-1)! k! S(n, k) S(n+1, k), the index form of the
+    count that :func:`combinatorics.count_ordered_prefix_tables` does not use."""
+    s2 = combinatorics.stirling2
+    return sum(factorial(k - 1) * factorial(k) * s2(n, k) * s2(n + 1, k)
+               for k in range(1, n + 1))
+
+
 def check_count_matches_enumeration(n: int, level: str, rng: random.Random) -> CheckResult:
+    name = "ordered-table enumerations agree"
     size = min(n, 4) if level == "full" else min(n, 3)
+    count = combinatorics.count_ordered_prefix_tables(size)
+    second = _count_by_second_index_form(size)
+    if count != second:
+        return CheckResult(name, False, f"index forms of the count disagree at "
+                           f"size {size}: {count} != {second}")
     by_filter = tables.enumerate_ordered_prefix_tables_by_filter(size)
     by_layers = combinatorics.enumerate_ordered_prefix_tables(size)
     ok = ({f.values for f in by_filter} == {f.values for f in by_layers}
-          and len(by_layers) == combinatorics.count_ordered_prefix_tables(size))
-    return CheckResult("ordered-table enumerations agree", ok,
-                       f"{len(by_filter)} tables at size {size}")
+          and len(by_layers) == count)
+    return CheckResult(name, ok, f"{len(by_filter)} tables at size {size}")
 
 
 _CHECKS: list[Callable] = [

@@ -10,9 +10,10 @@ generic simulator.
 
 The acceptance matrix has one row per prefix table and one column per
 suffix table; the reduced matrix keeps only the rows of ordered prefix
-tables.  Entries are decided through bipartite-graph reachability, which
-agrees with direct two-way simulation (that agreement is a checkable
-invariant, exercised in the test suite).
+tables.  Every entry is decided by one kernel, bipartite-graph
+reachability run over a whole row of columns at once.  Direct two-way
+simulation of the automaton is the independent oracle it is compared
+against, in :mod:`ufabound.verification` and the test suite.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import numpy as np
 from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, twonfa_accepts
 from .errors import CapacityError
 from .statesets import elements, full_mask
-from .tables import (BipartiteArcGraph, PrefixTable,
-                     SuffixTable, enumerate_prefix_tables,
-                     enumerate_suffix_tables, haspath, is_ordered,
-                     layer_structure, prefix_graph, prefix_table_to_text,
-                     starting_state, suffix_graph, suffix_table_to_text)
+from .tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
+                     enumerate_suffix_tables, is_ordered, layer_structure,
+                     prefix_table_to_text, starting_state, suffix_table_to_text)
 
 MATRIX_MAX_N = 4
+# the row kernel looks state masks up this many bits at a time, so its
+# lookup tables stay small for any n
+_CHUNK_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -148,28 +150,6 @@ def decode_string(symbols: Sequence[GammaSymbol]) -> tuple[PrefixTable, SuffixTa
     return f, g
 
 
-def table_pair_graph(f: PrefixTable, g: SuffixTable) -> BipartiteArcGraph:
-    return prefix_graph(f).union(suffix_graph(g))
-
-
-def m_entry(f: PrefixTable, g: SuffixTable, cross_check: bool = False) -> int:
-    """Acceptance of the encoded pair: 1 iff the combined graph has a path
-    from the starting state to an accepting right vertex.
-
-    With ``cross_check`` the entry is recomputed by simulating the witness
-    automaton on the encoded string, and the two answers must agree.
-    """
-    if f.n != g.n:
-        raise ValueError("tables must have equal n")
-    entry = int(haspath(table_pair_graph(f, g), starting_state(f), g.accept_flags))
-    if cross_check:
-        simulated = int(WitnessAutomaton(f.n).accepts(encode_string(f, g)))
-        assert simulated == entry, (
-            f"graph reachability ({entry}) and simulation ({simulated}) "
-            f"disagree on {f}, {g}")
-    return entry
-
-
 # ---------------------------------------------------------------------------
 # acceptance matrices
 
@@ -231,52 +211,88 @@ class BoolMatrix:
                           len(col_idx), tuple(bits))
 
 
+def _mask_chunks(n: int) -> list[tuple[int, int, int | None]]:
+    # (shift, width, and-mask) per chunk of an (n+1)-bit state mask; the
+    # top chunk needs no and-mask, so for n < _CHUNK_BITS a mask is its own
+    # lookup index
+    out = []
+    for shift in range(0, n + 1, _CHUNK_BITS):
+        width = min(_CHUNK_BITS, n + 1 - shift)
+        out.append((shift, width, None if shift + width > n else (1 << width) - 1))
+    return out
+
+
+def _chunk_index(masks: np.ndarray, shift: int, keep: int | None) -> np.ndarray:
+    if shift:
+        masks = masks >> shift
+    return masks if keep is None else masks & keep
+
+
 def _suffix_arc_maps(n: int, suffixes: Sequence[SuffixTable]):
-    # per suffix table: lookup from a right-vertex mask to the mask of left
-    # vertices reachable through it, plus its accepting mask
-    size = 1 << (n + 1)
+    # per chunk of right-vertex bits and per suffix table: lookup from the
+    # chunk's bits to the mask of left vertices reachable through them;
+    # plus each table's accepting mask
     vals = np.zeros((len(suffixes), n + 1), dtype=np.int32)
     for j, g in enumerate(suffixes):
-        for v in range(1, n + 1):
-            vals[j, v] = g.value(v)
-    gmap = np.zeros((len(suffixes), size), dtype=np.int32)
-    for mask in range(1, size):
-        low = mask & -mask
-        gmap[:, mask] = gmap[:, mask ^ low] | vals[:, low.bit_length() - 1]
+        vals[j, 1:] = g.values
+    gmaps = []
+    for shift, width, keep in _mask_chunks(n):
+        table = np.zeros((len(suffixes), 1 << width), dtype=np.int32)
+        for b in range(width):
+            table[:, 1 << b:2 << b] = table[:, :1 << b] | vals[:, shift + b, None]
+        gmaps.append((shift, keep, table))
     amask = np.array([g.accept_flags for g in suffixes], dtype=np.int32)
-    return gmap, amask
+    return gmaps, amask
 
 
-def _row_bits(f: PrefixTable, gmap: np.ndarray, amask: np.ndarray) -> int:
+def _row_bits(f: PrefixTable, gmaps, amask: np.ndarray) -> int:
     # one matrix row: run the alternating reachability over all columns at once
     n = f.n
-    size = 1 << (n + 1)
-    fmap = np.zeros(size, dtype=np.int32)
-    contrib = [0] + list(f.values)
-    for mask in range(1, size):
-        low = mask & -mask
-        fmap[mask] = fmap[mask ^ low] | contrib[low.bit_length() - 1]
-    num = gmap.shape[0]
+    contrib = [0, *f.values]
+    fmaps = []
+    for shift, width, keep in _mask_chunks(n):
+        table = [0] * (1 << width)
+        for mask in range(1, 1 << width):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | contrib[shift + low.bit_length() - 1]
+        fmaps.append((shift, keep, np.array(table, dtype=np.int32)))
+    num = amask.shape[0]
     cols = np.arange(num)
     left = np.full(num, 1 << starting_state(f), dtype=np.int32)
     right = np.zeros(num, dtype=np.int32)
     for _ in range(2 * n + 2):
-        right = right | fmap[left]
-        left = left | gmap[cols, right]
+        for shift, keep, table in fmaps:
+            right = right | table[_chunk_index(left, shift, keep)]
+        for shift, keep, table in gmaps:
+            left = left | table[cols, _chunk_index(right, shift, keep)]
     hits = (right & amask) != 0
     packed = np.packbits(hits, bitorder="little").tobytes()
     return int.from_bytes(packed, "little")
 
 
-def _build_matrix(prefixes: Sequence[PrefixTable], suffixes: Sequence[SuffixTable],
-                  n: int, jobs: int) -> BoolMatrix:
-    gmap, amask = _suffix_arc_maps(n, suffixes)
+def acceptance_matrix(prefixes: Sequence[PrefixTable], suffixes: Sequence[SuffixTable],
+                      n: int, jobs: int = 1) -> BoolMatrix:
+    """Entry (f, g) is 1 iff the table-pair graph has a path from f's
+    starting state to one of g's accepting right vertices, that is, iff the
+    witness automaton accepts ``encode_string(f, g)``.
+
+    ``jobs`` > 1 builds rows in threads; the output is identical.
+    """
+    gmaps, amask = _suffix_arc_maps(n, suffixes)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bits = list(pool.map(lambda f: _row_bits(f, gmap, amask), prefixes))
+            bits = list(pool.map(lambda f: _row_bits(f, gmaps, amask), prefixes))
     else:
-        bits = [_row_bits(f, gmap, amask) for f in prefixes]
+        bits = [_row_bits(f, gmaps, amask) for f in prefixes]
     return BoolMatrix(tuple(prefixes), tuple(suffixes), len(suffixes), tuple(bits))
+
+
+def m_entry(f: PrefixTable, g: SuffixTable) -> int:
+    """One entry of the acceptance matrix: a one-column
+    :func:`acceptance_matrix`."""
+    if f.n != g.n:
+        raise ValueError("tables must have equal n")
+    return acceptance_matrix([f], [g], f.n).bits[0]
 
 
 def _check_matrix_size(n: int) -> None:
@@ -287,15 +303,15 @@ def _check_matrix_size(n: int) -> None:
 def build_M(n: int, jobs: int = 1) -> BoolMatrix:
     """Acceptance matrix over all prefix tables x all suffix tables."""
     _check_matrix_size(n)
-    return _build_matrix(enumerate_prefix_tables(n), enumerate_suffix_tables(n),
-                         n, jobs)
+    return acceptance_matrix(enumerate_prefix_tables(n), enumerate_suffix_tables(n),
+                             n, jobs)
 
 
 def build_K(n: int, jobs: int = 1) -> BoolMatrix:
     """The row-submatrix of the acceptance matrix on ordered prefix tables."""
     _check_matrix_size(n)
     ordered = [f for f in enumerate_prefix_tables(n) if is_ordered(f)]
-    return _build_matrix(ordered, enumerate_suffix_tables(n), n, jobs)
+    return acceptance_matrix(ordered, enumerate_suffix_tables(n), n, jobs)
 
 
 # ---------------------------------------------------------------------------

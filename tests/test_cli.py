@@ -68,6 +68,18 @@ def test_rank_reports_bad_modulus(tmp_path, capsys):
     assert code == 2 and "not prime" in err
 
 
+def test_rank_rejects_primes_beyond_the_limit(tmp_path, capsys):
+    mat = tmp_path / "m3.mat"
+    run(capsys, "build-matrix", "--n", "3", "--kind", "M", "--out", str(mat))
+    for p in (4294967311, 2305843009213693951, 618970019642690137449562111):
+        code, out, err = run(capsys, "rank", "--in", str(mat), "--mod", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "2^31" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+    code, out, _ = run(capsys, "rank", "--in", str(mat), "--mod", str(2**31 - 1))
+    assert code == 0 and out == "115\n"
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--level", "quick")
     assert code == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ufabound.errors import CapacityError
-from ufabound.exact_linalg import IntMatrix, rank_exact, rank_mod_p
+from ufabound.exact_linalg import rank_exact, rank_mod_p
 
 
 def rank_fraction_oracle(rows):
@@ -30,22 +30,12 @@ def rank_fraction_oracle(rows):
     return rank
 
 
-def test_int_matrix_validation():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert (m.rows, m.cols) == (2, 2)
-    assert m.transpose().data == ((1, 3), (2, 4))
-    with pytest.raises(ValueError):
-        IntMatrix(2, 2, ((1, 2),))
-    with pytest.raises(ValueError):
-        IntMatrix(-1, 0, ())
-
-
 def test_rank_exact_basics():
     assert rank_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert rank_exact([[1] * 4] * 4) == 1
     assert rank_exact([]) == 0
     assert rank_exact([[0, 0], [0, 0]]) == 0
-    assert rank_exact(IntMatrix.from_rows([[2, 4], [1, 2]])) == 1
+    assert rank_exact([[2, 4], [1, 2]]) == 1
 
 
 def test_rank_exact_agrees_with_fraction_oracle():
@@ -105,6 +95,15 @@ def test_rank_mod_p_rejects_composite():
     for bad in (1, 4, 2**31):
         with pytest.raises(ValueError):
             rank_mod_p([[1]], bad)
+
+
+def test_rank_mod_p_rejects_primes_beyond_int64_range():
+    # 2^32 + 15, 2^61 - 1 and 2^89 - 1 are prime; the int64 elimination
+    # would wrap (or overflow) on them
+    for p in (4294967311, 2**61 - 1, 2**89 - 1):
+        with pytest.raises(CapacityError, match="2\\^31"):
+            rank_mod_p([[1, 1], [1, 2]], p)
+    assert rank_mod_p([[1, 1], [1, 2]], 2**31 - 1) == 2
 
 
 def test_rank_mod_p_never_exceeds_rational_rank():

@@ -3,17 +3,17 @@ import random
 
 import pytest
 
-from ufabound import tables
 from ufabound.errors import CapacityError
-from ufabound.statesets import full_mask, mask_of
-from ufabound.tables import (BipartiteArcGraph, PrefixTable, SuffixTable,
-                             augment, break_set, breaks_through, drops_down,
-                             enumerate_prefix_tables, enumerate_suffix_tables,
-                             haspath, is_ordered, layer_structure,
+from ufabound.statesets import elements, full_mask, mask_of
+from ufabound.tables import (PrefixTable, SuffixTable, augment, break_set,
+                             drop_layers, enumerate_prefix_tables,
+                             enumerate_suffix_tables, is_ordered, layer_structure,
                              prefix_table_from_text, prefix_table_to_text,
                              starting_state, suffix_table_from_text,
-                             suffix_table_to_text, table_rank_via_matrix,
-                             table_size)
+                             suffix_table_to_text, table_size)
+from ufabound.verification import (_complement_rank, _unordered_witness,
+                                   check_layer_rank)
+from ufabound.witness import StartState, WitnessAutomaton, m_entry
 
 
 def pt(n, *sets):
@@ -25,7 +25,7 @@ CHAIN3 = pt(3, {1}, {1, 2}, {1, 2, 3})
 
 def starting_states_brute_force(f):
     """Oracle: check the containment condition with plain Python sets."""
-    sets = [set(tables.elements(v)) for v in f.values]
+    sets = [set(elements(v)) for v in f.values]
     return [i + 1 for i, s in enumerate(sets) if all(s <= t for t in sets)]
 
 
@@ -82,25 +82,29 @@ class TestSuffixTableInvariants:
         assert g.value(2) == 0
 
 
+def st(n, sets, accept):
+    return SuffixTable.from_sets(n, sets, accept)
+
+
 class TestHaspath:
+    """Path existence in the bipartite graph of a table pair: m_entry."""
+
     def test_single_arc(self):
-        g = BipartiteArcGraph(1, (mask_of({1}),), (0,))
-        assert haspath(g, 1, mask_of({1}))
+        assert m_entry(pt(1, {1}), st(1, [{1}], {1})) == 1
 
     def test_no_arcs(self):
-        g = BipartiteArcGraph(2, (0, 0), (0, 0))
-        assert not haspath(g, 1, full_mask(2))
+        # no arc leads from right vertex 2 back to the left side
+        assert m_entry(pt(2, {2}, {2}), st(2, [{1, 2}, set()], {1})) == 0
 
     def test_alternating_path(self):
         # (L,1)->(R,2), (R,2)->(L,2), (L,2)->(R,1); target {1}
-        g = BipartiteArcGraph(2, (mask_of({2}), mask_of({1})), (0, mask_of({2})))
-        assert haspath(g, 1, mask_of({1}))
-        assert not haspath(g, 2, mask_of({2}))  # right vertex 2 unreachable from (L,2)
+        f = pt(2, {2}, {1, 2})
+        assert m_entry(f, st(2, [{1, 2}, {2}], {1})) == 1
+        assert m_entry(f, st(2, [{1, 2}, set()], {1})) == 0
 
     def test_start_out_of_range(self):
-        g = BipartiteArcGraph(2, (0, 0), (0, 0))
         with pytest.raises(ValueError):
-            haspath(g, 3, 0)
+            WitnessAutomaton(2).transitions(1, StartState(3))
 
 
 class TestAugment:
@@ -128,8 +132,8 @@ class TestAugment:
         for f in enumerate_prefix_tables(3):
             s = starting_state(f)
             for u1, u2 in itertools.permutations(range(1, 4), 2):
-                for v1 in tables.elements(f.value(u1) & ~f.value(u2)):
-                    for v2 in tables.elements(f.value(u2) & ~f.value(u1)):
+                for v1 in elements(f.value(u1) & ~f.value(u2)):
+                    for v2 in elements(f.value(u2) & ~f.value(u1)):
                         fe, fep, fee = augment(f, u1, u2, v1, v2)
                         for h in (fe, fep, fee):
                             assert starting_state(h) == s
@@ -148,16 +152,15 @@ class TestOrderedness:
         assert is_ordered(pt(3, {2}, {2}, {2}))
 
     def test_characterizations_agree_exhaustively(self):
-        # is_ordered asserts the quadruple scan against the chain test internally
         for n in (2, 3):
             for f in enumerate_prefix_tables(n):
-                is_ordered(f)
+                assert (_unordered_witness(f) is None) == is_ordered(f), f
 
     def test_characterizations_agree_random_n4(self):
         rng = random.Random(5)
         pool = enumerate_prefix_tables(4)
         for f in rng.sample(pool, 500):
-            is_ordered(f)
+            assert (_unordered_witness(f) is None) == is_ordered(f), f
 
 
 class TestLayerStructure:
@@ -196,17 +199,18 @@ class TestLayerStructure:
 
 
 class TestTableRankViaMatrix:
+    """The complement-matrix rank behind ``check_layer_rank``."""
+
     def test_constant_full_is_zero(self):
-        assert table_rank_via_matrix(pt(2, {1, 2}, {1, 2})) == 0
+        assert _complement_rank(pt(2, {1, 2}, {1, 2})) == 0
 
     def test_chain_table(self):
-        assert table_rank_via_matrix(CHAIN3) == 2
+        assert _complement_rank(CHAIN3) == 2
 
     def test_matches_layer_rank_exhaustively(self):
-        for n in (2, 3):
-            for f in enumerate_prefix_tables(n):
-                if is_ordered(f):
-                    assert table_rank_via_matrix(f) == layer_structure(f).rank_k
+        for n, ordered in ((2, 7), (3, 115)):
+            result = check_layer_rank(n, "full", random.Random(0))
+            assert result.ok and result.detail == f"{ordered} tables", result
 
 
 class TestBreakthroughAndDropDown:
@@ -215,8 +219,7 @@ class TestBreakthroughAndDropDown:
             if not is_ordered(f):
                 continue
             assert break_set(f, f) == set()
-            for i in range(layer_structure(f).rank_k):
-                assert not drops_down(f, f, i)
+            assert drop_layers(f, f) == set()
 
     def test_break_example(self):
         f = pt(3, {1, 2, 3}, {1, 2, 3}, {1, 2, 3})
@@ -224,29 +227,45 @@ class TestBreakthroughAndDropDown:
 
     def test_drop_example(self):
         f = pt(3, {1}, {1}, {1})
-        assert drops_down(f, CHAIN3, 1)
-        assert not drops_down(f, CHAIN3, 0)  # nothing lies below layer 0
+        assert 1 in drop_layers(f, CHAIN3)
+        assert 0 not in drop_layers(f, CHAIN3)  # nothing lies below layer 0
 
     def test_drop_at_layer_zero_is_impossible(self):
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for f in ordered:
             for f0 in ordered:
                 if layer_structure(f0).rank_k >= 1:
-                    assert not drops_down(f, f0, 0)
+                    assert 0 not in drop_layers(f, f0)
 
     def test_layer_index_validated(self):
-        with pytest.raises(ValueError):
-            breaks_through(CHAIN3, CHAIN3, 2)
-        with pytest.raises(ValueError):
-            drops_down(CHAIN3, CHAIN3, -1)
+        unordered = pt(3, {1}, {1, 2}, {1, 3})
+        for layers in (break_set, drop_layers):
+            with pytest.raises(ValueError):
+                layers(unordered, CHAIN3)
+            with pytest.raises(ValueError):
+                layers(CHAIN3, unordered)
+        ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
+        for f in ordered:
+            for f0 in ordered:
+                k = layer_structure(f0).rank_k
+                assert break_set(f, f0) | drop_layers(f, f0) <= set(range(k))
 
     def test_break_set_matches_pointwise_predicate(self):
+        def breaks_at(f, f0, i):
+            # plain-set oracle: f's reach from f0's prefix layers <= i leaves S_i
+            ls = layer_structure(f0)
+            reach = set()
+            for u in range(1, f.n + 1):
+                if ls.prefix_layer[u - 1] <= i:
+                    reach |= set(elements(f.value(u)))
+            return bool(reach - set(elements(ls.nested_sets[i])))
+
         rng = random.Random(9)
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for _ in range(300):
             f, f0 = rng.choice(ordered), rng.choice(ordered)
             k = layer_structure(f0).rank_k
-            assert break_set(f, f0) == {i for i in range(k) if breaks_through(f, f0, i)}
+            assert break_set(f, f0) == {i for i in range(k) if breaks_at(f, f0, i)}
 
     def test_distinct_at_least_as_large_tables_break_through(self):
         # exhaustive at n = 2 and 3

@@ -1,4 +1,15 @@
-from ufabound import verification
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ufabound import verification, witness
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_quick_suite_passes_at_n2():
@@ -15,6 +26,66 @@ def test_results_are_deterministic():
 
 
 def test_level_validated():
-    import pytest
     with pytest.raises(ValueError):
         verification.run_checks(2, level="medium")
+
+
+# Each oracle comparison must report a disagreement as a failed check: not
+# raise, and not pass.
+
+def test_orderedness_disagreement_fails(monkeypatch):
+    monkeypatch.setattr(verification, "_unordered_witness", lambda f: None)
+    r = verification.check_orderedness_agreement(3, "full", random.Random(0))
+    assert not r.ok and "disagree" in r.detail
+
+
+def test_entry_simulation_disagreement_fails(monkeypatch):
+    monkeypatch.setattr(witness.WitnessAutomaton, "accepts", lambda self, word: False)
+    r = verification.check_entry_simulation_agreement(2, "full", random.Random(0))
+    assert not r.ok and "simulation 0" in r.detail
+
+
+def test_layer_rank_disagreement_fails(monkeypatch):
+    monkeypatch.setattr(verification, "_complement_rank", lambda f: 0)
+    r = verification.check_layer_rank(3, "full", random.Random(0))
+    assert not r.ok and "complement-matrix rank 0" in r.detail
+
+
+def test_count_index_form_disagreement_fails(monkeypatch):
+    monkeypatch.setattr(verification, "_count_by_second_index_form", lambda n: -1)
+    r = verification.check_count_matches_enumeration(3, "full", random.Random(0))
+    assert not r.ok and "index forms" in r.detail
+
+
+# Under ``python -O`` the checks must compare exactly as without it.
+
+def _run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
+def test_injected_disagreement_fails_under_optimize():
+    code = ("import random\n"
+            "from ufabound import tables, verification\n"
+            "tables.is_ordered = lambda f: True\n"
+            "r = verification.check_orderedness_agreement(3, 'full', random.Random(0))\n"
+            "print('PASS' if r.ok else 'FAIL')\n")
+    proc = _run("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "FAIL\n"
+
+
+def test_verify_output_is_identical_under_optimize():
+    argv = ["-m", "ufabound.cli", "verify", "--n", "2", "--level", "full"]
+    plain = _run(*argv)
+    optimized = _run("-O", *argv)
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+
+
+def test_library_has_no_bare_asserts():
+    for path in (SRC / "ufabound").glob("*.py"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert not [ln for ln in lines if re.match(r"\s*assert ", ln)], path

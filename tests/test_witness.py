@@ -71,33 +71,61 @@ class TestTransitionOracle:
             a.transitions(1, PrefixSym(pt(3, {1}, {1}, {1})))
 
 
+def simulated(f, g):
+    return int(WitnessAutomaton(f.n).accepts(encode_string(f, g)))
+
+
 class TestMEntry:
     def test_direct_acceptance(self):
         f = pt(2, {1}, {1})
         g = st(2, [{1, 2}, set()], {1})
-        assert m_entry(f, g, cross_check=True) == 1
+        assert m_entry(f, g) == simulated(f, g) == 1
 
     def test_dead_end(self):
         f = pt(2, {2}, {2})
         g = st(2, [{1, 2}, set()], {1})
-        assert m_entry(f, g, cross_check=True) == 0
+        assert m_entry(f, g) == simulated(f, g) == 0
 
     def test_needs_a_bounce(self):
         f = pt(2, {2}, {1, 2})
         g = st(2, [{1, 2}, {2}], {1})
-        assert m_entry(f, g, cross_check=True) == 1
+        assert m_entry(f, g) == simulated(f, g) == 1
 
     def test_exhaustive_agreement_n2(self):
         for f in enumerate_prefix_tables(2):
             for g in enumerate_suffix_tables(2):
-                m_entry(f, g, cross_check=True)
+                assert m_entry(f, g) == simulated(f, g), (f, g)
 
     def test_random_agreement_n3(self):
         rng = random.Random(0)
         fs = enumerate_prefix_tables(3)
         gs = enumerate_suffix_tables(3)
         for _ in range(2000):
-            m_entry(rng.choice(fs), rng.choice(gs), cross_check=True)
+            f, g = rng.choice(fs), rng.choice(gs)
+            assert m_entry(f, g) == simulated(f, g), (f, g)
+
+    def test_random_agreement_beyond_one_lookup_chunk(self):
+        # the row kernel splits state masks into 8-bit chunks from n = 8 on;
+        # sparse tables make paths bounce, so both entry values occur
+        rng = random.Random(11)
+        for n in (8, 9, 17, 30):
+            full = full_mask(n)
+
+            def state():
+                return 1 << rng.randint(1, n)
+
+            entries = set()
+            for _ in range(40):
+                core = state()
+                values = [core | state() for _ in range(n)]
+                values[rng.randrange(n)] = core
+                f = PrefixTable(n, tuple(values))
+                accept = state()
+                g = SuffixTable(n, tuple(full if accept >> v & 1 else state() | state()
+                                         for v in range(1, n + 1)), accept)
+                entries.add(m_entry(f, g))
+                assert m_entry(f, g) == simulated(f, g), (f, g)
+            assert entries == {0, 1}
 
 
 class TestMatrices:
