@@ -21,9 +21,9 @@ from .crossing import (CrossingProfile, OptimalityReport, prefix_profile,
                        suffix_profile, suffix_table_of, verify_optimality)
 from .errors import CapacityError
 from .exact_linalg import rank_exact, rank_mod_p
-from .tables import (LayerStructure, PrefixTable, SuffixTable, augment, break_set,
-                     drop_layers, enumerate_prefix_tables, enumerate_suffix_tables,
-                     is_ordered, layer_structure, starting_state, table_size)
+from .tables import (LayerStructure, PrefixTable, SuffixTable, augment,
+                     enumerate_prefix_tables, enumerate_suffix_tables, is_ordered,
+                     layer_masks, layer_structure, starting_state, table_size)
 from .witness import (BoolMatrix, GammaSymbol, PrefixSym, StartState, SuffixSym,
                       WitnessAutomaton, acceptance_matrix, build_K, build_M,
                       build_g_I, decode_string, encode_string, m_entry)

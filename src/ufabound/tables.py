@@ -157,6 +157,11 @@ class LayerStructure:
 
 
 def layer_structure(f: PrefixTable) -> LayerStructure:
+    """f's layer structure, computed on the first call and kept on f itself
+    (not in a module-level cache).  Raises ValueError for an unordered table."""
+    cached = f.__dict__.get("_layers")
+    if cached is not None:
+        return cached
     if not is_ordered(f):
         raise ValueError("layer structure is defined for ordered tables only")
     full = full_mask(f.n)
@@ -169,47 +174,34 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
     sl = []
     for v in range(1, f.n + 1):
         sl.append(next(i for i, s in enumerate(chain) if s >> v & 1))
-    return LayerStructure(rank_k, tuple(chain), pl, tuple(sl))
+    ls = f.__dict__["_layers"] = LayerStructure(rank_k, tuple(chain), pl, tuple(sl))
+    return ls
 
 
-def _cumulative_reach(f: PrefixTable, ls0: LayerStructure) -> list[int]:
-    # reach[i] = union of f(u) over all u whose prefix layer in ls0 is <= i
-    reach = [0] * (ls0.rank_k + 1)
-    for u in range(1, f.n + 1):
-        reach[ls0.prefix_layer[u - 1]] |= f.value(u)
-    for i in range(1, ls0.rank_k + 1):
-        reach[i] |= reach[i - 1]
-    return reach
+def layer_masks(f: PrefixTable, f0: PrefixTable) -> tuple[int, int]:
+    """The layers of f0 from which f drops down and through which f breaks,
+    as bit masks (drop, brk) over f0's layers 0..k-1 (bit i = layer i).
 
-
-def _require_ordered(f: PrefixTable) -> None:
-    if not is_ordered(f):
-        raise ValueError("operation is defined for ordered tables only")
-
-
-def break_set(f: PrefixTable, f0: PrefixTable) -> set[int]:
-    """Layers i of f0 through which f breaks: from f0's layers up to i, f
-    reaches past f0's suffix layer i."""
+    With reach_i the union of f(u) over the states u on f0's prefix layers
+    up to i, f drops down from layer i when reach_i stays inside S_{i-1}
+    (empty for i = 0) and breaks through layer i when reach_i leaves S_i.
+    Both tables must be ordered.
+    """
+    layer_structure(f)  # rejects an unordered f
     ls0 = layer_structure(f0)
-    _require_ordered(f)
-    reach = _cumulative_reach(f, ls0)
-    full = full_mask(f.n)
-    return {i for i in range(ls0.rank_k)
-            if reach[i] & (full & ~ls0.nested_sets[i])}
-
-
-def drop_layers(f: PrefixTable, f0: PrefixTable) -> set[int]:
-    """Layers i of f0 from which f drops down: from f0's layers up to i, f
-    stays strictly below f0's suffix layer i."""
-    ls0 = layer_structure(f0)
-    _require_ordered(f)
-    reach = _cumulative_reach(f, ls0)
-    out = set()
-    for i in range(ls0.rank_k):
-        below = ls0.nested_sets[i - 1] if i >= 1 else 0
-        if is_subset(reach[i], below):
-            out.add(i)
-    return out
+    k, sets = ls0.rank_k, ls0.nested_sets
+    reach = [0] * (k + 1)
+    for layer, v in zip(ls0.prefix_layer, f.values):
+        reach[layer] |= v
+    drop = brk = below = cumulative = 0
+    for i in range(k):
+        cumulative |= reach[i]
+        if not cumulative & ~below:
+            drop |= 1 << i
+        below = sets[i]
+        if cumulative & ~below:
+            brk |= 1 << i
+    return drop, brk
 
 
 def _check_enumeration_size(n: int) -> None:

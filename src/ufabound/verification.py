@@ -9,6 +9,7 @@ identical reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from math import factorial
@@ -161,8 +162,8 @@ def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckR
                        f"{len({f0 for _, f0 in pairs})} base tables")
 
 
-def _staged_rows(size: int, pairs) -> dict:
-    """For each pair (f, f0), f's entries against the 2^k staged suffix
+def _staged_rows(size: int, pairs) -> list[int]:
+    """For each pair (f, f0) in turn, f's entries against the 2^k staged suffix
     tables of f0, packed so that bit b holds stage set {i : bit i of b}.
 
     Each base table's staged tables are built once and every distinct f is
@@ -175,10 +176,10 @@ def _staged_rows(size: int, pairs) -> dict:
         staged += [witness.build_g_I(f0, _stage_set(bits, k)) for bits in range(1 << k)]
     fs = list(dict.fromkeys(f for f, _ in pairs))
     row_of = dict(zip(fs, witness.acceptance_matrix(fs, staged, size).bits))
-    out = {}
+    out = []
     for f, f0 in pairs:
         start, k = offsets[f0]
-        out[f, f0] = row_of[f] >> start & ((1 << (1 << k)) - 1)
+        out.append(row_of[f] >> start & ((1 << (1 << k)) - 1))
     return out
 
 
@@ -186,34 +187,43 @@ def check_drop_down_rows(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "drop-down rows vanish"
     size = min(n, 4)
     _, pairs = _table_pair_sample(size, level, rng)
-    pairs = [(f, f0) for f, f0 in pairs if tables.drop_layers(f, f0)]
-    rows = _staged_rows(size, pairs)
+    pairs = [pair for pair in pairs if tables.layer_masks(*pair)[0]]
     checked = 0
-    for f, f0 in pairs:
-        if rows[f, f0]:
+    for (f, f0), row in zip(pairs, _staged_rows(size, pairs)):
+        if row:
             return CheckResult(name, False, f"non-zero entry for {f} against {f0}")
         checked += 1 << tables.layer_structure(f0).rank_k
     detail = f"{checked} entries" if checked else "vacuous: no drop-downs at this size"
     return CheckResult(name, True, detail)
 
 
+@functools.cache
+def _completion_row(k: int, brk: int) -> int:
+    """Entries predicted by breakthrough completion, packed like a staged
+    row: bit b is set iff stage set b together with brk covers all k layers."""
+    every = (1 << k) - 1
+    return sum(1 << b for b in range(1 << k) if b | brk == every)
+
+
 def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "breakthrough completion determines entries"
     size = min(n, 4)
     _, pairs = _table_pair_sample(size, level, rng)
-    pairs = [(f, f0) for f, f0 in pairs if not tables.drop_layers(f, f0)]
-    rows = _staged_rows(size, pairs)
+    kept, breaks = [], []
+    for pair in pairs:
+        drop, brk = tables.layer_masks(*pair)
+        if not drop:
+            kept.append(pair)
+            breaks.append(brk)
     checked = 0
-    for f, f0 in pairs:
+    for (f, f0), brk, row in zip(kept, breaks, _staged_rows(size, kept)):
         k = tables.layer_structure(f0).rank_k
-        breaks = tables.break_set(f, f0)
-        for bits in range(1 << k):
-            stage = _stage_set(bits, k)
-            expected = int(stage | breaks == set(range(k)))
-            if rows[f, f0] >> bits & 1 != expected:
-                return CheckResult(name, False, f"mismatch for {f} against {f0}, "
-                                   f"stage {sorted(stage)}")
-            checked += 1
+        wrong = row ^ _completion_row(k, brk)
+        if wrong:
+            stage = _stage_set((wrong & -wrong).bit_length() - 1, k)
+            return CheckResult(name, False, f"mismatch for {f} against {f0}, "
+                               f"stage {sorted(stage)}")
+        checked += 1 << k
     return CheckResult(name, True, f"{checked} entries")
 
 
@@ -224,7 +234,7 @@ def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckRe
     for f, f0 in pairs:
         if f.values == f0.values or tables.table_size(f) < tables.table_size(f0):
             continue
-        if not tables.break_set(f, f0):
+        if not tables.layer_masks(f, f0)[1]:
             return CheckResult("at-least-as-large tables always break through", False,
                                f"no breakthrough for {f} against {f0}")
         checked += 1
@@ -284,9 +294,17 @@ def check_count_matches_enumeration(n: int, level: str, rng: random.Random) -> C
                            f"size {size}: {count} != {second}")
     by_filter = tables.enumerate_ordered_prefix_tables_by_filter(size)
     by_layers = combinatorics.enumerate_ordered_prefix_tables(size)
-    ok = ({f.values for f in by_filter} == {f.values for f in by_layers}
-          and len(by_layers) == count)
-    return CheckResult(name, ok, f"{len(by_filter)} tables at size {size}")
+    layered = {f.values for f in by_layers}
+    if len(layered) != len(by_layers):
+        return CheckResult(name, False, f"the layer enumeration yields {len(by_layers)} "
+                           f"tables, {len(layered)} distinct, at size {size}")
+    if len(by_layers) != count:
+        return CheckResult(name, False, f"the layer enumeration gives {len(by_layers)} "
+                           f"tables, the count {count} at size {size}")
+    if {f.values for f in by_filter} != layered:
+        return CheckResult(name, False, f"the filter and layer enumerations differ "
+                           f"at size {size}")
+    return CheckResult(name, True, f"{len(by_filter)} tables at size {size}")
 
 
 _CHECKS: list[Callable] = [

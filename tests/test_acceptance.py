@@ -142,10 +142,9 @@ def test_criterion_6_augmentation_row_identity():
 def _check_staged_table_properties(f, f0, n):
     ls = tables.layer_structure(f0)
     k = ls.rank_k
-    drops = tables.drop_layers(f, f0)
-    breaks = tables.break_set(f, f0)
+    drop, brk = tables.layer_masks(f, f0)
     if f.values != f0.values and tables.table_size(f) >= tables.table_size(f0):
-        assert breaks, ("forced breakthrough missing", f, f0)
+        assert brk, ("forced breakthrough missing", f, f0)
     evaluated = 0
     for bits in range(1 << k):
         stage = {i for i in range(k) if bits >> i & 1}
@@ -158,10 +157,10 @@ def _check_staged_table_properties(f, f0, n):
                 v for v in range(1, n + 1) if ls.suffix_layer[v - 1] == k)
         assert g.accept_flags == expected_accept, ("accept set", f0, stage)
         entry = witness.m_entry(f, g)
-        if drops:
+        if drop:
             assert entry == 0, ("drop-down row not zero", f, f0, stage)
         else:
-            want = int(stage | breaks == set(range(k)))
+            want = int(bits | brk == (1 << k) - 1)
             assert entry == want, ("breakthrough completion", f, f0, stage)
         evaluated += 1
     return evaluated

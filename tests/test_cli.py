@@ -100,6 +100,28 @@ def test_verify_output_is_reproducible(capsys):
     assert first == second
 
 
+VERIFY_FULL_N3_SEED0 = """\
+PASS  orderedness characterizations agree (133 tables)
+PASS  graph entries match two-way simulation (10000 pairs)
+PASS  augmented-row identity (36 quadruples)
+PASS  layer rank equals complement-matrix rank (115 tables)
+PASS  ordered-table enumerations agree (115 tables at size 3)
+PASS  staged suffix tables: acceptance sets (115 base tables)
+PASS  drop-down rows vanish (720 entries)
+PASS  breakthrough completion determines entries (42175 entries)
+PASS  at-least-as-large tables always break through (7992 pairs)
+PASS  matrix rank equals the ordered-table count (rank 115, count 115)
+PASS  random-automaton ranks stay within the bound (50 instances with 3 states)
+11/11 checks passed
+"""
+
+
+def test_verify_full_n3_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "3", "--level", "full", "--seed", "0")
+    assert code == 0
+    assert out == VERIFY_FULL_N3_SEED0
+
+
 def test_schmidt_with_files(tmp_path, capsys):
     automaton = {
         "type": "2nfa",

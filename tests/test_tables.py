@@ -5,9 +5,9 @@ import pytest
 
 from ufabound.errors import CapacityError
 from ufabound.statesets import elements, full_mask, mask_of
-from ufabound.tables import (PrefixTable, SuffixTable, augment, break_set,
-                             drop_layers, enumerate_prefix_tables,
-                             enumerate_suffix_tables, is_ordered, layer_structure,
+from ufabound.tables import (PrefixTable, SuffixTable, augment,
+                             enumerate_prefix_tables, enumerate_suffix_tables,
+                             is_ordered, layer_masks, layer_structure,
                              prefix_table_from_text, prefix_table_to_text,
                              starting_state, suffix_table_from_text,
                              suffix_table_to_text, table_size)
@@ -213,59 +213,102 @@ class TestTableRankViaMatrix:
             assert result.ok and result.detail == f"{ordered} tables", result
 
 
+def _layers_of(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _reach_up_to(f, f0, i):
+    # plain-set oracle: f's values on the states of f0's prefix layers <= i
+    ls = layer_structure(f0)
+    reach = set()
+    for u in range(1, f.n + 1):
+        if ls.prefix_layer[u - 1] <= i:
+            reach |= set(elements(f.value(u)))
+    return reach
+
+
 class TestBreakthroughAndDropDown:
     def test_own_layers_are_neutral(self):
         for f in enumerate_prefix_tables(3):
             if not is_ordered(f):
                 continue
-            assert break_set(f, f) == set()
-            assert drop_layers(f, f) == set()
+            assert layer_masks(f, f) == (0, 0)
 
     def test_break_example(self):
         f = pt(3, {1, 2, 3}, {1, 2, 3}, {1, 2, 3})
-        assert break_set(f, CHAIN3) == {0, 1}
+        drop, brk = layer_masks(f, CHAIN3)
+        assert _layers_of(brk) == {0, 1}
+        assert drop == 0
 
     def test_drop_example(self):
         f = pt(3, {1}, {1}, {1})
-        assert 1 in drop_layers(f, CHAIN3)
-        assert 0 not in drop_layers(f, CHAIN3)  # nothing lies below layer 0
+        drop, _ = layer_masks(f, CHAIN3)
+        assert drop >> 1 & 1
+        assert not drop & 1  # nothing lies below layer 0
 
     def test_drop_at_layer_zero_is_impossible(self):
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for f in ordered:
             for f0 in ordered:
                 if layer_structure(f0).rank_k >= 1:
-                    assert 0 not in drop_layers(f, f0)
+                    assert not layer_masks(f, f0)[0] & 1
 
     def test_layer_index_validated(self):
         unordered = pt(3, {1}, {1, 2}, {1, 3})
-        for layers in (break_set, drop_layers):
-            with pytest.raises(ValueError):
-                layers(unordered, CHAIN3)
-            with pytest.raises(ValueError):
-                layers(CHAIN3, unordered)
+        with pytest.raises(ValueError):
+            layer_masks(unordered, CHAIN3)
+        with pytest.raises(ValueError):
+            layer_masks(CHAIN3, unordered)
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for f in ordered:
             for f0 in ordered:
                 k = layer_structure(f0).rank_k
-                assert break_set(f, f0) | drop_layers(f, f0) <= set(range(k))
+                drop, brk = layer_masks(f, f0)
+                assert 0 <= drop < 1 << k and 0 <= brk < 1 << k
+
+    def test_unordered_table_still_rejected_after_use(self):
+        unordered = pt(3, {1}, {1, 2}, {1, 3})
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                layer_structure(unordered)
+            with pytest.raises(ValueError):
+                layer_masks(CHAIN3, unordered)
+
+    def test_layer_structure_is_computed_once_per_table(self):
+        f = pt(3, {1}, {1, 2}, {1, 2, 3})
+        assert layer_structure(f) is layer_structure(f)
+        assert layer_structure(f) == layer_structure(CHAIN3)
 
     def test_break_set_matches_pointwise_predicate(self):
         def breaks_at(f, f0, i):
-            # plain-set oracle: f's reach from f0's prefix layers <= i leaves S_i
-            ls = layer_structure(f0)
-            reach = set()
-            for u in range(1, f.n + 1):
-                if ls.prefix_layer[u - 1] <= i:
-                    reach |= set(elements(f.value(u)))
-            return bool(reach - set(elements(ls.nested_sets[i])))
+            # f's reach from f0's prefix layers <= i leaves S_i
+            s_i = set(elements(layer_structure(f0).nested_sets[i]))
+            return bool(_reach_up_to(f, f0, i) - s_i)
 
         rng = random.Random(9)
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for _ in range(300):
             f, f0 = rng.choice(ordered), rng.choice(ordered)
             k = layer_structure(f0).rank_k
-            assert break_set(f, f0) == {i for i in range(k) if breaks_at(f, f0, i)}
+            brk = layer_masks(f, f0)[1]
+            assert _layers_of(brk) == {i for i in range(k) if breaks_at(f, f0, i)}
+
+    def test_drop_mask_matches_pointwise_predicate(self):
+        def drops_at(f, f0, i):
+            # f's reach from f0's prefix layers <= i stays inside S_{i-1}
+            ls = layer_structure(f0)
+            below = set(elements(ls.nested_sets[i - 1])) if i >= 1 else set()
+            return _reach_up_to(f, f0, i) <= below
+
+        ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
+        drops = 0
+        for f in ordered:
+            for f0 in ordered:
+                k = layer_structure(f0).rank_k
+                drop = layer_masks(f, f0)[0]
+                assert _layers_of(drop) == {i for i in range(k) if drops_at(f, f0, i)}
+                drops += drop != 0
+        assert drops > 0
 
     def test_distinct_at_least_as_large_tables_break_through(self):
         # exhaustive at n = 2 and 3
@@ -274,7 +317,7 @@ class TestBreakthroughAndDropDown:
             for f in ordered:
                 for f0 in ordered:
                     if f != f0 and table_size(f) >= table_size(f0):
-                        assert break_set(f, f0), (f, f0)
+                        assert layer_masks(f, f0)[1], (f, f0)
 
 
 class TestEnumeration:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import verification, witness
+from ufabound import combinatorics, tables, verification, witness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,6 +57,60 @@ def test_count_index_form_disagreement_fails(monkeypatch):
     assert not r.ok and "index forms" in r.detail
 
 
+def test_spurious_drop_down_fails(monkeypatch):
+    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (1, 0))
+    r = verification.check_drop_down_rows(3, "full", random.Random(0))
+    assert not r.ok and "non-zero entry" in r.detail
+
+
+def test_missing_breakthrough_breaks_completion(monkeypatch):
+    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (0, 0))
+    r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    assert not r.ok and re.fullmatch(r"mismatch for .* against .*, stage \[.*\]", r.detail)
+
+
+def test_missing_forced_breakthrough_fails(monkeypatch):
+    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (0, 0))
+    r = verification.check_forced_breakthrough(3, "full", random.Random(0))
+    assert not r.ok and "no breakthrough" in r.detail
+
+
+def test_completion_mismatch_names_the_lowest_wrong_stage(monkeypatch):
+    # claim a breakthrough through every layer: the entries then read 1 on
+    # every stage set, and the first real zero is the empty stage set
+    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (0, 0b111))
+    r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    assert not r.ok and r.detail.endswith("stage []")
+
+
+def _check_named(results, name):
+    return next(r for r in results if r.name == name)
+
+
+def test_repeated_ordered_table_fails(monkeypatch):
+    real = combinatorics.enumerate_ordered_prefix_tables
+    monkeypatch.setattr(combinatorics, "enumerate_ordered_prefix_tables",
+                        lambda n: real(n) + real(n)[:1])
+    r = _check_named(verification.run_checks(2, "full"), "ordered-table enumerations agree")
+    assert not r.ok and "yields 8 tables, 7 distinct" in r.detail
+
+
+def test_enumeration_count_mismatch_fails(monkeypatch):
+    real = combinatorics.enumerate_ordered_prefix_tables
+    monkeypatch.setattr(combinatorics, "enumerate_ordered_prefix_tables",
+                        lambda n: real(n)[1:])
+    r = _check_named(verification.run_checks(2, "full"), "ordered-table enumerations agree")
+    assert not r.ok and "gives 6 tables, the count 7" in r.detail
+
+
+def test_enumeration_differing_from_filter_fails(monkeypatch):
+    real = combinatorics.enumerate_ordered_prefix_tables
+    monkeypatch.setattr(tables, "enumerate_ordered_prefix_tables_by_filter",
+                        lambda n: real(n)[1:])
+    r = verification.check_count_matches_enumeration(2, "full", random.Random(0))
+    assert not r.ok and "differ" in r.detail
+
+
 # Under ``python -O`` the checks must compare exactly as without it.
 
 def _run(*args):
@@ -75,6 +129,30 @@ def test_injected_disagreement_fails_under_optimize():
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "FAIL\n"
+
+
+def test_missing_breakthrough_fails_under_optimize():
+    code = ("import random\n"
+            "from ufabound import tables, verification\n"
+            "tables.layer_masks = lambda f, f0: (0, 0)\n"
+            "r = verification.check_forced_breakthrough(3, 'full', random.Random(0))\n"
+            "print('PASS' if r.ok else 'FAIL')\n")
+    proc = _run("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "FAIL\n"
+
+
+def test_count_mismatch_is_a_failed_check_not_a_traceback():
+    code = ("import sys\n"
+            "from ufabound import combinatorics\n"
+            "from ufabound.cli import main\n"
+            "real = combinatorics.count_ordered_prefix_tables\n"
+            "combinatorics.count_ordered_prefix_tables = lambda n: real(n) + 1\n"
+            "sys.exit(main(['verify', '--n', '2']))\n")
+    proc = _run("-c", code)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "FAIL  ordered-table enumerations agree" in proc.stdout
 
 
 def test_verify_output_is_identical_under_optimize():
