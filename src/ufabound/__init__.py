@@ -9,16 +9,15 @@ two-way automata and checks that no choice of automaton and string sets
 produces a higher rank.
 """
 
-from .automata import (LEFT_MARKER, RIGHT_MARKER, Configuration, Nfa, TwoWayNfa,
-                       count_accepting_paths, dump_automaton, is_unambiguous,
-                       load_automaton, nfa_accepts, twonfa_accepts)
+from .automata import (LEFT_MARKER, RIGHT_MARKER, Configuration, TwoWayNfa,
+                       dump_automaton, load_automaton, twonfa_accepts)
 from .combinatorics import (NestedSetSequence, PrefixLayerFunction,
                             asymptotic_floor, count_ordered_prefix_tables,
                             enumerate_ordered_prefix_tables, p_count, s_count,
                             stirling2, table1_row)
-from .crossing import (CrossingProfile, OptimalityReport, prefix_profile,
-                       prefix_table_of, random_two_way_nfa, schmidt_matrix,
-                       suffix_profile, suffix_table_of, verify_optimality)
+from .crossing import (OptimalityReport, prefix_profile, prefix_table_of,
+                       random_two_way_nfa, schmidt_matrix, suffix_profile,
+                       suffix_table_of, verify_optimality)
 from .errors import CapacityError
 from .exact_linalg import rank_exact, rank_mod_p
 from .tables import (LayerStructure, PrefixTable, SuffixTable, augment,
@@ -26,6 +25,6 @@ from .tables import (LayerStructure, PrefixTable, SuffixTable, augment,
                      layer_masks, layer_structure, starting_state, table_size)
 from .witness import (BoolMatrix, GammaSymbol, PrefixSym, StartState, SuffixSym,
                       WitnessAutomaton, acceptance_matrix, build_K, build_M,
-                      build_g_I, decode_string, encode_string, m_entry)
+                      build_g_I, encode_string, m_entry)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""One-way and two-way nondeterministic finite automata.
+"""Two-way nondeterministic finite automata.
 
 States and symbols are dense 0-based integers internally; every external
 surface (the JSON format, printed output) numbers states from 1.  A two-way
@@ -9,7 +9,7 @@ so reaching that configuration ends the computation; acceptance therefore
 reduces to plain reachability in the finite configuration graph, and
 looping computations never contribute.
 
-All automata are immutable after construction and every operation here is
+Automata are immutable after construction and every operation here is
 a pure function.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence
 
 LEFT_MARKER = -1
 RIGHT_MARKER = -2
@@ -33,51 +33,6 @@ class Configuration(NamedTuple):
 
     state: int
     position: int
-
-
-@dataclass(frozen=True)
-class Nfa:
-    """A one-way NFA with a set of initial states.
-
-    ``transitions`` maps (state, symbol) to the set of possible next
-    states; missing keys mean no move.
-    """
-
-    state_count: int
-    alphabet_size: int
-    initial: frozenset[int]
-    transitions: Mapping[tuple[int, int], frozenset[int]]
-    accepting: frozenset[int]
-
-    def __post_init__(self):
-        if self.state_count < 1:
-            raise ValueError("state_count must be positive")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be positive")
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        trans = {}
-        for (q, c), targets in dict(self.transitions).items():
-            targets = frozenset(targets)
-            if not 0 <= q < self.state_count:
-                raise ValueError(f"transition from unknown state {q}")
-            if not 0 <= c < self.alphabet_size:
-                raise ValueError(f"transition on unknown symbol {c}")
-            for t in targets:
-                if not 0 <= t < self.state_count:
-                    raise ValueError(f"transition into unknown state {t}")
-            if targets:
-                trans[(q, c)] = targets
-        object.__setattr__(self, "transitions", trans)
-        for q in self.initial | self.accepting:
-            if not 0 <= q < self.state_count:
-                raise ValueError(f"state {q} out of range")
-
-    def step(self, states: Iterable[int], symbol: int) -> frozenset[int]:
-        out = set()
-        for q in states:
-            out |= self.transitions.get((q, symbol), frozenset())
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -131,93 +86,10 @@ class TwoWayNfa:
         return self.transitions.get((state, symbol), frozenset())
 
 
-Automaton = Union[Nfa, TwoWayNfa]
-
-
-def _check_word(a: Automaton, word: Sequence[int]) -> None:
+def _check_word(a: TwoWayNfa, word: Sequence[int]) -> None:
     for c in word:
         if not 0 <= c < a.alphabet_size:
             raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
-
-
-def nfa_accepts(a: Nfa, word: Sequence[int]) -> bool:
-    """Decide membership by subset propagation."""
-    _check_word(a, word)
-    current = a.initial
-    for c in word:
-        current = a.step(current, c)
-        if not current:
-            return False
-    return bool(current & a.accepting)
-
-
-def count_accepting_paths(a: Nfa, word: Sequence[int], cap: int) -> int:
-    """Number of distinct accepting computations on ``word``, saturated at ``cap``.
-
-    Saturating at every step keeps the counters small; the result is
-    exactly min(true count, cap).
-    """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    _check_word(a, word)
-    counts = [1 if q in a.initial else 0 for q in range(a.state_count)]
-    for c in word:
-        nxt = [0] * a.state_count
-        for q, ways in enumerate(counts):
-            if not ways:
-                continue
-            for t in a.transitions.get((q, c), ()):
-                nxt[t] = min(nxt[t] + ways, cap)
-        counts = nxt
-    return min(sum(counts[q] for q in a.accepting), cap)
-
-
-def is_unambiguous(a: Nfa) -> bool:
-    """True iff no string has two distinct accepting computations.
-
-    Decided on the self-product: the automaton is ambiguous exactly when
-    some pair of distinct states is simultaneously reachable (two runs on
-    a common prefix) and can simultaneously reach acceptance (a common
-    suffix).  This is exact, no string length bound involved.
-    """
-    symbols = range(a.alphabet_size)
-
-    reachable = set((p, q) for p in a.initial for q in a.initial)
-    queue = deque(reachable)
-    while queue:
-        p, q = queue.popleft()
-        for c in symbols:
-            for p2 in a.transitions.get((p, c), ()):
-                for q2 in a.transitions.get((q, c), ()):
-                    if (p2, q2) not in reachable:
-                        reachable.add((p2, q2))
-                        queue.append((p2, q2))
-
-    co = set((p, q) for p in a.accepting for q in a.accepting)
-    # backward closure: (p, q) is co-reachable if some common symbol leads
-    # both components into a co-reachable pair
-    changed = True
-    while changed:
-        changed = False
-        for p in range(a.state_count):
-            for q in range(a.state_count):
-                if (p, q) in co:
-                    continue
-                for c in symbols:
-                    hit = False
-                    for p2 in a.transitions.get((p, c), ()):
-                        for q2 in a.transitions.get((q, c), ()):
-                            if (p2, q2) in co:
-                                hit = True
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        co.add((p, q))
-                        changed = True
-                        break
-
-    return not any(p != q for (p, q) in reachable & co)
 
 
 def tape_symbol(word: Sequence[int], position: int) -> int:
@@ -254,14 +126,19 @@ def twonfa_accepts(a: TwoWayNfa, word: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # JSON automaton format
 #
-# {"type": "nfa" | "2nfa", "states": k, "alphabet": [names...],
+# {"type": "2nfa", "states": k, "alphabet": [names...],
 #  "initial": [1-based...], "accepting": [1-based...],
 #  "transitions": [{"from": i, "symbol": name or "⊢"/"⊣", "to": j, "dir": ±1}]}
 #
-# "dir" is present exactly for 2nfa transitions.  Unknown fields are
-# rejected so that typos fail loudly.
+# Unknown fields are rejected so that typos fail loudly, and JSON booleans
+# are not integers here.
 
 _TOP_FIELDS = {"type", "states", "alphabet", "initial", "accepting", "transitions"}
+_TRANSITION_FIELDS = {"from", "symbol", "to", "dir"}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _states_from_json(raw, state_count, what):
@@ -269,13 +146,13 @@ def _states_from_json(raw, state_count, what):
         raise ValueError(f"{what} must be an array of 1-based states")
     out = set()
     for s in raw:
-        if not isinstance(s, int) or not 1 <= s <= state_count:
+        if not _is_int(s) or not 1 <= s <= state_count:
             raise ValueError(f"{what} entry {s!r} out of range 1..{state_count}")
         out.add(s - 1)
     return frozenset(out)
 
 
-def load_automaton(obj: dict) -> tuple[Automaton, list[str]]:
+def load_automaton(obj: dict) -> tuple[TwoWayNfa, list[str]]:
     """Build an automaton from a parsed JSON object.
 
     Returns the automaton together with the alphabet names, in symbol-id
@@ -289,22 +166,20 @@ def load_automaton(obj: dict) -> tuple[Automaton, list[str]]:
     missing = _TOP_FIELDS - set(obj)
     if missing:
         raise ValueError(f"missing fields: {sorted(missing)}")
-    kind = obj["type"]
-    if kind not in ("nfa", "2nfa"):
-        raise ValueError(f"bad type {kind!r}")
+    if obj["type"] != "2nfa":
+        raise ValueError(f"type must be \"2nfa\", got {obj['type']!r}")
     states = obj["states"]
-    if not isinstance(states, int) or states < 1:
+    if not _is_int(states) or states < 1:
         raise ValueError("states must be a positive integer")
     alphabet = obj["alphabet"]
     if (not isinstance(alphabet, list) or not alphabet
-            or len(set(alphabet)) != len(alphabet)
             or any(not isinstance(s, str) for s in alphabet)
+            or len(set(alphabet)) != len(alphabet)
             or "⊢" in alphabet or "⊣" in alphabet):
         raise ValueError("alphabet must be a non-empty array of distinct symbol names")
     sym_id = {name: i for i, name in enumerate(alphabet)}
-    if kind == "2nfa":
-        sym_id["⊢"] = LEFT_MARKER
-        sym_id["⊣"] = RIGHT_MARKER
+    sym_id["⊢"] = LEFT_MARKER
+    sym_id["⊣"] = RIGHT_MARKER
 
     initial = _states_from_json(obj["initial"], states, "initial")
     accepting = _states_from_json(obj["accepting"], states, "accepting")
@@ -315,49 +190,37 @@ def load_automaton(obj: dict) -> tuple[Automaton, list[str]]:
     for t in obj["transitions"]:
         if not isinstance(t, dict):
             raise ValueError("each transition must be an object")
-        fields = {"from", "symbol", "to"} | ({"dir"} if kind == "2nfa" else set())
-        if set(t) != fields:
-            raise ValueError(f"transition fields must be exactly {sorted(fields)}")
+        if set(t) != _TRANSITION_FIELDS:
+            raise ValueError(
+                f"transition fields must be exactly {sorted(_TRANSITION_FIELDS)}")
         src, dst = t["from"], t["to"]
         for s in (src, dst):
-            if not isinstance(s, int) or not 1 <= s <= states:
+            if not _is_int(s) or not 1 <= s <= states:
                 raise ValueError(f"transition state {s!r} out of range")
-        if t["symbol"] not in sym_id:
+        if not isinstance(t["symbol"], str) or t["symbol"] not in sym_id:
             raise ValueError(f"unknown symbol {t['symbol']!r}")
-        c = sym_id[t["symbol"]]
-        if kind == "nfa":
-            trans.setdefault((src - 1, c), set()).add(dst - 1)
-        else:
-            d = t["dir"]
-            if d not in _DIRECTIONS:
-                raise ValueError(f"dir must be -1 or +1, got {d!r}")
-            trans.setdefault((src - 1, c), set()).add((dst - 1, d))
+        d = t["dir"]
+        if not _is_int(d) or d not in _DIRECTIONS:
+            raise ValueError(f"dir must be -1 or +1, got {d!r}")
+        trans.setdefault((src - 1, sym_id[t["symbol"]]), set()).add((dst - 1, d))
 
-    if kind == "nfa":
-        return Nfa(states, len(alphabet), initial, trans, accepting), list(alphabet)
     return TwoWayNfa(states, len(alphabet), initial, trans, accepting), list(alphabet)
 
 
-def dump_automaton(a: Automaton, alphabet: Sequence[str]) -> dict:
+def dump_automaton(a: TwoWayNfa, alphabet: Sequence[str]) -> dict:
     """Inverse of :func:`load_automaton`; transitions come out sorted."""
     if len(alphabet) != a.alphabet_size:
         raise ValueError("alphabet length does not match the automaton")
-    two_way = isinstance(a, TwoWayNfa)
     names = dict(enumerate(alphabet))
-    if two_way:
-        names[LEFT_MARKER] = "⊢"
-        names[RIGHT_MARKER] = "⊣"
+    names[LEFT_MARKER] = "⊢"
+    names[RIGHT_MARKER] = "⊣"
     entries = []
-    for (q, c), targets in a.transitions.items():
-        if two_way:
-            for t, d in targets:
-                entries.append({"from": q + 1, "symbol": names[c], "to": t + 1, "dir": d})
-        else:
-            for t in targets:
-                entries.append({"from": q + 1, "symbol": names[c], "to": t + 1})
-    entries.sort(key=lambda e: (e["from"], e["symbol"], e["to"], e.get("dir", 0)))
+    for (q, c), moves in a.transitions.items():
+        for t, d in moves:
+            entries.append({"from": q + 1, "symbol": names[c], "to": t + 1, "dir": d})
+    entries.sort(key=lambda e: (e["from"], e["symbol"], e["to"], e["dir"]))
     return {
-        "type": "2nfa" if two_way else "nfa",
+        "type": "2nfa",
         "states": a.state_count,
         "alphabet": list(alphabet),
         "initial": sorted(q + 1 for q in a.initial),

@@ -48,7 +48,13 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _cmd_build_matrix(args) -> int:
+    _check_jobs(args.jobs)
     build = witness.build_M if args.kind == "M" else witness.build_K
     m = build(args.n, jobs=args.jobs)
     witness.save_matrix(m, args.out)
@@ -57,6 +63,7 @@ def _cmd_build_matrix(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    _check_jobs(args.jobs)
     m = witness.load_matrix(args.input)
     if args.mod is not None:
         print(exact_linalg.rank_mod_p(m, args.mod, jobs=args.jobs))
@@ -116,8 +123,6 @@ def _cmd_schmidt(args) -> int:
         raise ValueError("either --automaton or --random is required")
     with open(args.automaton, "r", encoding="utf-8") as fh:
         automaton, alphabet = load_automaton(json.load(fh))
-    if not hasattr(automaton, "moves"):
-        raise ValueError("schmidt needs a two-way automaton (type 2nfa)")
     xs = _read_strings(args.prefixes, alphabet)
     ys = _read_strings(args.suffixes, alphabet)
     report = crossing.verify_optimality(automaton, xs, ys)

@@ -28,28 +28,6 @@ from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
 
 
-@dataclass(frozen=True)
-class CrossingProfile:
-    """Raw crossing data of one automaton on one prefix/suffix split.
-
-    s_x: exit-right states reachable from the initial configuration on the
-    prefix; t[i]: exit-right states from a re-entry in state i+1; a_y:
-    states that lead to acceptance on the suffix; t_prime[i]: exit-left
-    states from state i+1 on the suffix.  All masks over {1..n}.
-    """
-
-    s_x: int
-    t: tuple[int, ...]
-    a_y: int
-    t_prime: tuple[int, ...]
-
-    @classmethod
-    def of(cls, a: TwoWayNfa, x: Sequence[int], y: Sequence[int]) -> "CrossingProfile":
-        s_x, t = prefix_profile(a, x)
-        a_y, t_prime = suffix_profile(a, y)
-        return cls(s_x, t, a_y, t_prime)
-
-
 def _fragment_reach(a: TwoWayNfa, tape: list[int], seeds) -> tuple[set, int, int]:
     """Reachability on a tape fragment.
 

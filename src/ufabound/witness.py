@@ -25,13 +25,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, twonfa_accepts
-from .errors import CapacityError
 from .statesets import elements, full_mask
-from .tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
-                     enumerate_suffix_tables, is_ordered, layer_structure,
-                     prefix_table_to_text, starting_state, suffix_table_to_text)
+from .tables import (PrefixTable, SuffixTable,
+                     enumerate_ordered_prefix_tables_by_filter,
+                     enumerate_prefix_tables, enumerate_suffix_tables,
+                     layer_structure, prefix_table_to_text, starting_state,
+                     suffix_table_to_text)
 
-MATRIX_MAX_N = 4
 # the row kernel looks state masks up this many bits at a time, so its
 # lookup tables stay small for any n
 _CHUNK_BITS = 8
@@ -133,21 +133,6 @@ def encode_string(f: PrefixTable, g: SuffixTable) -> tuple[GammaSymbol, ...]:
     if f.n != g.n:
         raise ValueError("tables must have equal n")
     return (StartState(starting_state(f)), PrefixSym(f), SuffixSym(g))
-
-
-def decode_string(symbols: Sequence[GammaSymbol]) -> tuple[PrefixTable, SuffixTable]:
-    """Inverse of :func:`encode_string`; rejects non-canonical strings."""
-    if (len(symbols) != 3
-            or not isinstance(symbols[0], StartState)
-            or not isinstance(symbols[1], PrefixSym)
-            or not isinstance(symbols[2], SuffixSym)):
-        raise ValueError("expected [start letter, prefix letter, suffix letter]")
-    f, g = symbols[1].table, symbols[2].table
-    if symbols[0].index != starting_state(f):
-        raise ValueError("start letter does not name the table's starting state")
-    if f.n != g.n:
-        raise ValueError("tables must have equal n")
-    return f, g
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +280,16 @@ def m_entry(f: PrefixTable, g: SuffixTable) -> int:
     return acceptance_matrix([f], [g], f.n).bits[0]
 
 
-def _check_matrix_size(n: int) -> None:
-    if not 1 <= n <= MATRIX_MAX_N:
-        raise CapacityError(f"acceptance matrices are supported for n <= {MATRIX_MAX_N}")
-
-
 def build_M(n: int, jobs: int = 1) -> BoolMatrix:
     """Acceptance matrix over all prefix tables x all suffix tables."""
-    _check_matrix_size(n)
     return acceptance_matrix(enumerate_prefix_tables(n), enumerate_suffix_tables(n),
                              n, jobs)
 
 
 def build_K(n: int, jobs: int = 1) -> BoolMatrix:
     """The row-submatrix of the acceptance matrix on ordered prefix tables."""
-    _check_matrix_size(n)
-    ordered = [f for f in enumerate_prefix_tables(n) if is_ordered(f)]
-    return acceptance_matrix(ordered, enumerate_suffix_tables(n), n, jobs)
+    return acceptance_matrix(enumerate_ordered_prefix_tables_by_filter(n),
+                             enumerate_suffix_tables(n), n, jobs)
 
 
 # ---------------------------------------------------------------------------

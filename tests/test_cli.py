@@ -80,6 +80,30 @@ def test_rank_rejects_primes_beyond_the_limit(tmp_path, capsys):
     assert code == 0 and out == "115\n"
 
 
+def test_build_matrix_size_errors(tmp_path, capsys):
+    for n, limit in (("0", "n must be positive, got 0"),
+                     ("5", "limited to n <= 4")):
+        code, out, err = run(capsys, "build-matrix", "--n", n, "--kind", "M",
+                             "--out", str(tmp_path / "m.mat"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and limit in err
+        assert len(err.splitlines()) == 1
+
+
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    mat = tmp_path / "k.mat"
+    unwritten = tmp_path / "j0.mat"
+    run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))
+    for argv in (("build-matrix", "--n", "2", "--kind", "K", "--out", str(unwritten),
+                  "--jobs", "0"),
+                 ("rank", "--in", str(mat), "--mod", "2", "--jobs", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--jobs" in err
+        assert len(err.splitlines()) == 1
+    assert not unwritten.exists()
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--level", "quick")
     assert code == 0
@@ -195,3 +219,20 @@ def test_bad_json_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "schmidt", "--automaton", str(bad),
                        "--prefixes", str(bad), "--suffixes", str(bad))
     assert code == 2 and err.startswith("error:")
+
+
+def test_schmidt_rejects_one_way_automata(tmp_path, capsys):
+    one_way = {
+        "type": "nfa", "states": 2, "alphabet": ["a"],
+        "initial": [1], "accepting": [2],
+        "transitions": [{"from": 1, "symbol": "a", "to": 2}],
+    }
+    aut = tmp_path / "nfa.json"
+    aut.write_text(json.dumps(one_way))
+    (tmp_path / "xs.txt").write_text("a\n")
+    code, out, err = run(capsys, "schmidt", "--automaton", str(aut),
+                         "--prefixes", str(tmp_path / "xs.txt"),
+                         "--suffixes", str(tmp_path / "xs.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2nfa" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -2,7 +2,7 @@ import json
 import random
 
 from ufabound.automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, twonfa_accepts
-from ufabound.crossing import (CrossingProfile, prefix_profile, prefix_table_of,
+from ufabound.crossing import (prefix_profile, prefix_table_of,
                                random_campaign_report, random_strings,
                                random_two_way_nfa, schmidt_matrix,
                                suffix_profile, suffix_table_of,
@@ -55,9 +55,10 @@ class TestProfiles:
         assert suffix_table_of(never_accepting(), (0,)) is None
 
     def test_profile_record(self):
-        p = CrossingProfile.of(forward_only(), (0,), (1,))
-        assert p.s_x == p.a_y == mask_of({1})
-        assert p.t == (mask_of({1}),) and p.t_prime == (0,)
+        s_x, t = prefix_profile(forward_only(), (0,))
+        a_y, t_prime = suffix_profile(forward_only(), (1,))
+        assert s_x == a_y == mask_of({1})
+        assert t == (mask_of({1}),) and t_prime == (0,)
 
     def test_empty_suffix_accepts_from_accepting_states(self):
         # on the bare right marker, exactly the accepting states accept,

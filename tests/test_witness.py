@@ -10,8 +10,8 @@ from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              layer_structure, starting_state)
 from ufabound.witness import (BoolMatrix, PrefixSym, StartState, SuffixSym,
                               WitnessAutomaton, build_K, build_M, build_g_I,
-                              decode_string, encode_string, format_matrix,
-                              m_entry, parse_matrix)
+                              encode_string, format_matrix, m_entry,
+                              parse_matrix)
 
 
 def pt(n, *sets):
@@ -34,20 +34,9 @@ class TestEncoding:
         assert encode_string(f, g)[0] == StartState(1)
         assert starting_state(f) == 1
 
-    def test_round_trip(self):
-        f = pt(2, {2}, {1, 2})
-        g = st(2, [{1, 2}, {2}], {1})
-        assert decode_string(encode_string(f, g)) == (f, g)
-
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             encode_string(pt(2, {1}, {1}), st(3, [{1, 2, 3}, set(), set()], {1}))
-
-    def test_decode_rejects_wrong_start(self):
-        f = pt(2, {1}, {1})
-        g = st(2, [{1, 2}, set()], {1})
-        with pytest.raises(ValueError):
-            decode_string((StartState(2), PrefixSym(f), SuffixSym(g)))
 
 
 class TestTransitionOracle:
