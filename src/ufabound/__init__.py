@@ -9,8 +9,8 @@ two-way automata and checks that no choice of automaton and string sets
 produces a higher rank.
 """
 
-from .automata import (LEFT_MARKER, RIGHT_MARKER, Configuration, TwoWayNfa,
-                       dump_automaton, load_automaton, twonfa_accepts)
+from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, dump_automaton,
+                       load_automaton, twonfa_accepts)
 from .combinatorics import (NestedSetSequence, PrefixLayerFunction,
                             asymptotic_floor, count_ordered_prefix_tables,
                             enumerate_ordered_prefix_tables, p_count, s_count,

@@ -7,7 +7,9 @@ right marker at position len(w)+1, and accepts by reaching the right marker
 in an accepting state.  Accepting states have no moves on the right marker,
 so reaching that configuration ends the computation; acceptance therefore
 reduces to plain reachability in the finite configuration graph, and
-looping computations never contribute.
+looping computations never contribute.  One search of that graph,
+:func:`_reach`, serves both acceptance and the crossing profiles of
+:mod:`ufabound.crossing`, which run it on a fragment of the tape.
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -15,24 +17,13 @@ a pure function.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 LEFT_MARKER = -1
 RIGHT_MARKER = -2
 
 _DIRECTIONS = (-1, +1)
-
-
-class Configuration(NamedTuple):
-    """A state together with a head position on ``⊢ w ⊣``.
-
-    Position 0 is the left marker, position len(w)+1 the right marker.
-    """
-
-    state: int
-    position: int
 
 
 @dataclass(frozen=True)
@@ -92,35 +83,51 @@ def _check_word(a: TwoWayNfa, word: Sequence[int]) -> None:
             raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
 
 
-def tape_symbol(word: Sequence[int], position: int) -> int:
-    """Symbol under the head on ``⊢ word ⊣``."""
-    if position == 0:
-        return LEFT_MARKER
-    if position == len(word) + 1:
-        return RIGHT_MARKER
-    return word[position - 1]
+def _reach(a: TwoWayNfa, tape: Sequence[int],
+           seeds: Iterable[tuple[int, int]]) -> tuple[set, int, int]:
+    """Depth-first search of the configuration graph on ``tape``.
+
+    ``tape`` is a list of symbol ids, markers included, and configurations
+    are (state, position) pairs with positions indexing it.  Returns the
+    configurations reachable from ``seeds`` plus the 1-based masks of the
+    states in which the head moves off the right end and off the left end.
+    A right move off the right marker is dropped, not counted as an exit.
+
+    This is the package's only two-way search; :mod:`ufabound.crossing`
+    runs it on prefix and suffix fragments.  It is private: callers use
+    acceptance and the profiles, and ``bench/tracer.py``, which times
+    every public function per call, would otherwise wrap it once per
+    matrix entry.
+    """
+    moves = a.transitions
+    last = len(tape) - 1
+    exit_right = 0
+    exit_left = 0
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        state, pos = stack.pop()
+        sym = tape[pos]
+        for t, d in moves.get((state, sym), ()):
+            npos = pos + d
+            if npos > last:
+                if sym != RIGHT_MARKER:
+                    exit_right |= 1 << (t + 1)
+            elif npos < 0:
+                exit_left |= 1 << (t + 1)
+            elif (t, npos) not in seen:
+                seen.add((t, npos))
+                stack.append((t, npos))
+    return seen, exit_right, exit_left
 
 
 def twonfa_accepts(a: TwoWayNfa, word: Sequence[int]) -> bool:
-    """Breadth-first reachability over the configuration graph."""
+    """Whether an accepting state reaches the right marker on ``⊢ word ⊣``."""
     _check_word(a, word)
     last = len(word) + 1
-    seen = set(Configuration(q, 0) for q in a.initial)
-    queue = deque(seen)
-    while queue:
-        state, pos = queue.popleft()
-        if pos == last and state in a.accepting:
-            return True
-        sym = tape_symbol(word, pos)
-        for t, d in a.moves(state, sym):
-            npos = pos + d
-            if not 0 <= npos <= last:
-                continue
-            cfg = Configuration(t, npos)
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(cfg)
-    return False
+    seen, _, _ = _reach(a, [LEFT_MARKER, *word, RIGHT_MARKER],
+                        [(q, 0) for q in a.initial])
+    return any((q, last) in seen for q in a.accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,6 @@ def _cmd_schmidt(args) -> int:
             bound = report.bound
         print(f"bound {bound} holds on {args.random} random instances")
         return 0
-    if args.automaton is None:
-        raise ValueError("either --automaton or --random is required")
     with open(args.automaton, "r", encoding="utf-8") as fh:
         automaton, alphabet = load_automaton(json.load(fh))
     xs = _read_strings(args.prefixes, alphabet)
@@ -191,13 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "schmidt" and args.random is None:
-        missing = [flag for flag, val in
-                   (("--automaton", args.automaton),
-                    ("--prefixes", args.prefixes),
-                    ("--suffixes", args.suffixes)) if val is None]
-        if missing:
-            parser.error(f"schmidt requires {' '.join(missing)} (or --random)")
+    if args.command == "schmidt":
+        files = (("--automaton", args.automaton), ("--prefixes", args.prefixes),
+                 ("--suffixes", args.suffixes))
+        if args.random is None:
+            missing = [flag for flag, val in files if val is None]
+            if missing:
+                parser.error(f"schmidt requires {' '.join(missing)} (or --random)")
+        else:
+            given = [flag for flag, val in files if val is not None]
+            if given:
+                parser.error(f"--random cannot be combined with {' '.join(given)}")
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as e:

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
-from .errors import CapacityError
+from .errors import BIJECTION_MAX_N, CapacityError
 from .statesets import check_n, full_mask
 from .tables import PrefixTable
-
-BIJECTION_MAX_N = 5
 
 _stirling_memo: dict[tuple[int, int], int] = {(0, 0): 1}
 

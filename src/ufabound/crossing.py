@@ -20,41 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact_linalg
-from .automata import (LEFT_MARKER, RIGHT_MARKER, Configuration, TwoWayNfa,
-                       twonfa_accepts)
+from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _reach, twonfa_accepts
 from .combinatorics import count_ordered_prefix_tables
 from .statesets import full_mask
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
-
-
-def _fragment_reach(a: TwoWayNfa, tape: list[int], seeds) -> tuple[set, int, int]:
-    """Reachability on a tape fragment.
-
-    Returns the visited configurations plus the masks of states in which
-    the head moves off the right end and off the left end of the fragment.
-    """
-    last = len(tape) - 1
-    exit_right = 0
-    exit_left = 0
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        state, pos = stack.pop()
-        for t, d in a.moves(state, tape[pos]):
-            npos = pos + d
-            if npos > last:
-                if tape[pos] != RIGHT_MARKER:
-                    exit_right |= 1 << (t + 1)
-                continue
-            if npos < 0:
-                exit_left |= 1 << (t + 1)
-                continue
-            cfg = Configuration(t, npos)
-            if cfg not in seen:
-                seen.add(cfg)
-                stack.append(cfg)
-    return seen, exit_right, exit_left
 
 
 def prefix_profile(a: TwoWayNfa, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -67,12 +37,9 @@ def prefix_profile(a: TwoWayNfa, x: Sequence[int]) -> tuple[int, tuple[int, ...]
     """
     tape = [LEFT_MARKER] + list(x)
     last = len(tape) - 1
-    _, s_x, _ = _fragment_reach(a, tape, (Configuration(q, 0) for q in a.initial))
-    t = []
-    for q in range(a.state_count):
-        _, out, _ = _fragment_reach(a, tape, [Configuration(q, last)])
-        t.append(out)
-    return s_x, tuple(t)
+    _, s_x, _ = _reach(a, tape, [(q, 0) for q in a.initial])
+    t = tuple(_reach(a, tape, [(q, last)])[1] for q in range(a.state_count))
+    return s_x, t
 
 
 def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -88,8 +55,8 @@ def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]
     a_y = 0
     t_prime = []
     for q in range(a.state_count):
-        seen, _, exit_left = _fragment_reach(a, tape, [Configuration(q, 0)])
-        if any(cfg.position == last and cfg.state in a.accepting for cfg in seen):
+        seen, _, exit_left = _reach(a, tape, [(q, 0)])
+        if any((p, last) in seen for p in a.accepting):
             a_y |= 1 << (q + 1)
         t_prime.append(exit_left)
     return a_y, tuple(t_prime)

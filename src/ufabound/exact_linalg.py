@@ -16,11 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import CapacityError
-
-RANK_EXACT_MAX_ENTRIES = 10**7
-# primes must stay below this so that products of two residues fit in int64
-MOD_P_LIMIT = 2**31
+from .errors import MOD_P_LIMIT, RANK_EXACT_MAX_ENTRIES, CapacityError
 
 # rows per chunk in the mod-p update; caps temporary allocations
 _CHUNK_ELEMS = 4_000_000
@@ -39,8 +35,8 @@ def rank_exact(m) -> int:
     ncols = len(a[0]) if a else 0
     if nrows * ncols > RANK_EXACT_MAX_ENTRIES:
         raise CapacityError(
-            f"{nrows}x{ncols} matrix is too large for exact elimination; "
-            "use rank_mod_p")
+            f"{nrows}x{ncols} matrix exceeds the {RANK_EXACT_MAX_ENTRIES}-entry "
+            "limit of exact elimination; use rank_mod_p")
     rank = 0
     prev = 1
     for col in range(ncols):

@@ -2,18 +2,16 @@
 
 Everywhere in this package a set of 1-based state indices is an ``int``
 in which index ``i`` occupies bit ``1 << i``.  Bit 0 is never used, so a
-mask reads off in natural order and masks compare cheaply.  Exhaustive
-enumeration relies on these being machine words; ``MAX_N`` caps n well
-below the point where that stops being true.
+mask reads off in natural order and masks compare cheaply.  ``check_n``
+caps n at ``errors.MAX_N``, where the witness row kernel's int32 masks
+run out of bits.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CapacityError
-
-MAX_N = 30
+from .errors import MAX_N, CapacityError
 
 
 def check_n(n: int) -> None:

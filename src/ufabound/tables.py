@@ -25,11 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CapacityError
+from .errors import ENUMERATION_MAX_N, CapacityError
 from .statesets import (check_n, format_set, full_mask, is_subset, mask_of,
                         parse_set)
-
-ENUMERATION_MAX_N = 4
 
 
 @dataclass(frozen=True)

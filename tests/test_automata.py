@@ -63,8 +63,8 @@ def test_two_way_walks_back_and_forth():
 
 
 def dfs_two_way_accepts(a, word):
-    """Order-independence oracle: depth-first instead of breadth-first."""
-    from ufabound.automata import tape_symbol
+    """Independent oracle: a plain depth-first search on its own tape."""
+    tape = [LEFT_MARKER, *word, RIGHT_MARKER]
     last = len(word) + 1
     seen = set()
     stack = [(q, 0) for q in a.initial]
@@ -75,7 +75,7 @@ def dfs_two_way_accepts(a, word):
         seen.add((state, pos))
         if pos == last and state in a.accepting:
             return True
-        for t, d in a.moves(state, tape_symbol(word, pos)):
+        for t, d in a.moves(state, tape[pos]):
             if 0 <= pos + d <= last:
                 stack.append((t, pos + d))
     return False

@@ -146,6 +146,38 @@ def test_verify_full_n3_output_is_pinned(capsys):
     assert out == VERIFY_FULL_N3_SEED0
 
 
+SCHMIDT_RANDOM_20_N3_SEED0 = """\
+{"bound": 115, "cols": 3, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 2, "rows": 2, "seed": 0}
+{"bound": 115, "cols": 14, "n": 3, "ok": true, "rank": 1, "reduced_cols": 1, "reduced_rows": 4, "rows": 17, "seed": 1}
+{"bound": 115, "cols": 10, "n": 3, "ok": true, "rank": 1, "reduced_cols": 4, "reduced_rows": 2, "rows": 17, "seed": 2}
+{"bound": 115, "cols": 11, "n": 3, "ok": true, "rank": 1, "reduced_cols": 5, "reduced_rows": 2, "rows": 19, "seed": 3}
+{"bound": 115, "cols": 2, "n": 3, "ok": true, "rank": 1, "reduced_cols": 1, "reduced_rows": 2, "rows": 11, "seed": 4}
+{"bound": 115, "cols": 18, "n": 3, "ok": true, "rank": 0, "reduced_cols": 0, "reduced_rows": 0, "rows": 4, "seed": 5}
+{"bound": 115, "cols": 7, "n": 3, "ok": true, "rank": 1, "reduced_cols": 3, "reduced_rows": 2, "rows": 3, "seed": 6}
+{"bound": 115, "cols": 16, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 1, "rows": 1, "seed": 7}
+{"bound": 115, "cols": 10, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 1, "rows": 10, "seed": 8}
+{"bound": 115, "cols": 20, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 1, "rows": 17, "seed": 9}
+{"bound": 115, "cols": 16, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 2, "rows": 3, "seed": 10}
+{"bound": 115, "cols": 19, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 3, "rows": 7, "seed": 11}
+{"bound": 115, "cols": 8, "n": 3, "ok": true, "rank": 3, "reduced_cols": 4, "reduced_rows": 3, "rows": 7, "seed": 12}
+{"bound": 115, "cols": 5, "n": 3, "ok": true, "rank": 0, "reduced_cols": 2, "reduced_rows": 0, "rows": 5, "seed": 13}
+{"bound": 115, "cols": 9, "n": 3, "ok": true, "rank": 1, "reduced_cols": 3, "reduced_rows": 3, "rows": 16, "seed": 14}
+{"bound": 115, "cols": 1, "n": 3, "ok": true, "rank": 1, "reduced_cols": 1, "reduced_rows": 3, "rows": 16, "seed": 15}
+{"bound": 115, "cols": 14, "n": 3, "ok": true, "rank": 1, "reduced_cols": 1, "reduced_rows": 3, "rows": 13, "seed": 16}
+{"bound": 115, "cols": 15, "n": 3, "ok": true, "rank": 0, "reduced_cols": 3, "reduced_rows": 0, "rows": 19, "seed": 17}
+{"bound": 115, "cols": 2, "n": 3, "ok": true, "rank": 0, "reduced_cols": 1, "reduced_rows": 0, "rows": 13, "seed": 18}
+{"bound": 115, "cols": 7, "n": 3, "ok": true, "rank": 0, "reduced_cols": 3, "reduced_rows": 0, "rows": 6, "seed": 19}
+bound 115 holds on 20 random instances
+"""
+
+
+def test_schmidt_random_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "schmidt", "--random", "20", "--states", "3",
+                       "--alphabet", "2", "--seed", "0")
+    assert code == 0
+    assert out == SCHMIDT_RANDOM_20_N3_SEED0
+
+
 def test_schmidt_with_files(tmp_path, capsys):
     automaton = {
         "type": "2nfa",
@@ -188,6 +220,17 @@ def test_schmidt_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["schmidt", "--prefixes", "x"])
     assert exc.value.code == 2
+
+
+def test_schmidt_random_refuses_file_options(capsys):
+    for files in (["--automaton", "a.json", "--prefixes", "x", "--suffixes", "y"],
+                  ["--suffixes", "y"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["schmidt", *files, "--random", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--random cannot be combined with" in captured.err
+        assert files[0] in captured.err and "Traceback" not in captured.err
 
 
 def test_unknown_symbol_in_strings(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import json
 import random
 
-from ufabound.automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, twonfa_accepts
+from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _reach,
+                               twonfa_accepts)
 from ufabound.crossing import (prefix_profile, prefix_table_of,
                                random_campaign_report, random_strings,
                                random_two_way_nfa, schmidt_matrix,
@@ -20,6 +21,70 @@ def forward_only():
 def never_accepting():
     trans = {(0, LEFT_MARKER): {(0, +1)}, (0, 0): {(0, +1)}, (0, 1): {(0, +1)}}
     return TwoWayNfa(1, 2, {0}, trans, set())
+
+
+def closure_exits(a, tape, seeds):
+    """Independent oracle for one tape fragment.
+
+    Every configuration gets its own successor set, with the head moving
+    off the fragment recorded as a pseudo-configuration ("right", t) or
+    ("left", t); a right move off the right marker has no successor.
+    Warshall's closure over these sets then gives, for the seeds, the
+    reached configurations and the 1-based exit masks.
+    """
+    last = len(tape) - 1
+    nodes = [(q, p) for q in range(a.state_count) for p in range(last + 1)]
+    succ = {}
+    for q, p in nodes:
+        out = set()
+        for t, d in a.moves(q, tape[p]):
+            if p + d > last:
+                if tape[p] != RIGHT_MARKER:
+                    out.add(("right", t))
+            elif p + d < 0:
+                out.add(("left", t))
+            else:
+                out.add((t, p + d))
+        succ[(q, p)] = out
+    for k in nodes:
+        for i in nodes:
+            if k in succ[i]:
+                succ[i] |= succ[k]
+    reached = set(seeds).union(*(succ[c] for c in seeds))
+
+    def exits(side):
+        return mask_of(t + 1 for where, t in reached if where == side)
+
+    configs = {c for c in reached if c[0] not in ("right", "left")}
+    return configs, exits("right"), exits("left")
+
+
+def oracle_prefix_profile(a, x):
+    tape = [LEFT_MARKER, *x]
+    last = len(tape) - 1
+    s_x = closure_exits(a, tape, [(q, 0) for q in a.initial])[1]
+    return s_x, tuple(closure_exits(a, tape, [(q, last)])[1]
+                      for q in range(a.state_count))
+
+
+def oracle_suffix_profile(a, y):
+    tape = [*y, RIGHT_MARKER]
+    last = len(tape) - 1
+    a_y, t_prime = 0, []
+    for q in range(a.state_count):
+        configs, _, exit_left = closure_exits(a, tape, [(q, 0)])
+        if any(p == last and state in a.accepting for state, p in configs):
+            a_y |= 1 << (q + 1)
+        t_prime.append(exit_left)
+    return a_y, tuple(t_prime)
+
+
+def right_marker_mover():
+    """State 0 (not accepting) walks to the right marker and there moves
+    right into the accepting state 1: a move off the tape, so it is dropped."""
+    trans = {(0, LEFT_MARKER): {(0, +1)}, (0, 0): {(0, +1)},
+             (0, RIGHT_MARKER): {(1, +1)}}
+    return TwoWayNfa(2, 1, {0}, trans, {1})
 
 
 class TestProfiles:
@@ -68,6 +133,37 @@ class TestProfiles:
         a_y, t_prime = suffix_profile(a, ())
         assert a_y == mask_of({2})
         assert t_prime == (mask_of({2}), 0)
+
+    def test_right_move_off_the_right_marker_is_dropped(self):
+        a = right_marker_mover()
+        for word in ((), (0,), (0, 0)):
+            tape = [LEFT_MARKER, *word, RIGHT_MARKER]
+            seen, exit_right, exit_left = _reach(a, tape, [(0, 0)])
+            assert seen == {(0, p) for p in range(len(tape))}
+            assert exit_right == exit_left == 0
+            assert closure_exits(a, tape, [(0, 0)]) == (seen, 0, 0)
+            assert not twonfa_accepts(a, word)
+            # the suffix fragment ends on the right marker: state 1 does not
+            # accept through the dropped move, and it is no exit either
+            a_y, t_prime = suffix_profile(a, word)
+            assert a_y == (0 if word else mask_of({2})) and t_prime == (0, 0)
+            assert (a_y, t_prime) == oracle_suffix_profile(a, word)
+        # a prefix fragment ends on a real symbol, so the same state exits
+        assert prefix_profile(a, (0,)) == (mask_of({1}), (mask_of({1}), 0))
+
+    def test_profiles_match_the_closure_oracle(self):
+        rng = random.Random(41)
+        exits_seen = 0
+        for _ in range(500):
+            a = random_two_way_nfa(rng.randint(1, 3), 2, rng)
+            x = random_strings(2, 1, 5, rng)[0]
+            y = random_strings(2, 1, 5, rng)[0]
+            prefix = prefix_profile(a, x)
+            suffix = suffix_profile(a, y)
+            assert prefix == oracle_prefix_profile(a, x)
+            assert suffix == oracle_suffix_profile(a, y)
+            exits_seen += bool(prefix[0]) + any(suffix[1])
+        assert exits_seen > 300  # the exit masks are not vacuously empty
 
 
 class TestInducedTables:

@@ -75,7 +75,7 @@ def test_zero_and_duplicate_rows_do_not_change_rank():
 
 def test_rank_exact_capacity_guard():
     big = np.zeros((4000, 3000), dtype=np.int8)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
         rank_exact(big)
 
 
