@@ -5,9 +5,9 @@ encoded pair, materializes the full acceptance matrix, and confirms that
 its rank equals the ordered-table count.
 """
 from ufabound import (PrefixTable, SuffixTable, WitnessAutomaton, build_K,
-                      build_M, count_ordered_prefix_tables, encode_string,
-                      m_entry, rank_exact, rank_mod_p, starting_state,
-                      table_size, twonfa_accepts)
+                      build_M, count_ordered_prefix_tables, m_entry,
+                      rank_exact, rank_mod_p, starting_state, table_size,
+                      twonfa_accepts)
 from ufabound.tables import prefix_table_to_text, suffix_table_to_text
 
 # A prefix table maps every state to the states reachable across the
@@ -21,13 +21,14 @@ print("starting state:", starting_state(f), " arcs:", table_size(f))
 g = SuffixTable.from_sets(2, [{1, 2}, {2}], accept={1})
 print("suffix table: ", suffix_table_to_text(g))
 
-# The three-letter encoding drives the universal automaton: pick the
-# starting state, walk the prefix arcs right, bounce off the suffix arcs
-# left, accept once an accepting suffix entry is hit.
-word = encode_string(f, g)
-aut = WitnessAutomaton(2)
-concrete, ids = aut.concretize(word)
-print("simulation accepts:", twonfa_accepts(concrete, ids))
+# The three-letter word drives the universal automaton, built here over
+# just these two tables: pick the starting state, walk the prefix arcs
+# right, bounce off the suffix arcs left, accept once an accepting suffix
+# entry is hit.
+aut = WitnessAutomaton(2, [f], [g])
+word = aut.word(f, g)
+print("word:", word, " letters:", aut.nfa.alphabet_size)
+print("simulation accepts:", twonfa_accepts(aut.nfa, word))
 print("graph reachability:", bool(m_entry(f, g)))
 
 # The acceptance matrix over all 7 prefix tables and 9 suffix tables.

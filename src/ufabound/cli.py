@@ -29,10 +29,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    print("n,dfa2ufa_lower,dfa2ufa_upper,nfa2ufa_lower,nfa2dfa")
+    if args.max < 1:
+        raise ValueError(f"--max must be at least 1, got {args.max}")
+    # every row is formatted before any is printed, so a failure (such as
+    # the int-to-string digit limit) leaves stdout empty
+    lines = ["n,dfa2ufa_lower,dfa2ufa_upper,nfa2ufa_lower,nfa2dfa"]
     for n in range(1, args.max + 1):
-        row = combinatorics.table1_row(n)
-        print(",".join([str(n)] + [str(x) for x in row]))
+        lines.append(",".join(str(x) for x in (n, *combinatorics.table1_row(n))))
+    print("\n".join(lines))
     return 0
 
 

@@ -26,25 +26,21 @@ from .errors import BIJECTION_MAX_N, CapacityError
 from .statesets import check_n, full_mask
 from .tables import PrefixTable
 
-_stirling_memo: dict[tuple[int, int], int] = {(0, 0): 1}
-
-
-def _stirling(n: int, k: int) -> int:
-    if k > n or k < 0:
-        return 0
-    if (n, k) not in _stirling_memo:
-        if k == 0:
-            _stirling_memo[(n, k)] = 1 if n == 0 else 0
-        else:
-            _stirling_memo[(n, k)] = k * _stirling(n - 1, k) + _stirling(n - 1, k - 1)
-    return _stirling_memo[(n, k)]
+def _stirling_row(n: int, top: int) -> list[int]:
+    """stirling2(n, k) for k = 0..top, built row by row from n = 0."""
+    row = [1] + [0] * top
+    for m in range(1, n + 1):
+        for k in range(min(m, top), 0, -1):
+            row[k] = k * row[k] + row[k - 1]
+        row[0] = 0
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
     """Partitions of an n-set into exactly k non-empty blocks."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"stirling2 needs 0 <= k <= n, got n={n}, k={k}")
-    return _stirling(n, k)
+    return _stirling_row(n, k)[k]
 
 
 def _check_rank_range(n: int, k: int) -> None:
@@ -67,9 +63,13 @@ def s_count(n: int, k: int) -> int:
 
 
 def count_ordered_prefix_tables(n: int) -> int:
+    """The closed form: the sum over k of p_count(n, k) * s_count(n, k)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(p_count(n, k) * s_count(n, k) for k in range(n))
+    # p_count and s_count would rebuild a Stirling row per k; share two
+    below, above = _stirling_row(n, n), _stirling_row(n + 1, n)
+    return sum(factorial(k) * above[k + 1] * factorial(k + 1) * below[k + 1]
+               for k in range(n))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,14 @@ from .errors import MOD_P_LIMIT, RANK_EXACT_MAX_ENTRIES, CapacityError
 _CHUNK_ELEMS = 4_000_000
 
 
+def _shape(m) -> tuple[int, int]:
+    if hasattr(m, "to_lists"):  # packed 0/1 matrices
+        return m.rows, m.cols
+    if isinstance(m, np.ndarray) and m.ndim == 2:
+        return m.shape
+    return len(m), len(m[0]) if len(m) else 0
+
+
 def _as_rows(m) -> list[list[int]]:
     if hasattr(m, "to_lists"):  # packed 0/1 matrices
         return m.to_lists()
@@ -29,14 +37,16 @@ def _as_rows(m) -> list[list[int]]:
 
 
 def rank_exact(m) -> int:
-    """Rank over the rationals, by fraction-free integer elimination."""
-    a = _as_rows(m)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
+    """Rank over the rationals, by fraction-free integer elimination.
+
+    The size limit is checked on the shape, before any entry is converted.
+    """
+    nrows, ncols = _shape(m)
     if nrows * ncols > RANK_EXACT_MAX_ENTRIES:
         raise CapacityError(
             f"{nrows}x{ncols} matrix exceeds the {RANK_EXACT_MAX_ENTRIES}-entry "
             "limit of exact elimination; use rank_mod_p")
+    a = _as_rows(m)
     rank = 0
     prev = 1
     for col in range(ncols):

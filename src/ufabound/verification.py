@@ -65,10 +65,10 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
     else:
         count = 10_000 if level == "full" else 500
         pairs = [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(count)]
-    automaton = witness.WitnessAutomaton(size)
+    automaton = witness.WitnessAutomaton(size, m.row_labels, m.col_labels)
     for i, j in pairs:
         f, g = m.row_labels[i], m.col_labels[j]
-        simulated = int(automaton.accepts(witness.encode_string(f, g)))
+        simulated = int(automaton.accepts(f, g))
         if m.entry(i, j) != simulated:
             return CheckResult(name, False,
                                f"entry {m.entry(i, j)}, simulation {simulated} "

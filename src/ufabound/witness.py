@@ -2,11 +2,9 @@
 
 The automaton of size n reads three-letter strings: a letter naming a
 starting state, a letter carrying a whole prefix table, and a letter
-carrying a whole suffix table.  Its alphabet (one letter per table) is
-astronomically large, so it is represented by a transition oracle that is
-evaluated per concrete letter; a concrete two-way automaton over just the
-letters of one input string can be materialized on demand and fed to the
-generic simulator.
+carrying a whole suffix table.  Its full alphabet (one letter per table) is
+far too large to list, so :class:`WitnessAutomaton` is built as one plain
+two-way automaton over the letters of the tables it is given.
 
 The acceptance matrix has one row per prefix table and one column per
 suffix table; the reduced matrix keeps only the rows of ordered prefix
@@ -20,11 +18,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, twonfa_accepts
+from .automata import LEFT_MARKER, TwoWayNfa, twonfa_accepts
 from .statesets import elements, full_mask
 from .tables import (PrefixTable, SuffixTable,
                      enumerate_ordered_prefix_tables_by_filter,
@@ -37,102 +35,52 @@ from .tables import (PrefixTable, SuffixTable,
 _CHUNK_BITS = 8
 
 
-@dataclass(frozen=True)
-class StartState:
-    """Letter that forces the automaton into a given state, moving right."""
-    index: int
-
-
-@dataclass(frozen=True)
-class PrefixSym:
-    """Letter carrying a prefix table; always moves right through it."""
-    table: PrefixTable
-
-
-@dataclass(frozen=True)
-class SuffixSym:
-    """Letter carrying a suffix table; accepting entries move right, the
-    rest bounce back left."""
-    table: SuffixTable
-
-
-GammaSymbol = Union[StartState, PrefixSym, SuffixSym]
-
-
-@dataclass(frozen=True)
 class WitnessAutomaton:
-    """Transition oracle over the symbolic alphabet, states {1..n}.
+    """The witness automaton of size n over the letters of the given tables.
 
-    Initial state 1; every state is accepting.  There are no moves on the
-    right marker, so reaching it in any state accepts.
+    Letters 0..n-1 force states 1..n.  Letter n+a carries ``prefixes[a]``
+    and moves right into f(q).  Letter n+len(prefixes)+b carries
+    ``suffixes[b]``: an accepting entry moves right, any other bounces left
+    into g(q).  The left marker moves right and the right marker has no
+    moves; the initial state is 1 and every state accepts, so reaching the
+    right marker in any state accepts.  ``nfa`` is the plain two-way
+    automaton, with states numbered from 0.
     """
 
-    n: int
-
-    @property
-    def initial(self) -> frozenset[int]:
-        return frozenset({1})
-
-    @property
-    def accepting(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
-
-    def transitions(self, state: int, symbol) -> frozenset[tuple[int, int]]:
-        if not 1 <= state <= self.n:
-            raise ValueError(f"state {state} out of range")
-        if symbol == LEFT_MARKER:
-            return frozenset({(state, +1)})
-        if symbol == RIGHT_MARKER:
-            return frozenset()
-        if isinstance(symbol, StartState):
-            if not 1 <= symbol.index <= self.n:
-                raise ValueError("start-state letter out of range")
-            return frozenset({(symbol.index, +1)})
-        if isinstance(symbol, PrefixSym):
-            self._check_payload(symbol.table.n)
-            return frozenset((v, +1) for v in elements(symbol.table.value(state)))
-        if isinstance(symbol, SuffixSym):
-            self._check_payload(symbol.table.n)
-            g = symbol.table
-            if g.accept_flags >> state & 1:
-                return frozenset({(state, +1)})
-            return frozenset((v, -1) for v in elements(g.value(state)))
-        raise ValueError(f"not a letter of this alphabet: {symbol!r}")
-
-    def _check_payload(self, table_n: int) -> None:
-        if table_n != self.n:
+    def __init__(self, n: int, prefixes: Sequence[PrefixTable],
+                 suffixes: Sequence[SuffixTable]):
+        if any(t.n != n for t in (*prefixes, *suffixes)):
             raise ValueError("letter payload has the wrong size")
-
-    def concretize(self, symbols: Sequence[GammaSymbol]) -> tuple[TwoWayNfa, list[int]]:
-        """A plain two-way automaton over just the letters of ``symbols``.
-
-        Returns the automaton (0-based states) and the input word as
-        symbol ids.
-        """
-        ids: dict[GammaSymbol, int] = {}
-        for s in symbols:
-            ids.setdefault(s, len(ids))
+        self._prefix_letter: dict[PrefixTable, int] = {}
+        self._suffix_letter: dict[SuffixTable, int] = {}
         trans: dict = {}
-        for q in range(1, self.n + 1):
-            trans[(q - 1, LEFT_MARKER)] = {(q - 1, +1)}
-            for sym, c in ids.items():
-                moves = {(t - 1, d) for t, d in self.transitions(q, sym)}
-                if moves:
-                    trans[(q - 1, c)] = moves
-        nfa = TwoWayNfa(self.n, max(len(ids), 1), frozenset({0}), trans,
-                        frozenset(range(self.n)))
-        return nfa, [ids[s] for s in symbols]
+        for q in range(n):
+            trans[(q, LEFT_MARKER)] = {(q, +1)}
+            for c in range(n):
+                trans[(q, c)] = {(c, +1)}
+        for c, f in enumerate(prefixes, start=n):
+            self._prefix_letter.setdefault(f, c)
+            for q in range(n):
+                trans[(q, c)] = {(v - 1, +1) for v in elements(f.values[q])}
+        for c, g in enumerate(suffixes, start=n + len(prefixes)):
+            self._suffix_letter.setdefault(g, c)
+            for q in range(n):
+                if g.accept_flags >> (q + 1) & 1:
+                    trans[(q, c)] = {(q, +1)}
+                else:
+                    trans[(q, c)] = {(v - 1, -1) for v in elements(g.values[q])}
+        self.nfa = TwoWayNfa(n, n + len(prefixes) + len(suffixes), frozenset({0}),
+                             trans, frozenset(range(n)))
 
-    def accepts(self, symbols: Sequence[GammaSymbol]) -> bool:
-        nfa, word = self.concretize(symbols)
-        return twonfa_accepts(nfa, word)
+    def word(self, f: PrefixTable, g: SuffixTable) -> list[int]:
+        """The three-letter word of a table pair: f's starting state, f, g."""
+        prefix, suffix = self._prefix_letter.get(f), self._suffix_letter.get(g)
+        if prefix is None or suffix is None:
+            raise ValueError("both tables must be letters of this automaton")
+        return [starting_state(f) - 1, prefix, suffix]
 
-
-def encode_string(f: PrefixTable, g: SuffixTable) -> tuple[GammaSymbol, ...]:
-    """The canonical three-letter input for a table pair."""
-    if f.n != g.n:
-        raise ValueError("tables must have equal n")
-    return (StartState(starting_state(f)), PrefixSym(f), SuffixSym(g))
+    def accepts(self, f: PrefixTable, g: SuffixTable) -> bool:
+        return twonfa_accepts(self.nfa, self.word(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +206,8 @@ def _row_bits(f: PrefixTable, gmaps, amask: np.ndarray) -> int:
 def acceptance_matrix(prefixes: Sequence[PrefixTable], suffixes: Sequence[SuffixTable],
                       n: int, jobs: int = 1) -> BoolMatrix:
     """Entry (f, g) is 1 iff the table-pair graph has a path from f's
-    starting state to one of g's accepting right vertices, that is, iff the
-    witness automaton accepts ``encode_string(f, g)``.
+    starting state to one of g's accepting right vertices, that is, iff
+    :class:`WitnessAutomaton` accepts the pair's three-letter word.
 
     ``jobs`` > 1 builds rows in threads; the output is identical.
     """

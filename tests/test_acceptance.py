@@ -96,7 +96,7 @@ def test_criterion_4_extended_n4_rank():
 
 
 def simulated(f, g):
-    return int(witness.WitnessAutomaton(f.n).accepts(witness.encode_string(f, g)))
+    return int(witness.WitnessAutomaton(f.n, [f], [g]).accepts(f, g))
 
 
 def test_criterion_5_graph_entries_match_simulation():

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ufabound.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -16,6 +22,18 @@ def test_count(capsys):
     assert code == 0 and out == "115\n"
 
 
+def test_count_beyond_the_digit_limit_is_a_one_line_error():
+    # count(1000) has more digits than Python converts to a string by
+    # default; computing it must not exhaust the recursion limit first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ufabound.cli", "count", "--n", "1000"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_table1_csv(capsys):
     code, out, _ = run(capsys, "table1", "--max", "3")
     lines = out.splitlines()
@@ -23,6 +41,27 @@ def test_table1_csv(capsys):
     assert lines[0] == "n,dfa2ufa_lower,dfa2ufa_upper,nfa2ufa_lower,nfa2dfa"
     assert lines[1] == "1,1,1,1,1"
     assert lines[3] == "3,39,39,115,133"
+
+
+def test_table1_rejects_max_below_one(capsys):
+    for bad in ("0", "-2"):
+        code, out, err = run(capsys, "table1", "--max", bad)
+        assert code == 2 and out == ""
+        assert err == f"error: --max must be at least 1, got {bad}\n"
+
+
+def test_table1_prints_all_rows_or_none(capsys):
+    # under a 640-digit limit row 48 cannot be printed (at the default
+    # limit of 4300 digits the first such row is 121); the rows before it
+    # must not reach stdout either
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "table1", "--max", "50")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_enumerate_methods_agree(tmp_path, capsys):

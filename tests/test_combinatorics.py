@@ -46,6 +46,11 @@ class TestStirling:
         with pytest.raises(ValueError):
             cmb.stirling2(2, -1)
 
+    def test_large_n_needs_no_recursion(self):
+        # a recursive recurrence would exceed Python's recursion limit here
+        assert cmb.stirling2(3000, 2) == 2**2999 - 1
+        assert cmb.count_ordered_prefix_tables(1000) > cmb.asymptotic_floor(1000)
+
 
 def surjections_with_pin_brute_force(n, k):
     # functions {1..n+1} -> {1..k+1}, onto, sending n+1 to k+1

@@ -10,7 +10,7 @@ from ufabound.crossing import (prefix_profile, prefix_table_of,
                                verify_optimality)
 from ufabound.statesets import full_mask, mask_of
 from ufabound.tables import enumerate_prefix_tables, enumerate_suffix_tables
-from ufabound.witness import WitnessAutomaton, encode_string, m_entry
+from ufabound.witness import WitnessAutomaton, build_M, m_entry
 
 
 def forward_only():
@@ -202,11 +202,12 @@ class TestInducedTables:
         rng = random.Random(3)
         fs = enumerate_prefix_tables(3)
         gs = enumerate_suffix_tables(3)
+        aut = WitnessAutomaton(3, fs, gs)
         for _ in range(250):
             f, g = rng.choice(fs), rng.choice(gs)
-            aut, word = WitnessAutomaton(3).concretize(encode_string(f, g))
-            fx = prefix_table_of(aut, word[:2])
-            gy = suffix_table_of(aut, word[2:])
+            word = aut.word(f, g)
+            fx = prefix_table_of(aut.nfa, word[:2])
+            gy = suffix_table_of(aut.nfa, word[2:])
             assert fx == f
             assert gy == g
 
@@ -235,17 +236,12 @@ class TestSchmidtMatrix:
         # feed the witness automaton its own alphabet: the concatenation
         # matrix over canonical prefixes and suffix letters is the n=2
         # acceptance matrix, entry for entry
-        from ufabound.witness import build_M, PrefixSym, StartState, SuffixSym
         fs = enumerate_prefix_tables(2)
         gs = enumerate_suffix_tables(2)
-        letters = [StartState(1), StartState(2)]
-        letters += [PrefixSym(f) for f in fs] + [SuffixSym(g) for g in gs]
-        aut, ids = WitnessAutomaton(2).concretize(letters)
-        code = dict(zip(letters, ids))
-        from ufabound.tables import starting_state
-        xs = [(code[StartState(starting_state(f))], code[PrefixSym(f)]) for f in fs]
-        ys = [(code[SuffixSym(g)],) for g in gs]
-        m = schmidt_matrix(aut, xs, ys)
+        aut = WitnessAutomaton(2, fs, gs)
+        xs = [tuple(aut.word(f, gs[0])[:2]) for f in fs]
+        ys = [tuple(aut.word(fs[0], g)[2:]) for g in gs]
+        m = schmidt_matrix(aut.nfa, xs, ys)
         assert m.bits == build_M(2).bits
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ufabound.errors import CapacityError
 from ufabound.exact_linalg import rank_exact, rank_mod_p
+from ufabound.witness import BoolMatrix
 
 
 def rank_fraction_oracle(rows):
@@ -79,6 +80,16 @@ def test_rank_exact_capacity_guard():
         rank_exact(big)
 
 
+def test_rank_exact_refuses_before_converting_entries(monkeypatch):
+    def no_lists(self):
+        raise AssertionError("the entries were converted before the size check")
+
+    monkeypatch.setattr(BoolMatrix, "to_lists", no_lists)
+    big = BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000, (0,) * 4000)
+    with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
+        rank_exact(big)
+
+
 def test_rank_mod_p_basics():
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for p in (2, 3, 2**31 - 1):
@@ -117,7 +128,6 @@ def test_rank_mod_p_never_exceeds_rational_rank():
 
 
 def test_rank_mod_p_accepts_numpy_and_packed():
-    from ufabound.witness import BoolMatrix
     rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
     arr = np.array(rows)
     packed = BoolMatrix(("a", "b", "c"), ("x", "y", "z"), 3,

@@ -13,7 +13,7 @@ from ufabound.tables import (PrefixTable, SuffixTable, augment,
                              suffix_table_to_text, table_size)
 from ufabound.verification import (_complement_rank, _unordered_witness,
                                    check_layer_rank)
-from ufabound.witness import StartState, WitnessAutomaton, m_entry
+from ufabound.witness import m_entry
 
 
 def pt(n, *sets):
@@ -101,10 +101,6 @@ class TestHaspath:
         f = pt(2, {2}, {1, 2})
         assert m_entry(f, st(2, [{1, 2}, {2}], {1})) == 1
         assert m_entry(f, st(2, [{1, 2}, set()], {1})) == 0
-
-    def test_start_out_of_range(self):
-        with pytest.raises(ValueError):
-            WitnessAutomaton(2).transitions(1, StartState(3))
 
 
 class TestAugment:

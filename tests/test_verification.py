@@ -40,7 +40,7 @@ def test_orderedness_disagreement_fails(monkeypatch):
 
 
 def test_entry_simulation_disagreement_fails(monkeypatch):
-    monkeypatch.setattr(witness.WitnessAutomaton, "accepts", lambda self, word: False)
+    monkeypatch.setattr(witness.WitnessAutomaton, "accepts", lambda self, f, g: False)
     r = verification.check_entry_simulation_agreement(2, "full", random.Random(0))
     assert not r.ok and "simulation 0" in r.detail
 

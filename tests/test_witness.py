@@ -3,15 +3,14 @@ import random
 import pytest
 
 from ufabound import witness
+from ufabound.automata import LEFT_MARKER, RIGHT_MARKER
 from ufabound.errors import CapacityError
 from ufabound.statesets import full_mask, mask_of
 from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
-from ufabound.witness import (BoolMatrix, PrefixSym, StartState, SuffixSym,
-                              WitnessAutomaton, build_K, build_M, build_g_I,
-                              encode_string, format_matrix, m_entry,
-                              parse_matrix)
+from ufabound.witness import (BoolMatrix, WitnessAutomaton, build_K, build_M,
+                              build_g_I, format_matrix, m_entry, parse_matrix)
 
 
 def pt(n, *sets):
@@ -26,42 +25,58 @@ class TestEncoding:
     def test_constant_table_starts_at_one(self):
         f = pt(2, {1}, {1})
         g = st(2, [{1, 2}, set()], {1})
-        assert encode_string(f, g) == (StartState(1), PrefixSym(f), SuffixSym(g))
+        # start letters 0, 1; prefix letter 2; suffix letter 3
+        assert WitnessAutomaton(2, [f], [g]).word(f, g) == [0, 2, 3]
 
     def test_start_letter_names_the_starting_state(self):
         f = pt(2, {2}, {1, 2})
         g = st(2, [{1, 2}, set()], {1})
-        assert encode_string(f, g)[0] == StartState(1)
+        aut = WitnessAutomaton(2, [pt(2, {1}, {1}), f], [g])
         assert starting_state(f) == 1
+        assert aut.word(f, g) == [0, 3, 4]
+        # the start letter forces its state from every state
+        assert all(aut.nfa.moves(q, 0) == frozenset({(0, +1)}) for q in range(2))
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
-            encode_string(pt(2, {1}, {1}), st(3, [{1, 2, 3}, set(), set()], {1}))
+            WitnessAutomaton(2, [pt(2, {1}, {1})], [st(3, [{1, 2, 3}, set(), set()], {1})])
+
+    def test_word_rejects_tables_that_are_not_letters(self):
+        f, other = pt(2, {1}, {1}), pt(2, {2}, {1, 2})
+        g = st(2, [{1, 2}, set()], {1})
+        aut = WitnessAutomaton(2, [f], [g])
+        with pytest.raises(ValueError, match="letters of this automaton"):
+            aut.word(other, g)
+        with pytest.raises(ValueError, match="letters of this automaton"):
+            aut.word(f, st(2, [{1, 2}, {1, 2}], {1, 2}))
 
 
 class TestTransitionOracle:
     def test_letter_semantics(self):
-        a = WitnessAutomaton(2)
         f = pt(2, {2}, {1, 2})
         g = st(2, [{1, 2}, {2}], {1})
-        assert a.transitions(1, StartState(2)) == frozenset({(2, +1)})
-        assert a.transitions(2, PrefixSym(f)) == frozenset({(1, +1), (2, +1)})
+        a = WitnessAutomaton(2, [f], [g])
+        start, pre, suf = 1, 2, 3
+        # states are numbered from 0 in the concrete automaton
+        assert a.nfa.moves(0, start) == frozenset({(1, +1)})
+        assert a.nfa.moves(1, pre) == frozenset({(0, +1), (1, +1)})
         # non-accepting entry bounces left through its value
-        assert a.transitions(2, SuffixSym(g)) == frozenset({(2, -1)})
+        assert a.nfa.moves(1, suf) == frozenset({(1, -1)})
         # accepting entry moves right instead
-        assert a.transitions(1, SuffixSym(g)) == frozenset({(1, +1)})
-        from ufabound.automata import LEFT_MARKER, RIGHT_MARKER
-        assert a.transitions(1, LEFT_MARKER) == frozenset({(1, +1)})
-        assert a.transitions(1, RIGHT_MARKER) == frozenset()
+        assert a.nfa.moves(0, suf) == frozenset({(0, +1)})
+        assert a.nfa.moves(0, LEFT_MARKER) == frozenset({(0, +1)})
+        assert a.nfa.moves(0, RIGHT_MARKER) == frozenset()
+        assert a.nfa.initial == frozenset({0})
+        assert a.nfa.accepting == frozenset({0, 1})
+        assert a.nfa.alphabet_size == 4
 
     def test_payload_size_checked(self):
-        a = WitnessAutomaton(2)
-        with pytest.raises(ValueError):
-            a.transitions(1, PrefixSym(pt(3, {1}, {1}, {1})))
+        with pytest.raises(ValueError, match="wrong size"):
+            WitnessAutomaton(2, [pt(3, {1}, {1}, {1})], [])
 
 
 def simulated(f, g):
-    return int(WitnessAutomaton(f.n).accepts(encode_string(f, g)))
+    return int(WitnessAutomaton(f.n, [f], [g]).accepts(f, g))
 
 
 class TestMEntry:
