@@ -9,7 +9,9 @@ so reaching that configuration ends the computation; acceptance therefore
 reduces to plain reachability in the finite configuration graph, and
 looping computations never contribute.  One search of that graph,
 :func:`_reach`, serves both acceptance and the crossing profiles of
-:mod:`ufabound.crossing`, which run it on a fragment of the tape.
+:mod:`ufabound.crossing`, which run it on a fragment of the tape.  It
+moves whole sets of states at once: per tape position it keeps the
+1-based mask (:mod:`ufabound.statesets`) of the states reached there.
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .statesets import chunk_unions, mask_of
 
 LEFT_MARKER = -1
 RIGHT_MARKER = -2
@@ -83,15 +87,34 @@ def _check_word(a: TwoWayNfa, word: Sequence[int]) -> None:
             raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
 
 
-def _reach(a: TwoWayNfa, tape: Sequence[int],
-           seeds: Iterable[tuple[int, int]]) -> tuple[set, int, int]:
-    """Depth-first search of the configuration graph on ``tape``.
+def _symbol_steps(a: TwoWayNfa, symbol: int) -> list:
+    # chunked lookup from a 1-based mask of states reading ``symbol`` to
+    # the states they enter by right moves, plus those they enter by left
+    # moves shifted up by the mask width
+    width = a.state_count + 1
+    contrib = [0]
+    for q in range(a.state_count):
+        out = 0
+        for t, d in a.moves(q, symbol):
+            out |= 1 << (t + 1 if d > 0 else t + 1 + width)
+        contrib.append(out)
+    return chunk_unions(contrib)
 
-    ``tape`` is a list of symbol ids, markers included, and configurations
-    are (state, position) pairs with positions indexing it.  Returns the
-    configurations reachable from ``seeds`` plus the 1-based masks of the
-    states in which the head moves off the right end and off the left end.
-    A right move off the right marker is dropped, not counted as an exit.
+
+def _reach(a: TwoWayNfa, tape: Sequence[int],
+           seeds: Iterable[tuple[int, int]]) -> tuple[list[int], int, int]:
+    """Search of the configuration graph on ``tape``, a whole state set at
+    a time.
+
+    ``tape`` is a list of symbol ids, markers included, and ``seeds`` are
+    (state, position) pairs with positions indexing it.  Returns ``at``,
+    where ``at[pos]`` is the 1-based mask of the states reachable at
+    ``pos``, plus the 1-based masks of the states in which the head moves
+    off the right end and off the left end.  A right move off the right
+    marker is dropped, not counted as an exit.  The worklist holds
+    (position, newly reached states), so every state is expanded once per
+    position, by one lookup per chunk of its mask; each symbol's lookups
+    are built on its first use and kept on the automaton.
 
     This is the package's only two-way search; :mod:`ufabound.crossing`
     runs it on prefix and suffix fragments.  It is private: callers use
@@ -99,35 +122,54 @@ def _reach(a: TwoWayNfa, tape: Sequence[int],
     every public function per call, would otherwise wrap it once per
     matrix entry.
     """
-    moves = a.transitions
+    cache = a.__dict__.setdefault("_steps", {})
+    steps = []
+    for c in tape:
+        s = cache.get(c)
+        if s is None:
+            s = cache[c] = _symbol_steps(a, c)
+        steps.append(s)
+    width = a.state_count + 1
+    low = (1 << width) - 1
     last = len(tape) - 1
+    at = [0] * len(tape)
+    for q, pos in seeds:
+        at[pos] |= 1 << (q + 1)
+    work = [(pos, states) for pos, states in enumerate(at) if states]
     exit_right = 0
     exit_left = 0
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        state, pos = stack.pop()
-        sym = tape[pos]
-        for t, d in moves.get((state, sym), ()):
-            npos = pos + d
-            if npos > last:
-                if sym != RIGHT_MARKER:
-                    exit_right |= 1 << (t + 1)
-            elif npos < 0:
-                exit_left |= 1 << (t + 1)
-            elif (t, npos) not in seen:
-                seen.add((t, npos))
-                stack.append((t, npos))
-    return seen, exit_right, exit_left
+    while work:
+        pos, states = work.pop()
+        entered = 0
+        for shift, keep, table in steps[pos]:
+            entered |= table[states >> shift if keep is None else states >> shift & keep]
+        right, left = entered & low, entered >> width
+        if right:
+            if pos == last:
+                if tape[pos] != RIGHT_MARKER:
+                    exit_right |= right
+            else:
+                new = right & ~at[pos + 1]
+                if new:
+                    at[pos + 1] |= new
+                    work.append((pos + 1, new))
+        if left:
+            if pos == 0:
+                exit_left |= left
+            else:
+                new = left & ~at[pos - 1]
+                if new:
+                    at[pos - 1] |= new
+                    work.append((pos - 1, new))
+    return at, exit_right, exit_left
 
 
 def twonfa_accepts(a: TwoWayNfa, word: Sequence[int]) -> bool:
     """Whether an accepting state reaches the right marker on ``⊢ word ⊣``."""
     _check_word(a, word)
-    last = len(word) + 1
-    seen, _, _ = _reach(a, [LEFT_MARKER, *word, RIGHT_MARKER],
-                        [(q, 0) for q in a.initial])
-    return any((q, last) in seen for q in a.accepting)
+    at, _, _ = _reach(a, [LEFT_MARKER, *word, RIGHT_MARKER],
+                      [(q, 0) for q in a.initial])
+    return bool(at[-1] & mask_of(q + 1 for q in a.accepting))
 
 
 # ---------------------------------------------------------------------------

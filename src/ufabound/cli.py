@@ -21,9 +21,13 @@ import sys
 
 from . import combinatorics, crossing, exact_linalg, tables, verification, witness
 from .automata import load_automaton
+from .errors import COUNT_MAX_N, TABLE1_MAX_N, CapacityError
 
 
 def _cmd_count(args) -> int:
+    if args.n > COUNT_MAX_N:
+        raise CapacityError(f"count is limited to n <= {COUNT_MAX_N}: "
+                            f"count({COUNT_MAX_N + 1}) has more than 4300 digits")
     print(combinatorics.count_ordered_prefix_tables(args.n))
     return 0
 
@@ -31,6 +35,9 @@ def _cmd_count(args) -> int:
 def _cmd_table1(args) -> int:
     if args.max < 1:
         raise ValueError(f"--max must be at least 1, got {args.max}")
+    if args.max > TABLE1_MAX_N:
+        raise CapacityError(f"table1 is limited to --max {TABLE1_MAX_N}: "
+                            f"row {TABLE1_MAX_N + 1} has more than 4300 digits")
     # every row is formatted before any is printed, so a failure (such as
     # the int-to-string digit limit) leaves stdout empty
     lines = ["n,dfa2ufa_lower,dfa2ufa_upper,nfa2ufa_lower,nfa2dfa"]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import exact_linalg
 from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _reach, twonfa_accepts
 from .combinatorics import count_ordered_prefix_tables
-from .statesets import full_mask
+from .statesets import full_mask, mask_of
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
 
@@ -51,12 +51,12 @@ def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]
     its first position.
     """
     tape = list(y) + [RIGHT_MARKER]
-    last = len(tape) - 1
+    accepting = mask_of(q + 1 for q in a.accepting)
     a_y = 0
     t_prime = []
     for q in range(a.state_count):
-        seen, _, exit_left = _reach(a, tape, [(q, 0)])
-        if any((p, last) in seen for p in a.accepting):
+        at, _, exit_left = _reach(a, tape, [(q, 0)])
+        if at[-1] & accepting:
             a_y |= 1 << (q + 1)
         t_prime.append(exit_left)
     return a_y, tuple(t_prime)

@@ -15,3 +15,8 @@ BIJECTION_MAX_N = 5
 RANK_EXACT_MAX_ENTRIES = 10**7
 # primes must stay below this so that products of two residues fit in int64
 MOD_P_LIMIT = 2**31
+# the CLI prints numbers in full, and Python converts at most 4300 digits
+# of an int to a string: count(816) has 4,306 digits and table1's row 121
+# has a 4,339-digit entry
+COUNT_MAX_N = 815
+TABLE1_MAX_N = 120

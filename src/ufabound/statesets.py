@@ -9,9 +9,13 @@ run out of bits.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import MAX_N, CapacityError
+
+# chunk_unions looks masks up this many bits at a time, so its lookup
+# tables stay small for any n
+CHUNK_BITS = 8
 
 
 def check_n(n: int) -> None:
@@ -40,6 +44,28 @@ def elements(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def chunk_unions(contrib: Sequence, empty=0) -> list[tuple[int, int | None, list]]:
+    """Lookups from a mask to the union of ``contrib[i]`` over its bits i.
+
+    ``contrib`` has one entry per mask bit, bit 0 included.  The mask is
+    split into chunks of ``CHUNK_BITS`` bits, and per chunk the result holds
+    ``(shift, keep, table)``: ``table[mask >> shift & keep]`` is the union
+    over that chunk's bits.  The top chunk needs no and-mask, so its
+    ``keep`` is None, and a mask narrower than one chunk is its own index.
+    Entries are combined with ``|`` only, so they may be ints or numpy
+    arrays; ``empty`` is the union of no entries.
+    """
+    top = len(contrib)
+    out = []
+    for shift in range(0, top, CHUNK_BITS):
+        width = min(CHUNK_BITS, top - shift)
+        table = [empty]
+        for c in contrib[shift:shift + width]:
+            table += [t | c for t in table]
+        out.append((shift, None if shift + width == top else (1 << width) - 1, table))
     return out
 
 

@@ -9,9 +9,10 @@ two-way automaton over the letters of the tables it is given.
 The acceptance matrix has one row per prefix table and one column per
 suffix table; the reduced matrix keeps only the rows of ordered prefix
 tables.  Every entry is decided by one kernel, bipartite-graph
-reachability run over a whole row of columns at once.  Direct two-way
-simulation of the automaton is the independent oracle it is compared
-against, in :mod:`ufabound.verification` and the test suite.
+reachability run over a whole row of columns at once until no column's
+reached set grows.  Direct two-way simulation of the automaton is the
+independent oracle it is compared against, in
+:mod:`ufabound.verification` and the test suite.
 """
 
 from __future__ import annotations
@@ -23,16 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .automata import LEFT_MARKER, TwoWayNfa, twonfa_accepts
-from .statesets import elements, full_mask
+from .statesets import chunk_unions, elements, full_mask
 from .tables import (PrefixTable, SuffixTable,
                      enumerate_ordered_prefix_tables_by_filter,
                      enumerate_prefix_tables, enumerate_suffix_tables,
                      layer_structure, prefix_table_to_text, starting_state,
                      suffix_table_to_text)
-
-# the row kernel looks state masks up this many bits at a time, so its
-# lookup tables stay small for any n
-_CHUNK_BITS = 8
 
 
 class WitnessAutomaton:
@@ -144,17 +141,6 @@ class BoolMatrix:
                           len(col_idx), tuple(bits))
 
 
-def _mask_chunks(n: int) -> list[tuple[int, int, int | None]]:
-    # (shift, width, and-mask) per chunk of an (n+1)-bit state mask; the
-    # top chunk needs no and-mask, so for n < _CHUNK_BITS a mask is its own
-    # lookup index
-    out = []
-    for shift in range(0, n + 1, _CHUNK_BITS):
-        width = min(_CHUNK_BITS, n + 1 - shift)
-        out.append((shift, width, None if shift + width > n else (1 << width) - 1))
-    return out
-
-
 def _chunk_index(masks: np.ndarray, shift: int, keep: int | None) -> np.ndarray:
     if shift:
         masks = masks >> shift
@@ -168,36 +154,32 @@ def _suffix_arc_maps(n: int, suffixes: Sequence[SuffixTable]):
     vals = np.zeros((len(suffixes), n + 1), dtype=np.int32)
     for j, g in enumerate(suffixes):
         vals[j, 1:] = g.values
-    gmaps = []
-    for shift, width, keep in _mask_chunks(n):
-        table = np.zeros((len(suffixes), 1 << width), dtype=np.int32)
-        for b in range(width):
-            table[:, 1 << b:2 << b] = table[:, :1 << b] | vals[:, shift + b, None]
-        gmaps.append((shift, keep, table))
+    # column v holds every table's value at v; column 0 is all zero
+    gmaps = [(shift, keep, np.stack(table, axis=1))
+             for shift, keep, table in chunk_unions(list(vals.T), vals[:, 0])]
     amask = np.array([g.accept_flags for g in suffixes], dtype=np.int32)
     return gmaps, amask
 
 
 def _row_bits(f: PrefixTable, gmaps, amask: np.ndarray) -> int:
-    # one matrix row: run the alternating reachability over all columns at once
-    n = f.n
-    contrib = [0, *f.values]
-    fmaps = []
-    for shift, width, keep in _mask_chunks(n):
-        table = [0] * (1 << width)
-        for mask in range(1, 1 << width):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] | contrib[shift + low.bit_length() - 1]
-        fmaps.append((shift, keep, np.array(table, dtype=np.int32)))
+    # one matrix row: run the alternating reachability over all columns at
+    # once.  Left masks only grow, so right = f(left) is recomputed rather
+    # than accumulated, and the rounds stop once no left mask changes
+    fmaps = [(shift, keep, np.array(table, dtype=np.int32))
+             for shift, keep, table in chunk_unions((0, *f.values))]
     num = amask.shape[0]
     cols = np.arange(num)
     left = np.full(num, 1 << starting_state(f), dtype=np.int32)
-    right = np.zeros(num, dtype=np.int32)
-    for _ in range(2 * n + 2):
+    while True:
+        right = 0
         for shift, keep, table in fmaps:
             right = right | table[_chunk_index(left, shift, keep)]
+        grown = left
         for shift, keep, table in gmaps:
-            left = left | table[cols, _chunk_index(right, shift, keep)]
+            grown = grown | table[cols, _chunk_index(right, shift, keep)]
+        if np.array_equal(grown, left):
+            break
+        left = grown
     hits = (right & amask) != 0
     packed = np.packbits(hits, bitorder="little").tobytes()
     return int.from_bytes(packed, "little")

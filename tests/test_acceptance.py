@@ -5,6 +5,7 @@ criterion.  Set UFABOUND_EXTENDED=1 to include the long n=4 rank
 certification.
 """
 
+import hashlib
 import itertools
 import os
 import random
@@ -90,6 +91,9 @@ def test_criterion_4_rank_equals_count():
 def test_criterion_4_extended_n4_rank():
     k4 = witness.build_K(4)
     assert (k4.rows, k4.cols) == (3451, 17985)
+    digest = hashlib.sha256(b"".join(b.to_bytes((k4.cols + 7) // 8, "little")
+                                     for b in k4.bits)).hexdigest()
+    assert digest == "f9506179efc3d49f751458648f2b7aaa2fedf1797e49167e8c52762b45aa5c26"
     got = exact_linalg.rank_mod_p(k4, MERSENNE)
     assert got == 3451
     report("criterion 4 (extended) PASS: n=4 matrix has full row rank 3451")

@@ -94,6 +94,21 @@ def test_two_way_acceptance_is_order_independent():
         assert twonfa_accepts(a, word) == dfs_two_way_accepts(a, word)
 
 
+def test_acceptance_matches_the_search_beyond_three_states(sparse_two_way_nfa):
+    # from 8 states on, a state mask spans more than one 8-bit lookup chunk
+    rng = random.Random(17)
+    outcomes = {}
+    for states in (*range(1, 10), 17):
+        for _ in range(30):
+            a = sparse_two_way_nfa(states, 2, rng)
+            for _ in range(5):
+                word = [rng.randrange(2) for _ in range(rng.randint(0, 7))]
+                got = twonfa_accepts(a, word)
+                assert got == dfs_two_way_accepts(a, word), (states, word)
+                outcomes.setdefault(states, set()).add(got)
+    assert all(seen == {False, True} for seen in outcomes.values())
+
+
 def test_two_way_structural_rules():
     with pytest.raises(ValueError):
         TwoWayNfa(1, 1, {0}, {(0, LEFT_MARKER): {(0, -1)}}, {0})

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ def test_count(capsys):
 
 def test_count_beyond_the_digit_limit_is_a_one_line_error():
     # count(1000) has more digits than Python converts to a string by
-    # default; computing it must not exhaust the recursion limit first
+    # default; a fresh interpreter must refuse it without a traceback
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ufabound.cli", "count", "--n", "1000"],
@@ -32,6 +34,29 @@ def test_count_beyond_the_digit_limit_is_a_one_line_error():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_count_refuses_sizes_beyond_its_cap_before_any_work(capsys):
+    # count(815) has 4,299 digits and still prints; count(816) would not
+    code, out, err = run(capsys, "count", "--n", "815")
+    assert code == 0 and err == "" and len(out) == 4300
+    for n in ("816", "3000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n", n)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == ("error: count is limited to n <= 815: "
+                       "count(816) has more than 4300 digits\n")
+
+
+def test_table1_refuses_max_beyond_its_cap_before_any_work(capsys):
+    for bad in ("121", "5000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table1", "--max", bad)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == ("error: table1 is limited to --max 120: "
+                       "row 121 has more than 4300 digits\n")
 
 
 def test_table1_csv(capsys):
@@ -98,6 +123,27 @@ def test_build_matrix_output_is_reproducible(tmp_path, capsys):
         "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
     assert (tmp_path / "a.mat.rows").read_bytes() == (tmp_path / "b.mat.rows").read_bytes()
+
+
+# sha256 of the files build-matrix writes at n=3
+MATRIX_FILE_DIGESTS = {
+    "M": {".mat": "5147384dd64f9ad8962c00609c015acc820130d62a1f7d0b837a3c4595fc10d6",
+          ".mat.rows": "fadb0fed58c6714884c4cce9790f27428ecf52c1fd032edc4e1e79265f23b636",
+          ".mat.cols": "175895d01e39a275336d6da1658107f6a4d4fa463714c1cc08847c65f5fe2d43"},
+    "K": {".mat": "d9fb977ace9ba3c68f09759bae635edfc83f96fb1533412abd9e30e7fd978502",
+          ".mat.rows": "3a0b0f5749c20049aa9b481d0c2b20b9f6c346de4db3bb8ea36b25e43f4b0bcf",
+          ".mat.cols": "175895d01e39a275336d6da1658107f6a4d4fa463714c1cc08847c65f5fe2d43"},
+}
+
+
+@pytest.mark.parametrize("kind", ["M", "K"])
+def test_build_matrix_bytes_are_pinned(tmp_path, capsys, kind):
+    out = tmp_path / "m3.mat"
+    code, _, _ = run(capsys, "build-matrix", "--n", "3", "--kind", kind, "--out", str(out))
+    assert code == 0
+    for suffix, digest in MATRIX_FILE_DIGESTS[kind].items():
+        path = tmp_path / ("m3" + suffix)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
 
 def test_rank_reports_bad_modulus(tmp_path, capsys):

@@ -8,7 +8,7 @@ from ufabound.crossing import (prefix_profile, prefix_table_of,
                                random_two_way_nfa, schmidt_matrix,
                                suffix_profile, suffix_table_of,
                                verify_optimality)
-from ufabound.statesets import full_mask, mask_of
+from ufabound.statesets import elements, full_mask, mask_of
 from ufabound.tables import enumerate_prefix_tables, enumerate_suffix_tables
 from ufabound.witness import WitnessAutomaton, build_M, m_entry
 
@@ -57,6 +57,11 @@ def closure_exits(a, tape, seeds):
 
     configs = {c for c in reached if c[0] not in ("right", "left")}
     return configs, exits("right"), exits("left")
+
+
+def configurations(at):
+    """The (state, position) pairs of a per-position 1-based state mask list."""
+    return {(v - 1, p) for p, states in enumerate(at) for v in elements(states)}
 
 
 def oracle_prefix_profile(a, x):
@@ -138,10 +143,10 @@ class TestProfiles:
         a = right_marker_mover()
         for word in ((), (0,), (0, 0)):
             tape = [LEFT_MARKER, *word, RIGHT_MARKER]
-            seen, exit_right, exit_left = _reach(a, tape, [(0, 0)])
-            assert seen == {(0, p) for p in range(len(tape))}
+            at, exit_right, exit_left = _reach(a, tape, [(0, 0)])
+            assert at == [mask_of({1})] * len(tape)
             assert exit_right == exit_left == 0
-            assert closure_exits(a, tape, [(0, 0)]) == (seen, 0, 0)
+            assert closure_exits(a, tape, [(0, 0)]) == (configurations(at), 0, 0)
             assert not twonfa_accepts(a, word)
             # the suffix fragment ends on the right marker: state 1 does not
             # accept through the dropped move, and it is no exit either
@@ -151,7 +156,7 @@ class TestProfiles:
         # a prefix fragment ends on a real symbol, so the same state exits
         assert prefix_profile(a, (0,)) == (mask_of({1}), (mask_of({1}), 0))
 
-    def test_profiles_match_the_closure_oracle(self):
+    def test_profiles_match_the_closure_oracle(self, sparse_two_way_nfa):
         rng = random.Random(41)
         exits_seen = 0
         for _ in range(500):
@@ -164,6 +169,13 @@ class TestProfiles:
             assert suffix == oracle_suffix_profile(a, y)
             exits_seen += bool(prefix[0]) + any(suffix[1])
         assert exits_seen > 300  # the exit masks are not vacuously empty
+        # beyond three states, with sparser moves so that profiles differ
+        for states in (8, 8, 9, 9):
+            a = sparse_two_way_nfa(states, 2, rng)
+            for x in random_strings(2, 3, 4, rng):
+                assert prefix_profile(a, x) == oracle_prefix_profile(a, x)
+            for y in random_strings(2, 3, 4, rng):
+                assert suffix_profile(a, y) == oracle_suffix_profile(a, y)
 
 
 class TestInducedTables:

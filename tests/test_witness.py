@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ufabound import witness
@@ -7,6 +8,7 @@ from ufabound.automata import LEFT_MARKER, RIGHT_MARKER
 from ufabound.errors import CapacityError
 from ufabound.statesets import full_mask, mask_of
 from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
+                             enumerate_ordered_prefix_tables_by_filter,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
 from ufabound.witness import (BoolMatrix, WitnessAutomaton, build_K, build_M,
@@ -75,6 +77,23 @@ class TestTransitionOracle:
             WitnessAutomaton(2, [pt(3, {1}, {1}, {1})], [])
 
 
+def random_table_pair(n, rng):
+    """A prefix and a suffix table with sparse values, so that paths bounce
+    back and forth."""
+    full = full_mask(n)
+
+    def state():
+        return 1 << rng.randint(1, n)
+
+    core = state()
+    values = [core | state() for _ in range(n)]
+    values[rng.randrange(n)] = core
+    accept = state()
+    g = SuffixTable(n, tuple(full if accept >> v & 1 else state() | state()
+                             for v in range(1, n + 1)), accept)
+    return PrefixTable(n, tuple(values)), g
+
+
 def simulated(f, g):
     return int(WitnessAutomaton(f.n, [f], [g]).accepts(f, g))
 
@@ -113,20 +132,9 @@ class TestMEntry:
         # sparse tables make paths bounce, so both entry values occur
         rng = random.Random(11)
         for n in (8, 9, 17, 30):
-            full = full_mask(n)
-
-            def state():
-                return 1 << rng.randint(1, n)
-
             entries = set()
             for _ in range(40):
-                core = state()
-                values = [core | state() for _ in range(n)]
-                values[rng.randrange(n)] = core
-                f = PrefixTable(n, tuple(values))
-                accept = state()
-                g = SuffixTable(n, tuple(full if accept >> v & 1 else state() | state()
-                                         for v in range(1, n + 1)), accept)
+                f, g = random_table_pair(n, rng)
                 entries.add(m_entry(f, g))
                 assert m_entry(f, g) == simulated(f, g), (f, g)
             assert entries == {0, 1}
@@ -182,6 +190,50 @@ class TestMatrices:
             build_M(5)
         with pytest.raises(CapacityError):
             build_K(5)
+
+
+def fixed_rounds_row(f, suffixes):
+    """Reference for the row kernel: the alternating reachability run for a
+    fixed 2n+2 rounds, one state bit at a time, over all columns."""
+    n = f.n
+    gvals = np.array([g.values for g in suffixes], dtype=np.int64)
+    amask = np.array([g.accept_flags for g in suffixes], dtype=np.int64)
+    left = np.full(len(suffixes), 1 << starting_state(f), dtype=np.int64)
+    right = np.zeros_like(left)
+    for _ in range(2 * n + 2):
+        for v in range(1, n + 1):
+            right |= np.where(left >> v & 1, f.values[v - 1], 0)
+        for v in range(1, n + 1):
+            left |= np.where(right >> v & 1, gvals[:, v - 1], 0)
+    return sum(1 << int(j) for j in np.flatnonzero(right & amask))
+
+
+class TestRowKernel:
+    """The row kernel stops once no left mask changes; a fixed number of
+    rounds must give the same bits."""
+
+    def check_rows(self, fs, gs):
+        gmaps, amask = witness._suffix_arc_maps(gs[0].n, gs)
+        rows = [witness._row_bits(f, gmaps, amask) for f in fs]
+        assert rows == [fixed_rounds_row(f, gs) for f in fs]
+        return rows
+
+    def test_every_row_at_n3(self):
+        rows = self.check_rows(enumerate_prefix_tables(3), enumerate_suffix_tables(3))
+        assert len(set(rows)) > 100
+
+    def test_seeded_ordered_rows_at_n4(self):
+        rng = random.Random(4)
+        fs = rng.sample(enumerate_ordered_prefix_tables_by_filter(4), 200)
+        self.check_rows(fs, enumerate_suffix_tables(4))
+
+    def test_random_tables_beyond_one_lookup_chunk(self):
+        rng = random.Random(23)
+        for n in (8, 9, 17):
+            pairs = [random_table_pair(n, rng) for _ in range(300)]
+            fs = [f for f, _ in pairs[:20]]
+            rows = self.check_rows(fs, [g for _, g in pairs])
+            assert 0 < sum(r.bit_count() for r in rows) < 20 * 300
 
 
 class TestStagedSuffixTables:
