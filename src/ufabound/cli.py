@@ -59,22 +59,17 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-
-
 def _cmd_build_matrix(args) -> int:
-    _check_jobs(args.jobs)
     build = witness.build_M if args.kind == "M" else witness.build_K
-    m = build(args.n, jobs=args.jobs)
+    m = build(args.n)
     witness.save_matrix(m, args.out)
     print(f"{m.rows}x{m.cols} matrix written to {args.out}")
     return 0
 
 
 def _cmd_rank(args) -> int:
-    _check_jobs(args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m = witness.load_matrix(args.input)
     if args.mod is not None:
         print(exact_linalg.rank_mod_p(m, args.mod, jobs=args.jobs))
@@ -166,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("M", "K"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_build_matrix)
 
     p = sub.add_parser("rank", help="rank of a matrix file")

@@ -227,11 +227,17 @@ def random_strings(alphabet_size: int, count: int, max_len: int,
     return out
 
 
-def random_campaign_report(state_count: int, alphabet_size: int, seed: int,
-                           max_strings: int = 20, max_len: int = 6) -> OptimalityReport:
+CAMPAIGN_MAX_STRINGS = 20
+CAMPAIGN_MAX_LEN = 6
+
+
+def random_campaign_report(state_count: int, alphabet_size: int,
+                           seed: int) -> OptimalityReport:
     """One seeded random instance: automaton, string sets, full check."""
     rng = random.Random(seed)
     a = random_two_way_nfa(state_count, alphabet_size, rng)
-    xs = random_strings(alphabet_size, rng.randint(1, max_strings), max_len, rng)
-    ys = random_strings(alphabet_size, rng.randint(1, max_strings), max_len, rng)
+    xs = random_strings(alphabet_size, rng.randint(1, CAMPAIGN_MAX_STRINGS),
+                        CAMPAIGN_MAX_LEN, rng)
+    ys = random_strings(alphabet_size, rng.randint(1, CAMPAIGN_MAX_STRINGS),
+                        CAMPAIGN_MAX_LEN, rng)
     return verify_optimality(a, xs, ys, seed=seed)

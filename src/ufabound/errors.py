@@ -1,12 +1,15 @@
-"""The capacity limits of the package and the error raised beyond them."""
+"""The capacity limits of the package and the error raised beyond them.
+
+The state count n itself has no cap: state sets and matrix rows are plain
+Python ints of any width.  The limits below bound the computations whose
+cost or output grows too fast with n.
+"""
 
 
 class CapacityError(ValueError):
     """Raised when an exact computation is requested beyond the supported size."""
 
 
-# state masks set bits 1..n of the witness row kernel's np.int32 arrays
-MAX_N = 30
 # exhaustive prefix/suffix table enumeration: n=5 has 33^5 - 32^5 suffix tables
 ENUMERATION_MAX_N = 4
 # ordered tables through the layer bijection: n=6 has 11,467,387 of them

@@ -100,26 +100,25 @@ def _is_prime(p: int) -> bool:
 
 
 def _rank_mod_2(rows_bits: list[int]) -> int:
-    """Rank over GF(2) with rows packed as Python ints."""
-    pivots: list[int] = []
-    rank = 0
+    """Rank over GF(2) with rows packed as Python ints; each pivot is filed
+    under its top bit, which no other pivot shares."""
+    pivots: dict[int, int] = {}
     for row in rows_bits:
-        cur = row
-        for pv in pivots:
-            if cur >> (pv.bit_length() - 1) & 1:
-                cur ^= pv
-        if cur:
-            pivots.append(cur)
-            pivots.sort(key=int.bit_length, reverse=True)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def _to_mod_array(m, p: int) -> np.ndarray:
     if isinstance(m, np.ndarray):
         arr = m.astype(np.int64, copy=True)
     elif hasattr(m, "to_numpy"):  # packed 0/1 matrices
-        arr = m.to_numpy(np.int64)
+        arr = m.to_numpy()
     else:
         arr = np.array([[int(x) % p for x in row] for row in m], dtype=np.int64)
         if arr.ndim == 1:

@@ -2,16 +2,14 @@
 
 Everywhere in this package a set of 1-based state indices is an ``int``
 in which index ``i`` occupies bit ``1 << i``.  Bit 0 is never used, so a
-mask reads off in natural order and masks compare cheaply.  ``check_n``
-caps n at ``errors.MAX_N``, where the witness row kernel's int32 masks
-run out of bits.
+mask reads off in natural order and masks compare cheaply.  Masks are
+plain Python ints, so they have no width limit; the size caps of the
+computations that grow with n live in :mod:`ufabound.errors`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from .errors import MAX_N, CapacityError
 
 # chunk_unions looks masks up this many bits at a time, so its lookup
 # tables stay small for any n
@@ -21,8 +19,6 @@ CHUNK_BITS = 8
 def check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > MAX_N:
-        raise CapacityError(f"n={n} exceeds the supported maximum of {MAX_N}")
 
 
 def full_mask(n: int) -> int:
@@ -47,7 +43,7 @@ def elements(mask: int) -> list[int]:
     return out
 
 
-def chunk_unions(contrib: Sequence, empty=0) -> list[tuple[int, int | None, list]]:
+def chunk_unions(contrib: Sequence[int]) -> list[tuple[int, int | None, list[int]]]:
     """Lookups from a mask to the union of ``contrib[i]`` over its bits i.
 
     ``contrib`` has one entry per mask bit, bit 0 included.  The mask is
@@ -55,14 +51,12 @@ def chunk_unions(contrib: Sequence, empty=0) -> list[tuple[int, int | None, list
     ``(shift, keep, table)``: ``table[mask >> shift & keep]`` is the union
     over that chunk's bits.  The top chunk needs no and-mask, so its
     ``keep`` is None, and a mask narrower than one chunk is its own index.
-    Entries are combined with ``|`` only, so they may be ints or numpy
-    arrays; ``empty`` is the union of no entries.
     """
     top = len(contrib)
     out = []
     for shift in range(0, top, CHUNK_BITS):
         width = min(CHUNK_BITS, top - shift)
-        table = [empty]
+        table = [0]
         for c in contrib[shift:shift + width]:
             table += [t | c for t in table]
         out.append((shift, None if shift + width == top else (1 << width) - 1, table))

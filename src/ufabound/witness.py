@@ -10,21 +10,23 @@ The acceptance matrix has one row per prefix table and one column per
 suffix table; the reduced matrix keeps only the rows of ordered prefix
 tables.  Every entry is decided by one kernel, bipartite-graph
 reachability run over a whole row of columns at once until no column's
-reached set grows.  Direct two-way simulation of the automaton is the
+reached set grows.  The kernel is bit-sliced: per vertex it keeps one int
+of the columns that reach it, so a row comes out packed, one int with bit
+j = column j, and stays that way through the matrix text format and the
+GF(2) rank.  Direct two-way simulation of the automaton is the
 independent oracle it is compared against, in
 :mod:`ufabound.verification` and the test suite.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .automata import LEFT_MARKER, TwoWayNfa, twonfa_accepts
-from .statesets import chunk_unions, elements, full_mask
+from .statesets import elements, full_mask
 from .tables import (PrefixTable, SuffixTable,
                      enumerate_ordered_prefix_tables_by_filter,
                      enumerate_prefix_tables, enumerate_suffix_tables,
@@ -117,15 +119,16 @@ class BoolMatrix:
     def to_lists(self) -> list[list[int]]:
         return [self.row_list(i) for i in range(self.rows)]
 
-    def to_numpy(self, dtype=np.int8) -> np.ndarray:
+    def to_numpy(self) -> np.ndarray:
+        """The entries as an int64 array."""
         if self.rows == 0 or self.cols == 0:
-            return np.zeros((self.rows, self.cols), dtype=dtype)
+            return np.zeros((self.rows, self.cols), dtype=np.int64)
         nbytes = (self.cols + 7) // 8
         raw = np.frombuffer(
             b"".join(b.to_bytes(nbytes, "little") for b in self.bits), dtype=np.uint8)
         unpacked = np.unpackbits(raw.reshape(self.rows, nbytes),
                                  axis=1, bitorder="little")[:, :self.cols]
-        return unpacked.astype(dtype)
+        return unpacked.astype(np.int64)
 
     def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
         col_idx = list(col_idx)
@@ -141,64 +144,65 @@ class BoolMatrix:
                           len(col_idx), tuple(bits))
 
 
-def _chunk_index(masks: np.ndarray, shift: int, keep: int | None) -> np.ndarray:
-    if shift:
-        masks = masks >> shift
-    return masks if keep is None else masks & keep
+def _column_bits(masks: Sequence[int], i: int) -> int:
+    # the int whose bit j is bit i of masks[j], built in one conversion
+    return int(bytes(48 | m >> i & 1 for m in reversed(masks)) or b"0", 2)
 
 
 def _suffix_arc_maps(n: int, suffixes: Sequence[SuffixTable]):
-    # per chunk of right-vertex bits and per suffix table: lookup from the
-    # chunk's bits to the mask of left vertices reachable through them;
-    # plus each table's accepting mask
-    vals = np.zeros((len(suffixes), n + 1), dtype=np.int32)
-    for j, g in enumerate(suffixes):
-        vals[j, 1:] = g.values
-    # column v holds every table's value at v; column 0 is all zero
-    gmaps = [(shift, keep, np.stack(table, axis=1))
-             for shift, keep, table in chunk_unions(list(vals.T), vals[:, 0])]
-    amask = np.array([g.accept_flags for g in suffixes], dtype=np.int32)
-    return gmaps, amask
+    # bit-sliced over the columns: feeds[v - 1] lists (u, cols) where cols
+    # is the int of the columns whose table sends right vertex v to left
+    # vertex u; acc[v - 1] is the int of the columns that accept at v; the
+    # last value is the int of every column
+    feeds = []
+    for v in range(n):
+        col = [g.values[v] for g in suffixes]
+        feeds.append([(u, c) for u in range(1, n + 1) if (c := _column_bits(col, u))])
+    flags = [g.accept_flags for g in suffixes]
+    acc = [_column_bits(flags, v) for v in range(1, n + 1)]
+    return feeds, acc, (1 << len(suffixes)) - 1
 
 
-def _row_bits(f: PrefixTable, gmaps, amask: np.ndarray) -> int:
+def _row_bits(f: PrefixTable, feeds, acc: list[int], every: int) -> int:
     # one matrix row: run the alternating reachability over all columns at
-    # once.  Left masks only grow, so right = f(left) is recomputed rather
-    # than accumulated, and the rounds stop once no left mask changes
-    fmaps = [(shift, keep, np.array(table, dtype=np.int32))
-             for shift, keep, table in chunk_unions((0, *f.values))]
-    num = amask.shape[0]
-    cols = np.arange(num)
-    left = np.full(num, 1 << starting_state(f), dtype=np.int32)
+    # once, left[u] and right[v] being the ints of the columns whose reached
+    # set holds that vertex.  Left sets only grow, so right = f(left) is
+    # recomputed rather than accumulated, and the rounds stop once no left
+    # set changes
+    n = f.n
+    sources = [[u for u in range(1, n + 1) if f.values[u - 1] >> v & 1]
+               for v in range(1, n + 1)]
+    left = [0] * (n + 1)
+    left[starting_state(f)] = every
     while True:
-        right = 0
-        for shift, keep, table in fmaps:
-            right = right | table[_chunk_index(left, shift, keep)]
-        grown = left
-        for shift, keep, table in gmaps:
-            grown = grown | table[cols, _chunk_index(right, shift, keep)]
-        if np.array_equal(grown, left):
+        right = []
+        for us in sources:
+            r = 0
+            for u in us:
+                r |= left[u]
+            right.append(r)
+        grown = left.copy()
+        for r, arcs in zip(right, feeds):
+            if r:
+                for u, cols in arcs:
+                    grown[u] |= r & cols
+        if grown == left:
             break
         left = grown
-    hits = (right & amask) != 0
-    packed = np.packbits(hits, bitorder="little").tobytes()
-    return int.from_bytes(packed, "little")
+    row = 0
+    for r, a in zip(right, acc):
+        row |= r & a
+    return row
 
 
 def acceptance_matrix(prefixes: Sequence[PrefixTable], suffixes: Sequence[SuffixTable],
-                      n: int, jobs: int = 1) -> BoolMatrix:
+                      n: int) -> BoolMatrix:
     """Entry (f, g) is 1 iff the table-pair graph has a path from f's
     starting state to one of g's accepting right vertices, that is, iff
     :class:`WitnessAutomaton` accepts the pair's three-letter word.
-
-    ``jobs`` > 1 builds rows in threads; the output is identical.
     """
-    gmaps, amask = _suffix_arc_maps(n, suffixes)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bits = list(pool.map(lambda f: _row_bits(f, gmaps, amask), prefixes))
-    else:
-        bits = [_row_bits(f, gmaps, amask) for f in prefixes]
+    maps = _suffix_arc_maps(n, suffixes)
+    bits = [_row_bits(f, *maps) for f in prefixes]
     return BoolMatrix(tuple(prefixes), tuple(suffixes), len(suffixes), tuple(bits))
 
 
@@ -210,16 +214,15 @@ def m_entry(f: PrefixTable, g: SuffixTable) -> int:
     return acceptance_matrix([f], [g], f.n).bits[0]
 
 
-def build_M(n: int, jobs: int = 1) -> BoolMatrix:
+def build_M(n: int) -> BoolMatrix:
     """Acceptance matrix over all prefix tables x all suffix tables."""
-    return acceptance_matrix(enumerate_prefix_tables(n), enumerate_suffix_tables(n),
-                             n, jobs)
+    return acceptance_matrix(enumerate_prefix_tables(n), enumerate_suffix_tables(n), n)
 
 
-def build_K(n: int, jobs: int = 1) -> BoolMatrix:
+def build_K(n: int) -> BoolMatrix:
     """The row-submatrix of the acceptance matrix on ordered prefix tables."""
     return acceptance_matrix(enumerate_ordered_prefix_tables_by_filter(n),
-                             enumerate_suffix_tables(n), n, jobs)
+                             enumerate_suffix_tables(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +268,11 @@ def build_g_I(f0: PrefixTable, stage_layers: set[int] | frozenset[int]) -> Suffi
 # .rows/.cols files carry them in the table text serialization
 
 def format_matrix(m: BoolMatrix) -> str:
+    # a row's text is its int in binary, reversed so that column 0 comes
+    # first; a marker bit above the last column keeps the zero columns at
+    # the end of the line
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        b = m.bits[i]
-        lines.append("".join("1" if b >> j & 1 else "0" for j in range(m.cols)))
+    lines += [bin(b | 1 << m.cols)[:2:-1] for b in m.bits]
     return "\n".join(lines) + "\n"
 
 
@@ -284,21 +288,16 @@ def parse_matrix(text: str) -> BoolMatrix:
         raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
     bits = []
     for ln in lines[1:]:
+        # checked before int(), which would also accept "_", "+" and spaces
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise ValueError("rows must be contiguous 0/1 strings of the stated width")
-        b = 0
-        for j, ch in enumerate(ln):
-            if ch == "1":
-                b |= 1 << j
-        bits.append(b)
+        bits.append(int(ln[::-1], 2))
     return BoolMatrix(tuple(range(rows)), tuple(range(cols)), cols, tuple(bits))
 
 
-def save_matrix(m: BoolMatrix, path: str, labels: bool = True) -> None:
+def save_matrix(m: BoolMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_matrix(m))
-    if not labels:
-        return
     if all(isinstance(lbl, PrefixTable) for lbl in m.row_labels):
         with open(path + ".rows", "w", encoding="utf-8") as fh:
             for lbl in m.row_labels:

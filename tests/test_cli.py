@@ -119,8 +119,7 @@ def test_build_matrix_output_is_reproducible(tmp_path, capsys):
     first = tmp_path / "a.mat"
     second = tmp_path / "b.mat"
     run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(first))
-    run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--jobs", "3",
-        "--out", str(second))
+    run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
     assert (tmp_path / "a.mat.rows").read_bytes() == (tmp_path / "b.mat.rows").read_bytes()
 
@@ -144,6 +143,25 @@ def test_build_matrix_bytes_are_pinned(tmp_path, capsys, kind):
     for suffix, digest in MATRIX_FILE_DIGESTS[kind].items():
         path = tmp_path / ("m3" + suffix)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
+
+# sha256 of the files build-matrix writes for K at n=4 (3451 x 17985)
+K4_FILE_DIGESTS = {
+    ".mat": "e44492b90a37dc71dfdcee055779576a664c815ef349a8cf986cb6852d19585d",
+    ".mat.rows": "d666bd0baae4503a13f0d6c0d9c58e70a1fdba9ef198099e3ced9a3073b972a6",
+    ".mat.cols": "a6f56ebd6d1a98e56106966b3c1ebd2fc2c8a5cfc32afbea64a5847240b157e8",
+}
+
+
+def test_k4_pipeline_is_pinned(tmp_path, capsys):
+    out = tmp_path / "k4.mat"
+    code, text, _ = run(capsys, "build-matrix", "--n", "4", "--kind", "K", "--out", str(out))
+    assert code == 0 and text == f"3451x17985 matrix written to {out}\n"
+    for suffix, digest in K4_FILE_DIGESTS.items():
+        path = tmp_path / ("k4" + suffix)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+    code, text, _ = run(capsys, "rank", "--in", str(out), "--mod", "2")
+    assert code == 0 and text == "3451\n"
 
 
 def test_rank_reports_bad_modulus(tmp_path, capsys):
@@ -177,15 +195,17 @@ def test_build_matrix_size_errors(tmp_path, capsys):
 
 def test_jobs_below_one_rejected(tmp_path, capsys):
     mat = tmp_path / "k.mat"
-    unwritten = tmp_path / "j0.mat"
     run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))
-    for argv in (("build-matrix", "--n", "2", "--kind", "K", "--out", str(unwritten),
-                  "--jobs", "0"),
-                 ("rank", "--in", str(mat), "--mod", "2", "--jobs", "-1")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "--jobs" in err
-        assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, "rank", "--in", str(mat), "--mod", "2", "--jobs", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--jobs" in err
+    assert len(err.splitlines()) == 1
+    # build-matrix has no --jobs: rows are built in one thread
+    unwritten = tmp_path / "j0.mat"
+    with pytest.raises(SystemExit) as exc:
+        main(["build-matrix", "--n", "2", "--kind", "K", "--out", str(unwritten),
+              "--jobs", "2"])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
     assert not unwritten.exists()
 
 
@@ -289,6 +309,15 @@ def test_schmidt_with_files(tmp_path, capsys):
     report = json.loads(out.splitlines()[-1])
     assert report["ok"] is True and report["rank"] <= 7
     assert report["rows"] == 4 and report["cols"] == 4
+
+
+def test_schmidt_random_beyond_thirty_states(capsys):
+    # state sets are plain ints, so the state count has no cap
+    code, out, _ = run(capsys, "schmidt", "--random", "2", "--states", "31",
+                       "--alphabet", "2")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("bound ")
+    assert all(json.loads(line)["n"] == 31 for line in out.splitlines()[:-1])
 
 
 def test_schmidt_random_mode(capsys):

@@ -1,7 +1,6 @@
 import pytest
 
 from ufabound import statesets
-from ufabound.errors import CapacityError
 
 
 def test_full_mask_leaves_bit_zero_clear():
@@ -35,5 +34,3 @@ def test_check_n_limits():
     statesets.check_n(30)
     with pytest.raises(ValueError):
         statesets.check_n(0)
-    with pytest.raises(CapacityError):
-        statesets.check_n(31)
