@@ -9,9 +9,11 @@ so reaching that configuration ends the computation; acceptance therefore
 reduces to plain reachability in the finite configuration graph, and
 looping computations never contribute.  One search of that graph,
 :func:`_reach`, serves both acceptance and the crossing profiles of
-:mod:`ufabound.crossing`, which run it on a fragment of the tape.  It
-moves whole sets of states at once: per tape position it keeps the
-1-based mask (:mod:`ufabound.statesets`) of the states reached there.
+:mod:`ufabound.crossing`.  It runs many tapes at once, bit-sliced over
+them: a tape is a lane, and per position and state the search keeps the
+int of the lanes that reach it.  :func:`_layout` lays out the tapes
+prefixes[i]·suffixes[j] around one split position, and
+:func:`concatenation_bits` decides every such word in one search.
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .statesets import chunk_unions, mask_of
 
 LEFT_MARKER = -1
 RIGHT_MARKER = -2
@@ -87,89 +88,107 @@ def _check_word(a: TwoWayNfa, word: Sequence[int]) -> None:
             raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
 
 
-def _symbol_steps(a: TwoWayNfa, symbol: int) -> list:
-    # chunked lookup from a 1-based mask of states reading ``symbol`` to
-    # the states they enter by right moves, plus those they enter by left
-    # moves shifted up by the mask width
-    width = a.state_count + 1
-    contrib = [0]
-    for q in range(a.state_count):
-        out = 0
-        for t, d in a.moves(q, symbol):
-            out |= 1 << (t + 1 if d > 0 else t + 1 + width)
-        contrib.append(out)
-    return chunk_unions(contrib)
+def _layout(prefixes: Sequence[Sequence[int]], suffixes: Sequence[Sequence[int]]):
+    """The tapes prefixes[i] + suffixes[j] as lanes i·C + j, C = len(suffixes).
 
-
-def _reach(a: TwoWayNfa, tape: Sequence[int],
-           seeds: Iterable[tuple[int, int]]) -> tuple[list[int], int, int]:
-    """Search of the configuration graph on ``tape``, a whole state set at
-    a time.
-
-    ``tape`` is a list of symbol ids, markers included, and ``seeds`` are
-    (state, position) pairs with positions indexing it.  Returns ``at``,
-    where ``at[pos]`` is the 1-based mask of the states reachable at
-    ``pos``, plus the 1-based masks of the states in which the head moves
-    off the right end and off the left end.  A right move off the right
-    marker is dropped, not counted as an exit.  The worklist holds
-    (position, newly reached states), so every state is expanded once per
-    position, by one lookup per chunk of its mask; each symbol's lookups
-    are built on its first use and kept on the automaton.
-
-    This is the package's only two-way search; :mod:`ufabound.crossing`
-    runs it on prefix and suffix fragments.  It is private: callers use
-    acceptance and the profiles, and ``bench/tracer.py``, which times
-    every public function per call, would otherwise wrap it once per
-    matrix entry.
+    Returns ``(cells, split, rep)``: ``cells[p]`` lists the (symbol, lanes)
+    pairs of position p, every prefix ends just before ``split`` and every
+    suffix starts at it, and ``rep`` has one bit at the start of each row,
+    so suffix j's lanes are ``rep << j``.  Positions 0 and ``len(cells) - 1``
+    are padding, with no cells.
     """
-    cache = a.__dict__.setdefault("_steps", {})
-    steps = []
-    for c in tape:
-        s = cache.get(c)
-        if s is None:
-            s = cache[c] = _symbol_steps(a, c)
-        steps.append(s)
-    width = a.state_count + 1
-    low = (1 << width) - 1
-    last = len(tape) - 1
-    at = [0] * len(tape)
-    for q, pos in seeds:
-        at[pos] |= 1 << (q + 1)
-    work = [(pos, states) for pos, states in enumerate(at) if states]
-    exit_right = 0
-    exit_left = 0
-    while work:
-        pos, states = work.pop()
-        entered = 0
-        for shift, keep, table in steps[pos]:
-            entered |= table[states >> shift if keep is None else states >> shift & keep]
-        right, left = entered & low, entered >> width
-        if right:
-            if pos == last:
-                if tape[pos] != RIGHT_MARKER:
-                    exit_right |= right
-            else:
-                new = right & ~at[pos + 1]
-                if new:
-                    at[pos + 1] |= new
-                    work.append((pos + 1, new))
-        if left:
-            if pos == 0:
-                exit_left |= left
-            else:
-                new = left & ~at[pos - 1]
-                if new:
-                    at[pos - 1] |= new
-                    work.append((pos - 1, new))
-    return at, exit_right, exit_left
+    cols = len(suffixes)
+    split = 1 + max(map(len, prefixes), default=0)
+    cells: list[dict[int, int]] = [
+        {} for _ in range(split + max(map(len, suffixes), default=0) + 1)]
+    rep = sum(1 << i * cols for i in range(len(prefixes)))
+    for i, x in enumerate(prefixes):
+        for p, c in enumerate(x, start=split - len(x)):
+            cells[p][c] = cells[p].get(c, 0) | ((1 << cols) - 1) << i * cols
+    for j, y in enumerate(suffixes):
+        for p, c in enumerate(y, start=split):
+            cells[p][c] = cells[p].get(c, 0) | rep << j
+    return [list(cell.items()) for cell in cells], split, rep
+
+
+def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
+           seeds: Iterable[tuple[int, int, int]]) -> list[list[int]]:
+    """The lanes of a :func:`_layout` that reach each configuration from
+    the (position, state, lanes) ``seeds``: ``at[p][q]`` is their int.
+
+    Sweeps left to right, then right to left and so on, expanding only the
+    newly reached lanes of each (position, state), until a sweep reaches
+    nothing new.  A head that leaves its fragment lands in the padding,
+    where the callers read the exits; a right move off the right marker
+    is dropped.  Private, so that ``bench/tracer.py`` does not wrap it.
+    """
+    n = a.state_count
+    steps = {c: [a.moves(q, c) for q in range(n)]
+             for c in {c for cell in cells for c, _ in cell}}
+    if RIGHT_MARKER in steps:
+        steps[RIGHT_MARKER] = [[(t, d) for t, d in moves if d < 0]
+                               for moves in steps[RIGHT_MARKER]]
+    at = [[0] * n for _ in cells]
+    fresh = [[0] * n for _ in cells]
+    for p, q, lanes in seeds:
+        at[p][q] |= lanes
+        fresh[p][q] |= lanes
+    forward = range(1, len(cells) - 1)
+    sweep, moved = forward, True
+    while moved:
+        moved = False
+        for p in sweep:
+            new, union = fresh[p], 0
+            for lanes in new:
+                union |= lanes
+            if not union:
+                continue
+            moved = True
+            fresh[p] = [0] * n
+            for c, has in cells[p]:
+                if has & union:
+                    for lanes, moves in zip(new, steps[c]):
+                        lanes &= has
+                        if lanes:
+                            for t, d in moves:
+                                grown = lanes & ~at[p + d][t]
+                                if grown:
+                                    at[p + d][t] |= grown
+                                    fresh[p + d][t] |= grown
+        sweep = forward[::-1] if sweep is forward else forward
+    return at
+
+
+def _accepted(a: TwoWayNfa, cells, at: list[list[int]]) -> int:
+    # the lanes that reach their right marker in an accepting state
+    out = 0
+    for cell, states in zip(cells, at):
+        for c, lanes in cell:
+            if c == RIGHT_MARKER:
+                for q in a.accepting:
+                    out |= states[q] & lanes
+    return out
+
+
+def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
+                       ys: Sequence[Sequence[int]]) -> list[int]:
+    """Acceptance of every word xs[i] + ys[j], in one search: row i of the
+    result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
+    for word in (*xs, *ys):
+        _check_word(a, word)
+    cols = len(ys)
+    row = (1 << cols) - 1
+    cells, split, _ = _layout([(LEFT_MARKER, *x) for x in xs],
+                              [(*y, RIGHT_MARKER) for y in ys])
+    at = _reach(a, cells, [(split - 1 - len(x), q, row << i * cols)
+                           for i, x in enumerate(xs) for q in a.initial])
+    accepted = _accepted(a, cells, at)
+    return [accepted >> i * cols & row for i in range(len(xs))]
 
 
 def twonfa_accepts(a: TwoWayNfa, word: Sequence[int]) -> bool:
     """Whether an accepting state reaches the right marker on ``⊢ word ⊣``."""
-    _check_word(a, word)
-    at, _, _ = _reach(a, [LEFT_MARKER, *word, RIGHT_MARKER],
-                      [(q, 0) for q in a.initial])
-    return bool(at[-1] & mask_of(q + 1 for q in a.accepting))
+    return concatenation_bits(a, [word], [()])[0] == 1
 
 
 # ---------------------------------------------------------------------------

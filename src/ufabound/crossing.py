@@ -9,6 +9,12 @@ states from which it can go on to accept.  The resulting concatenation
 matrix over chosen prefix and suffix sets can then be compared, entry by
 entry and in rank, against the universal acceptance matrix.
 
+Each family of strings is profiled in one lane-parallel search
+(:func:`ufabound.automata._reach`), one lane per string and starting
+configuration.  The concatenation matrix simulates every concatenated
+word as a lane of its own, so its entries never come from the tables
+they are compared against.
+
 Profiles and tables here use 1-based state indices (state q_i of the
 automaton is index i = internal id + 1), matching :mod:`ufabound.tables`.
 """
@@ -20,11 +26,60 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact_linalg
-from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _reach, twonfa_accepts
+from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _accepted, _layout,
+                       _reach, concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
-from .statesets import full_mask, mask_of
+from .statesets import full_mask
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
+
+
+def _lane_mask(states: Sequence[int], lane: int) -> int:
+    # the 1-based mask of the states whose int of lanes holds ``lane``
+    mask = 0
+    for t, lanes in enumerate(states, start=1):
+        mask |= (lanes >> lane & 1) << t
+    return mask
+
+
+def prefix_profiles(a: TwoWayNfa, xs: Sequence[Sequence[int]]
+                    ) -> list[tuple[int, tuple[int, ...]]]:
+    """:func:`prefix_profile` of every string of ``xs``, in one search.
+
+    Lane (i, k) runs on ``⊢ xs[i]``: k = 0 from the initial
+    configuration, k = q + 1 re-entering the last position in state q.
+    The lanes that leave rightwards land on the split, where they are read.
+    """
+    n = a.state_count
+    cols = n + 1
+    cells, split, rep = _layout([(LEFT_MARKER, *x) for x in xs], [()] * cols)
+    seeds = [(split - 1 - len(x), q, 1 << i * cols)
+             for i, x in enumerate(xs) for q in a.initial]
+    seeds += [(split - 1, q, rep << q + 1) for q in range(n)]
+    exits = _reach(a, cells, seeds)[split]
+    return [(_lane_mask(exits, i * cols),
+             tuple(_lane_mask(exits, i * cols + k) for k in range(1, cols)))
+            for i in range(len(xs))]
+
+
+def suffix_profiles(a: TwoWayNfa, ys: Sequence[Sequence[int]]
+                    ) -> list[tuple[int, tuple[int, ...]]]:
+    """:func:`suffix_profile` of every string of ``ys``, in one search.
+
+    Lane (q, j) runs on ``ys[j] ⊣`` from state q at its first position.
+    The lanes that leave leftwards land just before the split, where they
+    are read, and acceptance is read on the right-marker cells.
+    """
+    n = a.state_count
+    cols = len(ys)
+    cells, split, _ = _layout([()] * n, [(*y, RIGHT_MARKER) for y in ys])
+    at = _reach(a, cells, [(split, q, ((1 << cols) - 1) << q * cols)
+                           for q in range(n)])
+    accepted = [_accepted(a, cells, at) >> q * cols for q in range(n)]
+    exits = at[split - 1]
+    return [(_lane_mask(accepted, j),
+             tuple(_lane_mask(exits, q * cols + j) for q in range(n)))
+            for j in range(cols)]
 
 
 def prefix_profile(a: TwoWayNfa, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -35,11 +90,7 @@ def prefix_profile(a: TwoWayNfa, x: Sequence[int]) -> tuple[int, tuple[int, ...]
     right end after re-entering the last fragment position in state i.
     For an empty prefix that position is the left marker itself.
     """
-    tape = [LEFT_MARKER] + list(x)
-    last = len(tape) - 1
-    _, s_x, _ = _reach(a, tape, [(q, 0) for q in a.initial])
-    t = tuple(_reach(a, tape, [(q, last)])[1] for q in range(a.state_count))
-    return s_x, t
+    return prefix_profiles(a, [x])[0]
 
 
 def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -50,52 +101,44 @@ def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]
     head can leave the fragment to the left after starting in state i at
     its first position.
     """
-    tape = list(y) + [RIGHT_MARKER]
-    accepting = mask_of(q + 1 for q in a.accepting)
-    a_y = 0
-    t_prime = []
-    for q in range(a.state_count):
-        at, _, exit_left = _reach(a, tape, [(q, 0)])
-        if at[-1] & accepting:
-            a_y |= 1 << (q + 1)
-        t_prime.append(exit_left)
-    return a_y, tuple(t_prime)
+    return suffix_profiles(a, [y])[0]
+
+
+def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
+                     ) -> list[Optional[PrefixTable]]:
+    """The prefix table induced by each string of ``xs``, or None when
+    nothing can leave the prefix (the matrix row is then all zero anyway)."""
+    return [PrefixTable(a.state_count, tuple(s_x | t_q for t_q in t)) if s_x else None
+            for s_x, t in prefix_profiles(a, xs)]
+
+
+def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
+                     ) -> list[Optional[SuffixTable]]:
+    """The suffix table induced by each string of ``ys``, or None when
+    acceptance is unreachable (the matrix column is then all zero anyway)."""
+    n = a.state_count
+    return [SuffixTable(n, tuple(full_mask(n) if a_y >> q & 1 else t_q
+                                 for q, t_q in enumerate(t_prime, start=1)), a_y)
+            if a_y else None for a_y, t_prime in suffix_profiles(a, ys)]
 
 
 def prefix_table_of(a: TwoWayNfa, x: Sequence[int]) -> Optional[PrefixTable]:
-    """The prefix table induced by ``x``, or None when nothing can leave
-    the prefix (the matrix row is then all zero anyway)."""
-    s_x, t = prefix_profile(a, x)
-    if s_x == 0:
-        return None
-    return PrefixTable(a.state_count, tuple(s_x | t[q] for q in range(a.state_count)))
+    """:func:`prefix_tables_of` of one string."""
+    return prefix_tables_of(a, [x])[0]
 
 
 def suffix_table_of(a: TwoWayNfa, y: Sequence[int]) -> Optional[SuffixTable]:
-    """The suffix table induced by ``y``, or None when acceptance is
-    unreachable (the matrix column is then all zero anyway)."""
-    a_y, t_prime = suffix_profile(a, y)
-    if a_y == 0:
-        return None
-    full = full_mask(a.state_count)
-    values = tuple(full if a_y >> (q + 1) & 1 else t_prime[q]
-                   for q in range(a.state_count))
-    return SuffixTable(a.state_count, values, a_y)
+    """:func:`suffix_tables_of` of one string."""
+    return suffix_tables_of(a, [y])[0]
 
 
 def schmidt_matrix(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                    ys: Sequence[Sequence[int]]) -> BoolMatrix:
-    """The 0/1 concatenation matrix: entry (x, y) is acceptance of x·y."""
-    xs = [tuple(x) for x in xs]
-    ys = [tuple(y) for y in ys]
-    bits = []
-    for x in xs:
-        b = 0
-        for j, y in enumerate(ys):
-            if twonfa_accepts(a, x + y):
-                b |= 1 << j
-        bits.append(b)
-    return BoolMatrix(tuple(xs), tuple(ys), len(ys), tuple(bits))
+    """The 0/1 concatenation matrix: entry (x, y) is acceptance of x·y,
+    every concatenated word simulated as one lane of a single search."""
+    xs = tuple(tuple(x) for x in xs)
+    ys = tuple(tuple(y) for y in ys)
+    return BoolMatrix(xs, ys, len(ys), tuple(concatenation_bits(a, xs, ys)))
 
 
 @dataclass(frozen=True)
@@ -140,53 +183,38 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     deduplicated entries must agree with the universal acceptance matrix,
     and all three ranks must coincide and stay within the bound.
     """
+    n = a.state_count
     matrix = schmidt_matrix(a, xs, ys)
-    fx = [prefix_table_of(a, x) for x in matrix.row_labels]
-    gy = [suffix_table_of(a, y) for y in matrix.col_labels]
+    fx = prefix_tables_of(a, matrix.row_labels)
+    gy = suffix_tables_of(a, matrix.col_labels)
 
     keep_rows = [i for i, f in enumerate(fx) if f is not None]
     keep_cols = [j for j, g in enumerate(gy) if g is not None]
-    ok = True
     # pruned rows and columns must be all zero
-    for i, f in enumerate(fx):
-        if f is None and matrix.bits[i]:
-            ok = False
-    zero_col_mask = 0
-    for j, g in enumerate(gy):
-        if g is None:
-            zero_col_mask |= 1 << j
-    if any(b & zero_col_mask for b in matrix.bits):
-        ok = False
+    kept = sum(1 << j for j in keep_cols)
+    ok = all(not b or (f is not None and not b & ~kept) for f, b in zip(fx, matrix.bits))
 
     pruned = matrix.select(keep_rows, keep_cols)
 
     # entries are a function of the induced tables alone
     universal = acceptance_matrix([fx[i] for i in keep_rows],
-                                  [gy[j] for j in keep_cols], a.state_count)
+                                  [gy[j] for j in keep_cols], n)
     if universal.bits != pruned.bits:
         ok = False
 
-    rep_rows, seen_f = [], set()
-    for i in keep_rows:
-        if fx[i].values not in seen_f:
-            seen_f.add(fx[i].values)
-            rep_rows.append(i)
-    rep_cols, seen_g = [], set()
-    for j in keep_cols:
-        key = (gy[j].values, gy[j].accept_flags)
-        if key not in seen_g:
-            seen_g.add(key)
-            rep_cols.append(j)
+    # one representative, the first, per induced table
+    rep_rows = sorted({fx[i]: i for i in reversed(keep_rows)}.values())
+    rep_cols = sorted({gy[j]: j for j in reversed(keep_cols)}.values())
     dedup = matrix.select(rep_rows, rep_cols)
 
     rank = exact_linalg.rank_exact(matrix)
     rank_pruned = exact_linalg.rank_exact(pruned)
     rank_dedup = exact_linalg.rank_exact(dedup)
-    bound = count_ordered_prefix_tables(a.state_count)
+    bound = count_ordered_prefix_tables(n)
     ok = ok and rank == rank_pruned == rank_dedup and rank <= bound
 
     return OptimalityReport(
-        n=a.state_count, rank=rank, bound=bound,
+        n=n, rank=rank, bound=bound,
         rows=matrix.rows, cols=matrix.cols,
         reduced_rows=dedup.rows, reduced_cols=dedup.cols,
         seed=seed, ok=ok,

@@ -21,7 +21,7 @@ independent oracle it is compared against, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -267,37 +267,43 @@ def build_g_I(f0: PrefixTable, stage_layers: set[int] | frozenset[int]) -> Suffi
 # contiguous 0/1 characters per row; when the labels are tables, companion
 # .rows/.cols files carry them in the table text serialization
 
-def format_matrix(m: BoolMatrix) -> str:
+def _matrix_lines(m: BoolMatrix):
     # a row's text is its int in binary, reversed so that column 0 comes
     # first; a marker bit above the last column keeps the zero columns at
     # the end of the line
-    lines = [f"{m.rows} {m.cols}"]
-    lines += [bin(b | 1 << m.cols)[:2:-1] for b in m.bits]
-    return "\n".join(lines) + "\n"
+    yield f"{m.rows} {m.cols}\n"
+    for b in m.bits:
+        yield bin(b | 1 << m.cols)[:2:-1] + "\n"
 
 
-def parse_matrix(text: str) -> BoolMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def _read_matrix(lines: Iterable[str]) -> BoolMatrix:
+    # one line at a time; a wrong row count is reported before a bad row
+    lines = (ln.rstrip("\n") for ln in lines if ln.strip())
+    header = next(lines, None)
+    if header is None:
         raise ValueError("empty matrix file")
     try:
-        rows, cols = map(int, lines[0].split())
+        rows, cols = map(int, header.split())
     except ValueError:
         raise ValueError("first line must be 'rows cols'") from None
-    if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    bits = []
-    for ln in lines[1:]:
+    bits, found, bad = [], 0, False
+    for ln in lines:
+        found += 1
         # checked before int(), which would also accept "_", "+" and spaces
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError("rows must be contiguous 0/1 strings of the stated width")
-        bits.append(int(ln[::-1], 2))
+        if bad or len(ln) != cols or set(ln) - {"0", "1"}:
+            bad = True
+        else:
+            bits.append(int(ln[::-1], 2))
+    if found != rows:
+        raise ValueError(f"expected {rows} rows, found {found}")
+    if bad:
+        raise ValueError("rows must be contiguous 0/1 strings of the stated width")
     return BoolMatrix(tuple(range(rows)), tuple(range(cols)), cols, tuple(bits))
 
 
 def save_matrix(m: BoolMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(m))
+        fh.writelines(_matrix_lines(m))
     if all(isinstance(lbl, PrefixTable) for lbl in m.row_labels):
         with open(path + ".rows", "w", encoding="utf-8") as fh:
             for lbl in m.row_labels:
@@ -310,4 +316,4 @@ def save_matrix(m: BoolMatrix, path: str) -> None:
 
 def load_matrix(path: str) -> BoolMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+        return _read_matrix(fh)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import dfs_two_way_accepts
 from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa,
                                dump_automaton, load_automaton, twonfa_accepts)
 
@@ -62,25 +63,6 @@ def test_two_way_walks_back_and_forth():
     assert not twonfa_accepts(TwoWayNfa(3, 1, {0}, trans, {1}), [0])
 
 
-def dfs_two_way_accepts(a, word):
-    """Independent oracle: a plain depth-first search on its own tape."""
-    tape = [LEFT_MARKER, *word, RIGHT_MARKER]
-    last = len(word) + 1
-    seen = set()
-    stack = [(q, 0) for q in a.initial]
-    while stack:
-        state, pos = stack.pop()
-        if (state, pos) in seen:
-            continue
-        seen.add((state, pos))
-        if pos == last and state in a.accepting:
-            return True
-        for t, d in a.moves(state, tape[pos]):
-            if 0 <= pos + d <= last:
-                stack.append((t, pos + d))
-    return False
-
-
 def random_two_way(rng, states=2, alphabet=2):
     from ufabound.crossing import random_two_way_nfa
     return random_two_way_nfa(states, alphabet, rng)
@@ -95,7 +77,7 @@ def test_two_way_acceptance_is_order_independent():
 
 
 def test_acceptance_matches_the_search_beyond_three_states(sparse_two_way_nfa):
-    # from 8 states on, a state mask spans more than one 8-bit lookup chunk
+    # one lane per word, up to 17 states, against the configuration search
     rng = random.Random(17)
     outcomes = {}
     for states in (*range(1, 10), 17):

@@ -1,14 +1,17 @@
 import json
 import random
 
-from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _reach,
-                               twonfa_accepts)
-from ufabound.crossing import (prefix_profile, prefix_table_of,
+from conftest import (closure_exits, configurations, dfs_two_way_accepts,
+                      oracle_prefix_profile, oracle_suffix_profile)
+from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _layout,
+                               _reach, concatenation_bits, twonfa_accepts)
+from ufabound.combinatorics import enumerate_ordered_prefix_tables
+from ufabound.crossing import (prefix_profile, prefix_profiles, prefix_table_of,
                                random_campaign_report, random_strings,
                                random_two_way_nfa, schmidt_matrix,
-                               suffix_profile, suffix_table_of,
+                               suffix_profile, suffix_profiles, suffix_table_of,
                                verify_optimality)
-from ufabound.statesets import elements, full_mask, mask_of
+from ufabound.statesets import full_mask, mask_of
 from ufabound.tables import enumerate_prefix_tables, enumerate_suffix_tables
 from ufabound.witness import WitnessAutomaton, build_M, m_entry
 
@@ -21,67 +24,6 @@ def forward_only():
 def never_accepting():
     trans = {(0, LEFT_MARKER): {(0, +1)}, (0, 0): {(0, +1)}, (0, 1): {(0, +1)}}
     return TwoWayNfa(1, 2, {0}, trans, set())
-
-
-def closure_exits(a, tape, seeds):
-    """Independent oracle for one tape fragment.
-
-    Every configuration gets its own successor set, with the head moving
-    off the fragment recorded as a pseudo-configuration ("right", t) or
-    ("left", t); a right move off the right marker has no successor.
-    Warshall's closure over these sets then gives, for the seeds, the
-    reached configurations and the 1-based exit masks.
-    """
-    last = len(tape) - 1
-    nodes = [(q, p) for q in range(a.state_count) for p in range(last + 1)]
-    succ = {}
-    for q, p in nodes:
-        out = set()
-        for t, d in a.moves(q, tape[p]):
-            if p + d > last:
-                if tape[p] != RIGHT_MARKER:
-                    out.add(("right", t))
-            elif p + d < 0:
-                out.add(("left", t))
-            else:
-                out.add((t, p + d))
-        succ[(q, p)] = out
-    for k in nodes:
-        for i in nodes:
-            if k in succ[i]:
-                succ[i] |= succ[k]
-    reached = set(seeds).union(*(succ[c] for c in seeds))
-
-    def exits(side):
-        return mask_of(t + 1 for where, t in reached if where == side)
-
-    configs = {c for c in reached if c[0] not in ("right", "left")}
-    return configs, exits("right"), exits("left")
-
-
-def configurations(at):
-    """The (state, position) pairs of a per-position 1-based state mask list."""
-    return {(v - 1, p) for p, states in enumerate(at) for v in elements(states)}
-
-
-def oracle_prefix_profile(a, x):
-    tape = [LEFT_MARKER, *x]
-    last = len(tape) - 1
-    s_x = closure_exits(a, tape, [(q, 0) for q in a.initial])[1]
-    return s_x, tuple(closure_exits(a, tape, [(q, last)])[1]
-                      for q in range(a.state_count))
-
-
-def oracle_suffix_profile(a, y):
-    tape = [*y, RIGHT_MARKER]
-    last = len(tape) - 1
-    a_y, t_prime = 0, []
-    for q in range(a.state_count):
-        configs, _, exit_left = closure_exits(a, tape, [(q, 0)])
-        if any(p == last and state in a.accepting for state, p in configs):
-            a_y |= 1 << (q + 1)
-        t_prime.append(exit_left)
-    return a_y, tuple(t_prime)
 
 
 def right_marker_mover():
@@ -143,7 +85,12 @@ class TestProfiles:
         a = right_marker_mover()
         for word in ((), (0,), (0, 0)):
             tape = [LEFT_MARKER, *word, RIGHT_MARKER]
-            at, exit_right, exit_left = _reach(a, tape, [(0, 0)])
+            # one lane: the tape fills the positions between the two padding
+            # positions, where the exits would land
+            cells, _, _ = _layout([tape], [()])
+            exit_left, *at, exit_right = [
+                mask_of(q + 1 for q, lanes in enumerate(states) if lanes & 1)
+                for states in _reach(a, cells, [(1, 0, 1)])]
             assert at == [mask_of({1})] * len(tape)
             assert exit_right == exit_left == 0
             assert closure_exits(a, tape, [(0, 0)]) == (configurations(at), 0, 0)
@@ -176,6 +123,64 @@ class TestProfiles:
                 assert prefix_profile(a, x) == oracle_prefix_profile(a, x)
             for y in random_strings(2, 3, 4, rng):
                 assert suffix_profile(a, y) == oracle_suffix_profile(a, y)
+
+
+def ragged(alphabet, count, max_len, rng):
+    """A string family with the empty string first and mixed lengths."""
+    return [(), *random_strings(alphabet, count - 1, max_len, rng)]
+
+
+class TestLaneSearch:
+    """The batched search against the oracles that follow one configuration
+    at a time, on ragged families (the empty string, mixed lengths) with
+    more lanes than one 64-bit word."""
+
+    STATES = (*range(1, 10), 17, 31)
+
+    def test_concatenation_matches_the_search(self, sparse_two_way_nfa):
+        rng = random.Random(8)
+        outcomes = {}
+        for states in self.STATES:
+            for alphabet in (2, 3):
+                for moves in (1, 2, 2):
+                    a = sparse_two_way_nfa(states, alphabet, rng, moves)
+                    xs = ragged(alphabet, 9, 5, rng)
+                    ys = ragged(alphabet, 8, 5, rng)
+                    bits = concatenation_bits(a, xs, ys)
+                    assert schmidt_matrix(a, xs, ys).bits == tuple(bits)
+                    for i, x in enumerate(xs):
+                        for j, y in enumerate(ys):
+                            want = dfs_two_way_accepts(a, x + y)
+                            assert bits[i] >> j & 1 == want, (states, x, y)
+                            outcomes.setdefault(states, set()).add(want)
+        assert outcomes == {states: {False, True} for states in self.STATES}
+
+    def test_batched_profiles_match_the_closure_oracle(self, sparse_two_way_nfa):
+        rng = random.Random(9)
+        exits_seen = 0
+        for states in self.STATES:
+            # the closure oracle is cubic in the configurations, so the
+            # largest automata get fewer and shorter strings
+            count, max_len = (20, 5) if states < 17 else (3, 3)
+            for alphabet in (2, 3):
+                # dense moves too, where every lane reaches far
+                a = (random_two_way_nfa(states, alphabet, rng) if states == 3
+                     else sparse_two_way_nfa(states, alphabet, rng))
+                xs = ragged(alphabet, count, max_len, rng)
+                ys = ragged(alphabet, count, max_len, rng)
+                prefixes = prefix_profiles(a, xs)
+                suffixes = suffix_profiles(a, ys)
+                assert prefixes == [oracle_prefix_profile(a, x) for x in xs]
+                assert suffixes == [oracle_suffix_profile(a, y) for y in ys]
+                exits_seen += sum(bool(p[0]) + any(p[1]) for p in prefixes)
+                exits_seen += sum(bool(s[0]) + any(s[1]) for s in suffixes)
+        assert exits_seen > 200  # the exit masks are not vacuously empty
+
+    def test_empty_families(self):
+        a = forward_only()
+        assert concatenation_bits(a, [], [(0,)]) == []
+        assert concatenation_bits(a, [(0,)], []) == [0]
+        assert prefix_profiles(a, []) == suffix_profiles(a, []) == []
 
 
 class TestInducedTables:
@@ -242,7 +247,7 @@ class TestSchmidtMatrix:
             m = schmidt_matrix(a, xs, ys)
             for i, x in enumerate(xs):
                 for j, y in enumerate(ys):
-                    assert m.entry(i, j) == int(twonfa_accepts(a, tuple(x) + tuple(y)))
+                    assert m.entry(i, j) == int(dfs_two_way_accepts(a, tuple(x) + tuple(y)))
 
     def test_witness_matrix_reappears(self):
         # feed the witness automaton its own alphabet: the concatenation
@@ -308,6 +313,22 @@ class TestVerifyOptimality:
                     assert all(not m.entry(i, j) for i in range(m.rows))
                     checked += 1
         assert checked > 50
+
+    def test_bound_is_attained_through_the_crossing_pipeline(self):
+        # the witness automaton over the ordered prefix tables and all
+        # suffix tables, fed its own letters: prefix strings are a start
+        # letter and a prefix letter, suffix strings one suffix letter
+        for n, count, letters in ((2, 7, 18), (3, 115, 335)):
+            fs = enumerate_ordered_prefix_tables(n)
+            gs = enumerate_suffix_tables(n)
+            aut = WitnessAutomaton(n, fs, gs)
+            assert aut.nfa.alphabet_size == letters
+            xs = [tuple(aut.word(f, gs[0])[:2]) for f in fs]
+            ys = [tuple(aut.word(fs[0], g)[2:]) for g in gs]
+            report = verify_optimality(aut.nfa, xs, ys)
+            assert report.ok
+            assert report.rank == report.bound == count
+            assert (report.rows, report.cols) == (len(fs), len(gs))
 
     def test_campaign_is_deterministic(self):
         a = random_campaign_report(2, 2, seed=12)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import combinatorics, tables, verification, witness
+from ufabound import automata, combinatorics, tables, verification, witness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,9 +40,33 @@ def test_orderedness_disagreement_fails(monkeypatch):
 
 
 def test_entry_simulation_disagreement_fails(monkeypatch):
-    monkeypatch.setattr(witness.WitnessAutomaton, "accepts", lambda self, f, g: False)
+    # the check reads its simulation from one batched search per chunk
+    monkeypatch.setattr(automata, "concatenation_bits", lambda a, xs, ys: [0] * len(xs))
     r = verification.check_entry_simulation_agreement(2, "full", random.Random(0))
     assert not r.ok and "simulation 0" in r.detail
+
+
+def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
+    # a fault only in the second chunk's search: the report names that
+    # chunk's first pair, the 251st draw of the seeded sample
+    real = automata.concatenation_bits
+    calls = []
+
+    def second_chunk_inverted(a, xs, ys):
+        calls.append(len(xs))
+        bits = real(a, xs, ys)
+        return [1 - b for b in bits] if len(calls) == 2 else bits
+
+    monkeypatch.setattr(automata, "concatenation_bits", second_chunk_inverted)
+    r = verification.check_entry_simulation_agreement(3, "full", random.Random(0))
+    m = witness.build_M(3)
+    rng = random.Random(0)
+    i, j = [(rng.randrange(m.rows), rng.randrange(m.cols))
+            for _ in range(verification.SIMULATION_CHUNK + 1)][-1]
+    assert not r.ok
+    assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
+                        f"on {m.row_labels[i]}, {m.col_labels[j]}")
+    assert calls == [verification.SIMULATION_CHUNK] * 2
 
 
 def test_layer_rank_disagreement_fails(monkeypatch):

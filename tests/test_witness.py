@@ -12,7 +12,7 @@ from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
 from ufabound.witness import (BoolMatrix, WitnessAutomaton, build_K, build_M,
-                              build_g_I, format_matrix, m_entry, parse_matrix)
+                              build_g_I, m_entry)
 
 
 def pt(n, *sets):
@@ -128,9 +128,8 @@ class TestMEntry:
             assert m_entry(f, g) == simulated(f, g), (f, g)
 
     def test_random_agreement_beyond_one_lookup_chunk(self):
-        # the simulation oracle splits state masks into 8-bit lookup chunks
-        # from n = 8 on; sparse tables make paths bounce, so both entry
-        # values occur
+        # larger witness automata through the simulation oracle; sparse
+        # tables make paths bounce, so both entry values occur
         rng = random.Random(11)
         for n in (8, 9, 17, 30):
             entries = set()
@@ -297,8 +296,18 @@ class TestStagedSuffixTables:
                 assert build_g_I(f0, stage) == oracle(f0, stage)
 
 
+WIDTH_ERROR = "rows must be contiguous 0/1 strings of the stated width"
+
+
+def read_text(tmp_path, text):
+    """``load_matrix`` of a file holding exactly ``text``."""
+    path = tmp_path / "m.mat"
+    path.write_bytes(text.encode())
+    return witness.load_matrix(str(path))
+
+
 class TestMatrixText:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         # all-zero, all-one, leading-zero and trailing-zero rows around the
         # 64-bit word boundary
         ms = [build_M(2)]
@@ -306,24 +315,38 @@ class TestMatrixText:
             rows = (0, (1 << w) - 1, 1 << w - 1, 1, 0x5A5A5A5A5A5A5A5A5A5A % (1 << w))
             ms.append(BoolMatrix(tuple(range(len(rows))), tuple(range(w)), w, rows))
         for m in ms:
-            again = parse_matrix(format_matrix(m))
+            witness.save_matrix(m, str(tmp_path / "m.mat"))
+            again = witness.load_matrix(str(tmp_path / "m.mat"))
             assert again.bits == m.bits and again.cols == m.cols
 
-    def test_format_shape(self):
+    def test_format_shape(self, tmp_path):
         m = BoolMatrix(("r",), ("c1", "c2", "c3"), 3, (0b101,))
-        assert format_matrix(m) == "1 3\n101\n"
+        witness.save_matrix(m, str(tmp_path / "m.mat"))
+        assert (tmp_path / "m.mat").read_bytes() == b"1 3\n101\n"
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_matrix("")
-        with pytest.raises(ValueError):
-            parse_matrix("1 3\n10")
-        with pytest.raises(ValueError):
-            parse_matrix("2 2\n11\n2x")
-        # int() accepts underscores and signs, the matrix format does not
-        for text in ("1 3\n0_1\n", "1 3\n+01\n"):
+    def test_parse_rejects_garbage(self, tmp_path):
+        for text in ("", "1 3\n10", "2 2\n11\n2x",
+                     # int() accepts underscores and signs, the format does not
+                     "1 3\n0_1\n", "1 3\n+01\n"):
             with pytest.raises(ValueError):
-                parse_matrix(text)
+                read_text(tmp_path, text)
+
+    def test_load_reads_a_file_line_by_line(self, tmp_path):
+        # blank lines are skipped, line ends may be \r\n, every error has
+        # its own message, and a wrong row count is reported before a bad row
+        for text, want in (("1 3\n\n101\n", (0b101,)),
+                           ("2 3\r\n101\r\n  \r\n011\r\n", (0b101, 0b110)),
+                           ("", "empty matrix file"), ("\n \n", "empty matrix file"),
+                           ("x 3\n101\n", "first line must be 'rows cols'"),
+                           ("3 3\n101\n", "expected 3 rows, found 1"),
+                           ("1 3\n1x1\n111\n", "expected 1 rows, found 2"),
+                           ("2 3\n1x1\n111\n", WIDTH_ERROR),
+                           ("1 3\n10\n", WIDTH_ERROR), ("1 3\n+01\n", WIDTH_ERROR)):
+            try:
+                got = read_text(tmp_path, text).bits
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, text
 
     def test_save_and_load_with_labels(self, tmp_path):
         m = build_K(2)
