@@ -68,14 +68,10 @@ def _cmd_build_matrix(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m = witness.load_matrix(args.input)
     if args.mod is not None:
-        print(exact_linalg.rank_mod_p(m, args.mod, jobs=args.jobs))
+        print(exact_linalg.rank_mod_p(m, args.mod))
     else:
-        # exact elimination is pure-Python big-int arithmetic; jobs has no
-        # useful grip on it
         print(exact_linalg.rank_exact(m))
     return 0
 
@@ -168,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--mod", type=int, default=None, help="prime modulus")
     group.add_argument("--exact", action="store_true", help="rational rank (default)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("verify", help="run the self-check suite")

@@ -1,8 +1,9 @@
-"""Exact rank of integer matrices, over the rationals and over prime fields.
+"""Exact rank of packed 0/1 matrices, over the rationals and over prime fields.
 
-The rational rank uses fraction-free elimination: every intermediate value
-is an integer (a minor of the original matrix), so the result is exact for
-0/1 matrices of any size that fits in memory.  Very large matrices are
+Every engine takes a :class:`~ufabound.witness.BoolMatrix`.  The rational
+rank uses fraction-free elimination: every intermediate value is an
+integer (a minor of the original matrix), so the result is exact for
+matrices of any size that fits in memory.  Very large matrices are
 refused here and should go through :func:`rank_mod_p`, which gives a
 certified lower bound on the rational rank (a vanishing rational minor
 vanishes mod p as well, so the mod-p rank can never exceed it).
@@ -12,41 +13,26 @@ Pivoting is deterministic: first non-zero entry in column order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .errors import MOD_P_LIMIT, RANK_EXACT_MAX_ENTRIES, CapacityError
+from .witness import BoolMatrix
 
 # rows per chunk in the mod-p update; caps temporary allocations
 _CHUNK_ELEMS = 4_000_000
 
 
-def _shape(m) -> tuple[int, int]:
-    if hasattr(m, "to_lists"):  # packed 0/1 matrices
-        return m.rows, m.cols
-    if isinstance(m, np.ndarray) and m.ndim == 2:
-        return m.shape
-    return len(m), len(m[0]) if len(m) else 0
-
-
-def _as_rows(m) -> list[list[int]]:
-    if hasattr(m, "to_lists"):  # packed 0/1 matrices
-        return m.to_lists()
-    return [[int(x) for x in row] for row in m]
-
-
-def rank_exact(m) -> int:
+def rank_exact(m: BoolMatrix) -> int:
     """Rank over the rationals, by fraction-free integer elimination.
 
     The size limit is checked on the shape, before any entry is converted.
     """
-    nrows, ncols = _shape(m)
+    nrows, ncols = m.rows, m.cols
     if nrows * ncols > RANK_EXACT_MAX_ENTRIES:
         raise CapacityError(
             f"{nrows}x{ncols} matrix exceeds the {RANK_EXACT_MAX_ENTRIES}-entry "
             "limit of exact elimination; use rank_mod_p")
-    a = _as_rows(m)
+    a = m.to_lists()
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -99,7 +85,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _rank_mod_2(rows_bits: list[int]) -> int:
+def _rank_mod_2(rows_bits: tuple[int, ...]) -> int:
     """Rank over GF(2) with rows packed as Python ints; each pivot is filed
     under its top bit, which no other pivot shares."""
     pivots: dict[int, int] = {}
@@ -114,26 +100,9 @@ def _rank_mod_2(rows_bits: list[int]) -> int:
     return len(pivots)
 
 
-def _to_mod_array(m, p: int) -> np.ndarray:
-    if isinstance(m, np.ndarray):
-        arr = m.astype(np.int64, copy=True)
-    elif hasattr(m, "to_numpy"):  # packed 0/1 matrices
-        arr = m.to_numpy()
-    else:
-        arr = np.array([[int(x) % p for x in row] for row in m], dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr.reshape(0, 0)
-    arr %= p
-    return arr
-
-
-def rank_mod_p(m, p: int, jobs: int = 1) -> int:
+def rank_mod_p(m: BoolMatrix, p: int) -> int:
     """Rank over GF(p) for a prime p below ``MOD_P_LIMIT`` (2^31).  Always a
-    lower bound on :func:`rank_exact`.
-
-    ``jobs`` > 1 threads the row updates inside each pivot step; rows are
-    disjoint, so the result is identical.
-    """
+    lower bound on :func:`rank_exact`."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p >= MOD_P_LIMIT:
@@ -141,56 +110,31 @@ def rank_mod_p(m, p: int, jobs: int = 1) -> int:
             f"rank_mod_p needs a prime below 2^31, got {p}: the int64 "
             "elimination is exact only while p^2 stays below 2^62")
     if p == 2:
-        if hasattr(m, "bits"):  # packed 0/1 matrices keep their row ints
-            return _rank_mod_2(list(m.bits))
-        bits = []
-        for row in m:
-            b = 0
-            for j, x in enumerate(row):
-                if int(x) & 1:
-                    b |= 1 << j
-            bits.append(b)
-        return _rank_mod_2(bits)
+        return _rank_mod_2(m.bits)
 
-    arr = _to_mod_array(m, p)
-    nrows, ncols = arr.shape if arr.ndim == 2 else (0, 0)
-    if nrows == 0 or ncols == 0:
-        return 0
-    chunk = max(1, _CHUNK_ELEMS // ncols)
-
-    def eliminate(idx, col, row):
-        block = arr[idx, col:]
-        block -= arr[idx, col, None] * row
-        block %= p
-        arr[idx, col:] = block
-
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        rank = 0
-        for col in range(ncols):
-            if rank == nrows:
-                break
-            nz = np.nonzero(arr[rank:, col])[0]
-            if nz.size == 0:
-                continue
-            piv = rank + int(nz[0])
-            if piv != rank:
-                arr[[rank, piv]] = arr[[piv, rank]]
-            inv = pow(int(arr[rank, col]), p - 2, p)
-            row = arr[rank, col:] * inv % p
-            arr[rank, col:] = row
-            below = np.nonzero(arr[rank + 1:, col])[0] + rank + 1
-            step = chunk
-            if pool is not None and below.size:
-                step = min(chunk, -(-below.size // jobs))
-            chunks = [below[s:s + step] for s in range(0, below.size, step)]
-            if pool is not None and len(chunks) > 1:
-                list(pool.map(lambda idx: eliminate(idx, col, row), chunks))
-            else:
-                for idx in chunks:
-                    eliminate(idx, col, row)
-            rank += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    arr = m.to_numpy()
+    nrows, ncols = arr.shape
+    chunk = max(1, _CHUNK_ELEMS // max(ncols, 1))
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.nonzero(arr[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            arr[[rank, piv]] = arr[[piv, rank]]
+        inv = pow(int(arr[rank, col]), p - 2, p)
+        row = arr[rank, col:] * inv % p
+        arr[rank, col:] = row
+        below = np.nonzero(arr[rank + 1:, col])[0] + rank + 1
+        for s in range(0, below.size, chunk):
+            idx = below[s:s + chunk]
+            block = arr[idx, col:]
+            block -= arr[idx, col, None] * row
+            block %= p
+            arr[idx, col:] = block
+            del block  # freed before the next chunk is gathered
+        rank += 1
     return rank

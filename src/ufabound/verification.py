@@ -114,9 +114,10 @@ def _complement_rank(f: tables.PrefixTable) -> int:
     """Rational rank of f's complement matrix: 1 at (u, v) iff v is not in
     f(u).  For an ordered table it equals the layer rank."""
     full = full_mask(f.n)
-    rows = [[(~f.value(u) & full) >> v & 1 for v in range(1, f.n + 1)]
-            for u in range(1, f.n + 1)]
-    return exact_linalg.rank_exact(rows)
+    # 1-based state masks: shifting out bit 0 puts state v in column v - 1
+    bits = tuple((~fu & full) >> 1 for fu in f.values)
+    labels = tuple(range(f.n))
+    return exact_linalg.rank_exact(witness.BoolMatrix(labels, labels, f.n, bits))
 
 
 def check_layer_rank(n: int, level: str, rng: random.Random) -> CheckResult:

@@ -112,17 +112,11 @@ class BoolMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.bits[i] >> j & 1
 
-    def row_list(self, i: int) -> list[int]:
-        b = self.bits[i]
-        return [b >> j & 1 for j in range(self.cols)]
-
     def to_lists(self) -> list[list[int]]:
-        return [self.row_list(i) for i in range(self.rows)]
+        return [[b >> j & 1 for j in range(self.cols)] for b in self.bits]
 
     def to_numpy(self) -> np.ndarray:
         """The entries as an int64 array."""
-        if self.rows == 0 or self.cols == 0:
-            return np.zeros((self.rows, self.cols), dtype=np.int64)
         nbytes = (self.cols + 7) // 8
         raw = np.frombuffer(
             b"".join(b.to_bytes(nbytes, "little") for b in self.bits), dtype=np.uint8)
@@ -277,23 +271,29 @@ def _matrix_lines(m: BoolMatrix):
 
 
 def _read_matrix(lines: Iterable[str]) -> BoolMatrix:
-    # one line at a time; a wrong row count is reported before a bad row
-    lines = (ln.rstrip("\n") for ln in lines if ln.strip())
-    header = next(lines, None)
+    # one line at a time; blank lines are skipped, except that they are the
+    # rows of a matrix without columns; a wrong row count is reported
+    # before a bad row
+    lines = iter(lines)
+    header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
         raise ValueError("empty matrix file")
-    try:
-        rows, cols = map(int, header.split())
-    except ValueError:
-        raise ValueError("first line must be 'rows cols'") from None
+    fields = header.split()
+    # plain decimal digits: int() would also accept "-", "+" and "_"
+    if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError("first line must be 'rows cols'")
+    rows, cols = map(int, fields)
     bits, found, bad = [], 0, False
     for ln in lines:
+        ln = ln.rstrip("\n")
+        if cols and not ln.strip():
+            continue
         found += 1
         # checked before int(), which would also accept "_", "+" and spaces
         if bad or len(ln) != cols or set(ln) - {"0", "1"}:
             bad = True
         else:
-            bits.append(int(ln[::-1], 2))
+            bits.append(int(ln[::-1] or "0", 2))
     if found != rows:
         raise ValueError(f"expected {rows} rows, found {found}")
     if bad:

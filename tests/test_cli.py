@@ -143,6 +143,9 @@ def test_build_matrix_bytes_are_pinned(tmp_path, capsys, kind):
     for suffix, digest in MATRIX_FILE_DIGESTS[kind].items():
         path = tmp_path / ("m3" + suffix)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+    for field in (["--exact"], ["--mod", "2"]):
+        code, text, _ = run(capsys, "rank", "--in", str(out), *field)
+        assert code == 0 and text == "115\n", field
 
 
 # sha256 of the files build-matrix writes for K at n=4 (3451 x 17985)
@@ -194,13 +197,14 @@ def test_build_matrix_size_errors(tmp_path, capsys):
 
 
 def test_jobs_below_one_rejected(tmp_path, capsys):
+    # neither command has a --jobs option: rows are built and eliminated in
+    # one thread
     mat = tmp_path / "k.mat"
     run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))
-    code, out, err = run(capsys, "rank", "--in", str(mat), "--mod", "2", "--jobs", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "--jobs" in err
-    assert len(err.splitlines()) == 1
-    # build-matrix has no --jobs: rows are built in one thread
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--in", str(mat), "--mod", "2", "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--jobs" in err
     unwritten = tmp_path / "j0.mat"
     with pytest.raises(SystemExit) as exc:
         main(["build-matrix", "--n", "2", "--kind", "K", "--out", str(unwritten),

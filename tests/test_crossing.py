@@ -286,9 +286,9 @@ class TestVerifyOptimality:
             ys = random_strings(2, rng.randint(1, 8), 4, rng)
             report = verify_optimality(a, xs, ys)
             assert report.ok
-            assert (la.rank_exact(report.matrix.to_lists())
-                    == la.rank_exact(report.pruned.to_lists())
-                    == la.rank_exact(report.deduplicated.to_lists())
+            assert (la.rank_exact(report.matrix)
+                    == la.rank_exact(report.pruned)
+                    == la.rank_exact(report.deduplicated)
                     == report.rank)
             for i, f in enumerate(report.deduplicated.row_labels):
                 for j, g in enumerate(report.deduplicated.col_labels):

@@ -309,15 +309,18 @@ def read_text(tmp_path, text):
 class TestMatrixText:
     def test_round_trip(self, tmp_path):
         # all-zero, all-one, leading-zero and trailing-zero rows around the
-        # 64-bit word boundary
+        # 64-bit word boundary, and matrices without rows or columns (an
+        # r x 0 matrix is written as r empty row lines)
         ms = [build_M(2)]
         for w in (1, 63, 64, 65, 200):
             rows = (0, (1 << w) - 1, 1 << w - 1, 1, 0x5A5A5A5A5A5A5A5A5A5A % (1 << w))
             ms.append(BoolMatrix(tuple(range(len(rows))), tuple(range(w)), w, rows))
+        for r, w in ((0, 0), (0, 4), (1, 0), (2, 0), (5, 0)):
+            ms.append(BoolMatrix(tuple(range(r)), tuple(range(w)), w, (0,) * r))
         for m in ms:
             witness.save_matrix(m, str(tmp_path / "m.mat"))
             again = witness.load_matrix(str(tmp_path / "m.mat"))
-            assert again.bits == m.bits and again.cols == m.cols
+            assert (again.rows, again.cols, again.bits) == (m.rows, m.cols, m.bits)
 
     def test_format_shape(self, tmp_path):
         m = BoolMatrix(("r",), ("c1", "c2", "c3"), 3, (0b101,))
@@ -332,12 +335,19 @@ class TestMatrixText:
                 read_text(tmp_path, text)
 
     def test_load_reads_a_file_line_by_line(self, tmp_path):
-        # blank lines are skipped, line ends may be \r\n, every error has
-        # its own message, and a wrong row count is reported before a bad row
+        # blank lines are skipped (except as the rows of a matrix without
+        # columns), line ends may be \r\n, every error has its own message,
+        # and a wrong row count is reported before a bad row
         for text, want in (("1 3\n\n101\n", (0b101,)),
                            ("2 3\r\n101\r\n  \r\n011\r\n", (0b101, 0b110)),
+                           ("2 0\n\n\n", (0, 0)), ("2 0\n\n\n\n", "expected 2 rows, found 3"),
                            ("", "empty matrix file"), ("\n \n", "empty matrix file"),
                            ("x 3\n101\n", "first line must be 'rows cols'"),
+                           ("-1 3\n", "first line must be 'rows cols'"),
+                           ("0 -3\n", "first line must be 'rows cols'"),
+                           ("+1 3\n101\n", "first line must be 'rows cols'"),
+                           ("1_0 3\n101\n", "first line must be 'rows cols'"),
+                           ("1 3 3\n101\n", "first line must be 'rows cols'"),
                            ("3 3\n101\n", "expected 3 rows, found 1"),
                            ("1 3\n1x1\n111\n", "expected 1 rows, found 2"),
                            ("2 3\n1x1\n111\n", WIDTH_ERROR),
