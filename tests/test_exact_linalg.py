@@ -117,10 +117,18 @@ def test_rank_mod_p_basics():
     assert rank_exact(m) == 3
     assert rank_mod_p(m, 2) == 2
     assert rank_mod_p(m, 3) == 3
-    # the same matrix from raw row ints: bit j is column j
-    raw = BoolMatrix(("a", "b", "c"), ("x", "y", "z"), 3, (0b011, 0b110, 0b101))
-    assert raw.bits == m.bits
-    assert rank_mod_p(raw, 2) == 2 and rank_exact(raw) == 3
+
+
+def test_rank_mod_p_accepts_numpy_and_packed():
+    # numpy arrays and lists are no longer inputs; the packed part stays: a
+    # BoolMatrix built from raw row ints (bit j is column j) ranks like the
+    # same 0/1 rows
+    rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    raw = BoolMatrix(("a", "b", "c"), ("x", "y", "z"), 3, (0b101, 0b110, 0b011))
+    assert raw.bits == packed(rows).bits
+    assert rank_mod_p(raw, 5) == rank_mod_p_oracle(rows, 5) == 3
+    assert rank_mod_p(raw, 2) == rank_mod_p_oracle(rows, 2) == 2
+    assert rank_exact(raw) == rank_fraction_oracle(rows) == 3
 
 
 def test_rank_mod_p_rejects_composite():
