@@ -11,9 +11,12 @@ looping computations never contribute.  One search of that graph,
 :func:`_reach`, serves both acceptance and the crossing profiles of
 :mod:`ufabound.crossing`.  It runs many tapes at once, bit-sliced over
 them: a tape is a lane, and per position and state the search keeps the
-int of the lanes that reach it.  :func:`_layout` lays out the tapes
-prefixes[i]·suffixes[j] around one split position, and
-:func:`concatenation_bits` decides every such word in one search.
+int of the lanes that reach it.  Expanding a position costs one AND per
+move of the automaton, however many letters the position holds.
+:func:`_layout` stacks grids of tapes prefixes[i]·suffixes[j] around one
+split position, and :func:`_search` runs several such grids, each with
+its own seeds and readout, as one search; :func:`concatenation_bits`
+is its one-grid case that decides every word xs[i]·ys[j].
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -88,27 +91,31 @@ def _check_word(a: TwoWayNfa, word: Sequence[int]) -> None:
             raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
 
 
-def _layout(prefixes: Sequence[Sequence[int]], suffixes: Sequence[Sequence[int]]):
-    """The tapes prefixes[i] + suffixes[j] as lanes i·C + j, C = len(suffixes).
+def _layout(grids: Sequence[tuple]):
+    """Stack the grids (prefixes, suffixes, ...) in lane space around one split.
 
-    Returns ``(cells, split, rep)``: ``cells[p]`` lists the (symbol, lanes)
-    pairs of position p, every prefix ends just before ``split`` and every
-    suffix starts at it, and ``rep`` has one bit at the start of each row,
-    so suffix j's lanes are ``rep << j``.  Positions 0 and ``len(cells) - 1``
-    are padding, with no cells.
+    The tape prefixes[i] + suffixes[j] of grid g is lane offsets[g] + i·C + j,
+    C = len(suffixes).  Returns ``(cells, split, offsets)``: ``cells[p]``
+    lists the (symbol, lanes) pairs of position p, every prefix ends just
+    before ``split`` and every suffix starts at it.  Positions 0 and
+    ``len(cells) - 1`` are padding, with no cells.
     """
-    cols = len(suffixes)
-    split = 1 + max(map(len, prefixes), default=0)
-    cells: list[dict[int, int]] = [
-        {} for _ in range(split + max(map(len, suffixes), default=0) + 1)]
-    rep = sum(1 << i * cols for i in range(len(prefixes)))
-    for i, x in enumerate(prefixes):
-        for p, c in enumerate(x, start=split - len(x)):
-            cells[p][c] = cells[p].get(c, 0) | ((1 << cols) - 1) << i * cols
-    for j, y in enumerate(suffixes):
-        for p, c in enumerate(y, start=split):
-            cells[p][c] = cells[p].get(c, 0) | rep << j
-    return [list(cell.items()) for cell in cells], split, rep
+    split = 1 + max((len(x) for xs, *_ in grids for x in xs), default=0)
+    width = max((len(y) for _, ys, *_ in grids for y in ys), default=0)
+    cells: list[dict[int, int]] = [{} for _ in range(split + width + 1)]
+    offsets, offset = [], 0
+    for xs, ys, *_ in grids:
+        cols = len(ys)
+        rep = sum(1 << i * cols for i in range(len(xs))) << offset
+        for i, x in enumerate(xs):
+            for p, c in enumerate(x, start=split - len(x)):
+                cells[p][c] = cells[p].get(c, 0) | ((1 << cols) - 1) << offset + i * cols
+        for j, y in enumerate(ys):
+            for p, c in enumerate(y, start=split):
+                cells[p][c] = cells[p].get(c, 0) | rep << j
+        offsets.append(offset)
+        offset += len(xs) * cols
+    return [list(cell.items()) for cell in cells], split, offsets
 
 
 def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
@@ -116,18 +123,24 @@ def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
     """The lanes of a :func:`_layout` that reach each configuration from
     the (position, state, lanes) ``seeds``: ``at[p][q]`` is their int.
 
-    Sweeps left to right, then right to left and so on, expanding only the
-    newly reached lanes of each (position, state), until a sweep reaches
-    nothing new.  A head that leaves its fragment lands in the padding,
-    where the callers read the exits; a right move off the right marker
-    is dropped.  Private, so that ``bench/tracer.py`` does not wrap it.
+    Each position first gets its move masks: ``masks[p][q]`` maps every
+    move (t, d) from state q on a letter there to the OR of the lanes whose
+    letter allows it, so an expansion costs one AND per move however many
+    letters the position has.  Sweeps left to right, then right to left
+    and so on, expanding only the newly reached lanes of each (position,
+    state), until a sweep reaches nothing new.  A head that leaves its
+    fragment lands in the padding, where the callers read the exits; a
+    right move off the right marker is dropped.  Private, so that
+    ``bench/tracer.py`` does not wrap it.
     """
     n = a.state_count
-    steps = {c: [a.moves(q, c) for q in range(n)]
-             for c in {c for cell in cells for c, _ in cell}}
-    if RIGHT_MARKER in steps:
-        steps[RIGHT_MARKER] = [[(t, d) for t, d in moves if d < 0]
-                               for moves in steps[RIGHT_MARKER]]
+    masks = [[{} for _ in range(n)] for _ in cells]
+    for cell, mask in zip(cells, masks):
+        for c, lanes in cell:
+            for q, moves in enumerate(mask):
+                for move in a.transitions.get((q, c), ()):
+                    if c != RIGHT_MARKER or move[1] < 0:
+                        moves[move] = moves.get(move, 0) | lanes
     at = [[0] * n for _ in cells]
     fresh = [[0] * n for _ in cells]
     for p, q, lanes in seeds:
@@ -138,52 +151,67 @@ def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
     while moved:
         moved = False
         for p in sweep:
-            new, union = fresh[p], 0
-            for lanes in new:
-                union |= lanes
-            if not union:
+            new = fresh[p]
+            if not any(new):
                 continue
             moved = True
             fresh[p] = [0] * n
-            for c, has in cells[p]:
-                if has & union:
-                    for lanes, moves in zip(new, steps[c]):
-                        lanes &= has
+            for reached, moves in zip(new, masks[p]):
+                if reached:
+                    for (t, d), allowed in moves.items():
+                        lanes = reached & allowed
                         if lanes:
-                            for t, d in moves:
-                                grown = lanes & ~at[p + d][t]
-                                if grown:
-                                    at[p + d][t] |= grown
-                                    fresh[p + d][t] |= grown
+                            grown = lanes & ~at[p + d][t]
+                            if grown:
+                                at[p + d][t] |= grown
+                                fresh[p + d][t] |= grown
         sweep = forward[::-1] if sweep is forward else forward
     return at
 
 
-def _accepted(a: TwoWayNfa, cells, at: list[list[int]]) -> int:
-    # the lanes that reach their right marker in an accepting state
-    out = 0
+def _search(a: TwoWayNfa, grids: Sequence[tuple]) -> list:
+    """Every grid's result, from one :func:`_reach` over their stacked lanes.
+
+    A grid is (prefixes, suffixes, seeds, read) in its own lanes i·C + j:
+    ``seeds`` are (position relative to the split, state, lanes), and
+    ``read(right, left, accepted)`` gives its result from the states' lanes
+    just after the split, those just before it and the lanes that reach
+    their right marker in an accepting state.
+    """
+    cells, split, offsets = _layout(grids)
+    at = _reach(a, cells, [(split + p, q, lanes << offset)
+                           for (_, _, seeds, _), offset in zip(grids, offsets)
+                           for p, q, lanes in seeds])
+    accepted = 0
     for cell, states in zip(cells, at):
         for c, lanes in cell:
             if c == RIGHT_MARKER:
                 for q in a.accepting:
-                    out |= states[q] & lanes
-    return out
+                    accepted |= states[q] & lanes
+    return [read([lanes >> offset for lanes in at[split]],
+                 [lanes >> offset for lanes in at[split - 1]], accepted >> offset)
+            for (_, _, _, read), offset in zip(grids, offsets)]
+
+
+def _concatenation_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]],
+                        ys: Sequence[Sequence[int]]) -> tuple:
+    """The words ⊢ xs[i] ys[j] ⊣ from the initial configuration, read as
+    one int per row with bit j for ys[j]."""
+    for word in (*xs, *ys):
+        _check_word(a, word)
+    cols = len(ys)
+    row = (1 << cols) - 1
+    return ([(LEFT_MARKER, *x) for x in xs], [(*y, RIGHT_MARKER) for y in ys],
+            [(-1 - len(x), q, row << i * cols) for i, x in enumerate(xs) for q in a.initial],
+            lambda right, left, accepted: [accepted >> i * cols & row
+                                           for i in range(len(xs))])
 
 
 def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                        ys: Sequence[Sequence[int]]) -> list[int]:
     """Acceptance of every word xs[i] + ys[j], in one search: row i of the
     result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
-    for word in (*xs, *ys):
-        _check_word(a, word)
-    cols = len(ys)
-    row = (1 << cols) - 1
-    cells, split, _ = _layout([(LEFT_MARKER, *x) for x in xs],
-                              [(*y, RIGHT_MARKER) for y in ys])
-    at = _reach(a, cells, [(split - 1 - len(x), q, row << i * cols)
-                           for i, x in enumerate(xs) for q in a.initial])
-    accepted = _accepted(a, cells, at)
-    return [accepted >> i * cols & row for i in range(len(xs))]
+    return _search(a, [_concatenation_grid(a, xs, ys)])[0]
 
 
 def twonfa_accepts(a: TwoWayNfa, word: Sequence[int]) -> bool:

@@ -9,11 +9,14 @@ states from which it can go on to accept.  The resulting concatenation
 matrix over chosen prefix and suffix sets can then be compared, entry by
 entry and in rank, against the universal acceptance matrix.
 
-Each family of strings is profiled in one lane-parallel search
-(:func:`ufabound.automata._reach`), one lane per string and starting
+Profiles are read from lane-parallel searches
+(:func:`ufabound.automata._search`), one lane per string and starting
 configuration.  The concatenation matrix simulates every concatenated
 word as a lane of its own, so its entries never come from the tables
-they are compared against.
+they are compared against.  :func:`verify_optimality` lays out the
+concatenated words, the prefixes and the suffixes as three grids of one
+search; :func:`schmidt_matrix`, :func:`prefix_profiles` and
+:func:`suffix_profiles` are its one-grid cases.
 
 Profiles and tables here use 1-based state indices (state q_i of the
 automaton is index i = internal id + 1), matching :mod:`ufabound.tables`.
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact_linalg
-from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _accepted, _layout,
-                       _reach, concatenation_bits)
+from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenation_grid,
+                       _search, concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
 from .statesets import full_mask
 from .tables import PrefixTable, SuffixTable
@@ -42,9 +45,8 @@ def _lane_mask(states: Sequence[int], lane: int) -> int:
     return mask
 
 
-def prefix_profiles(a: TwoWayNfa, xs: Sequence[Sequence[int]]
-                    ) -> list[tuple[int, tuple[int, ...]]]:
-    """:func:`prefix_profile` of every string of ``xs``, in one search.
+def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
+    """:func:`prefix_profiles` as a grid of :func:`ufabound.automata._search`.
 
     Lane (i, k) runs on ``⊢ xs[i]``: k = 0 from the initial
     configuration, k = q + 1 re-entering the last position in state q.
@@ -52,34 +54,49 @@ def prefix_profiles(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     """
     n = a.state_count
     cols = n + 1
-    cells, split, rep = _layout([(LEFT_MARKER, *x) for x in xs], [()] * cols)
-    seeds = [(split - 1 - len(x), q, 1 << i * cols)
-             for i, x in enumerate(xs) for q in a.initial]
-    seeds += [(split - 1, q, rep << q + 1) for q in range(n)]
-    exits = _reach(a, cells, seeds)[split]
-    return [(_lane_mask(exits, i * cols),
-             tuple(_lane_mask(exits, i * cols + k) for k in range(1, cols)))
-            for i in range(len(xs))]
+    rep = sum(1 << i * cols for i in range(len(xs)))
+    seeds = [(-1 - len(x), q, 1 << i * cols) for i, x in enumerate(xs) for q in a.initial]
+    seeds += [(-1, q, rep << q + 1) for q in range(n)]
+
+    def read(right, left, accepted):
+        return [(_lane_mask(right, i * cols),
+                 tuple(_lane_mask(right, i * cols + k) for k in range(1, cols)))
+                for i in range(len(xs))]
+
+    return [(LEFT_MARKER, *x) for x in xs], [()] * cols, seeds, read
+
+
+def _suffix_grid(a: TwoWayNfa, ys: Sequence[Sequence[int]]) -> tuple:
+    """:func:`suffix_profiles` as a grid of :func:`ufabound.automata._search`.
+
+    Lane (q, j) runs on ``ys[j] ⊣`` from state q at its first position.
+    The lanes that leave leftwards land just before the split, where they
+    are read, and so is acceptance.
+    """
+    n = a.state_count
+    cols = len(ys)
+    row = (1 << cols) - 1
+
+    def read(right, left, accepted):
+        accepted = [accepted >> q * cols for q in range(n)]
+        return [(_lane_mask(accepted, j),
+                 tuple(_lane_mask(left, q * cols + j) for q in range(n)))
+                for j in range(cols)]
+
+    return ([()] * n, [(*y, RIGHT_MARKER) for y in ys],
+            [(0, q, row << q * cols) for q in range(n)], read)
+
+
+def prefix_profiles(a: TwoWayNfa, xs: Sequence[Sequence[int]]
+                    ) -> list[tuple[int, tuple[int, ...]]]:
+    """:func:`prefix_profile` of every string of ``xs``, in one search."""
+    return _search(a, [_prefix_grid(a, xs)])[0]
 
 
 def suffix_profiles(a: TwoWayNfa, ys: Sequence[Sequence[int]]
                     ) -> list[tuple[int, tuple[int, ...]]]:
-    """:func:`suffix_profile` of every string of ``ys``, in one search.
-
-    Lane (q, j) runs on ``ys[j] ⊣`` from state q at its first position.
-    The lanes that leave leftwards land just before the split, where they
-    are read, and acceptance is read on the right-marker cells.
-    """
-    n = a.state_count
-    cols = len(ys)
-    cells, split, _ = _layout([()] * n, [(*y, RIGHT_MARKER) for y in ys])
-    at = _reach(a, cells, [(split, q, ((1 << cols) - 1) << q * cols)
-                           for q in range(n)])
-    accepted = [_accepted(a, cells, at) >> q * cols for q in range(n)]
-    exits = at[split - 1]
-    return [(_lane_mask(accepted, j),
-             tuple(_lane_mask(exits, q * cols + j) for q in range(n)))
-            for j in range(cols)]
+    """:func:`suffix_profile` of every string of ``ys``, in one search."""
+    return _search(a, [_suffix_grid(a, ys)])[0]
 
 
 def prefix_profile(a: TwoWayNfa, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -104,22 +121,29 @@ def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]
     return suffix_profiles(a, [y])[0]
 
 
+def _prefix_tables(n: int, profiles) -> list[Optional[PrefixTable]]:
+    return [PrefixTable(n, tuple(s_x | t_q for t_q in t)) if s_x else None
+            for s_x, t in profiles]
+
+
+def _suffix_tables(n: int, profiles) -> list[Optional[SuffixTable]]:
+    return [SuffixTable(n, tuple(full_mask(n) if a_y >> q & 1 else t_q
+                                 for q, t_q in enumerate(t_prime, start=1)), a_y)
+            if a_y else None for a_y, t_prime in profiles]
+
+
 def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
                      ) -> list[Optional[PrefixTable]]:
     """The prefix table induced by each string of ``xs``, or None when
     nothing can leave the prefix (the matrix row is then all zero anyway)."""
-    return [PrefixTable(a.state_count, tuple(s_x | t_q for t_q in t)) if s_x else None
-            for s_x, t in prefix_profiles(a, xs)]
+    return _prefix_tables(a.state_count, prefix_profiles(a, xs))
 
 
 def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
                      ) -> list[Optional[SuffixTable]]:
     """The suffix table induced by each string of ``ys``, or None when
     acceptance is unreachable (the matrix column is then all zero anyway)."""
-    n = a.state_count
-    return [SuffixTable(n, tuple(full_mask(n) if a_y >> q & 1 else t_q
-                                 for q, t_q in enumerate(t_prime, start=1)), a_y)
-            if a_y else None for a_y, t_prime in suffix_profiles(a, ys)]
+    return _suffix_tables(a.state_count, suffix_profiles(a, ys))
 
 
 def prefix_table_of(a: TwoWayNfa, x: Sequence[int]) -> Optional[PrefixTable]:
@@ -178,15 +202,22 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     """Check that the concatenation matrix never out-ranks the closed-form
     bound, through the chain of rank-preserving reductions.
 
+    The matrix and the crossing profiles of ``xs`` and ``ys`` come from one
+    search, with one grid of lanes each.
+
     The matrix is pruned of rows and columns with empty crossing profiles
     (those must be all zero), then deduplicated by induced table; the
     deduplicated entries must agree with the universal acceptance matrix,
     and all three ranks must coincide and stay within the bound.
     """
     n = a.state_count
-    matrix = schmidt_matrix(a, xs, ys)
-    fx = prefix_tables_of(a, matrix.row_labels)
-    gy = suffix_tables_of(a, matrix.col_labels)
+    xs = tuple(tuple(x) for x in xs)
+    ys = tuple(tuple(y) for y in ys)
+    bits, prefixes, suffixes = _search(
+        a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs), _suffix_grid(a, ys)])
+    matrix = BoolMatrix(xs, ys, len(ys), tuple(bits))
+    fx = _prefix_tables(n, prefixes)
+    gy = _suffix_tables(n, suffixes)
 
     keep_rows = [i for i, f in enumerate(fx) if f is not None]
     keep_cols = [j for j, g in enumerate(gy) if g is not None]

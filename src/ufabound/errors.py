@@ -16,7 +16,8 @@ ENUMERATION_MAX_N = 4
 BIJECTION_MAX_N = 5
 # fraction-free elimination runs on Python ints, one per matrix entry
 RANK_EXACT_MAX_ENTRIES = 10**7
-# primes must stay below this so that products of two residues fit in int64
+# primes must stay below this so that residues fit in int32 and products of
+# two residues in int64
 MOD_P_LIMIT = 2**31
 # the CLI prints numbers in full, and Python converts at most 4300 digits
 # of an int to a string: count(816) has 4,306 digits and table1's row 121

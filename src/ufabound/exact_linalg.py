@@ -16,10 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MOD_P_LIMIT, RANK_EXACT_MAX_ENTRIES, CapacityError
-from .witness import BoolMatrix
-
-# rows per chunk in the mod-p update; caps temporary allocations
-_CHUNK_ELEMS = 4_000_000
+from .witness import CHUNK_ELEMS, BoolMatrix
 
 
 def rank_exact(m: BoolMatrix) -> int:
@@ -112,9 +109,12 @@ def rank_mod_p(m: BoolMatrix, p: int) -> int:
     if p == 2:
         return _rank_mod_2(m.bits)
 
+    # residues are stored in int32 and widened to int64 only in the pivot row
+    # and the chunk being reduced: a product of two residues needs 62 bits,
+    # and NumPy keeps int32 * int in int32, where it would wrap silently
     arr = m.to_numpy()
     nrows, ncols = arr.shape
-    chunk = max(1, _CHUNK_ELEMS // max(ncols, 1))
+    chunk = max(1, CHUNK_ELEMS // max(ncols, 1))
     rank = 0
     for col in range(ncols):
         if rank == nrows:
@@ -126,15 +126,16 @@ def rank_mod_p(m: BoolMatrix, p: int) -> int:
         if piv != rank:
             arr[[rank, piv]] = arr[[piv, rank]]
         inv = pow(int(arr[rank, col]), p - 2, p)
-        row = arr[rank, col:] * inv % p
+        row = arr[rank, col:].astype(np.int64) * inv % p
         arr[rank, col:] = row
         below = np.nonzero(arr[rank + 1:, col])[0] + rank + 1
         for s in range(0, below.size, chunk):
             idx = below[s:s + chunk]
-            block = arr[idx, col:]
-            block -= arr[idx, col, None] * row
+            narrow = arr[idx, col:]
+            block = narrow[:, :1].astype(np.int64) * row
+            np.subtract(narrow, block, out=block)
             block %= p
             arr[idx, col:] = block
-            del block  # freed before the next chunk is gathered
+            del narrow, block  # freed before the next chunk is gathered
         rank += 1
     return rank

@@ -19,9 +19,11 @@ from . import automata, combinatorics, crossing, exact_linalg, tables, witness
 from .statesets import elements, full_mask
 
 MERSENNE_PRIME = 2**31 - 1
-# words simulated per search in the entry check: one search over all
-# 10,000 sampled words would hold ints of that many lanes per configuration
-SIMULATION_CHUNK = 250
+# sampled rows per search in the entry check: each search simulates its rows
+# times every sampled column (217 at n = 3), and its layout holds one int of
+# all those lanes per letter; one search over all 133 rows of M would raise
+# the check's peak memory by about 1.5 MB
+ENTRY_BLOCK_ROWS = 32
 
 
 class CheckResult(NamedTuple):
@@ -64,22 +66,35 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
     size = min(n, 3)
     m = witness.build_M(size)
     if n <= 2:
-        pairs = [(i, j) for i in range(m.rows) for j in range(m.cols)]
+        pairs = itertools.product(range(m.rows), range(m.cols))
     else:
         count = 10_000 if level == "full" else 500
-        pairs = [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(count)]
+        pairs = ((rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(count))
+    # the pairs kept as two byte strings of indices, which fit in a byte as M
+    # has 133 rows and 217 columns at size 3: 10,000 tuples would take about
+    # 30 times the memory
+    pair_rows, pair_cols = bytearray(), bytearray()
+    for i, j in pairs:
+        pair_rows.append(i)
+        pair_cols.append(j)
+    rows, cols = sorted(set(pair_rows)), sorted(set(pair_cols))
     automaton = witness.WitnessAutomaton(size, m.row_labels, m.col_labels)
-    # each pair's word is one lane of a search over a chunk of the pairs
-    for start in range(0, len(pairs), SIMULATION_CHUNK):
-        chunk = pairs[start:start + SIMULATION_CHUNK]
-        words = [automaton.word(m.row_labels[i], m.col_labels[j]) for i, j in chunk]
-        bits = automata.concatenation_bits(automaton.nfa, words, [()])
-        for (i, j), simulated in zip(chunk, bits):
-            if m.entry(i, j) != simulated:
-                return CheckResult(name, False,
-                                   f"entry {m.entry(i, j)}, simulation {simulated} "
-                                   f"on {m.row_labels[i]}, {m.col_labels[j]}")
-    return CheckResult(name, True, f"{len(pairs)} pairs")
+    # the sampled rows times the sampled columns, one lane per word: a
+    # pair's word is two letters of its row and one of its column
+    col_words = [automaton.word(m.row_labels[0], m.col_labels[j])[2:] for j in cols]
+    simulated = {}
+    for first in range(0, len(rows), ENTRY_BLOCK_ROWS):
+        block = rows[first:first + ENTRY_BLOCK_ROWS]
+        row_words = [automaton.word(m.row_labels[i], m.col_labels[0])[:2] for i in block]
+        simulated.update(zip(block, automata.concatenation_bits(
+            automaton.nfa, row_words, col_words)))
+    column = {j: k for k, j in enumerate(cols)}
+    for i, j in zip(pair_rows, pair_cols):
+        bit = simulated[i] >> column[j] & 1
+        if m.entry(i, j) != bit:
+            return CheckResult(name, False, f"entry {m.entry(i, j)}, simulation {bit} "
+                               f"on {m.row_labels[i]}, {m.col_labels[j]}")
+    return CheckResult(name, True, f"{len(pair_rows)} pairs")
 
 
 def check_augmentation_identity(n: int, level: str, rng: random.Random) -> CheckResult:

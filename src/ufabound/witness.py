@@ -85,6 +85,11 @@ class WitnessAutomaton:
 # ---------------------------------------------------------------------------
 # acceptance matrices
 
+# elements per chunk of the numpy temporaries made from a whole matrix, in
+# BoolMatrix.to_numpy and in the GF(p) elimination
+CHUNK_ELEMS = 1_000_000
+
+
 @dataclass(frozen=True)
 class BoolMatrix:
     """A dense 0/1 matrix with labelled rows and columns.
@@ -116,13 +121,18 @@ class BoolMatrix:
         return [[b >> j & 1 for j in range(self.cols)] for b in self.bits]
 
     def to_numpy(self) -> np.ndarray:
-        """The entries as an int64 array."""
+        """The entries as an int32 array, unpacked a chunk of rows at a time
+        so that no wider copy of the whole matrix is ever held."""
+        out = np.empty((self.rows, self.cols), dtype=np.int32)
         nbytes = (self.cols + 7) // 8
-        raw = np.frombuffer(
-            b"".join(b.to_bytes(nbytes, "little") for b in self.bits), dtype=np.uint8)
-        unpacked = np.unpackbits(raw.reshape(self.rows, nbytes),
-                                 axis=1, bitorder="little")[:, :self.cols]
-        return unpacked.astype(np.int64)
+        step = max(1, CHUNK_ELEMS // max(self.cols, 1))
+        for start in range(0, self.rows, step):
+            chunk = self.bits[start:start + step]
+            raw = np.frombuffer(
+                b"".join(b.to_bytes(nbytes, "little") for b in chunk), dtype=np.uint8)
+            out[start:start + len(chunk)] = np.unpackbits(
+                raw.reshape(len(chunk), nbytes), axis=1, bitorder="little")[:, :self.cols]
+        return out
 
     def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
         col_idx = list(col_idx)

@@ -3,13 +3,15 @@ import random
 
 from conftest import (closure_exits, configurations, dfs_two_way_accepts,
                       oracle_prefix_profile, oracle_suffix_profile)
-from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _layout,
-                               _reach, concatenation_bits, twonfa_accepts)
+from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenation_grid,
+                               _layout, _reach, _search, concatenation_bits,
+                               twonfa_accepts)
 from ufabound.combinatorics import enumerate_ordered_prefix_tables
-from ufabound.crossing import (prefix_profile, prefix_profiles, prefix_table_of,
+from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_profile,
+                               prefix_profiles, prefix_table_of, prefix_tables_of,
                                random_campaign_report, random_strings,
-                               random_two_way_nfa, schmidt_matrix,
-                               suffix_profile, suffix_profiles, suffix_table_of,
+                               random_two_way_nfa, schmidt_matrix, suffix_profile,
+                               suffix_profiles, suffix_table_of, suffix_tables_of,
                                verify_optimality)
 from ufabound.statesets import full_mask, mask_of
 from ufabound.tables import enumerate_prefix_tables, enumerate_suffix_tables
@@ -87,7 +89,7 @@ class TestProfiles:
             tape = [LEFT_MARKER, *word, RIGHT_MARKER]
             # one lane: the tape fills the positions between the two padding
             # positions, where the exits would land
-            cells, _, _ = _layout([tape], [()])
+            cells, _, _ = _layout([([tape], [()])])
             exit_left, *at, exit_right = [
                 mask_of(q + 1 for q, lanes in enumerate(states) if lanes & 1)
                 for states in _reach(a, cells, [(1, 0, 1)])]
@@ -175,6 +177,57 @@ class TestLaneSearch:
                 exits_seen += sum(bool(p[0]) + any(p[1]) for p in prefixes)
                 exits_seen += sum(bool(s[0]) + any(s[1]) for s in suffixes)
         assert exits_seen > 200  # the exit masks are not vacuously empty
+
+    def test_letters_sharing_moves(self, sparse_two_way_nfa):
+        # 40 letters, each with the moves of one of six base letters, so that
+        # several letters at one position allow the same move
+        rng = random.Random(10)
+        outcomes, exits_seen = set(), 0
+        for states in (1, 2, 3, 4, 6):
+            base = sparse_two_way_nfa(states, 6, rng)
+            copies = [rng.randrange(6) for _ in range(40)]
+            trans = {(q, c): base.moves(q, b)
+                     for q in range(states) for c, b in enumerate(copies)}
+            trans.update({(q, c): base.moves(q, c) for q in range(states)
+                          for c in (LEFT_MARKER, RIGHT_MARKER)})
+            a = TwoWayNfa(states, 40, base.initial, trans, base.accepting)
+            xs = ragged(40, 16, 4, rng)
+            ys = ragged(40, 16, 4, rng)
+            bits = concatenation_bits(a, xs, ys)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    want = dfs_two_way_accepts(a, x + y)
+                    assert bits[i] >> j & 1 == want, (states, x, y)
+                    outcomes.add(want)
+            prefixes = prefix_profiles(a, xs)
+            suffixes = suffix_profiles(a, ys)
+            assert prefixes == [oracle_prefix_profile(a, x) for x in xs]
+            assert suffixes == [oracle_suffix_profile(a, y) for y in ys]
+            exits_seen += sum(bool(p[0]) + any(p[1]) for p in prefixes)
+            exits_seen += sum(bool(s[0]) + any(s[1]) for s in suffixes)
+        assert outcomes == {False, True}
+        assert exits_seen > 50  # the exit masks are not vacuously empty
+
+    def test_one_search_equals_the_one_family_searches(self, sparse_two_way_nfa):
+        # verify_optimality's three grids in one search, against each family
+        # searched alone, with empty families on either side
+        rng = random.Random(11)
+        for states in (1, 2, 3, 5, 9):
+            for alphabet in (1, 2, 4):
+                a = (random_two_way_nfa(states, alphabet, rng) if states <= 3
+                     else sparse_two_way_nfa(states, alphabet, rng))
+                for rows, cols in ((7, 5), (1, 9), (0, 4), (6, 0), (0, 0)):
+                    xs = ragged(alphabet, rows, 4, rng) if rows else []
+                    ys = ragged(alphabet, cols, 4, rng) if cols else []
+                    alone = [concatenation_bits(a, xs, ys), prefix_profiles(a, xs),
+                             suffix_profiles(a, ys)]
+                    assert _search(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
+                                       _suffix_grid(a, ys)]) == alone
+                    report = verify_optimality(a, xs, ys)
+                    assert report.matrix == schmidt_matrix(a, xs, ys)
+                    keep_rows = [i for i, f in enumerate(prefix_tables_of(a, xs)) if f]
+                    keep_cols = [j for j, g in enumerate(suffix_tables_of(a, ys)) if g]
+                    assert report.pruned == report.matrix.select(keep_rows, keep_cols)
 
     def test_empty_families(self):
         a = forward_only()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ufabound import exact_linalg
 from ufabound.errors import CapacityError
 from ufabound.exact_linalg import rank_exact, rank_mod_p
 from ufabound.witness import BoolMatrix
@@ -185,5 +186,16 @@ def test_rank_mod_odd_p_against_elimination_oracle():
     rng = random.Random(6)
     for _ in range(300):
         rows = random_rows(rng, rng.randint(1, 12), rng.randint(1, 12))
-        for p in (3, 7):
+        # at 2^31 - 1 the residues fill int32 and their products need int64
+        for p in (3, 7, 2**31 - 1):
+            assert rank_mod_p(packed(rows), p) == rank_mod_p_oracle(rows, p)
+
+
+def test_rank_mod_p_reduces_in_chunks_of_rows(monkeypatch):
+    # one or two rows per chunk of the update below each pivot
+    monkeypatch.setattr(exact_linalg, "CHUNK_ELEMS", 20)
+    rng = random.Random(12)
+    for _ in range(100):
+        rows = random_rows(rng, rng.randint(1, 12), 10)
+        for p in (3, 2**31 - 1):
             assert rank_mod_p(packed(rows), p) == rank_mod_p_oracle(rows, p)

@@ -40,33 +40,44 @@ def test_orderedness_disagreement_fails(monkeypatch):
 
 
 def test_entry_simulation_disagreement_fails(monkeypatch):
-    # the check reads its simulation from one batched search per chunk
+    # the check reads its simulation from one batched search per block of rows
     monkeypatch.setattr(automata, "concatenation_bits", lambda a, xs, ys: [0] * len(xs))
     r = verification.check_entry_simulation_agreement(2, "full", random.Random(0))
     assert not r.ok and "simulation 0" in r.detail
 
 
 def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
-    # a fault only in the second chunk's search: the report names that
-    # chunk's first pair, the 251st draw of the seeded sample
-    real = automata.concatenation_bits
-    calls = []
-
-    def second_chunk_inverted(a, xs, ys):
-        calls.append(len(xs))
-        bits = real(a, xs, ys)
-        return [1 - b for b in bits] if len(calls) == 2 else bits
-
-    monkeypatch.setattr(automata, "concatenation_bits", second_chunk_inverted)
-    r = verification.check_entry_simulation_agreement(3, "full", random.Random(0))
+    # faults in the grid cells of the 251st draw of the seeded sample and of
+    # a later draw on a lower row, which a scan in grid order would meet
+    # first: the report names the 251st draw, the first failing pair in
+    # sample order
     m = witness.build_M(3)
     rng = random.Random(0)
-    i, j = [(rng.randrange(m.rows), rng.randrange(m.cols))
-            for _ in range(verification.SIMULATION_CHUNK + 1)][-1]
+    sample = [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(10_000)]
+    i, j = sample[250]
+    later = next(pair for pair in reversed(sample[251:])
+                 if pair[0] < i and pair not in sample[:251])
+    aut = witness.WitnessAutomaton(3, m.row_labels, m.col_labels)
+    words = [aut.word(m.row_labels[r], m.col_labels[c]) for r, c in ((i, j), later)]
+    faults = {(tuple(w[:2]), tuple(w[2:])) for w in words}
+    real = automata.concatenation_bits
+    flipped = []
+
+    def cells_flipped(a, xs, ys):
+        bits = real(a, xs, ys)
+        for r, x in enumerate(xs):
+            for c, y in enumerate(ys):
+                if (tuple(x), tuple(y)) in faults:
+                    bits[r] ^= 1 << c
+                    flipped.append((x, y))
+        return bits
+
+    monkeypatch.setattr(automata, "concatenation_bits", cells_flipped)
+    r = verification.check_entry_simulation_agreement(3, "full", random.Random(0))
+    assert len(flipped) == 2
     assert not r.ok
     assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
-    assert calls == [verification.SIMULATION_CHUNK] * 2
 
 
 def test_layer_rank_disagreement_fails(monkeypatch):

@@ -379,9 +379,17 @@ class TestBoolMatrix:
         assert sub.to_lists() == [[1, 0]]
         assert sub.row_labels == ("b",) and sub.col_labels == ("x", "z")
 
-    def test_to_numpy_matches_lists(self):
+    def test_to_numpy_matches_lists(self, monkeypatch):
         m = build_M(2)
         assert m.to_numpy().tolist() == m.to_lists()
+        # two rows per unpacked chunk, the last one shorter
+        monkeypatch.setattr(witness, "CHUNK_ELEMS", 2 * m.cols + 1)
+        arr = m.to_numpy()
+        assert arr.dtype == np.int32 and arr.tolist() == m.to_lists()
+        for shape in ((0, 0), (0, 5), (3, 0)):
+            empty = BoolMatrix(tuple(range(shape[0])), tuple(range(shape[1])),
+                               shape[1], (0,) * shape[0])
+            assert empty.to_numpy().shape == shape
 
     def test_validation(self):
         with pytest.raises(ValueError):
