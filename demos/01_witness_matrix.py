@@ -4,10 +4,10 @@ Builds prefix and suffix tables, simulates the universal automaton on an
 encoded pair, materializes the full acceptance matrix, and confirms that
 its rank equals the ordered-table count.
 """
-from ufabound import (PrefixTable, SuffixTable, WitnessAutomaton, build_K,
-                      build_M, count_ordered_prefix_tables, m_entry,
-                      rank_exact, rank_mod_p, starting_state, table_size,
-                      twonfa_accepts)
+from ufabound import (PrefixTable, SuffixTable, WitnessAutomaton,
+                      acceptance_matrix, build_K, build_M,
+                      count_ordered_prefix_tables, rank_exact, rank_mod_p,
+                      starting_state, table_size, twonfa_accepts)
 from ufabound.tables import prefix_table_to_text, suffix_table_to_text
 
 # A prefix table maps every state to the states reachable across the
@@ -29,7 +29,7 @@ aut = WitnessAutomaton(2, [f], [g])
 word = aut.word(f, g)
 print("word:", word, " letters:", aut.nfa.alphabet_size)
 print("simulation accepts:", twonfa_accepts(aut.nfa, word))
-print("graph reachability:", bool(m_entry(f, g)))
+print("graph reachability:", bool(acceptance_matrix([f], [g], 2).bits[0]))
 
 # The acceptance matrix over all 7 prefix tables and 9 suffix tables.
 m = build_M(2)

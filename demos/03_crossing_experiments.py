@@ -2,14 +2,14 @@
 
 Extracts crossing tables from a random automaton, builds the
 concatenation matrix for random string sets, and checks the whole
-reduction chain: pruning empty profiles, deduplicating by table, and
-comparing the rank against the closed-form ceiling.
+reduction chain: pruning strings without a table, deduplicating by
+table, and comparing the rank against the closed-form ceiling.
 """
 import json
 import random
 
-from ufabound import (count_ordered_prefix_tables, prefix_table_of,
-                      schmidt_matrix, suffix_table_of, verify_optimality)
+from ufabound import (count_ordered_prefix_tables, prefix_tables_of,
+                      schmidt_matrix, suffix_tables_of, verify_optimality)
 from ufabound.crossing import random_strings, random_two_way_nfa
 from ufabound.tables import prefix_table_to_text, suffix_table_to_text
 
@@ -19,15 +19,16 @@ print("random 2-state automaton over a binary alphabet")
 print("initial:", sorted(q + 1 for q in aut.initial),
       " accepting:", sorted(q + 1 for q in aut.accepting))
 
-# Crossing tables induced by concrete strings.  Strings whose profile is
-# empty induce no table; their matrix rows and columns are all zero.
-for x in ((), (0,), (0, 1)):
-    f = prefix_table_of(aut, x)
+# Crossing tables induced by concrete strings, one search per family.
+# A prefix that nothing leaves, or a suffix from which nothing accepts,
+# induces no table; its matrix row or column is all zero.
+xs = [(), (0,), (0, 1)]
+for x, f in zip(xs, prefix_tables_of(aut, xs)):
     label = "".join("ab"[c] for c in x) or "(empty)"
     print(f"  prefix {label:7}  ->",
           prefix_table_to_text(f) if f else "no exit: zero row")
-for y in ((), (1,), (1, 0)):
-    g = suffix_table_of(aut, y)
+ys = [(), (1,), (1, 0)]
+for y, g in zip(ys, suffix_tables_of(aut, ys)):
     label = "".join("ab"[c] for c in y) or "(empty)"
     print(f"  suffix {label:7}  ->",
           suffix_table_to_text(g) if g else "never accepts: zero column")

@@ -15,15 +15,14 @@ from .combinatorics import (NestedSetSequence, PrefixLayerFunction,
                             asymptotic_floor, count_ordered_prefix_tables,
                             enumerate_ordered_prefix_tables, p_count, s_count,
                             stirling2, table1_row)
-from .crossing import (OptimalityReport, prefix_profile, prefix_table_of,
-                       random_two_way_nfa, schmidt_matrix, suffix_profile,
-                       suffix_table_of, verify_optimality)
+from .crossing import (OptimalityReport, prefix_tables_of, random_two_way_nfa,
+                       schmidt_matrix, suffix_tables_of, verify_optimality)
 from .errors import CapacityError
 from .exact_linalg import rank_exact, rank_mod_p
 from .tables import (LayerStructure, PrefixTable, SuffixTable, augment,
                      enumerate_prefix_tables, enumerate_suffix_tables, is_ordered,
                      layer_masks, layer_structure, starting_state, table_size)
 from .witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix, build_K,
-                      build_M, build_g_I, m_entry)
+                      build_M, build_g_I)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

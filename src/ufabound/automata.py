@@ -8,7 +8,7 @@ in an accepting state.  Accepting states have no moves on the right marker,
 so reaching that configuration ends the computation; acceptance therefore
 reduces to plain reachability in the finite configuration graph, and
 looping computations never contribute.  One search of that graph,
-:func:`_reach`, serves both acceptance and the crossing profiles of
+:func:`_reach`, serves both acceptance and the crossing tables of
 :mod:`ufabound.crossing`.  It runs many tapes at once, bit-sliced over
 them: a tape is a lane, and per position and state the search keeps the
 int of the lanes that reach it.  Expanding a position costs one AND per

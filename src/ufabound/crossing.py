@@ -9,17 +9,18 @@ states from which it can go on to accept.  The resulting concatenation
 matrix over chosen prefix and suffix sets can then be compared, entry by
 entry and in rank, against the universal acceptance matrix.
 
-Profiles are read from lane-parallel searches
+Tables are read straight off lane-parallel searches
 (:func:`ufabound.automata._search`), one lane per string and starting
 configuration.  The concatenation matrix simulates every concatenated
 word as a lane of its own, so its entries never come from the tables
 they are compared against.  :func:`verify_optimality` lays out the
 concatenated words, the prefixes and the suffixes as three grids of one
-search; :func:`schmidt_matrix`, :func:`prefix_profiles` and
-:func:`suffix_profiles` are its one-grid cases.
+search; :func:`schmidt_matrix`, :func:`prefix_tables_of` and
+:func:`suffix_tables_of` are its one-grid cases.  Every string is checked
+against the automaton's alphabet first.
 
-Profiles and tables here use 1-based state indices (state q_i of the
-automaton is index i = internal id + 1), matching :mod:`ufabound.tables`.
+Tables here use 1-based state indices (state q_i of the automaton is
+index i = internal id + 1), matching :mod:`ufabound.tables`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact_linalg
-from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenation_grid,
-                       _search, concatenation_bits)
+from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_word,
+                       _concatenation_grid, _search, concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
 from .statesets import full_mask
 from .tables import PrefixTable, SuffixTable
@@ -46,12 +47,14 @@ def _lane_mask(states: Sequence[int], lane: int) -> int:
 
 
 def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
-    """:func:`prefix_profiles` as a grid of :func:`ufabound.automata._search`.
+    """:func:`prefix_tables_of` as a grid of :func:`ufabound.automata._search`.
 
     Lane (i, k) runs on ``⊢ xs[i]``: k = 0 from the initial
     configuration, k = q + 1 re-entering the last position in state q.
     The lanes that leave rightwards land on the split, where they are read.
     """
+    for x in xs:
+        _check_word(a, x)
     n = a.state_count
     cols = n + 1
     rep = sum(1 << i * cols for i in range(len(xs)))
@@ -59,101 +62,66 @@ def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
     seeds += [(-1, q, rep << q + 1) for q in range(n)]
 
     def read(right, left, accepted):
-        return [(_lane_mask(right, i * cols),
-                 tuple(_lane_mask(right, i * cols + k) for k in range(1, cols)))
-                for i in range(len(xs))]
+        exits = [_lane_mask(right, lane) for lane in range(len(xs) * cols)]
+        return [PrefixTable(n, tuple(exits[i] | t for t in exits[i + 1:i + cols]))
+                if exits[i] else None for i in range(0, len(exits), cols)]
 
     return [(LEFT_MARKER, *x) for x in xs], [()] * cols, seeds, read
 
 
 def _suffix_grid(a: TwoWayNfa, ys: Sequence[Sequence[int]]) -> tuple:
-    """:func:`suffix_profiles` as a grid of :func:`ufabound.automata._search`.
+    """:func:`suffix_tables_of` as a grid of :func:`ufabound.automata._search`.
 
     Lane (q, j) runs on ``ys[j] ⊣`` from state q at its first position.
     The lanes that leave leftwards land just before the split, where they
     are read, and so is acceptance.
     """
+    for y in ys:
+        _check_word(a, y)
     n = a.state_count
     cols = len(ys)
     row = (1 << cols) - 1
 
     def read(right, left, accepted):
         accepted = [accepted >> q * cols for q in range(n)]
-        return [(_lane_mask(accepted, j),
-                 tuple(_lane_mask(left, q * cols + j) for q in range(n)))
-                for j in range(cols)]
+        flags = [_lane_mask(accepted, j) for j in range(cols)]
+        return [SuffixTable(n, tuple(full_mask(n) if a_y >> q + 1 & 1
+                                     else _lane_mask(left, q * cols + j)
+                                     for q in range(n)), a_y) if a_y else None
+                for j, a_y in enumerate(flags)]
 
     return ([()] * n, [(*y, RIGHT_MARKER) for y in ys],
             [(0, q, row << q * cols) for q in range(n)], read)
 
 
-def prefix_profiles(a: TwoWayNfa, xs: Sequence[Sequence[int]]
-                    ) -> list[tuple[int, tuple[int, ...]]]:
-    """:func:`prefix_profile` of every string of ``xs``, in one search."""
-    return _search(a, [_prefix_grid(a, xs)])[0]
-
-
-def suffix_profiles(a: TwoWayNfa, ys: Sequence[Sequence[int]]
-                    ) -> list[tuple[int, tuple[int, ...]]]:
-    """:func:`suffix_profile` of every string of ``ys``, in one search."""
-    return _search(a, [_suffix_grid(a, ys)])[0]
-
-
-def prefix_profile(a: TwoWayNfa, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Exit-right behaviour on the left-marked prefix.
-
-    Returns the mask of states reachable off the right end from the
-    initial configuration, and per state i the mask reachable off the
-    right end after re-entering the last fragment position in state i.
-    For an empty prefix that position is the left marker itself.
-    """
-    return prefix_profiles(a, [x])[0]
-
-
-def suffix_profile(a: TwoWayNfa, y: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Acceptance and exit-left behaviour on the right-marked suffix.
-
-    Returns the mask of states from which the automaton can accept without
-    leaving the fragment, and per state i the mask of states in which the
-    head can leave the fragment to the left after starting in state i at
-    its first position.
-    """
-    return suffix_profiles(a, [y])[0]
-
-
-def _prefix_tables(n: int, profiles) -> list[Optional[PrefixTable]]:
-    return [PrefixTable(n, tuple(s_x | t_q for t_q in t)) if s_x else None
-            for s_x, t in profiles]
-
-
-def _suffix_tables(n: int, profiles) -> list[Optional[SuffixTable]]:
-    return [SuffixTable(n, tuple(full_mask(n) if a_y >> q & 1 else t_q
-                                 for q, t_q in enumerate(t_prime, start=1)), a_y)
-            if a_y else None for a_y, t_prime in profiles]
-
-
 def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
                      ) -> list[Optional[PrefixTable]]:
-    """The prefix table induced by each string of ``xs``, or None when
-    nothing can leave the prefix (the matrix row is then all zero anyway)."""
-    return _prefix_tables(a.state_count, prefix_profiles(a, xs))
+    """The prefix table induced by each string x of ``xs``, in one search.
+
+    With s_x the 1-based mask of the states in which the head can first
+    leave ``⊢ x`` rightwards from the initial configuration, f(q) is s_x
+    together with the states in which it can leave rightwards after
+    re-entering the last position of ``⊢ x`` in state q; for the empty
+    prefix that position is the left marker itself.  The table is None
+    when s_x is empty: nothing leaves the prefix, and the matrix row is
+    all zero anyway.
+    """
+    return _search(a, [_prefix_grid(a, xs)])[0]
 
 
 def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
                      ) -> list[Optional[SuffixTable]]:
-    """The suffix table induced by each string of ``ys``, or None when
-    acceptance is unreachable (the matrix column is then all zero anyway)."""
-    return _suffix_tables(a.state_count, suffix_profiles(a, ys))
+    """The suffix table induced by each string y of ``ys``, in one search.
 
-
-def prefix_table_of(a: TwoWayNfa, x: Sequence[int]) -> Optional[PrefixTable]:
-    """:func:`prefix_tables_of` of one string."""
-    return prefix_tables_of(a, [x])[0]
-
-
-def suffix_table_of(a: TwoWayNfa, y: Sequence[int]) -> Optional[SuffixTable]:
-    """:func:`suffix_tables_of` of one string."""
-    return suffix_tables_of(a, [y])[0]
+    Its accepting states are those from which the automaton, started at
+    the first position of ``y ⊣``, can accept without leaving it; for the
+    empty suffix these are just the accepting states.  g(q) is the full
+    set for an accepting q, and otherwise the states in which the head can
+    leave ``y ⊣`` leftwards after starting in state q at its first
+    position.  The table is None when no state accepts: the matrix column
+    is then all zero anyway.
+    """
+    return _search(a, [_suffix_grid(a, ys)])[0]
 
 
 def schmidt_matrix(a: TwoWayNfa, xs: Sequence[Sequence[int]],
@@ -202,10 +170,10 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     """Check that the concatenation matrix never out-ranks the closed-form
     bound, through the chain of rank-preserving reductions.
 
-    The matrix and the crossing profiles of ``xs`` and ``ys`` come from one
+    The matrix and the crossing tables of ``xs`` and ``ys`` come from one
     search, with one grid of lanes each.
 
-    The matrix is pruned of rows and columns with empty crossing profiles
+    The matrix is pruned of rows and columns without a crossing table
     (those must be all zero), then deduplicated by induced table; the
     deduplicated entries must agree with the universal acceptance matrix,
     and all three ranks must coincide and stay within the bound.
@@ -213,11 +181,9 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     n = a.state_count
     xs = tuple(tuple(x) for x in xs)
     ys = tuple(tuple(y) for y in ys)
-    bits, prefixes, suffixes = _search(
+    bits, fx, gy = _search(
         a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs), _suffix_grid(a, ys)])
     matrix = BoolMatrix(xs, ys, len(ys), tuple(bits))
-    fx = _prefix_tables(n, prefixes)
-    gy = _suffix_tables(n, suffixes)
 
     keep_rows = [i for i, f in enumerate(fx) if f is not None]
     keep_cols = [j for j, g in enumerate(gy) if g is not None]

@@ -54,20 +54,20 @@ class WitnessAutomaton:
         self._suffix_letter: dict[SuffixTable, int] = {}
         trans: dict = {}
         for q in range(n):
-            trans[(q, LEFT_MARKER)] = {(q, +1)}
+            trans[(q, LEFT_MARKER)] = frozenset({(q, +1)})
             for c in range(n):
-                trans[(q, c)] = {(c, +1)}
+                trans[(q, c)] = frozenset({(c, +1)})
         for c, f in enumerate(prefixes, start=n):
             self._prefix_letter.setdefault(f, c)
             for q in range(n):
-                trans[(q, c)] = {(v - 1, +1) for v in elements(f.values[q])}
+                trans[(q, c)] = frozenset((v - 1, +1) for v in elements(f.values[q]))
         for c, g in enumerate(suffixes, start=n + len(prefixes)):
             self._suffix_letter.setdefault(g, c)
             for q in range(n):
                 if g.accept_flags >> (q + 1) & 1:
-                    trans[(q, c)] = {(q, +1)}
+                    trans[(q, c)] = frozenset({(q, +1)})
                 else:
-                    trans[(q, c)] = {(v - 1, -1) for v in elements(g.values[q])}
+                    trans[(q, c)] = frozenset((v - 1, -1) for v in elements(g.values[q]))
         self.nfa = TwoWayNfa(n, n + len(prefixes) + len(suffixes), frozenset({0}),
                              trans, frozenset(range(n)))
 
@@ -204,18 +204,13 @@ def acceptance_matrix(prefixes: Sequence[PrefixTable], suffixes: Sequence[Suffix
     """Entry (f, g) is 1 iff the table-pair graph has a path from f's
     starting state to one of g's accepting right vertices, that is, iff
     :class:`WitnessAutomaton` accepts the pair's three-letter word.
+    Every table must have size ``n``.
     """
+    if any(t.n != n for t in (*prefixes, *suffixes)):
+        raise ValueError(f"every table must have size n = {n}")
     maps = _suffix_arc_maps(n, suffixes)
     bits = [_row_bits(f, *maps) for f in prefixes]
     return BoolMatrix(tuple(prefixes), tuple(suffixes), len(suffixes), tuple(bits))
-
-
-def m_entry(f: PrefixTable, g: SuffixTable) -> int:
-    """One entry of the acceptance matrix: a one-column
-    :func:`acceptance_matrix`."""
-    if f.n != g.n:
-        raise ValueError("tables must have equal n")
-    return acceptance_matrix([f], [g], f.n).bits[0]
 
 
 def build_M(n: int) -> BoolMatrix:

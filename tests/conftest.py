@@ -1,7 +1,8 @@
 import pytest
 
 from ufabound.automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa
-from ufabound.statesets import elements, mask_of
+from ufabound.statesets import elements, full_mask, mask_of
+from ufabound.tables import PrefixTable, SuffixTable
 
 
 def _sparse_two_way_nfa(states, alphabet, rng, moves=2):
@@ -94,21 +95,26 @@ def configurations(at):
     return {(v - 1, p) for p, states in enumerate(at) for v in elements(states)}
 
 
-def oracle_prefix_profile(a, x):
+def oracle_prefix_table(a, x):
+    """The prefix table of ``x``, or None, from one closure per seed."""
     tape = [LEFT_MARKER, *x]
     last = len(tape) - 1
     s_x = closure_exits(a, tape, [(q, 0) for q in a.initial])[1]
-    return s_x, tuple(closure_exits(a, tape, [(q, last)])[1]
-                      for q in range(a.state_count))
+    if not s_x:
+        return None
+    return PrefixTable(a.state_count, tuple(s_x | closure_exits(a, tape, [(q, last)])[1]
+                                            for q in range(a.state_count)))
 
 
-def oracle_suffix_profile(a, y):
+def oracle_suffix_table(a, y):
+    """The suffix table of ``y``, or None, from one closure per state."""
     tape = [*y, RIGHT_MARKER]
     last = len(tape) - 1
-    a_y, t_prime = 0, []
+    accept, values = 0, []
     for q in range(a.state_count):
         configs, _, exit_left = closure_exits(a, tape, [(q, 0)])
         if any(p == last and state in a.accepting for state, p in configs):
-            a_y |= 1 << (q + 1)
-        t_prime.append(exit_left)
-    return a_y, tuple(t_prime)
+            accept |= 1 << (q + 1)
+            exit_left = full_mask(a.state_count)
+        values.append(exit_left)
+    return SuffixTable(a.state_count, tuple(values), accept) if accept else None

@@ -106,10 +106,11 @@ def simulated(f, g):
 def test_criterion_5_graph_entries_match_simulation():
     fs2 = tables.enumerate_prefix_tables(2)
     gs2 = tables.enumerate_suffix_tables(2)
-    pairs = [(f, g) for f in fs2 for g in gs2]
-    assert len(pairs) == 63
-    for f, g in pairs:
-        assert witness.m_entry(f, g) == simulated(f, g), (f, g)
+    assert len(fs2) * len(gs2) == 63
+    m2 = witness.acceptance_matrix(fs2, gs2, 2)
+    for i, f in enumerate(fs2):
+        for j, g in enumerate(gs2):
+            assert m2.entry(i, j) == simulated(f, g), (f, g)
     rng = random.Random(0)
     m3 = witness.build_M(3)
     for _ in range(10_000):
@@ -149,10 +150,11 @@ def _check_staged_table_properties(f, f0, n):
     drop, brk = tables.layer_masks(f, f0)
     if f.values != f0.values and tables.table_size(f) >= tables.table_size(f0):
         assert brk, ("forced breakthrough missing", f, f0)
+    stages = [{i for i in range(k) if bits >> i & 1} for bits in range(1 << k)]
+    staged = [witness.build_g_I(f0, stage) for stage in stages]
+    [row] = witness.acceptance_matrix([f], staged, n).bits
     evaluated = 0
-    for bits in range(1 << k):
-        stage = {i for i in range(k) if bits >> i & 1}
-        g = witness.build_g_I(f0, stage)
+    for bits, (stage, g) in enumerate(zip(stages, staged)):
         if k - 1 in stage:
             expected_accept = tables.mask_of(
                 v for v in range(1, n + 1) if ls.suffix_layer[v - 1] >= k - 1)
@@ -160,7 +162,7 @@ def _check_staged_table_properties(f, f0, n):
             expected_accept = tables.mask_of(
                 v for v in range(1, n + 1) if ls.suffix_layer[v - 1] == k)
         assert g.accept_flags == expected_accept, ("accept set", f0, stage)
-        entry = witness.m_entry(f, g)
+        entry = row >> bits & 1
         if drop:
             assert entry == 0, ("drop-down row not zero", f, f0, stage)
         else:

@@ -309,10 +309,10 @@ def test_schmidt_with_files(tmp_path, capsys):
                        "--prefixes", str(tmp_path / "xs.txt"),
                        "--suffixes", str(tmp_path / "ys.txt"))
     assert code == 0
-    assert "rank" in out and "bound 7" in out
-    report = json.loads(out.splitlines()[-1])
-    assert report["ok"] is True and report["rank"] <= 7
-    assert report["rows"] == 4 and report["cols"] == 4
+    assert out == (
+        "rank 2 <= bound 7\n"
+        '{"bound": 7, "cols": 4, "n": 2, "ok": true, "rank": 2, "reduced_cols": 2, '
+        '"reduced_rows": 2, "rows": 4, "seed": null}\n')
 
 
 def test_schmidt_random_beyond_thirty_states(capsys):

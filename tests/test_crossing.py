@@ -1,21 +1,22 @@
 import json
 import random
 
+import pytest
+
 from conftest import (closure_exits, configurations, dfs_two_way_accepts,
-                      oracle_prefix_profile, oracle_suffix_profile)
+                      oracle_prefix_table, oracle_suffix_table)
 from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenation_grid,
                                _layout, _reach, _search, concatenation_bits,
                                twonfa_accepts)
 from ufabound.combinatorics import enumerate_ordered_prefix_tables
-from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_profile,
-                               prefix_profiles, prefix_table_of, prefix_tables_of,
+from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_tables_of,
                                random_campaign_report, random_strings,
-                               random_two_way_nfa, schmidt_matrix, suffix_profile,
-                               suffix_profiles, suffix_table_of, suffix_tables_of,
+                               random_two_way_nfa, schmidt_matrix, suffix_tables_of,
                                verify_optimality)
 from ufabound.statesets import full_mask, mask_of
-from ufabound.tables import enumerate_prefix_tables, enumerate_suffix_tables
-from ufabound.witness import WitnessAutomaton, build_M, m_entry
+from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
+                             enumerate_suffix_tables, starting_state)
+from ufabound.witness import WitnessAutomaton, acceptance_matrix, build_M
 
 
 def forward_only():
@@ -39,53 +40,44 @@ def right_marker_mover():
 class TestProfiles:
     def test_forward_sweep(self):
         a = forward_only()
-        for x in ((), (0,), (1, 0)):
-            s_x, t = prefix_profile(a, x)
-            assert s_x == mask_of({1})
-            assert t == (mask_of({1}),)
+        assert prefix_tables_of(a, [(), (0,), (1, 0)]) == [PrefixTable(1, (mask_of({1}),))] * 3
 
     def test_no_left_marker_moves(self):
+        # stuck on the left marker, though a re-entered head would exit
         a = TwoWayNfa(1, 1, {0}, {(0, 0): {(0, +1)}}, {0})
-        s_x, t = prefix_profile(a, (0,))
-        assert s_x == 0          # stuck on the left marker
-        assert t == (mask_of({1}),)
-        assert prefix_table_of(a, (0,)) is None
+        assert prefix_tables_of(a, [(0,)]) == [None] == [oracle_prefix_table(a, (0,))]
 
     def test_forward_only_induces_the_constant_table(self):
-        f = prefix_table_of(forward_only(), (0, 1))
+        [f] = prefix_tables_of(forward_only(), [(0, 1)])
         assert f is not None and f.n == 1
         assert f.values == (mask_of({1}),)
 
     def test_suffix_accept_and_exit(self):
-        a = forward_only()
-        a_y, t_prime = suffix_profile(a, (0,))
-        assert a_y == mask_of({1})
-        assert t_prime == (0,)
-        g = suffix_table_of(a, (0,))
+        [g] = suffix_tables_of(forward_only(), [(0,)])
         assert g.accept_flags == mask_of({1})
         assert g.value(1) == full_mask(1)
 
     def test_never_accepting_suffix(self):
-        assert suffix_table_of(never_accepting(), (0,)) is None
+        assert suffix_tables_of(never_accepting(), [(0,)]) == [None]
 
     def test_profile_record(self):
-        s_x, t = prefix_profile(forward_only(), (0,))
-        a_y, t_prime = suffix_profile(forward_only(), (1,))
-        assert s_x == a_y == mask_of({1})
-        assert t == (mask_of({1}),) and t_prime == (0,)
+        [f] = prefix_tables_of(forward_only(), [(0,)])
+        [g] = suffix_tables_of(forward_only(), [(1,)])
+        assert f == PrefixTable(1, (mask_of({1}),))
+        assert g == SuffixTable(1, (mask_of({1}),), mask_of({1}))
 
     def test_empty_suffix_accepts_from_accepting_states(self):
         # on the bare right marker, exactly the accepting states accept,
         # and marker moves going left exit immediately
         trans = {(0, RIGHT_MARKER): {(1, -1)}}
         a = TwoWayNfa(2, 1, {0}, trans, {1})
-        a_y, t_prime = suffix_profile(a, ())
-        assert a_y == mask_of({2})
-        assert t_prime == (mask_of({2}), 0)
+        assert suffix_tables_of(a, [()]) == [SuffixTable(2, (mask_of({2}), full_mask(2)),
+                                                         mask_of({2}))]
 
     def test_right_move_off_the_right_marker_is_dropped(self):
         a = right_marker_mover()
-        for word in ((), (0,), (0, 0)):
+        words = ((), (0,), (0, 0))
+        for word in words:
             tape = [LEFT_MARKER, *word, RIGHT_MARKER]
             # one lane: the tape fills the positions between the two padding
             # positions, where the exits would land
@@ -97,34 +89,51 @@ class TestProfiles:
             assert exit_right == exit_left == 0
             assert closure_exits(a, tape, [(0, 0)]) == (configurations(at), 0, 0)
             assert not twonfa_accepts(a, word)
-            # the suffix fragment ends on the right marker: state 1 does not
-            # accept through the dropped move, and it is no exit either
-            a_y, t_prime = suffix_profile(a, word)
-            assert a_y == (0 if word else mask_of({2})) and t_prime == (0, 0)
-            assert (a_y, t_prime) == oracle_suffix_profile(a, word)
+        # the suffix fragment ends on the right marker: state 1 does not
+        # accept through the dropped move, and it is no exit either; only
+        # the bare right marker, where state 2 starts, accepts
+        gs = suffix_tables_of(a, words)
+        assert gs == [SuffixTable(2, (0, full_mask(2)), mask_of({2})), None, None]
+        assert gs == [oracle_suffix_table(a, word) for word in words]
         # a prefix fragment ends on a real symbol, so the same state exits
-        assert prefix_profile(a, (0,)) == (mask_of({1}), (mask_of({1}), 0))
+        assert prefix_tables_of(a, [(0,)]) == [PrefixTable(2, (mask_of({1}),) * 2)]
 
     def test_profiles_match_the_closure_oracle(self, sparse_two_way_nfa):
         rng = random.Random(41)
-        exits_seen = 0
+        tables_seen = 0
         for _ in range(500):
             a = random_two_way_nfa(rng.randint(1, 3), 2, rng)
             x = random_strings(2, 1, 5, rng)[0]
             y = random_strings(2, 1, 5, rng)[0]
-            prefix = prefix_profile(a, x)
-            suffix = suffix_profile(a, y)
-            assert prefix == oracle_prefix_profile(a, x)
-            assert suffix == oracle_suffix_profile(a, y)
-            exits_seen += bool(prefix[0]) + any(suffix[1])
-        assert exits_seen > 300  # the exit masks are not vacuously empty
-        # beyond three states, with sparser moves so that profiles differ
+            [f] = prefix_tables_of(a, [x])
+            [g] = suffix_tables_of(a, [y])
+            assert f == oracle_prefix_table(a, x)
+            assert g == oracle_suffix_table(a, y)
+            tables_seen += (f is not None) + (g is not None)
+        assert tables_seen > 300  # the tables are not vacuously None
+        # beyond three states, with sparser moves so that tables differ
         for states in (8, 8, 9, 9):
             a = sparse_two_way_nfa(states, 2, rng)
-            for x in random_strings(2, 3, 4, rng):
-                assert prefix_profile(a, x) == oracle_prefix_profile(a, x)
-            for y in random_strings(2, 3, 4, rng):
-                assert suffix_profile(a, y) == oracle_suffix_profile(a, y)
+            xs = random_strings(2, 3, 4, rng)
+            ys = random_strings(2, 3, 4, rng)
+            assert prefix_tables_of(a, xs) == [oracle_prefix_table(a, x) for x in xs]
+            assert suffix_tables_of(a, ys) == [oracle_suffix_table(a, y) for y in ys]
+
+    def test_symbols_outside_the_alphabet_are_rejected(self):
+        # a marker id inside a string or a letter beyond the alphabet is
+        # refused by every table family, not read as a quiet result
+        a = forward_only()
+        one_letter = TwoWayNfa(1, 1, {0}, {(0, LEFT_MARKER): {(0, +1)}}, {0})
+        calls = [lambda: suffix_tables_of(a, [(RIGHT_MARKER,)]),
+                 lambda: prefix_tables_of(one_letter, [(7,)]),
+                 lambda: prefix_tables_of(a, [(0,), (LEFT_MARKER,)]),
+                 lambda: suffix_tables_of(a, [(0, 2)]),
+                 lambda: schmidt_matrix(a, [(0,)], [(RIGHT_MARKER,)]),
+                 lambda: verify_optimality(a, [(2,)], [(0,)]),
+                 lambda: verify_optimality(a, [(0,)], [(LEFT_MARKER,)])]
+        for call in calls:
+            with pytest.raises(ValueError, match="out of range"):
+                call()
 
 
 def ragged(alphabet, count, max_len, rng):
@@ -159,7 +168,7 @@ class TestLaneSearch:
 
     def test_batched_profiles_match_the_closure_oracle(self, sparse_two_way_nfa):
         rng = random.Random(9)
-        exits_seen = 0
+        tables_seen = 0
         for states in self.STATES:
             # the closure oracle is cubic in the configurations, so the
             # largest automata get fewer and shorter strings
@@ -170,19 +179,18 @@ class TestLaneSearch:
                      else sparse_two_way_nfa(states, alphabet, rng))
                 xs = ragged(alphabet, count, max_len, rng)
                 ys = ragged(alphabet, count, max_len, rng)
-                prefixes = prefix_profiles(a, xs)
-                suffixes = suffix_profiles(a, ys)
-                assert prefixes == [oracle_prefix_profile(a, x) for x in xs]
-                assert suffixes == [oracle_suffix_profile(a, y) for y in ys]
-                exits_seen += sum(bool(p[0]) + any(p[1]) for p in prefixes)
-                exits_seen += sum(bool(s[0]) + any(s[1]) for s in suffixes)
-        assert exits_seen > 200  # the exit masks are not vacuously empty
+                fs = prefix_tables_of(a, xs)
+                gs = suffix_tables_of(a, ys)
+                assert fs == [oracle_prefix_table(a, x) for x in xs]
+                assert gs == [oracle_suffix_table(a, y) for y in ys]
+                tables_seen += sum(t is not None for t in (*fs, *gs))
+        assert tables_seen > 200  # the tables are not vacuously None
 
     def test_letters_sharing_moves(self, sparse_two_way_nfa):
         # 40 letters, each with the moves of one of six base letters, so that
         # several letters at one position allow the same move
         rng = random.Random(10)
-        outcomes, exits_seen = set(), 0
+        outcomes, tables_seen = set(), 0
         for states in (1, 2, 3, 4, 6):
             base = sparse_two_way_nfa(states, 6, rng)
             copies = [rng.randrange(6) for _ in range(40)]
@@ -199,14 +207,13 @@ class TestLaneSearch:
                     want = dfs_two_way_accepts(a, x + y)
                     assert bits[i] >> j & 1 == want, (states, x, y)
                     outcomes.add(want)
-            prefixes = prefix_profiles(a, xs)
-            suffixes = suffix_profiles(a, ys)
-            assert prefixes == [oracle_prefix_profile(a, x) for x in xs]
-            assert suffixes == [oracle_suffix_profile(a, y) for y in ys]
-            exits_seen += sum(bool(p[0]) + any(p[1]) for p in prefixes)
-            exits_seen += sum(bool(s[0]) + any(s[1]) for s in suffixes)
+            fs = prefix_tables_of(a, xs)
+            gs = suffix_tables_of(a, ys)
+            assert fs == [oracle_prefix_table(a, x) for x in xs]
+            assert gs == [oracle_suffix_table(a, y) for y in ys]
+            tables_seen += sum(t is not None for t in (*fs, *gs))
         assert outcomes == {False, True}
-        assert exits_seen > 50  # the exit masks are not vacuously empty
+        assert tables_seen > 50  # the tables are not vacuously None
 
     def test_one_search_equals_the_one_family_searches(self, sparse_two_way_nfa):
         # verify_optimality's three grids in one search, against each family
@@ -219,21 +226,21 @@ class TestLaneSearch:
                 for rows, cols in ((7, 5), (1, 9), (0, 4), (6, 0), (0, 0)):
                     xs = ragged(alphabet, rows, 4, rng) if rows else []
                     ys = ragged(alphabet, cols, 4, rng) if cols else []
-                    alone = [concatenation_bits(a, xs, ys), prefix_profiles(a, xs),
-                             suffix_profiles(a, ys)]
+                    alone = [concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
+                             suffix_tables_of(a, ys)]
                     assert _search(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
                                        _suffix_grid(a, ys)]) == alone
                     report = verify_optimality(a, xs, ys)
                     assert report.matrix == schmidt_matrix(a, xs, ys)
-                    keep_rows = [i for i, f in enumerate(prefix_tables_of(a, xs)) if f]
-                    keep_cols = [j for j, g in enumerate(suffix_tables_of(a, ys)) if g]
+                    keep_rows = [i for i, f in enumerate(alone[1]) if f]
+                    keep_cols = [j for j, g in enumerate(alone[2]) if g]
                     assert report.pruned == report.matrix.select(keep_rows, keep_cols)
 
     def test_empty_families(self):
         a = forward_only()
         assert concatenation_bits(a, [], [(0,)]) == []
         assert concatenation_bits(a, [(0,)], []) == [0]
-        assert prefix_profiles(a, []) == suffix_profiles(a, []) == []
+        assert prefix_tables_of(a, []) == suffix_tables_of(a, []) == []
 
 
 class TestInducedTables:
@@ -243,13 +250,12 @@ class TestInducedTables:
         for _ in range(1000):
             a = random_two_way_nfa(rng.randint(1, 3), 2, rng)
             x = tuple(rng.randrange(2) for _ in range(rng.randint(0, 4)))
-            s_x, _ = prefix_profile(a, x)
-            f = prefix_table_of(a, x)
+            s_x = closure_exits(a, [LEFT_MARKER, *x], [(q, 0) for q in a.initial])[1]
+            [f] = prefix_tables_of(a, [x])
             if f is None:
                 assert s_x == 0
                 continue
             hits += 1
-            from ufabound.tables import starting_state
             assert f.value(starting_state(f)) == s_x
         assert hits > 200  # the sweep is not vacuous
 
@@ -259,8 +265,10 @@ class TestInducedTables:
         for _ in range(1000):
             a = random_two_way_nfa(rng.randint(1, 3), 2, rng)
             y = tuple(rng.randrange(2) for _ in range(rng.randint(0, 4)))
-            a_y, _ = suffix_profile(a, y)
-            g = suffix_table_of(a, y)
+            a_y = mask_of(q + 1 for q in range(a.state_count)
+                          if any(p == len(y) and t in a.accepting for t, p in
+                                 closure_exits(a, [*y, RIGHT_MARKER], [(q, 0)])[0]))
+            [g] = suffix_tables_of(a, [y])
             if g is None:
                 assert a_y == 0
                 continue
@@ -273,13 +281,10 @@ class TestInducedTables:
         fs = enumerate_prefix_tables(3)
         gs = enumerate_suffix_tables(3)
         aut = WitnessAutomaton(3, fs, gs)
-        for _ in range(250):
-            f, g = rng.choice(fs), rng.choice(gs)
-            word = aut.word(f, g)
-            fx = prefix_table_of(aut.nfa, word[:2])
-            gy = suffix_table_of(aut.nfa, word[2:])
-            assert fx == f
-            assert gy == g
+        pairs = [(rng.choice(fs), rng.choice(gs)) for _ in range(250)]
+        words = [aut.word(f, g) for f, g in pairs]
+        assert prefix_tables_of(aut.nfa, [w[:2] for w in words]) == [f for f, _ in pairs]
+        assert suffix_tables_of(aut.nfa, [w[2:] for w in words]) == [g for _, g in pairs]
 
 
 class TestSchmidtMatrix:
@@ -343,11 +348,10 @@ class TestVerifyOptimality:
                     == la.rank_exact(report.pruned)
                     == la.rank_exact(report.deduplicated)
                     == report.rank)
-            for i, f in enumerate(report.deduplicated.row_labels):
-                for j, g in enumerate(report.deduplicated.col_labels):
-                    fx = prefix_table_of(a, f)
-                    gy = suffix_table_of(a, g)
-                    assert report.deduplicated.entry(i, j) == m_entry(fx, gy)
+            dedup = report.deduplicated
+            universal = acceptance_matrix(prefix_tables_of(a, dedup.row_labels),
+                                          suffix_tables_of(a, dedup.col_labels), 2)
+            assert universal.bits == dedup.bits
 
     def test_empty_profile_rows_are_zero(self):
         rng = random.Random(41)
@@ -357,12 +361,12 @@ class TestVerifyOptimality:
             xs = random_strings(2, 5, 3, rng)
             ys = random_strings(2, 5, 3, rng)
             m = schmidt_matrix(a, xs, ys)
-            for i, x in enumerate(xs):
-                if prefix_table_of(a, x) is None:
+            for i, f in enumerate(prefix_tables_of(a, xs)):
+                if f is None:
                     assert m.bits[i] == 0
                     checked += 1
-            for j, y in enumerate(ys):
-                if suffix_table_of(a, y) is None:
+            for j, g in enumerate(suffix_tables_of(a, ys)):
+                if g is None:
                     assert all(not m.entry(i, j) for i in range(m.rows))
                     checked += 1
         assert checked > 50

@@ -13,7 +13,7 @@ from ufabound.tables import (PrefixTable, SuffixTable, augment,
                              suffix_table_to_text, table_size)
 from ufabound.verification import (_complement_rank, _unordered_witness,
                                    check_layer_rank)
-from ufabound.witness import m_entry
+from ufabound.witness import acceptance_matrix
 
 
 def pt(n, *sets):
@@ -87,20 +87,23 @@ def st(n, sets, accept):
 
 
 class TestHaspath:
-    """Path existence in the bipartite graph of a table pair: m_entry."""
+    """Path existence in the bipartite graph of a table pair: the entries
+    of an acceptance_matrix row."""
 
     def test_single_arc(self):
-        assert m_entry(pt(1, {1}), st(1, [{1}], {1})) == 1
+        assert acceptance_matrix([pt(1, {1})], [st(1, [{1}], {1})], 1).bits == (1,)
 
     def test_no_arcs(self):
         # no arc leads from right vertex 2 back to the left side
-        assert m_entry(pt(2, {2}, {2}), st(2, [{1, 2}, set()], {1})) == 0
+        f = pt(2, {2}, {2})
+        assert acceptance_matrix([f], [st(2, [{1, 2}, set()], {1})], 2).bits == (0,)
 
     def test_alternating_path(self):
-        # (L,1)->(R,2), (R,2)->(L,2), (L,2)->(R,1); target {1}
+        # (L,1)->(R,2), (R,2)->(L,2), (L,2)->(R,1); target {1}; only the
+        # first column has the arc (R,2)->(L,2)
         f = pt(2, {2}, {1, 2})
-        assert m_entry(f, st(2, [{1, 2}, {2}], {1})) == 1
-        assert m_entry(f, st(2, [{1, 2}, set()], {1})) == 0
+        gs = [st(2, [{1, 2}, {2}], {1}), st(2, [{1, 2}, set()], {1})]
+        assert acceptance_matrix([f], gs, 2).bits == (0b01,)
 
 
 class TestAugment:

@@ -11,8 +11,8 @@ from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_ordered_prefix_tables_by_filter,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
-from ufabound.witness import (BoolMatrix, WitnessAutomaton, build_K, build_M,
-                              build_g_I, m_entry)
+from ufabound.witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix,
+                              build_K, build_M, build_g_I)
 
 
 def pt(n, *sets):
@@ -102,42 +102,46 @@ class TestMEntry:
     def test_direct_acceptance(self):
         f = pt(2, {1}, {1})
         g = st(2, [{1, 2}, set()], {1})
-        assert m_entry(f, g) == simulated(f, g) == 1
+        assert acceptance_matrix([f], [g], 2).bits == (simulated(f, g),) == (1,)
 
     def test_dead_end(self):
         f = pt(2, {2}, {2})
         g = st(2, [{1, 2}, set()], {1})
-        assert m_entry(f, g) == simulated(f, g) == 0
+        assert acceptance_matrix([f], [g], 2).bits == (simulated(f, g),) == (0,)
 
     def test_needs_a_bounce(self):
         f = pt(2, {2}, {1, 2})
         g = st(2, [{1, 2}, {2}], {1})
-        assert m_entry(f, g) == simulated(f, g) == 1
+        assert acceptance_matrix([f], [g], 2).bits == (simulated(f, g),) == (1,)
 
     def test_exhaustive_agreement_n2(self):
-        for f in enumerate_prefix_tables(2):
-            for g in enumerate_suffix_tables(2):
-                assert m_entry(f, g) == simulated(f, g), (f, g)
+        fs = enumerate_prefix_tables(2)
+        gs = enumerate_suffix_tables(2)
+        m = acceptance_matrix(fs, gs, 2)
+        for i, f in enumerate(fs):
+            for j, g in enumerate(gs):
+                assert m.entry(i, j) == simulated(f, g), (f, g)
 
     def test_random_agreement_n3(self):
         rng = random.Random(0)
         fs = enumerate_prefix_tables(3)
         gs = enumerate_suffix_tables(3)
+        m = acceptance_matrix(fs, gs, 3)
         for _ in range(2000):
-            f, g = rng.choice(fs), rng.choice(gs)
-            assert m_entry(f, g) == simulated(f, g), (f, g)
+            i, j = rng.randrange(len(fs)), rng.randrange(len(gs))
+            assert m.entry(i, j) == simulated(fs[i], gs[j]), (fs[i], gs[j])
 
     def test_random_agreement_beyond_one_lookup_chunk(self):
         # larger witness automata through the simulation oracle; sparse
-        # tables make paths bounce, so both entry values occur
+        # tables make paths bounce, so both entry values occur; the pairs
+        # are the diagonal of one matrix
         rng = random.Random(11)
         for n in (8, 9, 17, 30):
-            entries = set()
-            for _ in range(40):
-                f, g = random_table_pair(n, rng)
-                entries.add(m_entry(f, g))
-                assert m_entry(f, g) == simulated(f, g), (f, g)
-            assert entries == {0, 1}
+            fs, gs = zip(*(random_table_pair(n, rng) for _ in range(40)))
+            m = acceptance_matrix(fs, gs, n)
+            entries = [m.entry(i, i) for i in range(40)]
+            assert entries == [simulated(f, g) for f, g in zip(fs, gs)]
+            assert set(entries) == {0, 1}
 
 
 class TestMatrices:
@@ -163,18 +167,19 @@ class TestMatrices:
             assert rows_of[f.values] == bits
 
     def test_rows_match_entry_function(self):
+        # the whole matrix against one column at a time
         m = build_M(2)
-        for i, f in enumerate(m.row_labels):
-            for j, g in enumerate(m.col_labels):
-                assert m.entry(i, j) == m_entry(f, g)
+        for j, g in enumerate(m.col_labels):
+            column = acceptance_matrix(m.row_labels, [g], 2)
+            assert column.bits == tuple(b >> j & 1 for b in m.bits)
 
     def test_random_rows_match_entry_function_n3(self):
         rng = random.Random(4)
         m = build_M(3)
-        for i in rng.sample(range(m.rows), 25):
-            f = m.row_labels[i]
-            for j, g in enumerate(m.col_labels):
-                assert m.entry(i, j) == m_entry(f, g)
+        rows = rng.sample(range(m.rows), 25)
+        for j, g in enumerate(m.col_labels):
+            column = acceptance_matrix([m.row_labels[i] for i in rows], [g], 3)
+            assert column.bits == tuple(m.bits[i] >> j & 1 for i in rows)
 
     def test_full_and_reduced_matrices_have_equal_exact_rank(self):
         from ufabound import exact_linalg as la
@@ -186,6 +191,15 @@ class TestMatrices:
             build_M(5)
         with pytest.raises(CapacityError):
             build_K(5)
+
+    def test_table_sizes_must_match_n(self):
+        f2, f3 = pt(2, {1}, {1}), pt(3, {1}, {1}, {1})
+        g2, g3 = st(2, [{1, 2}, set()], {1}), st(3, [{1, 2, 3}, set(), set()], {1})
+        for fs, gs, n in (([f2], [g3], 2), ([f2], [g3], 3), ([f3], [g2], 2),
+                          ([f3], [g2], 3), ([f3], [g3], 2), ([f2], [g2], 3),
+                          ([f2, f3], [g2], 2), ([f2], [g2, g3], 2), ([], [g3], 2)):
+            with pytest.raises(ValueError, match="size n"):
+                acceptance_matrix(fs, gs, n)
 
 
 def fixed_rounds_row(f, suffixes):
