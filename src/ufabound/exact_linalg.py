@@ -1,7 +1,10 @@
 """Exact rank of packed 0/1 matrices, over the rationals and over prime fields.
 
 Every engine takes a :class:`~ufabound.witness.BoolMatrix`.  The rational
-rank uses fraction-free elimination: every intermediate value is an
+rank first takes the rank over GF(2), which is cheap on the packed rows:
+when it reaches min(rows, cols) some minor of that order is odd, hence
+non-zero, and the rational rank is that full rank.  Any other matrix goes
+through fraction-free elimination: every intermediate value is an
 integer (a minor of the original matrix), so the result is exact for
 matrices of any size that fits in memory.  Very large matrices are
 refused here and should go through :func:`rank_mod_p`, which gives a
@@ -20,15 +23,20 @@ from .witness import CHUNK_ELEMS, BoolMatrix
 
 
 def rank_exact(m: BoolMatrix) -> int:
-    """Rank over the rationals, by fraction-free integer elimination.
+    """Rank over the rationals, by fraction-free integer elimination unless
+    the GF(2) rank is already full.
 
-    The size limit is checked on the shape, before any entry is converted.
+    The size limit is checked on the shape, before any entry is read.
     """
     nrows, ncols = m.rows, m.cols
     if nrows * ncols > RANK_EXACT_MAX_ENTRIES:
         raise CapacityError(
             f"{nrows}x{ncols} matrix exceeds the {RANK_EXACT_MAX_ENTRIES}-entry "
             "limit of exact elimination; use rank_mod_p")
+    # an odd minor is non-zero, so a full rank mod 2 is the rational rank
+    full = min(nrows, ncols)
+    if _rank_mod_2(m.bits) == full:
+        return full
     a = m.to_lists()
     rank = 0
     prev = 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from array import array
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -25,11 +26,28 @@ MERSENNE_PRIME = 2**31 - 1
 # the check's peak memory by about 1.5 MB
 ENTRY_BLOCK_ROWS = 32
 
+# what several checks read (M at a size, the pair study), kept by
+# run_checks for the length of one run; a check called on its own builds
+# its own
+_run_memo: dict | None = None
+
 
 class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
+
+
+def _shared(key, build: Callable):
+    if _run_memo is None:
+        return build()
+    if key not in _run_memo:
+        _run_memo[key] = build()
+    return _run_memo[key]
+
+
+def _matrix_m(size: int) -> witness.BoolMatrix:
+    return _shared(("M", size), lambda: witness.build_M(size))
 
 
 def _tables_for(n: int, level: str, rng: random.Random):
@@ -64,7 +82,7 @@ def check_orderedness_agreement(n: int, level: str, rng: random.Random) -> Check
 def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "graph entries match two-way simulation"
     size = min(n, 3)
-    m = witness.build_M(size)
+    m = _matrix_m(size)
     if n <= 2:
         pairs = itertools.product(range(m.rows), range(m.cols))
     else:
@@ -98,9 +116,9 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
 
 
 def check_augmentation_identity(n: int, level: str, rng: random.Random) -> CheckResult:
-    size = min(n, 3)
-    fs = tables.enumerate_prefix_tables(size)
-    m = witness.build_M(size)
+    size = min(n, 4) if level == "full" else min(n, 3)
+    m = _matrix_m(size)
+    fs = m.row_labels
     index = {f.values: i for i, f in enumerate(fs)}
     checked = 0
     for f in fs:
@@ -147,74 +165,109 @@ def check_layer_rank(n: int, level: str, rng: random.Random) -> CheckResult:
     return CheckResult(name, True, f"{len(fs)} tables")
 
 
-def _table_pair_sample(n: int, level: str, rng: random.Random):
-    ordered = combinatorics.enumerate_ordered_prefix_tables(n)
-    if level == "quick":
-        pairs = [(rng.choice(ordered), rng.choice(ordered)) for _ in range(60)]
-    elif n <= 3:
-        pairs = [(f, f0) for f in ordered for f0 in ordered]
-    else:
-        pairs = [(rng.choice(ordered), rng.choice(ordered)) for _ in range(1000)]
-    return ordered, pairs
-
-
 def _stage_set(bits: int, k: int) -> set[int]:
     return {i for i in range(k) if bits >> i & 1}
 
 
-def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckResult:
+class _PairStudy(NamedTuple):
+    """The sampled (f, f0) pairs of ordered tables and all that the pair
+    checks read of them, each computed once.
+
+    Pair i is (ordered[firsts[i]], ordered[bases[i]]); drops[i] and
+    breaks[i] are its :func:`tables.layer_masks`, and rows[i] holds f's
+    entries against the 2^k staged suffix tables of f0, bit b for stage set
+    {l : bit l of b}.  Below n = 5 a base table has k <= 3 layers, so every
+    mask and row fits in a byte.  staged maps each base table's index to its
+    :func:`witness.build_g_I` tables, in stage-set order.
+    """
+
+    ordered: list
+    firsts: array
+    bases: array
+    drops: bytearray
+    breaks: bytearray
+    rows: bytearray
+    staged: dict
+
+
+def _pair_study(size: int, level: str, rng: random.Random) -> _PairStudy:
+    ordered = combinatorics.enumerate_ordered_prefix_tables(size)
+    count = len(ordered)
+    firsts, bases = array("H"), array("H")
+    if level == "full" and size <= 3:
+        for i in range(count):
+            firsts.extend([i] * count)
+            bases.extend(range(count))
+    else:
+        draws = [rng.randrange(count) for _ in range(120 if level == "quick" else 2000)]
+        # the study lives through the run: keep only the drawn tables
+        drawn = sorted(set(draws))
+        at = {t: i for i, t in enumerate(drawn)}
+        ordered = [ordered[t] for t in drawn]
+        firsts.extend(at[t] for t in draws[0::2])
+        bases.extend(at[t] for t in draws[1::2])
+    drops, breaks = bytearray(), bytearray()
+    for i, j in zip(firsts, bases):
+        drop, brk = tables.layer_masks(ordered[i], ordered[j])
+        drops.append(drop)
+        breaks.append(brk)
+    staged = {}
+    for j in dict.fromkeys(bases):
+        k = tables.layer_structure(ordered[j]).rank_k
+        staged[j] = [witness.build_g_I(ordered[j], _stage_set(bits, k))
+                     for bits in range(1 << k)]
+    # every distinct f is one row of a single acceptance matrix over all the
+    # staged tables, and a pair's row is its base table's slice of it
+    offsets, columns = {}, []
+    for j, gs in staged.items():
+        offsets[j] = len(columns)
+        columns += gs
+    fs = list(dict.fromkeys(firsts))
+    full_rows = dict(zip(fs, witness.acceptance_matrix(
+        [ordered[i] for i in fs], columns, size).bits))
+    rows = bytearray(full_rows[i] >> offsets[j] & ((1 << len(staged[j])) - 1)
+                     for i, j in zip(firsts, bases))
+    return _PairStudy(ordered, firsts, bases, drops, breaks, rows, staged)
+
+
+def _study(n: int, level: str, rng: random.Random) -> _PairStudy:
     size = min(n, 4)
-    _, pairs = _table_pair_sample(size, level, rng)
-    for f0 in {f0 for _, f0 in pairs}:
+    return _shared(("pairs", size), lambda: _pair_study(size, level, rng))
+
+
+def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckResult:
+    study = _study(n, level, rng)
+    for j, gs in study.staged.items():
+        f0 = study.ordered[j]
         ls = tables.layer_structure(f0)
         k = ls.rank_k
-        for bits in range(1 << k):
+        for bits, g in enumerate(gs):
             stage = _stage_set(bits, k)
-            g = witness.build_g_I(f0, stage)
             if k - 1 in stage:
                 expected = tables.mask_of(
-                    v for v in range(1, size + 1) if ls.suffix_layer[v - 1] >= k - 1)
+                    v for v in range(1, f0.n + 1) if ls.suffix_layer[v - 1] >= k - 1)
             else:
                 expected = tables.mask_of(
-                    v for v in range(1, size + 1) if ls.suffix_layer[v - 1] == k)
+                    v for v in range(1, f0.n + 1) if ls.suffix_layer[v - 1] == k)
             if g.accept_flags != expected:
                 return CheckResult("staged suffix tables: acceptance sets", False,
                                    f"wrong accept set for {f0}, {sorted(stage)}")
     return CheckResult("staged suffix tables: acceptance sets", True,
-                       f"{len({f0 for _, f0 in pairs})} base tables")
-
-
-def _staged_rows(size: int, pairs) -> list[int]:
-    """For each pair (f, f0) in turn, f's entries against the 2^k staged suffix
-    tables of f0, packed so that bit b holds stage set {i : bit i of b}.
-
-    Each base table's staged tables are built once and every distinct f is
-    one row of a single acceptance matrix over all of them.
-    """
-    offsets, staged = {}, []
-    for f0 in dict.fromkeys(f0 for _, f0 in pairs):
-        k = tables.layer_structure(f0).rank_k
-        offsets[f0] = (len(staged), k)
-        staged += [witness.build_g_I(f0, _stage_set(bits, k)) for bits in range(1 << k)]
-    fs = list(dict.fromkeys(f for f, _ in pairs))
-    row_of = dict(zip(fs, witness.acceptance_matrix(fs, staged, size).bits))
-    out = []
-    for f, f0 in pairs:
-        start, k = offsets[f0]
-        out.append(row_of[f] >> start & ((1 << (1 << k)) - 1))
-    return out
+                       f"{len(study.staged)} base tables")
 
 
 def check_drop_down_rows(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "drop-down rows vanish"
-    size = min(n, 4)
-    _, pairs = _table_pair_sample(size, level, rng)
-    pairs = [pair for pair in pairs if tables.layer_masks(*pair)[0]]
+    study = _study(n, level, rng)
+    ordered = study.ordered
     checked = 0
-    for (f, f0), row in zip(pairs, _staged_rows(size, pairs)):
+    for i, j, drop, row in zip(study.firsts, study.bases, study.drops, study.rows):
+        if not drop:
+            continue
         if row:
-            return CheckResult(name, False, f"non-zero entry for {f} against {f0}")
-        checked += 1 << tables.layer_structure(f0).rank_k
+            return CheckResult(name, False, f"non-zero entry for {ordered[i]} "
+                               f"against {ordered[j]}")
+        checked += len(study.staged[j])
     detail = f"{checked} entries" if checked else "vacuous: no drop-downs at this size"
     return CheckResult(name, True, detail)
 
@@ -229,36 +282,34 @@ def _completion_row(k: int, brk: int) -> int:
 
 def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "breakthrough completion determines entries"
-    size = min(n, 4)
-    _, pairs = _table_pair_sample(size, level, rng)
-    kept, breaks = [], []
-    for pair in pairs:
-        drop, brk = tables.layer_masks(*pair)
-        if not drop:
-            kept.append(pair)
-            breaks.append(brk)
+    study = _study(n, level, rng)
+    ordered = study.ordered
     checked = 0
-    for (f, f0), brk, row in zip(kept, breaks, _staged_rows(size, kept)):
-        k = tables.layer_structure(f0).rank_k
+    for i, j, drop, brk, row in zip(study.firsts, study.bases, study.drops,
+                                    study.breaks, study.rows):
+        if drop:
+            continue
+        k = tables.layer_structure(ordered[j]).rank_k
         wrong = row ^ _completion_row(k, brk)
         if wrong:
             stage = _stage_set((wrong & -wrong).bit_length() - 1, k)
-            return CheckResult(name, False, f"mismatch for {f} against {f0}, "
-                               f"stage {sorted(stage)}")
+            return CheckResult(name, False, f"mismatch for {ordered[i]} against "
+                               f"{ordered[j]}, stage {sorted(stage)}")
         checked += 1 << k
     return CheckResult(name, True, f"{checked} entries")
 
 
 def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckResult:
-    size = min(n, 4)
-    _, pairs = _table_pair_sample(size, level, rng)
+    study = _study(n, level, rng)
+    ordered = study.ordered
+    sizes = [tables.table_size(f) for f in ordered]
     checked = 0
-    for f, f0 in pairs:
-        if f.values == f0.values or tables.table_size(f) < tables.table_size(f0):
+    for i, j, brk in zip(study.firsts, study.bases, study.breaks):
+        if ordered[i].values == ordered[j].values or sizes[i] < sizes[j]:
             continue
-        if not tables.layer_masks(f, f0)[1]:
+        if not brk:
             return CheckResult("at-least-as-large tables always break through", False,
-                               f"no breakthrough for {f} against {f0}")
+                               f"no breakthrough for {ordered[i]} against {ordered[j]}")
         checked += 1
     return CheckResult("at-least-as-large tables always break through", True,
                        f"{checked} pairs")
@@ -267,20 +318,16 @@ def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckRe
 def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckResult:
     expected = combinatorics.count_ordered_prefix_tables(n)
     if n <= 2:
-        m = witness.build_M(n)
-        k = witness.build_K(n)
-        got_m = exact_linalg.rank_exact(m)
-        got_k = exact_linalg.rank_exact(k)
+        got_m = exact_linalg.rank_exact(_matrix_m(n))
+        got_k = exact_linalg.rank_exact(witness.build_K(n))
     elif n == 3:
-        m = witness.build_M(n)
-        k = witness.build_K(n)
-        got_m = exact_linalg.rank_mod_p(m, MERSENNE_PRIME)
-        got_k = exact_linalg.rank_exact(k)
+        got_m = exact_linalg.rank_mod_p(_matrix_m(n), MERSENNE_PRIME)
+        got_k = exact_linalg.rank_exact(witness.build_K(n))
     else:
-        # size 4 is heavy: certify through the cheap packed-bit field only
-        k = witness.build_K(n)
-        got_k = exact_linalg.rank_mod_p(k, 2)
-        got_m = got_k
+        # size 4 is heavy: certify through the cheap packed-bit field only,
+        # and rank M itself only where the full level builds it anyway
+        got_k = exact_linalg.rank_mod_p(witness.build_K(n), 2)
+        got_m = exact_linalg.rank_mod_p(_matrix_m(n), 2) if level == "full" else got_k
     ok = got_m == got_k == expected
     return CheckResult("matrix rank equals the ordered-table count", ok,
                        f"rank {got_k}, count {expected}")
@@ -347,8 +394,11 @@ _CHECKS: list[Callable] = [
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
-    results = []
-    for check in _CHECKS:
-        rng = random.Random(seed)
-        results.append(check(n, level, rng))
-    return results
+    global _run_memo
+    _run_memo = {}
+    try:
+        # every check draws from a fresh generator, so a shared sample is
+        # the one each check would have drawn itself
+        return [check(n, level, random.Random(seed)) for check in _CHECKS]
+    finally:
+        _run_memo = None

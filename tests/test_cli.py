@@ -255,6 +255,52 @@ def test_verify_full_n3_output_is_pinned(capsys):
     assert out == VERIFY_FULL_N3_SEED0
 
 
+# the quick level draws its table pairs from the seed
+VERIFY_QUICK_N4_SEED7 = """\
+PASS  orderedness characterizations agree (633 tables)
+PASS  graph entries match two-way simulation (500 pairs)
+PASS  augmented-row identity (36 quadruples)
+PASS  layer rank equals complement-matrix rank (40 tables)
+PASS  ordered-table enumerations agree (115 tables at size 3)
+PASS  staged suffix tables: acceptance sets (59 base tables)
+PASS  drop-down rows vanish (8 entries)
+PASS  breakthrough completion determines entries (344 entries)
+PASS  at-least-as-large tables always break through (41 pairs)
+PASS  matrix rank equals the ordered-table count (rank 3451, count 3451)
+PASS  random-automaton ranks stay within the bound (10 instances with 3 states)
+11/11 checks passed
+"""
+
+
+def test_verify_quick_n4_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "4", "--level", "quick", "--seed", "7")
+    assert code == 0
+    assert out == VERIFY_QUICK_N4_SEED7
+
+
+# the full level checks the augmented-row identity on all of M at size 4
+VERIFY_FULL_N4_SEED0 = """\
+PASS  orderedness characterizations agree (633 tables)
+PASS  graph entries match two-way simulation (10000 pairs)
+PASS  augmented-row identity (18288 quadruples)
+PASS  layer rank equals complement-matrix rank (3451 tables)
+PASS  ordered-table enumerations agree (3451 tables at size 4)
+PASS  staged suffix tables: acceptance sets (860 base tables)
+PASS  drop-down rows vanish (84 entries)
+PASS  breakthrough completion determines entries (5401 entries)
+PASS  at-least-as-large tables always break through (526 pairs)
+PASS  matrix rank equals the ordered-table count (rank 3451, count 3451)
+PASS  random-automaton ranks stay within the bound (50 instances with 3 states)
+11/11 checks passed
+"""
+
+
+def test_verify_full_n4_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "4", "--level", "full", "--seed", "0")
+    assert code == 0
+    assert out == VERIFY_FULL_N4_SEED0
+
+
 SCHMIDT_RANDOM_20_N3_SEED0 = """\
 {"bound": 115, "cols": 3, "n": 3, "ok": true, "rank": 1, "reduced_cols": 2, "reduced_rows": 2, "rows": 2, "seed": 0}
 {"bound": 115, "cols": 14, "n": 3, "ok": true, "rank": 1, "reduced_cols": 1, "reduced_rows": 4, "rows": 17, "seed": 1}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ufabound import exact_linalg
+from ufabound import exact_linalg, witness
 from ufabound.errors import CapacityError
 from ufabound.exact_linalg import rank_exact, rank_mod_p
 from ufabound.witness import BoolMatrix
@@ -102,6 +102,44 @@ def test_rank_exact_refuses_before_converting_entries(monkeypatch):
         raise AssertionError("the entries were converted before the size check")
 
     monkeypatch.setattr(BoolMatrix, "to_lists", no_lists)
+    big = BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000, (0,) * 4000)
+    with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
+        rank_exact(big)
+
+
+def test_rank_exact_returns_a_full_gf2_rank_without_elimination(monkeypatch):
+    # K at n = 3 has rank 115 over GF(2), its row count: an odd minor of
+    # order 115 proves the rational rank, so no entry is unpacked
+    k = witness.build_K(3)
+
+    def no_lists(self):
+        raise AssertionError("a full GF(2) rank went through elimination")
+
+    monkeypatch.setattr(BoolMatrix, "to_lists", no_lists)
+    assert rank_exact(k) == 115
+
+
+def test_rank_exact_eliminates_when_the_gf2_rank_falls_short(monkeypatch):
+    # the circulant has determinant 2: rank 2 mod 2 but 3 over the rationals
+    converted = []
+    real = BoolMatrix.to_lists
+
+    def counted(self):
+        converted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BoolMatrix, "to_lists", counted)
+    circulant = packed([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert rank_mod_p(circulant, 2) == 2
+    assert rank_exact(circulant) == 3
+    assert converted == [circulant]
+
+
+def test_rank_exact_refuses_before_the_gf2_rank(monkeypatch):
+    def no_rank(bits):
+        raise AssertionError("the GF(2) rank ran before the size check")
+
+    monkeypatch.setattr(exact_linalg, "_rank_mod_2", no_rank)
     big = BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000, (0,) * 4000)
     with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
         rank_exact(big)

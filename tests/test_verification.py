@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import automata, combinatorics, tables, verification, witness
+from ufabound import automata, combinatorics, exact_linalg, tables, verification, witness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -118,6 +119,75 @@ def test_completion_mismatch_names_the_lowest_wrong_stage(monkeypatch):
     assert not r.ok and r.detail.endswith("stage []")
 
 
+# One run studies the table pairs once and shares M, and keeps neither
+# after it returns.
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_run_studies_each_pair_once(monkeypatch):
+    masks = _counting(monkeypatch, tables, "layer_masks")
+    staged = _counting(monkeypatch, witness, "build_g_I")
+    built = _counting(monkeypatch, witness, "build_M")
+    results = verification.run_checks(3, "full")
+    assert all(r.ok for r in results)
+    ordered = combinatorics.enumerate_ordered_prefix_tables(3)
+    assert len(masks) == len(ordered) ** 2 == 13_225
+    # each of the 115 base tables' 2^k staged suffix tables, built once
+    assert len(staged) == sum(1 << tables.layer_structure(f).rank_k for f in ordered)
+    assert built == [(3,)]
+
+
+def test_no_study_survives_a_run():
+    verification.run_checks(3, "full")
+    assert verification._run_memo is None
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, verification._PairStudy)]
+
+
+def test_a_later_run_sees_a_patched_layer_mask(monkeypatch):
+    name = "drop-down rows vanish"
+    assert _check_named(verification.run_checks(3, "full"), name).ok
+    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (1, 0))
+    r = _check_named(verification.run_checks(3, "full"), name)
+    assert not r.ok and "non-zero entry" in r.detail
+
+
+def test_a_failing_check_still_clears_the_run_memo(monkeypatch):
+    def broken(n, level, rng):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(verification, "_CHECKS", [verification.check_staged_suffix_tables,
+                                                  broken])
+    with pytest.raises(RuntimeError):
+        verification.run_checks(2, "full")
+    assert verification._run_memo is None
+
+
+def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
+    # K at size 4 has 3451 rows and M 7891: a wrong rank of M must fail the
+    # full check, where the quick one takes M's rank from K's
+    ranked = []
+    real = exact_linalg.rank_mod_p
+
+    def wrong_on_m(m, p):
+        ranked.append(m.rows)
+        return real(m, p) if m.rows == 3451 else 0
+
+    monkeypatch.setattr(exact_linalg, "rank_mod_p", wrong_on_m)
+    r = verification.check_matrix_rank_is_count(4, "full", random.Random(0))
+    assert not r.ok and ranked == [3451, 7891]
+
+
 def _check_named(results, name):
     return next(r for r in results if r.name == name)
 
@@ -191,11 +261,12 @@ def test_count_mismatch_is_a_failed_check_not_a_traceback():
 
 
 def test_verify_output_is_identical_under_optimize():
-    argv = ["-m", "ufabound.cli", "verify", "--n", "2", "--level", "full"]
-    plain = _run(*argv)
-    optimized = _run("-O", *argv)
-    assert plain.returncode == optimized.returncode == 0
-    assert optimized.stdout == plain.stdout
+    for n in ("2", "3"):
+        argv = ["-m", "ufabound.cli", "verify", "--n", n, "--level", "full"]
+        plain = _run(*argv)
+        optimized = _run("-O", *argv)
+        assert plain.returncode == optimized.returncode == 0
+        assert optimized.stdout == plain.stdout
 
 
 def test_library_has_no_bare_asserts():
