@@ -10,13 +10,14 @@ reduces to plain reachability in the finite configuration graph, and
 looping computations never contribute.  One search of that graph,
 :func:`_reach`, serves both acceptance and the crossing tables of
 :mod:`ufabound.crossing`.  It runs many tapes at once, bit-sliced over
-them: a tape is a lane, and per position and state the search keeps the
-int of the lanes that reach it.  Expanding a position costs one AND per
-move of the automaton, however many letters the position holds.
-:func:`_layout` stacks grids of tapes prefixes[i]·suffixes[j] around one
-split position, and :func:`_search` runs several such grids, each with
-its own seeds and readout, as one search; :func:`concatenation_bits`
-is its one-grid case that decides every word xs[i]·ys[j].
+them: a tape is a lane, and per configuration (position p, state q),
+flat slot p·n + q, the search keeps the int of the lanes that reach it.
+Expanding a slot costs one AND per move of the automaton, however many
+letters its position holds.  :func:`_layout` stacks grids of tapes
+prefixes[i]·suffixes[j] around one split position, writing each distinct
+string once, and :func:`_search` runs several such grids, each with its
+own seeds and readout, as one search; :func:`concatenation_bits` is its
+one-grid case that decides every word xs[i]·ys[j].
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -85,86 +86,100 @@ class TwoWayNfa:
         return self.transitions.get((state, symbol), frozenset())
 
 
-def _check_word(a: TwoWayNfa, word: Sequence[int]) -> None:
-    for c in word:
-        if not 0 <= c < a.alphabet_size:
-            raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
+def _check_words(a: TwoWayNfa, words: Sequence[Sequence[int]]) -> None:
+    """Refuse any symbol outside the alphabet, a marker id included.  Each
+    distinct symbol is checked once; the error names the first bad one."""
+    symbols = set().union(*words)
+    if symbols and not (min(symbols) >= 0 and max(symbols) < a.alphabet_size):
+        c = next(c for word in words for c in word if not 0 <= c < a.alphabet_size)
+        raise ValueError(f"symbol {c} out of range 0..{a.alphabet_size - 1}")
 
 
 def _layout(grids: Sequence[tuple]):
     """Stack the grids (prefixes, suffixes, ...) in lane space around one split.
 
     The tape prefixes[i] + suffixes[j] of grid g is lane offsets[g] + i·C + j,
-    C = len(suffixes).  Returns ``(cells, split, offsets)``: ``cells[p]``
-    lists the (symbol, lanes) pairs of position p, every prefix ends just
-    before ``split`` and every suffix starts at it.  Positions 0 and
+    C = len(suffixes); strings are tuples.  Each distinct prefix and each
+    distinct suffix is written once, with the OR of its lanes across all
+    grids.  Returns ``(cells, split, offsets)``: ``cells[p]`` lists the
+    (symbol, lanes) pairs of position p, every prefix ends just before
+    ``split`` and every suffix starts at it.  Positions 0 and
     ``len(cells) - 1`` are padding, with no cells.
     """
-    split = 1 + max((len(x) for xs, *_ in grids for x in xs), default=0)
-    width = max((len(y) for _, ys, *_ in grids for y in ys), default=0)
-    cells: list[dict[int, int]] = [{} for _ in range(split + width + 1)]
+    heads: dict[tuple, int] = {}
+    tails: dict[tuple, int] = {}
     offsets, offset = [], 0
     for xs, ys, *_ in grids:
         cols = len(ys)
-        rep = sum(1 << i * cols for i in range(len(xs))) << offset
+        row = (1 << cols) - 1
         for i, x in enumerate(xs):
-            for p, c in enumerate(x, start=split - len(x)):
-                cells[p][c] = cells[p].get(c, 0) | ((1 << cols) - 1) << offset + i * cols
+            heads[x] = heads.get(x, 0) | row << offset + i * cols
+        rep = sum(1 << i * cols for i in range(len(xs))) << offset
         for j, y in enumerate(ys):
-            for p, c in enumerate(y, start=split):
-                cells[p][c] = cells[p].get(c, 0) | rep << j
+            tails[y] = tails.get(y, 0) | rep << j
         offsets.append(offset)
         offset += len(xs) * cols
+    split = 1 + max(map(len, heads), default=0)
+    width = max(map(len, tails), default=0)
+    cells: list[dict[int, int]] = [{} for _ in range(split + width + 1)]
+    placed = [(split - len(x), x, lanes) for x, lanes in heads.items()]
+    placed += [(split, y, lanes) for y, lanes in tails.items()]
+    for start, word, lanes in placed:
+        for p, c in enumerate(word, start):
+            cell = cells[p]
+            # a string alone at (p, c) keeps its own int: a copy would hold
+            # every lane twice while the layout is built
+            cell[c] = cell[c] | lanes if c in cell else lanes
     return [list(cell.items()) for cell in cells], split, offsets
 
 
 def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
-           seeds: Iterable[tuple[int, int, int]]) -> list[list[int]]:
+           seeds: Iterable[tuple[int, int, int]]) -> list[int]:
     """The lanes of a :func:`_layout` that reach each configuration from
-    the (position, state, lanes) ``seeds``: ``at[p][q]`` is their int.
+    the (position, state, lanes) ``seeds``.  Configuration (p, q) is slot
+    p·n + q of the flat result, which holds the int of its lanes.
 
-    Each position first gets its move masks: ``masks[p][q]`` maps every
-    move (t, d) from state q on a letter there to the OR of the lanes whose
-    letter allows it, so an expansion costs one AND per move however many
-    letters the position has.  Sweeps left to right, then right to left
-    and so on, expanding only the newly reached lanes of each (position,
-    state), until a sweep reaches nothing new.  A head that leaves its
+    Each slot first gets its moves, a tuple of (target slot, allowed
+    lanes): allowed is the OR of the lanes whose letter at p lets state q
+    make that move, so an expansion costs one AND per move however many
+    letters the position has.  Sweeps the slots left to right, then right
+    to left and so on, expanding only the newly reached lanes of each
+    slot, until a sweep reaches nothing new.  A head that leaves its
     fragment lands in the padding, where the callers read the exits; a
     right move off the right marker is dropped.  Private, so that
     ``bench/tracer.py`` does not wrap it.
     """
     n = a.state_count
-    masks = [[{} for _ in range(n)] for _ in cells]
-    for cell, mask in zip(cells, masks):
+    moves: list[tuple] = []
+    for p, cell in enumerate(cells):
+        base = p * n
+        out: list[dict[int, int]] = [{} for _ in range(n)]
         for c, lanes in cell:
-            for q, moves in enumerate(mask):
-                for move in a.transitions.get((q, c), ()):
-                    if c != RIGHT_MARKER or move[1] < 0:
-                        moves[move] = moves.get(move, 0) | lanes
-    at = [[0] * n for _ in cells]
-    fresh = [[0] * n for _ in cells]
+            for q, allowed in enumerate(out):
+                for t, d in a.transitions.get((q, c), ()):
+                    if c != RIGHT_MARKER or d < 0:
+                        target = base + d * n + t
+                        allowed[target] = allowed.get(target, 0) | lanes
+        moves += [tuple(allowed.items()) for allowed in out]
+    at = [0] * len(moves)
+    fresh = [0] * len(moves)
     for p, q, lanes in seeds:
-        at[p][q] |= lanes
-        fresh[p][q] |= lanes
-    forward = range(1, len(cells) - 1)
+        at[p * n + q] |= lanes
+        fresh[p * n + q] |= lanes
+    forward = range(n, len(moves) - n)
     sweep, moved = forward, True
     while moved:
         moved = False
-        for p in sweep:
-            new = fresh[p]
-            if not any(new):
-                continue
-            moved = True
-            fresh[p] = [0] * n
-            for reached, moves in zip(new, masks[p]):
-                if reached:
-                    for (t, d), allowed in moves.items():
-                        lanes = reached & allowed
-                        if lanes:
-                            grown = lanes & ~at[p + d][t]
-                            if grown:
-                                at[p + d][t] |= grown
-                                fresh[p + d][t] |= grown
+        for s in sweep:
+            reached = fresh[s]
+            if reached:
+                moved = True
+                fresh[s] = 0
+                for t, allowed in moves[s]:
+                    lanes = reached & allowed & ~at[t]
+                    if lanes:
+                        at[t] |= lanes
+                        fresh[t] |= lanes
         sweep = forward[::-1] if sweep is forward else forward
     return at
 
@@ -176,29 +191,34 @@ def _search(a: TwoWayNfa, grids: Sequence[tuple]) -> list:
     ``seeds`` are (position relative to the split, state, lanes), and
     ``read(right, left, accepted)`` gives its result from the states' lanes
     just after the split, those just before it and the lanes that reach
-    their right marker in an accepting state.
+    their right marker in an accepting state, each masked to the grid's
+    own lanes.  Strings must be checked against the alphabet first.
     """
+    n = a.state_count
     cells, split, offsets = _layout(grids)
     at = _reach(a, cells, [(split + p, q, lanes << offset)
                            for (_, _, seeds, _), offset in zip(grids, offsets)
                            for p, q, lanes in seeds])
     accepted = 0
-    for cell, states in zip(cells, at):
+    for p, cell in enumerate(cells):
         for c, lanes in cell:
             if c == RIGHT_MARKER:
                 for q in a.accepting:
-                    accepted |= states[q] & lanes
-    return [read([lanes >> offset for lanes in at[split]],
-                 [lanes >> offset for lanes in at[split - 1]], accepted >> offset)
-            for (_, _, _, read), offset in zip(grids, offsets)]
+                    accepted |= at[p * n + q] & lanes
+    right, left = at[split * n:split * n + n], at[split * n - n:split * n]
+    out = []
+    for (xs, ys, _, read), offset in zip(grids, offsets):
+        own = (1 << len(xs) * len(ys)) - 1
+        out.append(read([lanes >> offset & own for lanes in right],
+                        [lanes >> offset & own for lanes in left],
+                        accepted >> offset & own))
+    return out
 
 
 def _concatenation_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                         ys: Sequence[Sequence[int]]) -> tuple:
     """The words ⊢ xs[i] ys[j] ⊣ from the initial configuration, read as
     one int per row with bit j for ys[j]."""
-    for word in (*xs, *ys):
-        _check_word(a, word)
     cols = len(ys)
     row = (1 << cols) - 1
     return ([(LEFT_MARKER, *x) for x in xs], [(*y, RIGHT_MARKER) for y in ys],
@@ -211,6 +231,7 @@ def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                        ys: Sequence[Sequence[int]]) -> list[int]:
     """Acceptance of every word xs[i] + ys[j], in one search: row i of the
     result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
+    _check_words(a, (*xs, *ys))
     return _search(a, [_concatenation_grid(a, xs, ys)])[0]
 
 

@@ -25,12 +25,13 @@ index i = internal id + 1), matching :mod:`ufabound.tables`.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import exact_linalg
-from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_word,
+from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words,
                        _concatenation_grid, _search, concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
 from .statesets import full_mask
@@ -38,12 +39,34 @@ from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
 
 
-def _lane_mask(states: Sequence[int], lane: int) -> int:
-    # the 1-based mask of the states whose int of lanes holds ``lane``
-    mask = 0
-    for t, lanes in enumerate(states, start=1):
-        mask |= (lanes >> lane & 1) << t
-    return mask
+@functools.cache
+def _lane_bytes(width: int, t: int) -> dict[int, str]:
+    # a str.translate table from a lane's bit, as "0" or "1", to the lane's
+    # ``width`` bytes with bit t clear or set
+    one = bytearray(width)
+    one[t // 8] = 1 << t % 8
+    return {ord("0"): "\0" * width, ord("1"): one.decode("latin-1")}
+
+
+def _lane_masks(states: Sequence[int], lanes: int, flags: int = 0) -> list[int]:
+    """Each lane's 1-based mask of the states whose int holds it, for lanes
+    0..lanes-1, with bit 0 set where ``flags`` holds the lane.
+
+    One transpose: every int is spread to one byte per lane, or
+    (n + 8) // 8 bytes from n = 8 on, with its own bit set, and one
+    ``to_bytes`` reads every lane.  The ints must hold no lane beyond.
+    """
+    width = (len(states) + 8) // 8
+    spread = 0
+    for t, held in enumerate((flags, *states)):
+        if held:
+            spread |= int.from_bytes(bin(held)[:1:-1].translate(_lane_bytes(width, t))
+                                     .encode("latin-1"), "little")
+    data = spread.to_bytes(lanes * width, "little")
+    if width == 1:
+        return list(data)
+    return [int.from_bytes(data[k:k + width], "little")
+            for k in range(0, len(data), width)]
 
 
 def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
@@ -53,8 +76,6 @@ def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
     configuration, k = q + 1 re-entering the last position in state q.
     The lanes that leave rightwards land on the split, where they are read.
     """
-    for x in xs:
-        _check_word(a, x)
     n = a.state_count
     cols = n + 1
     rep = sum(1 << i * cols for i in range(len(xs)))
@@ -62,9 +83,11 @@ def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
     seeds += [(-1, q, rep << q + 1) for q in range(n)]
 
     def read(right, left, accepted):
-        exits = [_lane_mask(right, lane) for lane in range(len(xs) * cols)]
-        return [PrefixTable(n, tuple(exits[i] | t for t in exits[i + 1:i + cols]))
-                if exits[i] else None for i in range(0, len(exits), cols)]
+        exits = _lane_masks(right, len(xs) * cols)
+        rows = [tuple(exits[i:i + cols]) for i in range(0, len(exits), cols)]
+        found = {row: PrefixTable(n, tuple(row[0] | t for t in row[1:])) if row[0] else None
+                 for row in dict.fromkeys(rows)}
+        return [found[row] for row in rows]
 
     return [(LEFT_MARKER, *x) for x in xs], [()] * cols, seeds, read
 
@@ -76,19 +99,21 @@ def _suffix_grid(a: TwoWayNfa, ys: Sequence[Sequence[int]]) -> tuple:
     The lanes that leave leftwards land just before the split, where they
     are read, and so is acceptance.
     """
-    for y in ys:
-        _check_word(a, y)
     n = a.state_count
     cols = len(ys)
     row = (1 << cols) - 1
+    full = full_mask(n)
+
+    def table(col):
+        # col[q - 1]: the exits of the lane started in state q, bit 0 if it accepts
+        a_y = sum((m & 1) << q for q, m in enumerate(col, start=1))
+        return SuffixTable(n, tuple(full if m & 1 else m for m in col), a_y) if a_y else None
 
     def read(right, left, accepted):
-        accepted = [accepted >> q * cols for q in range(n)]
-        flags = [_lane_mask(accepted, j) for j in range(cols)]
-        return [SuffixTable(n, tuple(full_mask(n) if a_y >> q + 1 & 1
-                                     else _lane_mask(left, q * cols + j)
-                                     for q in range(n)), a_y) if a_y else None
-                for j, a_y in enumerate(flags)]
+        exits = _lane_masks(left, n * cols, accepted)
+        columns = [tuple(exits[j::cols]) for j in range(cols)]
+        found = {col: table(col) for col in dict.fromkeys(columns)}
+        return [found[col] for col in columns]
 
     return ([()] * n, [(*y, RIGHT_MARKER) for y in ys],
             [(0, q, row << q * cols) for q in range(n)], read)
@@ -106,6 +131,7 @@ def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     when s_x is empty: nothing leaves the prefix, and the matrix row is
     all zero anyway.
     """
+    _check_words(a, xs)
     return _search(a, [_prefix_grid(a, xs)])[0]
 
 
@@ -121,6 +147,7 @@ def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
     position.  The table is None when no state accepts: the matrix column
     is then all zero anyway.
     """
+    _check_words(a, ys)
     return _search(a, [_suffix_grid(a, ys)])[0]
 
 
@@ -174,13 +201,15 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     search, with one grid of lanes each.
 
     The matrix is pruned of rows and columns without a crossing table
-    (those must be all zero), then deduplicated by induced table; the
-    deduplicated entries must agree with the universal acceptance matrix,
-    and all three ranks must coincide and stay within the bound.
+    (those must be all zero), then deduplicated by induced table.  Every
+    kept entry must agree with the universal acceptance matrix, which is
+    built over the distinct tables only, and all three ranks must coincide
+    and stay within the bound.
     """
     n = a.state_count
     xs = tuple(tuple(x) for x in xs)
     ys = tuple(tuple(y) for y in ys)
+    _check_words(a, xs + ys)
     bits, fx, gy = _search(
         a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs), _suffix_grid(a, ys)])
     matrix = BoolMatrix(xs, ys, len(ys), tuple(bits))
@@ -193,10 +222,17 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
 
     pruned = matrix.select(keep_rows, keep_cols)
 
-    # entries are a function of the induced tables alone
-    universal = acceptance_matrix([fx[i] for i in keep_rows],
-                                  [gy[j] for j in keep_cols], n)
-    if universal.bits != pruned.bits:
+    # entries are a function of the induced tables alone: the universal
+    # matrix over the distinct tables, each of its columns spread over the
+    # kept columns with that table, must give every kept row
+    row_tables = list(dict.fromkeys(fx[i] for i in keep_rows))
+    where = dict.fromkeys((gy[j] for j in keep_cols), 0)
+    for k, j in enumerate(keep_cols):
+        where[gy[j]] |= 1 << k
+    universal = acceptance_matrix(row_tables, list(where), n)
+    spread = {f: sum(cols for b, cols in enumerate(where.values()) if u >> b & 1)
+              for f, u in zip(row_tables, universal.bits)}
+    if any(b != spread[fx[i]] for i, b in zip(keep_rows, pruned.bits)):
         ok = False
 
     # one representative, the first, per induced table

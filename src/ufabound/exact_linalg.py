@@ -1,15 +1,17 @@
 """Exact rank of packed 0/1 matrices, over the rationals and over prime fields.
 
 Every engine takes a :class:`~ufabound.witness.BoolMatrix`.  The rational
-rank first takes the rank over GF(2), which is cheap on the packed rows:
-when it reaches min(rows, cols) some minor of that order is odd, hence
-non-zero, and the rational rank is that full rank.  Any other matrix goes
-through fraction-free elimination: every intermediate value is an
-integer (a minor of the original matrix), so the result is exact for
-matrices of any size that fits in memory.  Very large matrices are
-refused here and should go through :func:`rank_mod_p`, which gives a
-certified lower bound on the rational rank (a vanishing rational minor
-vanishes mod p as well, so the mod-p rank can never exceed it).
+rank first drops zero and repeated rows, which leave the rank alone, and
+takes the rank of the distinct rows over GF(2), which is cheap on the
+packed rows: when it reaches min(rows, cols) some minor of that order is
+odd, hence non-zero, and the rational rank is that full rank.  Any other
+matrix goes through fraction-free elimination of its distinct rows:
+every intermediate value is an integer (a minor of the original matrix),
+so the result is exact for matrices of any size that fits in memory.
+Very large matrices are refused here and should go through
+:func:`rank_mod_p`, which gives a certified lower bound on the rational
+rank (a vanishing rational minor vanishes mod p as well, so the mod-p
+rank can never exceed it).
 
 Pivoting is deterministic: first non-zero entry in column order.
 """
@@ -23,8 +25,8 @@ from .witness import CHUNK_ELEMS, BoolMatrix
 
 
 def rank_exact(m: BoolMatrix) -> int:
-    """Rank over the rationals, by fraction-free integer elimination unless
-    the GF(2) rank is already full.
+    """Rank over the rationals, by fraction-free integer elimination of the
+    distinct non-zero rows unless their GF(2) rank is already full.
 
     The size limit is checked on the shape, before any entry is read.
     """
@@ -33,10 +35,15 @@ def rank_exact(m: BoolMatrix) -> int:
         raise CapacityError(
             f"{nrows}x{ncols} matrix exceeds the {RANK_EXACT_MAX_ENTRIES}-entry "
             "limit of exact elimination; use rank_mod_p")
-    # an odd minor is non-zero, so a full rank mod 2 is the rational rank
-    full = min(nrows, ncols)
-    if _rank_mod_2(m.bits) == full:
+    # zero and repeated rows leave the rank alone; an odd minor is non-zero,
+    # so a full rank mod 2 of the distinct rows is the rational rank
+    distinct = tuple(dict.fromkeys(b for b in m.bits if b))
+    full = min(len(distinct), ncols)
+    if _rank_mod_2(distinct) == full:
         return full
+    if len(distinct) < nrows:
+        nrows = len(distinct)
+        m = BoolMatrix(tuple(range(nrows)), m.col_labels, ncols, distinct)
     a = m.to_lists()
     rank = 0
     prev = 1

@@ -333,6 +333,16 @@ def test_schmidt_random_output_is_pinned(capsys):
     assert out == SCHMIDT_RANDOM_20_N3_SEED0
 
 
+def test_schmidt_random_300_digest_is_pinned(capsys):
+    # the schmidt-n3 benchmark workload at seed 0, pinned by the digest that
+    # bench/workloads.py gates on
+    code, out, _ = run(capsys, "schmidt", "--random", "300", "--states", "3",
+                       "--alphabet", "2", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "26e1c3848570f395902b356248d59d4d1bca8afe4b2b9d36ad29513efeebe723")
+
+
 def test_schmidt_with_files(tmp_path, capsys):
     automaton = {
         "type": "2nfa",

@@ -5,18 +5,19 @@ import pytest
 
 from conftest import (closure_exits, configurations, dfs_two_way_accepts,
                       oracle_prefix_table, oracle_suffix_table)
+from ufabound import crossing
 from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenation_grid,
                                _layout, _reach, _search, concatenation_bits,
                                twonfa_accepts)
 from ufabound.combinatorics import enumerate_ordered_prefix_tables
-from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_tables_of,
+from ufabound.crossing import (_lane_masks, _prefix_grid, _suffix_grid, prefix_tables_of,
                                random_campaign_report, random_strings,
                                random_two_way_nfa, schmidt_matrix, suffix_tables_of,
                                verify_optimality)
 from ufabound.statesets import full_mask, mask_of
 from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, starting_state)
-from ufabound.witness import WitnessAutomaton, acceptance_matrix, build_M
+from ufabound.witness import BoolMatrix, WitnessAutomaton, acceptance_matrix, build_M
 
 
 def forward_only():
@@ -78,13 +79,15 @@ class TestProfiles:
         a = right_marker_mover()
         words = ((), (0,), (0, 0))
         for word in words:
-            tape = [LEFT_MARKER, *word, RIGHT_MARKER]
+            tape = (LEFT_MARKER, *word, RIGHT_MARKER)
             # one lane: the tape fills the positions between the two padding
-            # positions, where the exits would land
+            # positions, where the exits would land; slot p·2 + q holds
+            # configuration (p, q)
             cells, _, _ = _layout([([tape], [()])])
+            slots = _reach(a, cells, [(1, 0, 1)])
             exit_left, *at, exit_right = [
-                mask_of(q + 1 for q, lanes in enumerate(states) if lanes & 1)
-                for states in _reach(a, cells, [(1, 0, 1)])]
+                mask_of(q + 1 for q in range(2) if slots[p * 2 + q] & 1)
+                for p in range(len(cells))]
             assert at == [mask_of({1})] * len(tape)
             assert exit_right == exit_left == 0
             assert closure_exits(a, tape, [(0, 0)]) == (configurations(at), 0, 0)
@@ -235,6 +238,42 @@ class TestLaneSearch:
                     keep_rows = [i for i, f in enumerate(alone[1]) if f]
                     keep_cols = [j for j, g in enumerate(alone[2]) if g]
                     assert report.pruned == report.matrix.select(keep_rows, keep_cols)
+
+    def test_a_grid_without_lanes_takes_no_lanes(self, sparse_two_way_nfa):
+        # grids with no lanes before, between and after the others read
+        # nothing and shift no other grid's lanes
+        rng = random.Random(12)
+        a = sparse_two_way_nfa(3, 2, rng)
+        xs = ragged(2, 6, 4, rng)
+        ys = ragged(2, 5, 4, rng)
+        got = _search(a, [_prefix_grid(a, []), _concatenation_grid(a, xs, []),
+                          _prefix_grid(a, xs), _suffix_grid(a, []), _suffix_grid(a, ys),
+                          _concatenation_grid(a, [], ys)])
+        assert got == [[], [0] * len(xs), prefix_tables_of(a, xs), [],
+                       suffix_tables_of(a, ys), []]
+        assert _search(a, [_prefix_grid(a, [])]) == _search(a, [_suffix_grid(a, [])]) == [[]]
+        assert _lane_masks([0, 0, 0], 0) == []
+
+    @pytest.mark.parametrize("states", [7, 8, 9, 15, 16])
+    def test_lane_reads_on_both_sides_of_a_byte(self, states, sparse_two_way_nfa):
+        # a lane's 1-based state mask takes one byte up to seven states and
+        # more bytes from eight on; the transpose against a bit probe per
+        # lane and state, with more lanes than one 64-bit word
+        rng = random.Random(states)
+        for lanes in (1, 7, 8, 70):
+            ints = [rng.getrandbits(lanes) for _ in range(states)]
+            flags = rng.getrandbits(lanes)
+            want = [sum((held >> lane & 1) << t for t, held in enumerate((flags, *ints)))
+                    for lane in range(lanes)]
+            assert _lane_masks(ints, lanes, flags) == want
+            assert _lane_masks(ints, lanes) == [m & ~1 for m in want]
+        a = sparse_two_way_nfa(states, 2, rng, 3)
+        xs = ragged(2, 6, 4, rng)
+        ys = ragged(2, 6, 4, rng)
+        fs = prefix_tables_of(a, xs)
+        gs = suffix_tables_of(a, ys)
+        assert fs == [oracle_prefix_table(a, x) for x in xs]
+        assert gs == [oracle_suffix_table(a, y) for y in ys]
 
     def test_empty_families(self):
         a = forward_only()
@@ -392,3 +431,78 @@ class TestVerifyOptimality:
         b = random_campaign_report(2, 2, seed=12)
         assert a.to_json() == b.to_json()
         assert a.matrix.bits == b.matrix.bits
+
+
+class TestVerifyOptimalityRejects:
+    """Each injected fault must give a report that is not ok."""
+
+    @staticmethod
+    def instance():
+        # a seeded campaign instance whose kept matrix has a 1, with the
+        # string of its first non-zero row repeated at the end
+        for seed in range(100):
+            rng = random.Random(seed)
+            a = random_two_way_nfa(3, 2, rng)
+            xs = random_strings(2, 8, 4, rng)
+            ys = random_strings(2, 8, 4, rng)
+            report = verify_optimality(a, xs, ys)
+            assert report.ok
+            if any(report.pruned.bits):
+                i = next(i for i, b in enumerate(report.matrix.bits) if b)
+                return a, xs + [xs[i]], ys
+        raise AssertionError("no instance with a non-zero kept entry")
+
+    @staticmethod
+    def patch_search(monkeypatch, change):
+        real = crossing._search
+
+        def patched(a, grids):
+            bits, fx, gy = real(a, grids)
+            return change(bits, fx, gy)
+
+        monkeypatch.setattr(crossing, "_search", patched)
+
+    def test_a_flipped_universal_entry_fails(self, monkeypatch):
+        a, xs, ys = self.instance()
+        real = crossing.acceptance_matrix
+
+        def flipped(prefixes, suffixes, n):
+            m = real(prefixes, suffixes, n)
+            return BoolMatrix(m.row_labels, m.col_labels, m.cols, (m.bits[0] ^ 1, *m.bits[1:]))
+
+        monkeypatch.setattr(crossing, "acceptance_matrix", flipped)
+        assert not verify_optimality(a, xs, ys).ok
+
+    def test_a_non_zero_pruned_row_fails(self, monkeypatch):
+        a, xs, ys = self.instance()
+
+        def drop_row(bits, fx, gy):
+            i = next(i for i, b in enumerate(bits) if b)
+            return bits, fx[:i] + [None] + fx[i + 1:], gy
+
+        self.patch_search(monkeypatch, drop_row)
+        assert not verify_optimality(a, xs, ys).ok
+
+    def test_a_non_zero_pruned_column_fails(self, monkeypatch):
+        a, xs, ys = self.instance()
+
+        def drop_column(bits, fx, gy):
+            j = next(j for j in range(len(gy)) if any(b >> j & 1 for b in bits))
+            return bits, fx, gy[:j] + [None] + gy[j + 1:]
+
+        self.patch_search(monkeypatch, drop_column)
+        assert not verify_optimality(a, xs, ys).ok
+
+    def test_two_rows_of_one_string_must_agree(self, monkeypatch):
+        # the repeated string's second row is zeroed, which leaves every rank
+        # as it was; its table is the first copy's, so the universal matrix
+        # gives it the first copy's non-zero row
+        a, xs, ys = self.instance()
+
+        def differ(bits, fx, gy):
+            return bits[:-1] + [0], fx, gy
+
+        self.patch_search(monkeypatch, differ)
+        report = verify_optimality(a, xs, ys)
+        assert report.matrix.bits[-1] != report.matrix.bits[xs.index(xs[-1])]
+        assert not report.ok

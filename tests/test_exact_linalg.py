@@ -135,6 +135,32 @@ def test_rank_exact_eliminates_when_the_gf2_rank_falls_short(monkeypatch):
     assert converted == [circulant]
 
 
+def test_rank_exact_eliminates_only_the_distinct_non_zero_rows(monkeypatch):
+    # zero rows, repeated rows and a doubled det-2 circulant: rank 2 mod 2
+    # but 3 over the rationals, so elimination runs, on the three distinct
+    # rows only
+    converted = []
+    real = BoolMatrix.to_lists
+
+    def counted(self):
+        converted.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(BoolMatrix, "to_lists", counted)
+    circulant = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    doubled = packed([[0, 0, 0], *circulant, [0, 0, 0], *circulant, circulant[1]])
+    assert rank_mod_p(doubled, 2) == 2
+    assert rank_exact(doubled) == 3
+    assert converted == [3]
+    assert rank_exact(packed([], 3)) == 0
+    assert rank_exact(packed([[0, 0, 0]] * 4)) == 0
+    assert rank_exact(packed([[1, 0, 1]] * 5)) == 1
+    # a full GF(2) rank of the distinct rows needs no elimination, though
+    # the GF(2) rank falls short of the shape's min(rows, cols)
+    assert rank_exact(packed([[1, 0, 1, 1], [0, 1, 1, 0]] * 3 + [[0] * 4])) == 2
+    assert converted == [3]
+
+
 def test_rank_exact_refuses_before_the_gf2_rank(monkeypatch):
     def no_rank(bits):
         raise AssertionError("the GF(2) rank ran before the size check")

@@ -138,13 +138,28 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     masks = _counting(monkeypatch, tables, "layer_masks")
     staged = _counting(monkeypatch, witness, "build_g_I")
     built = _counting(monkeypatch, witness, "build_M")
+    # K is read off the memoised M
+    built_k = _counting(monkeypatch, witness, "build_K")
     results = verification.run_checks(3, "full")
     assert all(r.ok for r in results)
     ordered = combinatorics.enumerate_ordered_prefix_tables(3)
     assert len(masks) == len(ordered) ** 2 == 13_225
     # each of the 115 base tables' 2^k staged suffix tables, built once
     assert len(staged) == sum(1 << tables.layer_structure(f).rank_k for f in ordered)
-    assert built == [(3,)]
+    assert built == [(3,)] and built_k == []
+
+
+def test_a_full_run_at_size_four_reads_k_off_m(monkeypatch):
+    built_k = _counting(monkeypatch, witness, "build_K")
+    built_m = _counting(monkeypatch, witness, "build_M")
+    results = verification.run_checks(4, "full")
+    assert all(r.ok for r in results)
+    assert built_k == [] and built_m == [(3,), (4,)]
+
+
+def test_k_read_off_m_is_k():
+    for n in (1, 2, 3):
+        assert verification._ordered_rows(witness.build_M(n)) == witness.build_K(n)
 
 
 def test_no_study_survives_a_run():
