@@ -1,9 +1,11 @@
 """Rank experiments on arbitrary two-way automata.
 
 Extracts crossing tables from a random automaton, builds the
-concatenation matrix for random string sets, and checks the whole
-reduction chain: pruning strings without a table, deduplicating by
-table, and comparing the rank against the closed-form ceiling.
+concatenation matrix for random string sets, and checks it against the
+universal matrix over the distinct tables the strings induce: every
+entry must be the universal entry of its two tables (zero where a
+string induces none), both ranks must agree, and neither may exceed the
+closed-form ceiling.
 """
 import json
 import random
@@ -34,7 +36,8 @@ for y, g in zip(ys, suffix_tables_of(aut, ys)):
           suffix_table_to_text(g) if g else "never accepts: zero column")
 
 # The concatenation matrix for random string sets, and the full report:
-# the rank survives both reductions and stays within the ceiling.
+# its entries are the universal matrix's, repeated per string, and its
+# rank equals the universal rank and stays within the ceiling.
 xs = random_strings(2, 12, 5, rng)
 ys = random_strings(2, 12, 5, rng)
 m = schmidt_matrix(aut, xs, ys)

@@ -89,7 +89,13 @@ def _cmd_verify(args) -> int:
 
 def _read_strings(path: str, alphabet: list[str]) -> list[tuple[int, ...]]:
     """One string per line, symbol names separated by whitespace; a single
-    ``-`` denotes the empty string, blank lines are skipped."""
+    ``-`` denotes the empty string, blank lines are skipped.  An alphabet
+    with a symbol these lines cannot spell (``-``, an empty name, a name
+    with whitespace) is refused, since its strings would be misread."""
+    bad = next((name for name in alphabet if name == "-" or name.split() != [name]), None)
+    if bad is not None:
+        raise ValueError(f"symbol {bad!r} cannot be spelled in {path}: its lines are "
+                         "whitespace-separated names, and '-' is the empty string")
     sym_id = {name: i for i, name in enumerate(alphabet)}
     out = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -162,7 +162,11 @@ def schmidt_matrix(a: TwoWayNfa, xs: Sequence[Sequence[int]],
 
 @dataclass(frozen=True)
 class OptimalityReport:
-    """Outcome of one rank-versus-bound experiment."""
+    """Outcome of one rank-versus-bound experiment.
+
+    ``universal`` is the acceptance matrix over the distinct induced
+    tables, which label its rows and columns.
+    """
 
     n: int
     rank: int
@@ -174,8 +178,7 @@ class OptimalityReport:
     seed: Optional[int]
     ok: bool
     matrix: BoolMatrix
-    pruned: BoolMatrix
-    deduplicated: BoolMatrix
+    universal: BoolMatrix
 
     def to_json(self) -> dict:
         return {
@@ -194,17 +197,19 @@ class OptimalityReport:
 def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                       ys: Sequence[Sequence[int]],
                       seed: Optional[int] = None) -> OptimalityReport:
-    """Check that the concatenation matrix never out-ranks the closed-form
-    bound, through the chain of rank-preserving reductions.
+    """Check that the concatenation matrix is a function of the induced
+    crossing tables and never out-ranks the closed-form bound.
 
     The matrix and the crossing tables of ``xs`` and ``ys`` come from one
-    search, with one grid of lanes each.
-
-    The matrix is pruned of rows and columns without a crossing table
-    (those must be all zero), then deduplicated by induced table.  Every
-    kept entry must agree with the universal acceptance matrix, which is
-    built over the distinct tables only, and all three ranks must coincide
-    and stay within the bound.
+    search, with one grid of lanes each.  The universal acceptance matrix
+    is built over the distinct tables, in first-occurrence order.  Each of
+    its columns is spread over the matrix's own columns with that suffix
+    table, and every row of the matrix must equal the spread row of its
+    prefix table, or zero where the string induces no table.  That one
+    comparison makes rows and columns without a table zero and every other
+    entry agree, so the matrix is the universal one with rows and columns
+    repeated and zero rows and columns added.  Its rank must then equal
+    the universal matrix's and stay within the bound.
     """
     n = a.state_count
     xs = tuple(tuple(x) for x in xs)
@@ -214,44 +219,27 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
         a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs), _suffix_grid(a, ys)])
     matrix = BoolMatrix(xs, ys, len(ys), tuple(bits))
 
-    keep_rows = [i for i, f in enumerate(fx) if f is not None]
-    keep_cols = [j for j, g in enumerate(gy) if g is not None]
-    # pruned rows and columns must be all zero
-    kept = sum(1 << j for j in keep_cols)
-    ok = all(not b or (f is not None and not b & ~kept) for f, b in zip(fx, matrix.bits))
-
-    pruned = matrix.select(keep_rows, keep_cols)
-
-    # entries are a function of the induced tables alone: the universal
-    # matrix over the distinct tables, each of its columns spread over the
-    # kept columns with that table, must give every kept row
-    row_tables = list(dict.fromkeys(fx[i] for i in keep_rows))
-    where = dict.fromkeys((gy[j] for j in keep_cols), 0)
-    for k, j in enumerate(keep_cols):
-        where[gy[j]] |= 1 << k
+    # the matrix's columns per distinct suffix table, in first-occurrence order
+    where: dict = {}
+    for j, g in enumerate(gy):
+        if g is not None:
+            where[g] = where.get(g, 0) | 1 << j
+    row_tables = list(dict.fromkeys(f for f in fx if f is not None))
     universal = acceptance_matrix(row_tables, list(where), n)
-    spread = {f: sum(cols for b, cols in enumerate(where.values()) if u >> b & 1)
-              for f, u in zip(row_tables, universal.bits)}
-    if any(b != spread[fx[i]] for i, b in zip(keep_rows, pruned.bits)):
-        ok = False
-
-    # one representative, the first, per induced table
-    rep_rows = sorted({fx[i]: i for i in reversed(keep_rows)}.values())
-    rep_cols = sorted({gy[j]: j for j in reversed(keep_cols)}.values())
-    dedup = matrix.select(rep_rows, rep_cols)
+    spread = {None: 0}
+    for f, u in zip(row_tables, universal.bits):
+        spread[f] = sum(cols for b, cols in enumerate(where.values()) if u >> b & 1)
+    entries_ok = all(b == spread[f] for f, b in zip(fx, bits))
 
     rank = exact_linalg.rank_exact(matrix)
-    rank_pruned = exact_linalg.rank_exact(pruned)
-    rank_dedup = exact_linalg.rank_exact(dedup)
     bound = count_ordered_prefix_tables(n)
-    ok = ok and rank == rank_pruned == rank_dedup and rank <= bound
+    ok = entries_ok and rank == exact_linalg.rank_exact(universal) <= bound
 
     return OptimalityReport(
         n=n, rank=rank, bound=bound,
         rows=matrix.rows, cols=matrix.cols,
-        reduced_rows=dedup.rows, reduced_cols=dedup.cols,
-        seed=seed, ok=ok,
-        matrix=matrix, pruned=pruned, deduplicated=dedup)
+        reduced_rows=universal.rows, reduced_cols=universal.cols,
+        seed=seed, ok=ok, matrix=matrix, universal=universal)
 
 
 # ---------------------------------------------------------------------------

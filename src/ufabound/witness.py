@@ -134,19 +134,6 @@ class BoolMatrix:
                 raw.reshape(len(chunk), nbytes), axis=1, bitorder="little")[:, :self.cols]
         return out
 
-    def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "BoolMatrix":
-        col_idx = list(col_idx)
-        bits = []
-        for i in row_idx:
-            b = self.bits[i]
-            packed = 0
-            for jj, j in enumerate(col_idx):
-                packed |= (b >> j & 1) << jj
-            bits.append(packed)
-        return BoolMatrix(tuple(self.row_labels[i] for i in row_idx),
-                          tuple(self.col_labels[j] for j in col_idx),
-                          len(col_idx), tuple(bits))
-
 
 def _column_bits(masks: Sequence[int], i: int) -> int:
     # the int whose bit j is bit i of masks[j], built in one conversion

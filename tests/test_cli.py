@@ -343,6 +343,27 @@ def test_schmidt_random_300_digest_is_pinned(capsys):
         "26e1c3848570f395902b356248d59d4d1bca8afe4b2b9d36ad29513efeebe723")
 
 
+def test_schmidt_random_100_five_states_digest_is_pinned(capsys):
+    # beyond three states and two letters: larger tables, three letters
+    code, out, _ = run(capsys, "schmidt", "--random", "100", "--states", "5",
+                       "--alphabet", "3", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "eaaf030f1b00494d9d87d92562b51b8dcd184a585430bf0edd7b327a83315801")
+
+
+def test_schmidt_random_output_is_identical_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["-m", "ufabound.cli", "schmidt", "--random", "30", "--states", "3"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                                       env=env, timeout=300)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout.endswith(b"bound 115 holds on 30 random instances\n")
+    assert optimized.stdout == plain.stdout
+
+
 def test_schmidt_with_files(tmp_path, capsys):
     automaton = {
         "type": "2nfa",
@@ -422,6 +443,29 @@ def test_unknown_symbol_in_strings(tmp_path, capsys):
                        "--prefixes", str(tmp_path / "xs.txt"),
                        "--suffixes", str(tmp_path / "ys.txt"))
     assert code == 2 and "unknown symbol" in err
+
+
+@pytest.mark.parametrize("alphabet,line", [(["-", "a"], "-"), (["a b", "a", "b"], "a b"),
+                                           (["", "a"], "a")])
+def test_strings_refuse_symbols_a_line_cannot_spell(tmp_path, capsys, alphabet, line):
+    # a line "-" is the empty string and a line splits at whitespace, so a
+    # symbol named "-" or "a b" would be misread, and "" never read
+    automaton = {
+        "type": "2nfa", "states": 1, "alphabet": alphabet,
+        "initial": [1], "accepting": [1],
+        "transitions": [{"from": 1, "symbol": "⊢", "to": 1, "dir": 1},
+                        {"from": 1, "symbol": alphabet[0], "to": 1, "dir": 1}],
+    }
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps(automaton))
+    (tmp_path / "xs.txt").write_text(f"{line}\na\n")
+    (tmp_path / "ys.txt").write_text("-\n")
+    code, out, err = run(capsys, "schmidt", "--automaton", str(aut),
+                         "--prefixes", str(tmp_path / "xs.txt"),
+                         "--suffixes", str(tmp_path / "ys.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(alphabet[0]) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_usage_error_exit_code():

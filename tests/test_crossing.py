@@ -38,6 +38,20 @@ def right_marker_mover():
     return TwoWayNfa(2, 1, {0}, trans, {1})
 
 
+def submatrix(m, rows, cols):
+    """The entries of m on the given row and column indices, in that order."""
+    return BoolMatrix(tuple(m.row_labels[i] for i in rows),
+                      tuple(m.col_labels[j] for j in cols), len(cols),
+                      tuple(sum((m.bits[i] >> j & 1) << k for k, j in enumerate(cols))
+                            for i in rows))
+
+
+def kept_and_first(tables):
+    """The indices with a table, and those holding a table's first occurrence."""
+    kept = [i for i, t in enumerate(tables) if t is not None]
+    return kept, [i for i in kept if tables.index(tables[i]) == i]
+
+
 class TestProfiles:
     def test_forward_sweep(self):
         a = forward_only()
@@ -234,10 +248,14 @@ class TestLaneSearch:
                     assert _search(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
                                        _suffix_grid(a, ys)]) == alone
                     report = verify_optimality(a, xs, ys)
+                    assert report.ok
                     assert report.matrix == schmidt_matrix(a, xs, ys)
-                    keep_rows = [i for i, f in enumerate(alone[1]) if f]
-                    keep_cols = [j for j, g in enumerate(alone[2]) if g]
-                    assert report.pruned == report.matrix.select(keep_rows, keep_cols)
+                    _, first_rows = kept_and_first(alone[1])
+                    _, first_cols = kept_and_first(alone[2])
+                    dedup = submatrix(report.matrix, first_rows, first_cols)
+                    assert report.universal.bits == dedup.bits
+                    assert report.universal.row_labels == tuple(alone[1][i] for i in first_rows)
+                    assert report.universal.col_labels == tuple(alone[2][j] for j in first_cols)
 
     def test_a_grid_without_lanes_takes_no_lanes(self, sparse_two_way_nfa):
         # grids with no lanes before, between and after the others read
@@ -383,14 +401,20 @@ class TestVerifyOptimality:
             ys = random_strings(2, rng.randint(1, 8), 4, rng)
             report = verify_optimality(a, xs, ys)
             assert report.ok
+            # the chain of rank-preserving reductions, gathered here: rows and
+            # columns without a table dropped, then one per distinct table
+            kept_rows, first_rows = kept_and_first(prefix_tables_of(a, xs))
+            kept_cols, first_cols = kept_and_first(suffix_tables_of(a, ys))
+            pruned = submatrix(report.matrix, kept_rows, kept_cols)
+            dedup = submatrix(report.matrix, first_rows, first_cols)
             assert (la.rank_exact(report.matrix)
-                    == la.rank_exact(report.pruned)
-                    == la.rank_exact(report.deduplicated)
+                    == la.rank_exact(pruned)
+                    == la.rank_exact(dedup)
                     == report.rank)
-            dedup = report.deduplicated
+            assert dedup.bits == report.universal.bits
             universal = acceptance_matrix(prefix_tables_of(a, dedup.row_labels),
                                           suffix_tables_of(a, dedup.col_labels), 2)
-            assert universal.bits == dedup.bits
+            assert universal == report.universal
 
     def test_empty_profile_rows_are_zero(self):
         rng = random.Random(41)
@@ -447,7 +471,7 @@ class TestVerifyOptimalityRejects:
             ys = random_strings(2, 8, 4, rng)
             report = verify_optimality(a, xs, ys)
             assert report.ok
-            if any(report.pruned.bits):
+            if any(report.universal.bits):
                 i = next(i for i, b in enumerate(report.matrix.bits) if b)
                 return a, xs + [xs[i]], ys
         raise AssertionError("no instance with a non-zero kept entry")
@@ -505,4 +529,17 @@ class TestVerifyOptimalityRejects:
         self.patch_search(monkeypatch, differ)
         report = verify_optimality(a, xs, ys)
         assert report.matrix.bits[-1] != report.matrix.bits[xs.index(xs[-1])]
+        assert not report.ok
+
+    def test_a_miscounted_universal_rank_fails(self, monkeypatch):
+        # the universal matrix is the one whose labels are tables
+        a, xs, ys = self.instance()
+        real = crossing.exact_linalg.rank_exact
+
+        def miscount(m):
+            return real(m) + isinstance(m.row_labels[0], PrefixTable)
+
+        monkeypatch.setattr(crossing.exact_linalg, "rank_exact", miscount)
+        report = verify_optimality(a, xs, ys)
+        assert report.rank == real(report.matrix)
         assert not report.ok

@@ -386,12 +386,9 @@ class TestMatrixText:
 
 
 class TestBoolMatrix:
-    def test_select_and_lists(self):
+    def test_to_lists(self):
         m = BoolMatrix(("a", "b"), ("x", "y", "z"), 3, (0b110, 0b001))
         assert m.to_lists() == [[0, 1, 1], [1, 0, 0]]
-        sub = m.select([1], [0, 2])
-        assert sub.to_lists() == [[1, 0]]
-        assert sub.row_labels == ("b",) and sub.col_labels == ("x", "z")
 
     def test_to_numpy_matches_lists(self, monkeypatch):
         m = build_M(2)
