@@ -23,6 +23,6 @@ from .tables import (LayerStructure, PrefixTable, SuffixTable, augment,
                      enumerate_prefix_tables, enumerate_suffix_tables, is_ordered,
                      layer_masks, layer_structure, starting_state, table_size)
 from .witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix, build_K,
-                      build_M, build_g_I)
+                      build_M, build_g_I, staged_columns)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,10 +8,10 @@ odd, hence non-zero, and the rational rank is that full rank.  Any other
 matrix goes through fraction-free elimination of its distinct rows:
 every intermediate value is an integer (a minor of the original matrix),
 so the result is exact for matrices of any size that fits in memory.
-Very large matrices are refused here and should go through
-:func:`rank_mod_p`, which gives a certified lower bound on the rational
-rank (a vanishing rational minor vanishes mod p as well, so the mod-p
-rank can never exceed it).
+A matrix whose distinct rows are too large to eliminate is refused here
+and should go through :func:`rank_mod_p`, which gives a certified lower
+bound on the rational rank (a vanishing rational minor vanishes mod p as
+well, so the mod-p rank can never exceed it).
 
 Pivoting is deterministic: first non-zero entry in column order.
 """
@@ -28,19 +28,22 @@ def rank_exact(m: BoolMatrix) -> int:
     """Rank over the rationals, by fraction-free integer elimination of the
     distinct non-zero rows unless their GF(2) rank is already full.
 
-    The size limit is checked on the shape, before any entry is read.
+    A full GF(2) rank needs no elimination and so has no size limit; the
+    limit is checked on the distinct rows, before elimination reads an
+    entry.
     """
     nrows, ncols = m.rows, m.cols
-    if nrows * ncols > RANK_EXACT_MAX_ENTRIES:
-        raise CapacityError(
-            f"{nrows}x{ncols} matrix exceeds the {RANK_EXACT_MAX_ENTRIES}-entry "
-            "limit of exact elimination; use rank_mod_p")
     # zero and repeated rows leave the rank alone; an odd minor is non-zero,
     # so a full rank mod 2 of the distinct rows is the rational rank
     distinct = tuple(dict.fromkeys(b for b in m.bits if b))
     full = min(len(distinct), ncols)
     if _rank_mod_2(distinct) == full:
         return full
+    if len(distinct) * ncols > RANK_EXACT_MAX_ENTRIES:
+        raise CapacityError(
+            f"{nrows}x{ncols} matrix with {len(distinct)} distinct non-zero rows "
+            f"exceeds the {RANK_EXACT_MAX_ENTRIES}-entry limit of exact elimination; "
+            "use rank_mod_p")
     if len(distinct) < nrows:
         nrows = len(distinct)
         m = BoolMatrix(tuple(range(nrows)), m.col_labels, ncols, distinct)

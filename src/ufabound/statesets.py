@@ -4,9 +4,14 @@ Everywhere in this package a set of 1-based state indices is an ``int``
 in which index ``i`` occupies bit ``1 << i``.  Bit 0 is never used, so a
 mask reads off in natural order and masks compare cheaply.  Masks are
 plain Python ints, so they have no width limit; the size caps of the
-computations that grow with n live in :mod:`ufabound.errors`.  The two
-bit-sliced kernels slice the other way, one int per state with one bit
-per tape (:mod:`ufabound.automata`) or per column (:mod:`ufabound.witness`).
+computations that grow with n live in :mod:`ufabound.errors`.  The
+bit-sliced code slices the other way: one int per state with one bit per
+tape (:mod:`ufabound.automata`), one int per vertex with one bit per
+column (:mod:`ufabound.witness`), and one int per arc, layer or staged
+table with one bit per first table of a table pair
+(:func:`ufabound.tables.layer_masks`,
+:func:`ufabound.witness.staged_columns` and the pair checks in
+:mod:`ufabound.verification`).
 """
 
 from __future__ import annotations

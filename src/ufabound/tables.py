@@ -22,12 +22,13 @@ with values[u-1] holding the set for state u.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ENUMERATION_MAX_N, CapacityError
-from .statesets import (check_n, format_set, full_mask, is_subset, mask_of,
-                        parse_set)
+from .statesets import (check_n, elements, format_set, full_mask, is_subset,
+                        mask_of, parse_set)
 
 
 @dataclass(frozen=True)
@@ -176,30 +177,53 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
     return ls
 
 
-def layer_masks(f: PrefixTable, f0: PrefixTable) -> tuple[int, int]:
-    """The layers of f0 from which f drops down and through which f breaks,
-    as bit masks (drop, brk) over f0's layers 0..k-1 (bit i = layer i).
+def layer_masks(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixTable]
+                ) -> list[list[tuple[int, int]]]:
+    """For each base table f0 = bases[j] and each of its layers i = 0..k-1,
+    the pair (drop, brk) of ints over fs = firsts[j]: bit t of drop is set
+    iff fs[t] drops down from layer i, bit t of brk iff fs[t] breaks
+    through it.
 
     With reach_i the union of f(u) over the states u on f0's prefix layers
     up to i, f drops down from layer i when reach_i stays inside S_{i-1}
     (empty for i = 0) and breaks through layer i when reach_i leaves S_i.
-    Both tables must be ordered.
+    The work is bit-sliced over fs: arcs[u-1][v] is the int of the tables
+    with v in f(u), built once for each run of base tables that share one
+    list fs.  Every table must be ordered and of the same size.
     """
-    layer_structure(f)  # rejects an unordered f
-    ls0 = layer_structure(f0)
-    k, sets = ls0.rank_k, ls0.nested_sets
-    reach = [0] * (k + 1)
-    for layer, v in zip(ls0.prefix_layer, f.values):
-        reach[layer] |= v
-    drop = brk = below = cumulative = 0
-    for i in range(k):
-        cumulative |= reach[i]
-        if not cumulative & ~below:
-            drop |= 1 << i
-        below = sets[i]
-        if cumulative & ~below:
-            brk |= 1 << i
-    return drop, brk
+    out, fs = [], None
+    for group, f0 in zip(firsts, bases):
+        ls, n = layer_structure(f0), f0.n
+        if group is not fs:
+            fs, every = group, (1 << len(group)) - 1
+            arcs = [[0] * (n + 1) for _ in range(n)]
+            for t, f in enumerate(fs):
+                layer_structure(f)  # rejects an unordered f
+                if f.n != n:
+                    raise ValueError("every table must have the same size")
+                for arc, value in zip(arcs, f.values):
+                    for v in elements(value):
+                        arc[v] |= 1 << t
+        if len(arcs) != n:
+            raise ValueError("every table must have the same size")
+        # reach[v] is the int of the tables whose reach_i holds v
+        reach, below, layers = [0] * (n + 1), 0, []
+        for i, s_i in enumerate(ls.nested_sets[:ls.rank_k]):
+            for arc, layer in zip(arcs, ls.prefix_layer):
+                if layer == i:
+                    reach = list(map(operator.or_, reach, arc))
+            # the tables whose reach_i leaves S_{i-1}, which do not drop
+            # down, and those whose reach_i leaves S_i, which break through
+            left_below = left_s_i = 0
+            for v, r in enumerate(reach):
+                if not below >> v & 1:
+                    left_below |= r
+                    if not s_i >> v & 1:
+                        left_s_i |= r
+            layers.append((every & ~left_below, left_s_i))
+            below = s_i
+        out.append(layers)
+    return out
 
 
 def _check_enumeration_size(n: int) -> None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
-from array import array
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -171,63 +171,43 @@ def _stage_set(bits: int, k: int) -> set[int]:
 
 class _PairStudy(NamedTuple):
     """The sampled (f, f0) pairs of ordered tables and all that the pair
-    checks read of them, each computed once.
+    checks read of them, computed once and bit-sliced over the first tables.
 
-    Pair i is (ordered[firsts[i]], ordered[bases[i]]); drops[i] and
-    breaks[i] are its :func:`tables.layer_masks`, and rows[i] holds f's
-    entries against the 2^k staged suffix tables of f0, bit b for stage set
-    {l : bit l of b}.  Below n = 5 a base table has k <= 3 layers, so every
-    mask and row fits in a byte.  staged maps each base table's index to its
-    :func:`witness.build_g_I` tables, in stage-set order.
+    Bit t of an int of entry j stands for the pair of the base table
+    bases[j] with the first table firsts[j][t].  masks[j] are its
+    :func:`tables.layer_masks`; for stage set b (bit l stages layer l),
+    accepts[j][b] is the accept set of its :func:`witness.build_g_I` table
+    and columns[j][b] the int of the first tables that table accepts.
+    When every pair is studied, each base table is one entry and all
+    entries share one list of every ordered table; otherwise each drawn
+    pair is one entry, in draw order.  Either way the studied pairs run in
+    the order of t, then j.
     """
 
-    ordered: list
-    firsts: array
-    bases: array
-    drops: bytearray
-    breaks: bytearray
-    rows: bytearray
-    staged: dict
+    bases: list
+    firsts: list
+    masks: list
+    accepts: list
+    columns: list
+
+
+def _draw_pairs(size: int, level: str, rng: random.Random) -> tuple:
+    """The bases and firsts of a :class:`_PairStudy`; tables that were not
+    drawn are freed on return, before any staged table is built."""
+    ordered = combinatorics.enumerate_ordered_prefix_tables(size)
+    if level == "full" and size <= 3:
+        return ordered, [ordered] * len(ordered)
+    picks = [ordered[rng.randrange(len(ordered))]
+             for _ in range(120 if level == "quick" else 2000)]
+    return picks[1::2], [[f] for f in picks[0::2]]
 
 
 def _pair_study(size: int, level: str, rng: random.Random) -> _PairStudy:
-    ordered = combinatorics.enumerate_ordered_prefix_tables(size)
-    count = len(ordered)
-    firsts, bases = array("H"), array("H")
-    if level == "full" and size <= 3:
-        for i in range(count):
-            firsts.extend([i] * count)
-            bases.extend(range(count))
-    else:
-        draws = [rng.randrange(count) for _ in range(120 if level == "quick" else 2000)]
-        # the study lives through the run: keep only the drawn tables
-        drawn = sorted(set(draws))
-        at = {t: i for i, t in enumerate(drawn)}
-        ordered = [ordered[t] for t in drawn]
-        firsts.extend(at[t] for t in draws[0::2])
-        bases.extend(at[t] for t in draws[1::2])
-    drops, breaks = bytearray(), bytearray()
-    for i, j in zip(firsts, bases):
-        drop, brk = tables.layer_masks(ordered[i], ordered[j])
-        drops.append(drop)
-        breaks.append(brk)
-    staged = {}
-    for j in dict.fromkeys(bases):
-        k = tables.layer_structure(ordered[j]).rank_k
-        staged[j] = [witness.build_g_I(ordered[j], _stage_set(bits, k))
-                     for bits in range(1 << k)]
-    # every distinct f is one row of a single acceptance matrix over all the
-    # staged tables, and a pair's row is its base table's slice of it
-    offsets, columns = {}, []
-    for j, gs in staged.items():
-        offsets[j] = len(columns)
-        columns += gs
-    fs = list(dict.fromkeys(firsts))
-    full_rows = dict(zip(fs, witness.acceptance_matrix(
-        [ordered[i] for i in fs], columns, size).bits))
-    rows = bytearray(full_rows[i] >> offsets[j] & ((1 << len(staged[j])) - 1)
-                     for i, j in zip(firsts, bases))
-    return _PairStudy(ordered, firsts, bases, drops, breaks, rows, staged)
+    bases, firsts = _draw_pairs(size, level, rng)
+    # the masks after the columns, once the staged tables are freed: at
+    # size 4 that keeps them out of the run's peak
+    accepts, columns = witness.staged_columns(firsts, bases, size)
+    return _PairStudy(bases, firsts, tables.layer_masks(firsts, bases), accepts, columns)
 
 
 def _study(n: int, level: str, rng: random.Random) -> _PairStudy:
@@ -235,13 +215,25 @@ def _study(n: int, level: str, rng: random.Random) -> _PairStudy:
     return _shared(("pairs", size), lambda: _pair_study(size, level, rng))
 
 
+def _union(ints) -> int:
+    return functools.reduce(operator.or_, ints, 0)
+
+
+def _first_failing(study: _PairStudy, failing: list[int]) -> tuple:
+    """The first studied pair, in the study's order, with bit t of
+    failing[j] set, as (f, f0, t, j)."""
+    t = min((w & -w).bit_length() - 1 for w in failing if w)
+    j = next(j for j, w in enumerate(failing) if w >> t & 1)
+    return study.firsts[j][t], study.bases[j], t, j
+
+
 def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckResult:
+    name = "staged suffix tables: acceptance sets"
     study = _study(n, level, rng)
-    for j, gs in study.staged.items():
-        f0 = study.ordered[j]
+    for f0, accepts in zip(study.bases, study.accepts):
         ls = tables.layer_structure(f0)
         k = ls.rank_k
-        for bits, g in enumerate(gs):
+        for bits, accept in enumerate(accepts):
             stage = _stage_set(bits, k)
             if k - 1 in stage:
                 expected = tables.mask_of(
@@ -249,70 +241,66 @@ def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckR
             else:
                 expected = tables.mask_of(
                     v for v in range(1, f0.n + 1) if ls.suffix_layer[v - 1] == k)
-            if g.accept_flags != expected:
-                return CheckResult("staged suffix tables: acceptance sets", False,
-                                   f"wrong accept set for {f0}, {sorted(stage)}")
-    return CheckResult("staged suffix tables: acceptance sets", True,
-                       f"{len(study.staged)} base tables")
+            if accept != expected:
+                return CheckResult(name, False, f"wrong accept set for {f0}, {sorted(stage)}")
+    return CheckResult(name, True, f"{len(set(study.bases))} base tables")
 
 
 def check_drop_down_rows(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "drop-down rows vanish"
     study = _study(n, level, rng)
-    ordered = study.ordered
-    checked = 0
-    for i, j, drop, row in zip(study.firsts, study.bases, study.drops, study.rows):
-        if not drop:
-            continue
-        if row:
-            return CheckResult(name, False, f"non-zero entry for {ordered[i]} "
-                               f"against {ordered[j]}")
-        checked += len(study.staged[j])
+    failing, checked = [], 0
+    for layers, cols in zip(study.masks, study.columns):
+        drop = _union(d for d, _ in layers)
+        failing.append(drop & _union(cols))
+        checked += drop.bit_count() * len(cols)
+    if any(failing):
+        f, f0, _, _ = _first_failing(study, failing)
+        return CheckResult(name, False, f"non-zero entry for {f} against {f0}")
     detail = f"{checked} entries" if checked else "vacuous: no drop-downs at this size"
     return CheckResult(name, True, detail)
 
 
-@functools.cache
-def _completion_row(k: int, brk: int) -> int:
-    """Entries predicted by breakthrough completion, packed like a staged
-    row: bit b is set iff stage set b together with brk covers all k layers."""
-    every = (1 << k) - 1
-    return sum(1 << b for b in range(1 << k) if b | brk == every)
+def _completed(layers: list, b: int) -> int:
+    # the tables that breakthrough completion predicts to accept the staged
+    # table of stage set b: those breaking through every layer outside b
+    return functools.reduce(operator.and_, (brk for i, (_, brk) in enumerate(layers)
+                                            if not b >> i & 1), -1)
 
 
 def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "breakthrough completion determines entries"
     study = _study(n, level, rng)
-    ordered = study.ordered
-    checked = 0
-    for i, j, drop, brk, row in zip(study.firsts, study.bases, study.drops,
-                                    study.breaks, study.rows):
-        if drop:
-            continue
-        k = tables.layer_structure(ordered[j]).rank_k
-        wrong = row ^ _completion_row(k, brk)
-        if wrong:
-            stage = _stage_set((wrong & -wrong).bit_length() - 1, k)
-            return CheckResult(name, False, f"mismatch for {ordered[i]} against "
-                               f"{ordered[j]}, stage {sorted(stage)}")
-        checked += 1 << k
+    failing, checked = [], 0
+    for fs, layers, cols in zip(study.firsts, study.masks, study.columns):
+        kept = (1 << len(fs)) - 1 & ~_union(d for d, _ in layers)
+        failing.append(kept & _union(_completed(layers, b) ^ col for b, col in enumerate(cols)))
+        checked += kept.bit_count() * len(cols)
+    if any(failing):
+        f, f0, t, j = _first_failing(study, failing)
+        b = next(b for b, col in enumerate(study.columns[j])
+                 if (_completed(study.masks[j], b) ^ col) >> t & 1)
+        return CheckResult(name, False, f"mismatch for {f} against {f0}, "
+                           f"stage {sorted(_stage_set(b, len(study.masks[j])))}")
     return CheckResult(name, True, f"{checked} entries")
 
 
 def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckResult:
+    name = "at-least-as-large tables always break through"
     study = _study(n, level, rng)
-    ordered = study.ordered
-    sizes = [tables.table_size(f) for f in ordered]
-    checked = 0
-    for i, j, brk in zip(study.firsts, study.bases, study.breaks):
-        if ordered[i].values == ordered[j].values or sizes[i] < sizes[j]:
-            continue
-        if not brk:
-            return CheckResult("at-least-as-large tables always break through", False,
-                               f"no breakthrough for {ordered[i]} against {ordered[j]}")
-        checked += 1
-    return CheckResult("at-least-as-large tables always break through", True,
-                       f"{checked} pairs")
+    failing, checked, sized = [], 0, {}
+    for fs, f0, layers in zip(study.firsts, study.bases, study.masks):
+        if id(fs) not in sized:  # each list once: its sizes, values and bits
+            sized[id(fs)] = [(tables.table_size(f), f.values, 1 << t) for t, f in enumerate(fs)]
+        size = tables.table_size(f0)
+        larger = _union(bit for z, values, bit in sized[id(fs)]
+                        if z >= size and values != f0.values)
+        failing.append(larger & ~_union(brk for _, brk in layers))
+        checked += larger.bit_count()
+    if any(failing):
+        f, f0, _, _ = _first_failing(study, failing)
+        return CheckResult(name, False, f"no breakthrough for {f} against {f0}")
+    return CheckResult(name, True, f"{checked} pairs")
 
 
 def _ordered_rows(m: witness.BoolMatrix) -> witness.BoolMatrix:

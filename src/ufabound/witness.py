@@ -248,6 +248,36 @@ def build_g_I(f0: PrefixTable, stage_layers: set[int] | frozenset[int]) -> Suffi
     return SuffixTable(f0.n, tuple(values), accept)
 
 
+def staged_columns(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixTable],
+                   n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The staged suffix tables of each base table f0 = bases[j], one per
+    stage set b (bit l stages layer l), against the tables fs = firsts[j],
+    as (accepts, columns): accepts[j][b] is the accept set of
+    ``build_g_I(f0, b's layers)``, and columns[j][b] the int of the tables
+    fs[t] (bit t) that it accepts.
+
+    Every table in firsts is one row of a single :func:`acceptance_matrix`
+    over all the staged tables.  Each run of base tables that share one
+    list fs reads the rows of fs down its own columns, through the rows'
+    text, column 0 first.
+    """
+    staged = [[build_g_I(f0, {i for i in range(k) if b >> i & 1}) for b in range(1 << k)]
+              for f0 in bases for k in [layer_structure(f0).rank_k]]
+    starts = [j for j in range(len(bases)) if j == 0 or firsts[j] is not firsts[j - 1]]
+    runs = list(zip(starts, starts[1:] + [len(bases)]))
+    rows = iter(acceptance_matrix([f for lo, _ in runs for f in firsts[lo]],
+                                  [g for gs in staged for g in gs], n).bits)
+    columns, at = [], 0
+    for lo, hi in runs:
+        width = sum(map(len, staged[lo:hi]))
+        lines = [bin(row >> at & ((1 << width) - 1) | 1 << width)[:2:-1]
+                 for row in [next(rows) for _ in firsts[lo]][::-1]]
+        cols = iter([int("".join(c), 2) for c in zip(*lines)] or [0] * width)
+        columns += [[next(cols) for _ in gs] for gs in staged[lo:hi]]
+        at += width
+    return [[g.accept_flags for g in gs] for gs in staged], columns
+
+
 # ---------------------------------------------------------------------------
 # matrix text format: "rows cols" on the first line, then one line of
 # contiguous 0/1 characters per row; when the labels are tables, companion

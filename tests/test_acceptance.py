@@ -147,7 +147,10 @@ def test_criterion_6_augmentation_row_identity():
 def _check_staged_table_properties(f, f0, n):
     ls = tables.layer_structure(f0)
     k = ls.rank_k
-    drop, brk = tables.layer_masks(f, f0)
+    # the pair's masks, bit i = layer i of f0
+    [layers] = tables.layer_masks([[f]], [f0])
+    drop = sum(d << i for i, (d, _) in enumerate(layers))
+    brk = sum(b << i for i, (_, b) in enumerate(layers))
     if f.values != f0.values and tables.table_size(f) >= tables.table_size(f0):
         assert brk, ("forced breakthrough missing", f, f0)
     stages = [{i for i in range(k) if bits >> i & 1} for bits in range(1 << k)]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ufabound import verification
 from ufabound.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -165,6 +167,10 @@ def test_k4_pipeline_is_pinned(tmp_path, capsys):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
     code, text, _ = run(capsys, "rank", "--in", str(out), "--mod", "2")
     assert code == 0 and text == "3451\n"
+    # the rational rank, over the elimination limit but certified by the
+    # full GF(2) rank
+    code, text, _ = run(capsys, "rank", "--in", str(out))
+    assert code == 0 and text == "3451\n"
 
 
 def test_rank_reports_bad_modulus(tmp_path, capsys):
@@ -276,6 +282,24 @@ def test_verify_quick_n4_output_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--level", "quick", "--seed", "7")
     assert code == 0
     assert out == VERIFY_QUICK_N4_SEED7
+
+
+# quick samples at size 3 that draw one (f, f0) pair twice: the pair
+# checks count such a pair once per draw
+VERIFY_QUICK_N3_DIGESTS = {
+    "2": "290d54d82ee100cbf6afbf35fd1495f9c1c1ee5372dc39032a4a3e73201ac278",
+    "7": "5168e4d444ee50d01076443d7513dbb74496010fd432dab67c5db77058c2995a",
+}
+
+
+def test_verify_quick_n3_outputs_with_a_repeated_pair_are_pinned(capsys):
+    for seed, digest in VERIFY_QUICK_N3_DIGESTS.items():
+        bases, firsts = verification._draw_pairs(3, "quick", random.Random(int(seed)))
+        drawn = [(f.values, f0.values) for fs, f0 in zip(firsts, bases) for f in fs]
+        assert len(set(drawn)) == len(drawn) - 1, seed
+        code, out, _ = run(capsys, "verify", "--n", "3", "--level", "quick", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
 # the full level checks the augmented-row identity on all of M at size 4

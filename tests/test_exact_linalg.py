@@ -91,10 +91,18 @@ def test_zero_and_duplicate_rows_do_not_change_rank():
         assert rank_exact(packed(wide)) == r
 
 
+def _over_cap_deficient():
+    # 4000 distinct rows over 3000 columns, 12 million entries: every row is
+    # even, so column 0 is zero, and the GF(2) rank (at most 13, the rows
+    # having 13 bits) falls short of 3000
+    return BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000,
+                      tuple(2 * (i + 1) for i in range(4000)))
+
+
 def test_rank_exact_capacity_guard():
-    big = BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000, (0,) * 4000)
-    with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
-        rank_exact(big)
+    with pytest.raises(CapacityError, match="4000x3000 matrix with 4000 distinct non-zero "
+                                            "rows exceeds the 10000000-entry"):
+        rank_exact(_over_cap_deficient())
 
 
 def test_rank_exact_refuses_before_converting_entries(monkeypatch):
@@ -102,9 +110,30 @@ def test_rank_exact_refuses_before_converting_entries(monkeypatch):
         raise AssertionError("the entries were converted before the size check")
 
     monkeypatch.setattr(BoolMatrix, "to_lists", no_lists)
-    big = BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000, (0,) * 4000)
-    with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
-        rank_exact(big)
+    with pytest.raises(CapacityError, match="exceeds the 10000000-entry"):
+        rank_exact(_over_cap_deficient())
+
+
+def test_rank_exact_returns_a_full_gf2_rank_beyond_the_size_limit(monkeypatch):
+    # 3001 x 3400 is over 10^7 entries, but the rows 1 << i have full GF(2)
+    # rank, which certifies the rational rank without elimination
+    def no_lists(self):
+        raise AssertionError("a full GF(2) rank went through elimination")
+
+    monkeypatch.setattr(BoolMatrix, "to_lists", no_lists)
+    eye = BoolMatrix(tuple(range(3001)), tuple(range(3400)), 3400,
+                     tuple(1 << i for i in range(3001)))
+    assert rank_exact(eye) == 3001
+
+
+def test_rank_exact_limits_the_distinct_rows(monkeypatch):
+    # 5000 rows over 3000 columns are over the limit, but only their 3
+    # distinct rows are eliminated: the det-2 circulant has rank 3
+    circulant = [0b011, 0b110, 0b101]
+    rows = (circulant * 1667)[:5000]
+    m = BoolMatrix(tuple(range(5000)), tuple(range(3000)), 3000, tuple(rows))
+    assert rank_mod_p(m, 2) == 2
+    assert rank_exact(m) == 3
 
 
 def test_rank_exact_returns_a_full_gf2_rank_without_elimination(monkeypatch):
@@ -161,14 +190,20 @@ def test_rank_exact_eliminates_only_the_distinct_non_zero_rows(monkeypatch):
     assert converted == [3]
 
 
-def test_rank_exact_refuses_before_the_gf2_rank(monkeypatch):
-    def no_rank(bits):
-        raise AssertionError("the GF(2) rank ran before the size check")
+def test_rank_exact_refuses_only_after_the_gf2_rank(monkeypatch):
+    # the GF(2) certificate comes first, on the distinct non-zero rows, and
+    # the size limit only when it falls short
+    ranked = []
+    real = exact_linalg._rank_mod_2
 
-    monkeypatch.setattr(exact_linalg, "_rank_mod_2", no_rank)
-    big = BoolMatrix(tuple(range(4000)), tuple(range(3000)), 3000, (0,) * 4000)
-    with pytest.raises(CapacityError, match="4000x3000 matrix exceeds the 10000000-entry"):
-        rank_exact(big)
+    def counted(bits):
+        ranked.append(len(bits))
+        return real(bits)
+
+    monkeypatch.setattr(exact_linalg, "_rank_mod_2", counted)
+    with pytest.raises(CapacityError, match="exceeds the 10000000-entry"):
+        rank_exact(_over_cap_deficient())
+    assert ranked == [4000]
 
 
 def test_rank_mod_p_basics():

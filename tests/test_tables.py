@@ -11,8 +11,8 @@ from ufabound.tables import (PrefixTable, SuffixTable, augment,
                              prefix_table_from_text, prefix_table_to_text,
                              starting_state, suffix_table_from_text,
                              suffix_table_to_text, table_size)
-from ufabound.verification import (_complement_rank, _unordered_witness,
-                                   check_layer_rank)
+from ufabound.verification import (_complement_rank, _pair_study,
+                                   _unordered_witness, check_layer_rank)
 from ufabound.witness import acceptance_matrix
 
 
@@ -226,22 +226,52 @@ def _reach_up_to(f, f0, i):
     return reach
 
 
+def pair_masks(f, f0):
+    """f's drop-down and breakthrough layers against f0, as bit masks over
+    f0's layers (bit i = layer i), read off the sliced masks of one pair."""
+    [layers] = layer_masks([[f]], [f0])
+    return (sum(d << i for i, (d, _) in enumerate(layers)),
+            sum(b << i for i, (_, b) in enumerate(layers)))
+
+
+def _oracle_layers(f, f0):
+    """Plain sets, per layer i of f0: whether f drops down from it (reach_i
+    inside S_{i-1}, empty for i = 0) and whether f breaks through it
+    (reach_i leaves S_i)."""
+    ls = layer_structure(f0)
+    chain = [set(elements(s)) for s in ls.nested_sets]
+    return [(_reach_up_to(f, f0, i) <= (chain[i - 1] if i else set()),
+             not _reach_up_to(f, f0, i) <= chain[i]) for i in range(ls.rank_k)]
+
+
+def _assert_sliced_masks_match_the_oracle(firsts, bases, masks):
+    pairs = 0
+    for fs, f0, layers in zip(firsts, bases, masks, strict=True):
+        for d, b in layers:
+            assert 0 <= d < 1 << len(fs) and 0 <= b < 1 << len(fs)
+        for t, f in enumerate(fs):
+            got = [(bool(d >> t & 1), bool(b >> t & 1)) for d, b in layers]
+            assert got == _oracle_layers(f, f0), (f, f0)
+            pairs += 1
+    return pairs
+
+
 class TestBreakthroughAndDropDown:
     def test_own_layers_are_neutral(self):
         for f in enumerate_prefix_tables(3):
             if not is_ordered(f):
                 continue
-            assert layer_masks(f, f) == (0, 0)
+            assert pair_masks(f, f) == (0, 0)
 
     def test_break_example(self):
         f = pt(3, {1, 2, 3}, {1, 2, 3}, {1, 2, 3})
-        drop, brk = layer_masks(f, CHAIN3)
+        drop, brk = pair_masks(f, CHAIN3)
         assert _layers_of(brk) == {0, 1}
         assert drop == 0
 
     def test_drop_example(self):
         f = pt(3, {1}, {1}, {1})
-        drop, _ = layer_masks(f, CHAIN3)
+        drop, _ = pair_masks(f, CHAIN3)
         assert drop >> 1 & 1
         assert not drop & 1  # nothing lies below layer 0
 
@@ -250,19 +280,19 @@ class TestBreakthroughAndDropDown:
         for f in ordered:
             for f0 in ordered:
                 if layer_structure(f0).rank_k >= 1:
-                    assert not layer_masks(f, f0)[0] & 1
+                    assert not pair_masks(f, f0)[0] & 1
 
     def test_layer_index_validated(self):
         unordered = pt(3, {1}, {1, 2}, {1, 3})
         with pytest.raises(ValueError):
-            layer_masks(unordered, CHAIN3)
+            pair_masks(unordered, CHAIN3)
         with pytest.raises(ValueError):
-            layer_masks(CHAIN3, unordered)
+            pair_masks(CHAIN3, unordered)
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for f in ordered:
             for f0 in ordered:
                 k = layer_structure(f0).rank_k
-                drop, brk = layer_masks(f, f0)
+                drop, brk = pair_masks(f, f0)
                 assert 0 <= drop < 1 << k and 0 <= brk < 1 << k
 
     def test_unordered_table_still_rejected_after_use(self):
@@ -271,7 +301,7 @@ class TestBreakthroughAndDropDown:
             with pytest.raises(ValueError):
                 layer_structure(unordered)
             with pytest.raises(ValueError):
-                layer_masks(CHAIN3, unordered)
+                pair_masks(CHAIN3, unordered)
 
     def test_layer_structure_is_computed_once_per_table(self):
         f = pt(3, {1}, {1, 2}, {1, 2, 3})
@@ -289,7 +319,7 @@ class TestBreakthroughAndDropDown:
         for _ in range(300):
             f, f0 = rng.choice(ordered), rng.choice(ordered)
             k = layer_structure(f0).rank_k
-            brk = layer_masks(f, f0)[1]
+            brk = pair_masks(f, f0)[1]
             assert _layers_of(brk) == {i for i in range(k) if breaks_at(f, f0, i)}
 
     def test_drop_mask_matches_pointwise_predicate(self):
@@ -304,7 +334,7 @@ class TestBreakthroughAndDropDown:
         for f in ordered:
             for f0 in ordered:
                 k = layer_structure(f0).rank_k
-                drop = layer_masks(f, f0)[0]
+                drop = pair_masks(f, f0)[0]
                 assert _layers_of(drop) == {i for i in range(k) if drops_at(f, f0, i)}
                 drops += drop != 0
         assert drops > 0
@@ -316,7 +346,41 @@ class TestBreakthroughAndDropDown:
             for f in ordered:
                 for f0 in ordered:
                     if f != f0 and table_size(f) >= table_size(f0):
-                        assert layer_masks(f, f0)[1], (f, f0)
+                        assert pair_masks(f, f0)[1], (f, f0)
+
+
+    def test_sliced_masks_match_the_oracle_on_every_pair_at_n3(self):
+        # the full study at size 3: every ordered table is a first table of
+        # every base table, in one shared list and one call
+        study = _pair_study(3, "full", random.Random(0))
+        assert len(study.bases) == 115
+        assert _assert_sliced_masks_match_the_oracle(
+            study.firsts, study.bases, study.masks) == 115 ** 2
+
+    def test_sliced_masks_match_the_oracle_on_the_quick_n4_sample(self):
+        # the pairs of verify --n 4 --level quick --seed 7: each base table
+        # with its own list of the first tables drawn with it
+        study = _pair_study(4, "quick", random.Random(7))
+        assert _assert_sliced_masks_match_the_oracle(
+            study.firsts, study.bases, study.masks) == 60
+
+    def test_runs_of_shared_first_tables(self):
+        # the arcs are rebuilt whenever the list of first tables changes,
+        # also back to a list seen before and to an equal copy
+        ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
+        a, b = ordered[:40], ordered[40:]
+        firsts = [a, a, b, a, list(a), b]
+        bases = ordered[3:9]
+        masks = layer_masks(firsts, bases)
+        assert _assert_sliced_masks_match_the_oracle(firsts, bases, masks) == 40 * 4 + 75 * 2
+        assert layer_masks([], []) == []
+
+    def test_tables_of_another_size_are_rejected(self):
+        two = pt(2, {1}, {1, 2})
+        for firsts, bases in (([[two]], [CHAIN3]), ([[CHAIN3]], [two]),
+                              ([[CHAIN3]] * 2, [CHAIN3, two])):
+            with pytest.raises(ValueError):
+                layer_masks(firsts, bases)
 
 
 class TestEnumeration:

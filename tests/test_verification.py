@@ -93,20 +93,34 @@ def test_count_index_form_disagreement_fails(monkeypatch):
     assert not r.ok and "index forms" in r.detail
 
 
+def _same_for_every_pair(drop, brk):
+    # a stand-in for tables.layer_masks that gives every pair the same
+    # layers: bit i of drop (of brk) says that it drops down from (breaks
+    # through) layer i
+    def masks(firsts, bases):
+        out = []
+        for fs, f0 in zip(firsts, bases):
+            every = (1 << len(fs)) - 1
+            out.append([(every if drop >> i & 1 else 0, every if brk >> i & 1 else 0)
+                        for i in range(tables.layer_structure(f0).rank_k)])
+        return out
+    return masks
+
+
 def test_spurious_drop_down_fails(monkeypatch):
-    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (1, 0))
+    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(1, 0))
     r = verification.check_drop_down_rows(3, "full", random.Random(0))
     assert not r.ok and "non-zero entry" in r.detail
 
 
 def test_missing_breakthrough_breaks_completion(monkeypatch):
-    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (0, 0))
+    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0))
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
     assert not r.ok and re.fullmatch(r"mismatch for .* against .*, stage \[.*\]", r.detail)
 
 
 def test_missing_forced_breakthrough_fails(monkeypatch):
-    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (0, 0))
+    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0))
     r = verification.check_forced_breakthrough(3, "full", random.Random(0))
     assert not r.ok and "no breakthrough" in r.detail
 
@@ -114,9 +128,38 @@ def test_missing_forced_breakthrough_fails(monkeypatch):
 def test_completion_mismatch_names_the_lowest_wrong_stage(monkeypatch):
     # claim a breakthrough through every layer: the entries then read 1 on
     # every stage set, and the first real zero is the empty stage set
-    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (0, 0b111))
+    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0b111))
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
     assert not r.ok and r.detail.endswith("stage []")
+
+
+def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
+    # flip the entries of ordered[60] against stage sets {1} and {0, 1} of
+    # ordered[100], and of ordered[61] against stage set {0} of ordered[45]:
+    # the report names the first pair in pair order, the first table
+    # outermost, and its lowest wrong stage set
+    ordered = combinatorics.enumerate_ordered_prefix_tables(3)
+    ks = [tables.layer_structure(f).rank_k for f in ordered]
+    flips = [(60, 100, 0b11), (60, 100, 0b10), (61, 45, 0b01)]
+    real = witness.acceptance_matrix
+
+    def flipped(prefixes, suffixes, n):
+        m = real(prefixes, suffixes, n)
+        bits = list(m.bits)
+        for i, j, stage in flips:
+            # the staged tables are the columns, base by base, in stage-set order
+            col = sum(1 << k for k in ks[:j]) + stage
+            assert suffixes[col] == witness.build_g_I(
+                ordered[j], {layer for layer in range(ks[j]) if stage >> layer & 1})
+            bits[list(prefixes).index(ordered[i])] ^= 1 << col
+        return witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
+
+    monkeypatch.setattr(witness, "acceptance_matrix", flipped)
+    r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    assert not r.ok
+    assert r.detail == ("mismatch for PrefixTable(n=3, values=(6, 4, 4)) against "
+                        "PrefixTable(n=3, values=(12, 14, 4)), stage [1]")
+    assert verification.check_drop_down_rows(3, "full", random.Random(0)).ok
 
 
 # One run studies the table pairs once and shares M, and keeps neither
@@ -143,7 +186,11 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     results = verification.run_checks(3, "full")
     assert all(r.ok for r in results)
     ordered = combinatorics.enumerate_ordered_prefix_tables(3)
-    assert len(masks) == len(ordered) ** 2 == 13_225
+    # one masks computation over all 115 base tables, each with all 115
+    # first tables in one shared list
+    [(firsts, bases)] = masks
+    assert [f.values for f in bases] == [f.values for f in ordered]
+    assert len({id(fs) for fs in firsts}) == 1 and len(firsts[0]) == 115
     # each of the 115 base tables' 2^k staged suffix tables, built once
     assert len(staged) == sum(1 << tables.layer_structure(f).rank_k for f in ordered)
     assert built == [(3,)] and built_k == []
@@ -172,7 +219,7 @@ def test_no_study_survives_a_run():
 def test_a_later_run_sees_a_patched_layer_mask(monkeypatch):
     name = "drop-down rows vanish"
     assert _check_named(verification.run_checks(3, "full"), name).ok
-    monkeypatch.setattr(tables, "layer_masks", lambda f, f0: (1, 0))
+    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(1, 0))
     r = _check_named(verification.run_checks(3, "full"), name)
     assert not r.ok and "non-zero entry" in r.detail
 
@@ -254,7 +301,8 @@ def test_injected_disagreement_fails_under_optimize():
 def test_missing_breakthrough_fails_under_optimize():
     code = ("import random\n"
             "from ufabound import tables, verification\n"
-            "tables.layer_masks = lambda f, f0: (0, 0)\n"
+            "tables.layer_masks = lambda firsts, bases: [\n"
+            "    [(0, 0)] * tables.layer_structure(f0).rank_k for f0 in bases]\n"
             "r = verification.check_forced_breakthrough(3, 'full', random.Random(0))\n"
             "print('PASS' if r.ok else 'FAIL')\n")
     proc = _run("-O", "-c", code)

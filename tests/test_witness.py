@@ -12,7 +12,7 @@ from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
 from ufabound.witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix,
-                              build_K, build_M, build_g_I)
+                              build_K, build_M, build_g_I, staged_columns)
 
 
 def pt(n, *sets):
@@ -318,6 +318,28 @@ def read_text(tmp_path, text):
     path = tmp_path / "m.mat"
     path.write_bytes(text.encode())
     return witness.load_matrix(str(path))
+
+
+class TestStagedColumns:
+    def test_columns_are_the_acceptance_entries(self):
+        # runs of base tables sharing one list of first tables, a list seen
+        # before, an equal copy of it, and an empty list
+        ordered = enumerate_ordered_prefix_tables_by_filter(3)
+        a, b = ordered[:30], ordered[30:]
+        firsts = [a, a, b, a, [], list(a), list(a)]
+        bases = ordered[40:47]
+        accepts, columns = staged_columns(firsts, bases, 3)
+        for fs, f0, acc, cols in zip(firsts, bases, accepts, columns, strict=True):
+            k = layer_structure(f0).rank_k
+            staged = [build_g_I(f0, {i for i in range(k) if s >> i & 1}) for s in range(1 << k)]
+            assert acc == [g.accept_flags for g in staged]
+            rows = acceptance_matrix(fs, staged, 3).bits
+            assert cols == [sum((row >> s & 1) << t for t, row in enumerate(rows))
+                            for s in range(1 << k)]
+
+    def test_sizes_must_match_n(self):
+        with pytest.raises(ValueError):
+            staged_columns([[pt(2, {1}, {1, 2})]], [pt(3, {1}, {1, 2}, {1, 2, 3})], 3)
 
 
 class TestMatrixText:
