@@ -24,10 +24,14 @@ from .automata import load_automaton
 from .errors import COUNT_MAX_N, TABLE1_MAX_N, CapacityError
 
 
-def _cmd_count(args) -> int:
-    if args.n > COUNT_MAX_N:
-        raise CapacityError(f"count is limited to n <= {COUNT_MAX_N}: "
+def _check_count_printable(n: int, what: str) -> None:
+    if n > COUNT_MAX_N:
+        raise CapacityError(f"{what} is limited to n <= {COUNT_MAX_N}: "
                             f"count({COUNT_MAX_N + 1}) has more than 4300 digits")
+
+
+def _cmd_count(args) -> int:
+    _check_count_printable(args.n, "count")
     print(combinatorics.count_ordered_prefix_tables(args.n))
     return 0
 
@@ -117,6 +121,7 @@ def _cmd_schmidt(args) -> int:
     if args.random is not None:
         if args.random < 1:
             raise ValueError("--random needs a positive instance count")
+        _check_count_printable(args.states, "schmidt's state count")
         bound = None
         for i in range(args.random):
             report = crossing.random_campaign_report(
@@ -129,6 +134,7 @@ def _cmd_schmidt(args) -> int:
         return 0
     with open(args.automaton, "r", encoding="utf-8") as fh:
         automaton, alphabet = load_automaton(json.load(fh))
+    _check_count_printable(automaton.state_count, "schmidt's state count")
     xs = _read_strings(args.prefixes, alphabet)
     ys = _read_strings(args.suffixes, alphabet)
     report = crossing.verify_optimality(automaton, xs, ys)

@@ -11,13 +11,14 @@ entry and in rank, against the universal acceptance matrix.
 
 Tables are read straight off lane-parallel searches
 (:func:`ufabound.automata._search`), one lane per string and starting
-configuration.  The concatenation matrix simulates every concatenated
-word as a lane of its own, so its entries never come from the tables
-they are compared against.  :func:`verify_optimality` lays out the
-concatenated words, the prefixes and the suffixes as three grids of one
-search; :func:`schmidt_matrix`, :func:`prefix_tables_of` and
-:func:`suffix_tables_of` are its one-grid cases.  Every string is checked
-against the automaton's alphabet first.
+configuration, whose per-state ints :func:`ufabound.statesets.transpose`
+turns into one state mask per lane.  The concatenation matrix simulates
+every concatenated word as a lane of its own, so its entries never come
+from the tables they are compared against.  :func:`verify_optimality`
+lays out the concatenated words, the prefixes and the suffixes as three
+grids of one search; :func:`schmidt_matrix`, :func:`prefix_tables_of`
+and :func:`suffix_tables_of` are its one-grid cases.  Every string is
+checked against the automaton's alphabet first.
 
 Tables here use 1-based state indices (state q_i of the automaton is
 index i = internal id + 1), matching :mod:`ufabound.tables`.
@@ -25,7 +26,6 @@ index i = internal id + 1), matching :mod:`ufabound.tables`.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,39 +34,9 @@ from . import exact_linalg
 from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words,
                        _concatenation_grid, _search, concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
-from .statesets import full_mask
+from .statesets import full_mask, transpose
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
-
-
-@functools.cache
-def _lane_bytes(width: int, t: int) -> dict[int, str]:
-    # a str.translate table from a lane's bit, as "0" or "1", to the lane's
-    # ``width`` bytes with bit t clear or set
-    one = bytearray(width)
-    one[t // 8] = 1 << t % 8
-    return {ord("0"): "\0" * width, ord("1"): one.decode("latin-1")}
-
-
-def _lane_masks(states: Sequence[int], lanes: int, flags: int = 0) -> list[int]:
-    """Each lane's 1-based mask of the states whose int holds it, for lanes
-    0..lanes-1, with bit 0 set where ``flags`` holds the lane.
-
-    One transpose: every int is spread to one byte per lane, or
-    (n + 8) // 8 bytes from n = 8 on, with its own bit set, and one
-    ``to_bytes`` reads every lane.  The ints must hold no lane beyond.
-    """
-    width = (len(states) + 8) // 8
-    spread = 0
-    for t, held in enumerate((flags, *states)):
-        if held:
-            spread |= int.from_bytes(bin(held)[:1:-1].translate(_lane_bytes(width, t))
-                                     .encode("latin-1"), "little")
-    data = spread.to_bytes(lanes * width, "little")
-    if width == 1:
-        return list(data)
-    return [int.from_bytes(data[k:k + width], "little")
-            for k in range(0, len(data), width)]
 
 
 def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
@@ -83,7 +53,7 @@ def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
     seeds += [(-1, q, rep << q + 1) for q in range(n)]
 
     def read(right, left, accepted):
-        exits = _lane_masks(right, len(xs) * cols)
+        exits = transpose([0, *right], len(xs) * cols)
         rows = [tuple(exits[i:i + cols]) for i in range(0, len(exits), cols)]
         found = {row: PrefixTable(n, tuple(row[0] | t for t in row[1:])) if row[0] else None
                  for row in dict.fromkeys(rows)}
@@ -110,7 +80,7 @@ def _suffix_grid(a: TwoWayNfa, ys: Sequence[Sequence[int]]) -> tuple:
         return SuffixTable(n, tuple(full if m & 1 else m for m in col), a_y) if a_y else None
 
     def read(right, left, accepted):
-        exits = _lane_masks(left, n * cols, accepted)
+        exits = transpose([accepted, *left], n * cols)
         columns = [tuple(exits[j::cols]) for j in range(cols)]
         found = {col: table(col) for col in dict.fromkeys(columns)}
         return [found[col] for col in columns]

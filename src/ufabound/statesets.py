@@ -11,12 +11,18 @@ column (:mod:`ufabound.witness`), and one int per arc, layer or staged
 table with one bit per first table of a table pair
 (:func:`ufabound.tables.layer_masks`,
 :func:`ufabound.witness.staged_columns` and the pair checks in
-:mod:`ufabound.verification`).
+:mod:`ufabound.verification`).  :func:`transpose` is the one step
+from either slicing to the other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
+
+# bytes.translate tables: _SPREAD[t] sends the digits "0" and "1" to a byte
+# with bit t clear or set, _DIGIT[i] sends a byte to the digit of its bit i
+_SPREAD = [bytes(1 << t if c == ord("1") else 0 for c in range(256)) for t in range(8)]
+_DIGIT = [bytes(ord("0") | c >> i & 1 for c in range(256)) for i in range(8)]
 
 
 def check_n(n: int) -> None:
@@ -68,3 +74,24 @@ def parse_set(text: str, n: int) -> int:
             raise ValueError(f"state {i} out of range 1..{n}")
         m |= 1 << i
     return m
+
+
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Bit j of result i is bit i of rows[j], for i < ``width``; no row may
+    hold a bit at or beyond it.  Up to 8 rows, each row's digits become a
+    byte per column with the row's bit set, all read by one ``to_bytes``;
+    rows of up to 8 bits are packed a byte each, one ``bytes.translate``
+    to digits per column; anything else goes through the rows' text.
+    """
+    if len(rows) <= 8:
+        spread = 0
+        for t, row in enumerate(rows):
+            if row:
+                spread |= int.from_bytes(bin(row)[:1:-1].encode().translate(_SPREAD[t]),
+                                         "little")
+        return list(spread.to_bytes(width, "little"))
+    if width <= 8:
+        packed = bytes(reversed(rows))
+        return [int(packed.translate(_DIGIT[i]), 2) for i in range(width)]
+    lines = [bin(row | 1 << width)[:2:-1] for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*lines)]

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ENUMERATION_MAX_N, CapacityError
-from .statesets import (check_n, elements, format_set, full_mask, is_subset,
-                        mask_of, parse_set)
+from .statesets import (check_n, format_set, full_mask, is_subset, mask_of, parse_set,
+                        transpose)
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,8 @@ def layer_masks(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixT
     up to i, f drops down from layer i when reach_i stays inside S_{i-1}
     (empty for i = 0) and breaks through layer i when reach_i leaves S_i.
     The work is bit-sliced over fs: arcs[u-1][v] is the int of the tables
-    with v in f(u), built once for each run of base tables that share one
+    with v in f(u), one :func:`ufabound.statesets.transpose` of their
+    values at u, built once for each run of base tables that share one
     list fs.  Every table must be ordered and of the same size.
     """
     out, fs = [], None
@@ -196,14 +197,11 @@ def layer_masks(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixT
         ls, n = layer_structure(f0), f0.n
         if group is not fs:
             fs, every = group, (1 << len(group)) - 1
-            arcs = [[0] * (n + 1) for _ in range(n)]
-            for t, f in enumerate(fs):
+            for f in fs:
                 layer_structure(f)  # rejects an unordered f
                 if f.n != n:
                     raise ValueError("every table must have the same size")
-                for arc, value in zip(arcs, f.values):
-                    for v in elements(value):
-                        arc[v] |= 1 << t
+            arcs = [transpose([f.values[u] for f in fs], n + 1) for u in range(n)]
         if len(arcs) != n:
             raise ValueError("every table must have the same size")
         # reach[v] is the int of the tables whose reach_i holds v

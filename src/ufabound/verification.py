@@ -9,6 +9,7 @@ identical reports.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import operator
@@ -26,10 +27,10 @@ MERSENNE_PRIME = 2**31 - 1
 # the check's peak memory by about 1.5 MB
 ENTRY_BLOCK_ROWS = 32
 
-# what several checks read (M at a size, the pair study), kept by
-# run_checks for the length of one run; a check called on its own builds
-# its own
-_run_memo: dict | None = None
+# what several checks read (M and the ordered tables at a size, the pair
+# study), kept by run_checks for one run and seen only inside it, so that
+# concurrent runs keep their own; a check called on its own builds its own
+_run_memo = contextvars.ContextVar("_run_memo", default=None)
 
 
 class CheckResult(NamedTuple):
@@ -39,19 +40,25 @@ class CheckResult(NamedTuple):
 
 
 def _shared(key, build: Callable):
-    if _run_memo is None:
+    memo = _run_memo.get()
+    if memo is None:
         return build()
-    if key not in _run_memo:
-        _run_memo[key] = build()
-    return _run_memo[key]
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def _matrix_m(size: int) -> witness.BoolMatrix:
     return _shared(("M", size), lambda: witness.build_M(size))
 
 
+def _ordered(size: int) -> list[tables.PrefixTable]:
+    return _shared(("ordered", size),
+                   lambda: combinatorics.enumerate_ordered_prefix_tables(size))
+
+
 def _tables_for(n: int, level: str, rng: random.Random):
-    ordered = combinatorics.enumerate_ordered_prefix_tables(n)
+    ordered = _ordered(n)
     if level == "quick" and len(ordered) > 40:
         ordered = rng.sample(ordered, 40)
     return ordered
@@ -192,9 +199,8 @@ class _PairStudy(NamedTuple):
 
 
 def _draw_pairs(size: int, level: str, rng: random.Random) -> tuple:
-    """The bases and firsts of a :class:`_PairStudy`; tables that were not
-    drawn are freed on return, before any staged table is built."""
-    ordered = combinatorics.enumerate_ordered_prefix_tables(size)
+    """The bases and firsts of a :class:`_PairStudy`."""
+    ordered = _ordered(size)
     if level == "full" and size <= 3:
         return ordered, [ordered] * len(ordered)
     picks = [ordered[rng.randrange(len(ordered))]
@@ -363,7 +369,7 @@ def check_count_matches_enumeration(n: int, level: str, rng: random.Random) -> C
         return CheckResult(name, False, f"index forms of the count disagree at "
                            f"size {size}: {count} != {second}")
     by_filter = tables.enumerate_ordered_prefix_tables_by_filter(size)
-    by_layers = combinatorics.enumerate_ordered_prefix_tables(size)
+    by_layers = _ordered(size)
     layered = {f.values for f in by_layers}
     if len(layered) != len(by_layers):
         return CheckResult(name, False, f"the layer enumeration yields {len(by_layers)} "
@@ -395,11 +401,10 @@ _CHECKS: list[Callable] = [
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
-    global _run_memo
-    _run_memo = {}
+    token = _run_memo.set({})
     try:
         # every check draws from a fresh generator, so a shared sample is
         # the one each check would have drawn itself
         return [check(n, level, random.Random(seed)) for check in _CHECKS]
     finally:
-        _run_memo = None
+        _run_memo.reset(token)

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .automata import LEFT_MARKER, TwoWayNfa, twonfa_accepts
-from .statesets import elements, full_mask
+from .statesets import elements, full_mask, transpose
 from .tables import (PrefixTable, SuffixTable,
                      enumerate_ordered_prefix_tables_by_filter,
                      enumerate_prefix_tables, enumerate_suffix_tables,
@@ -135,11 +135,6 @@ class BoolMatrix:
         return out
 
 
-def _column_bits(masks: Sequence[int], i: int) -> int:
-    # the int whose bit j is bit i of masks[j], built in one conversion
-    return int(bytes(48 | m >> i & 1 for m in reversed(masks)) or b"0", 2)
-
-
 def _suffix_arc_maps(n: int, suffixes: Sequence[SuffixTable]):
     # bit-sliced over the columns: feeds[v - 1] lists (u, cols) where cols
     # is the int of the columns whose table sends right vertex v to left
@@ -147,10 +142,9 @@ def _suffix_arc_maps(n: int, suffixes: Sequence[SuffixTable]):
     # last value is the int of every column
     feeds = []
     for v in range(n):
-        col = [g.values[v] for g in suffixes]
-        feeds.append([(u, c) for u in range(1, n + 1) if (c := _column_bits(col, u))])
-    flags = [g.accept_flags for g in suffixes]
-    acc = [_column_bits(flags, v) for v in range(1, n + 1)]
+        arcs = transpose([g.values[v] for g in suffixes], n + 1)
+        feeds.append([(u, cols) for u, cols in enumerate(arcs) if cols])
+    acc = transpose([g.accept_flags for g in suffixes], n + 1)[1:]
     return feeds, acc, (1 << len(suffixes)) - 1
 
 
@@ -258,8 +252,8 @@ def staged_columns(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[Pref
 
     Every table in firsts is one row of a single :func:`acceptance_matrix`
     over all the staged tables.  Each run of base tables that share one
-    list fs reads the rows of fs down its own columns, through the rows'
-    text, column 0 first.
+    list fs reads the rows of fs down its own columns, in one
+    :func:`ufabound.statesets.transpose`.
     """
     staged = [[build_g_I(f0, {i for i in range(k) if b >> i & 1}) for b in range(1 << k)]
               for f0 in bases for k in [layer_structure(f0).rank_k]]
@@ -270,9 +264,8 @@ def staged_columns(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[Pref
     columns, at = [], 0
     for lo, hi in runs:
         width = sum(map(len, staged[lo:hi]))
-        lines = [bin(row >> at & ((1 << width) - 1) | 1 << width)[:2:-1]
-                 for row in [next(rows) for _ in firsts[lo]][::-1]]
-        cols = iter([int("".join(c), 2) for c in zip(*lines)] or [0] * width)
+        window = (1 << width) - 1
+        cols = iter(transpose([next(rows) >> at & window for _ in firsts[lo]], width))
         columns += [[next(cols) for _ in gs] for gs in staged[lo:hi]]
         at += width
     return [[g.accept_flags for g in gs] for gs in staged], columns

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import verification
+from ufabound import crossing, verification
 from ufabound.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -417,12 +417,53 @@ def test_schmidt_with_files(tmp_path, capsys):
 
 
 def test_schmidt_random_beyond_thirty_states(capsys):
-    # state sets are plain ints, so the state count has no cap
+    # state sets are plain ints, so the state count is capped only where
+    # the bound stops printing
     code, out, _ = run(capsys, "schmidt", "--random", "2", "--states", "31",
                        "--alphabet", "2")
     assert code == 0
     assert out.splitlines()[-1].startswith("bound ")
     assert all(json.loads(line)["n"] == 31 for line in out.splitlines()[:-1])
+
+
+def _no_schmidt_work(*args, **kwargs):
+    raise AssertionError("schmidt went on past the state cap")
+
+
+SCHMIDT_CAP_ERROR = ("error: schmidt's state count is limited to n <= 815: "
+                     "count(816) has more than 4300 digits\n")
+
+
+def test_schmidt_random_refuses_states_past_the_cap_before_any_automaton(
+        capsys, monkeypatch):
+    # the bound count(816) cannot be printed, so no automaton is built
+    monkeypatch.setattr(crossing, "random_campaign_report", _no_schmidt_work)
+    monkeypatch.setattr(crossing, "random_two_way_nfa", _no_schmidt_work)
+    for states in ("816", "5000"):
+        code, out, err = run(capsys, "schmidt", "--random", "1", "--states", states,
+                             "--alphabet", "1")
+        assert code == 2 and out == "" and err == SCHMIDT_CAP_ERROR
+    with pytest.raises(AssertionError, match="past the state cap"):
+        main(["schmidt", "--random", "1", "--states", "815", "--alphabet", "1"])
+
+
+def test_schmidt_refuses_a_loaded_automaton_past_the_cap_before_the_search(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(crossing, "verify_optimality", _no_schmidt_work)
+    strings = tmp_path / "strings.txt"
+    strings.write_text("-\n")
+
+    def argv(states):
+        aut = tmp_path / f"aut{states}.json"
+        aut.write_text(json.dumps({"type": "2nfa", "states": states, "alphabet": ["a"],
+                                   "initial": [1], "accepting": [1], "transitions": []}))
+        return ["schmidt", "--automaton", str(aut), "--prefixes", str(strings),
+                "--suffixes", str(strings)]
+
+    code, out, err = run(capsys, *argv(816))
+    assert code == 2 and out == "" and err == SCHMIDT_CAP_ERROR
+    with pytest.raises(AssertionError, match="past the state cap"):
+        main(argv(815))
 
 
 def test_schmidt_random_mode(capsys):

@@ -10,11 +10,11 @@ from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenat
                                _layout, _reach, _search, concatenation_bits,
                                twonfa_accepts)
 from ufabound.combinatorics import enumerate_ordered_prefix_tables
-from ufabound.crossing import (_lane_masks, _prefix_grid, _suffix_grid, prefix_tables_of,
+from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_tables_of,
                                random_campaign_report, random_strings,
                                random_two_way_nfa, schmidt_matrix, suffix_tables_of,
                                verify_optimality)
-from ufabound.statesets import full_mask, mask_of
+from ufabound.statesets import full_mask, mask_of, transpose
 from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, starting_state)
 from ufabound.witness import BoolMatrix, WitnessAutomaton, acceptance_matrix, build_M
@@ -270,21 +270,23 @@ class TestLaneSearch:
         assert got == [[], [0] * len(xs), prefix_tables_of(a, xs), [],
                        suffix_tables_of(a, ys), []]
         assert _search(a, [_prefix_grid(a, [])]) == _search(a, [_suffix_grid(a, [])]) == [[]]
-        assert _lane_masks([0, 0, 0], 0) == []
+        assert transpose([0, 0, 0], 0) == []
 
     @pytest.mark.parametrize("states", [7, 8, 9, 15, 16])
     def test_lane_reads_on_both_sides_of_a_byte(self, states, sparse_two_way_nfa):
-        # a lane's 1-based state mask takes one byte up to seven states and
-        # more bytes from eight on; the transpose against a bit probe per
-        # lane and state, with more lanes than one 64-bit word
+        # a lane's 1-based state mask takes one byte up to seven states, and
+        # the transpose spreads the states' ints to bytes; from eight states
+        # on it packs them per byte (up to 8 lanes) or reads their text.
+        # Each path against a bit probe per lane and state, with more lanes
+        # than one 64-bit word
         rng = random.Random(states)
         for lanes in (1, 7, 8, 70):
             ints = [rng.getrandbits(lanes) for _ in range(states)]
             flags = rng.getrandbits(lanes)
             want = [sum((held >> lane & 1) << t for t, held in enumerate((flags, *ints)))
                     for lane in range(lanes)]
-            assert _lane_masks(ints, lanes, flags) == want
-            assert _lane_masks(ints, lanes) == [m & ~1 for m in want]
+            assert transpose([flags, *ints], lanes) == want
+            assert transpose([0, *ints], lanes) == [m & ~1 for m in want]
         a = sparse_two_way_nfa(states, 2, rng, 3)
         xs = ragged(2, 6, 4, rng)
         ys = ragged(2, 6, 4, rng)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ufabound import statesets
@@ -34,3 +36,15 @@ def test_check_n_limits():
     statesets.check_n(30)
     with pytest.raises(ValueError):
         statesets.check_n(0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 9, 115])
+@pytest.mark.parametrize("width", [0, 1, 8, 9, 373])
+def test_transpose_against_a_bit_probe(count, width):
+    # up to 8 rows, rows of up to 8 bits and the rest each take their own
+    # path; the counts and widths sit on both sides of both thresholds
+    rng = random.Random(count * 1000 + width)
+    for rows in ([rng.getrandbits(width) if width else 0 for _ in range(count)],
+                 [(1 << width) - 1] * count, [0] * count):
+        want = [sum((row >> i & 1) << j for j, row in enumerate(rows)) for i in range(width)]
+        assert statesets.transpose(rows, width) == want

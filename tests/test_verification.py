@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,47 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     assert built == [(3,)] and built_k == []
 
 
+def test_one_run_enumerates_the_ordered_tables_once(monkeypatch):
+    # the layer-rank check, the count check and the pair study share one
+    # list; the filter enumeration stays the count check's own oracle
+    enumerated = _counting(monkeypatch, combinatorics, "enumerate_ordered_prefix_tables")
+    assert all(r.ok for r in verification.run_checks(3, "full"))
+    assert enumerated == [(3,)]
+
+
+def test_concurrent_runs_keep_their_own_memo(monkeypatch):
+    # two runs inside run_checks at once, the quick one storing its pair
+    # study before the full one reaches the pair checks: each must report
+    # what it reports on its own
+    runs = (("quick", 5), ("full", 0))
+    want = {level: verification.run_checks(3, level, seed) for level, seed in runs}
+    barrier = threading.Barrier(len(runs), timeout=60)
+
+    def meet(n, level, rng):
+        barrier.wait()
+        return verification.CheckResult("meet", True, "")
+
+    def quick_study_first(n, level, rng):
+        if level == "quick":
+            verification._study(n, level, rng)
+        return meet(n, level, rng)
+
+    monkeypatch.setattr(verification, "_CHECKS",
+                        [meet, quick_study_first, *verification._CHECKS, meet])
+    got = {}
+
+    def run(level, seed):
+        got[level] = verification.run_checks(3, level, seed)[2:-1]
+
+    threads = [threading.Thread(target=run, args=args) for args in runs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert got == want
+
+
 def test_a_full_run_at_size_four_reads_k_off_m(monkeypatch):
     built_k = _counting(monkeypatch, witness, "build_K")
     built_m = _counting(monkeypatch, witness, "build_M")
@@ -211,7 +253,7 @@ def test_k_read_off_m_is_k():
 
 def test_no_study_survives_a_run():
     verification.run_checks(3, "full")
-    assert verification._run_memo is None
+    assert verification._run_memo.get() is None
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, verification._PairStudy)]
 
@@ -232,7 +274,7 @@ def test_a_failing_check_still_clears_the_run_memo(monkeypatch):
                                                   broken])
     with pytest.raises(RuntimeError):
         verification.run_checks(2, "full")
-    assert verification._run_memo is None
+    assert verification._run_memo.get() is None
 
 
 def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
