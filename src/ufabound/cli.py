@@ -16,12 +16,13 @@ Identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import combinatorics, crossing, exact_linalg, tables, verification, witness
 from .automata import load_automaton
-from .errors import COUNT_MAX_N, TABLE1_MAX_N, CapacityError
+from .errors import COUNT_MAX_N, RANDOM_ALPHABET_MAX, TABLE1_MAX_N, CapacityError
 
 
 def _check_count_printable(n: int, what: str) -> None:
@@ -121,16 +122,27 @@ def _cmd_schmidt(args) -> int:
     if args.random is not None:
         if args.random < 1:
             raise ValueError("--random needs a positive instance count")
+        if args.states < 1 or args.alphabet < 1:
+            raise ValueError("--states and --alphabet must be positive")
         _check_count_printable(args.states, "schmidt's state count")
-        bound = None
-        for i in range(args.random):
-            report = crossing.random_campaign_report(
-                args.states, args.alphabet, seed=args.seed + i)
-            print(json.dumps(report.to_json(), sort_keys=True))
-            if not report.ok:
-                return 1
-            bound = report.bound
-        print(f"bound {bound} holds on {args.random} random instances")
+        if args.alphabet > RANDOM_ALPHABET_MAX:
+            raise CapacityError(f"schmidt --random is limited to --alphabet <= "
+                                f"{RANDOM_ALPHABET_MAX}: an instance's strings read "
+                                "no more letters")
+
+        # imported here, so that no other subcommand loads it
+        from . import workers
+
+        def instance(seed: int) -> dict:
+            return crossing.random_campaign_report(args.states, args.alphabet, seed).to_json()
+
+        seeds = range(args.seed, args.seed + args.random)
+        with contextlib.closing(workers.ordered_map(instance, seeds)) as records:
+            for record in records:
+                print(json.dumps(record, sort_keys=True))
+        if not record["ok"]:
+            return 1
+        print(f"bound {record['bound']} holds on {args.random} random instances")
         return 0
     with open(args.automaton, "r", encoding="utf-8") as fh:
         automaton, alphabet = load_automaton(json.load(fh))

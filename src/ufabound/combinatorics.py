@@ -17,6 +17,7 @@ by a factorial factor and easy to conflate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
@@ -62,6 +63,8 @@ def s_count(n: int, k: int) -> int:
     return factorial(k + 1) * stirling2(n, k + 1)
 
 
+# schmidt asks for the same bound once per instance
+@functools.lru_cache(maxsize=32)
 def count_ordered_prefix_tables(n: int) -> int:
     """The closed form: the sum over k of p_count(n, k) * s_count(n, k)."""
     if n < 1:

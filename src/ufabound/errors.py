@@ -24,3 +24,7 @@ MOD_P_LIMIT = 2**31
 # has a 4,339-digit entry
 COUNT_MAX_N = 815
 TABLE1_MAX_N = 120
+# schmidt's random automata draw states^2 * (alphabet + 2) * 2 moves, and an
+# instance reads at most 2 * 20 strings of at most 6 letters: letters past
+# 240 would only add moves that no string reads
+RANDOM_ALPHABET_MAX = 240

@@ -94,7 +94,7 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
         pairs = itertools.product(range(m.rows), range(m.cols))
     else:
         count = 10_000 if level == "full" else 500
-        pairs = ((rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(count))
+        pairs = (divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(count))
     # the pairs kept as two byte strings of indices, which fit in a byte as M
     # has 133 rows and 217 columns at size 3: 10,000 tuples would take about
     # 30 times the memory

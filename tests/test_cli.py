@@ -447,6 +447,24 @@ def test_schmidt_random_refuses_states_past_the_cap_before_any_automaton(
         main(["schmidt", "--random", "1", "--states", "815", "--alphabet", "1"])
 
 
+def test_schmidt_random_refuses_bad_alphabets_and_states_before_any_automaton(
+        capsys, monkeypatch):
+    monkeypatch.setattr(crossing, "random_campaign_report", _no_schmidt_work)
+    monkeypatch.setattr(crossing, "random_two_way_nfa", _no_schmidt_work)
+    cap_error = ("error: schmidt --random is limited to --alphabet <= 240: "
+                 "an instance's strings read no more letters\n")
+    positive_error = "error: --states and --alphabet must be positive\n"
+    for flags, error in ((["--alphabet", "241"], cap_error),
+                         (["--alphabet", str(10**12)], cap_error),
+                         (["--alphabet", "0"], positive_error),
+                         (["--states", "0"], positive_error),
+                         (["--states", "-3", "--alphabet", "2"], positive_error)):
+        code, out, err = run(capsys, "schmidt", "--random", "100", *flags)
+        assert (code, out, err) == (2, "", error), flags
+    with pytest.raises(AssertionError, match="past the state cap"):
+        main(["schmidt", "--random", "1", "--states", "1", "--alphabet", "240"])
+
+
 def test_schmidt_refuses_a_loaded_automaton_past_the_cap_before_the_search(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(crossing, "verify_optimality", _no_schmidt_work)

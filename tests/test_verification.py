@@ -55,7 +55,7 @@ def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
     # sample order
     m = witness.build_M(3)
     rng = random.Random(0)
-    sample = [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(10_000)]
+    sample = [divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(10_000)]
     i, j = sample[250]
     later = next(pair for pair in reversed(sample[251:])
                  if pair[0] < i and pair not in sample[:251])
