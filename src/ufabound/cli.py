@@ -22,7 +22,8 @@ import sys
 
 from . import combinatorics, crossing, exact_linalg, tables, verification, witness
 from .automata import load_automaton
-from .errors import COUNT_MAX_N, RANDOM_ALPHABET_MAX, TABLE1_MAX_N, CapacityError
+from .errors import (COUNT_MAX_N, RANDOM_ALPHABET_MAX, RANDOM_MOVES_MAX, TABLE1_MAX_N,
+                     CapacityError)
 
 
 def _check_count_printable(n: int, what: str) -> None:
@@ -129,8 +130,12 @@ def _cmd_schmidt(args) -> int:
             raise CapacityError(f"schmidt --random is limited to --alphabet <= "
                                 f"{RANDOM_ALPHABET_MAX}: an instance's strings read "
                                 "no more letters")
+        if args.states ** 2 * (args.alphabet + 2) > RANDOM_MOVES_MAX:
+            raise CapacityError(f"schmidt --random is limited to states^2 * (alphabet + 2) "
+                                f"<= {RANDOM_MOVES_MAX}: a random automaton keeps about "
+                                "that many moves, at up to 185 bytes each")
 
-        # imported here, so that no other subcommand loads it
+        # imported here, so that only the commands that fork workers load it
         from . import workers
 
         def instance(seed: int) -> dict:

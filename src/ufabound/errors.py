@@ -28,3 +28,8 @@ TABLE1_MAX_N = 120
 # instance reads at most 2 * 20 strings of at most 6 letters: letters past
 # 240 would only add moves that no string reads
 RANDOM_ALPHABET_MAX = 240
+# a random automaton keeps about states^2 * (alphabet + 2) moves, as tuples
+# in sets, at 120-185 bytes of RSS each (66.6 MB at 40 states and 240
+# letters, 55.2 MB at 400 states and one letter): this many keep one
+# automaton, of which schmidt's workers hold one per CPU, near 370 MB
+RANDOM_MOVES_MAX = 2_000_000

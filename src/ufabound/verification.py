@@ -22,8 +22,8 @@ from .statesets import elements, full_mask
 
 MERSENNE_PRIME = 2**31 - 1
 # sampled rows per search in the entry check: each search simulates its rows
-# times every sampled column (217 at n = 3), and its layout holds one int of
-# all those lanes per letter; one search over all 133 rows of M would raise
+# times every column (217 at n = 3), and its layout holds one int of all
+# those lanes per letter; one search over all 133 rows of M would raise
 # the check's peak memory by about 1.5 MB
 ENTRY_BLOCK_ROWS = 32
 
@@ -102,23 +102,26 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
     for i, j in pairs:
         pair_rows.append(i)
         pair_cols.append(j)
-    rows, cols = sorted(set(pair_rows)), sorted(set(pair_cols))
+    rows = sorted(set(pair_rows))
     automaton = witness.WitnessAutomaton(size, m.row_labels, m.col_labels)
-    # the sampled rows times the sampled columns, one lane per word: a
-    # pair's word is two letters of its row and one of its column
-    col_words = [automaton.word(m.row_labels[0], m.col_labels[j])[2:] for j in cols]
+    # the sampled rows times every column, one lane per word, so that a
+    # simulated row reads like M's: a pair's word is two letters of its
+    # row and one of its column
+    col_words = [automaton.word(m.row_labels[0], g)[2:] for g in m.col_labels]
     simulated = {}
     for first in range(0, len(rows), ENTRY_BLOCK_ROWS):
         block = rows[first:first + ENTRY_BLOCK_ROWS]
         row_words = [automaton.word(m.row_labels[i], m.col_labels[0])[:2] for i in block]
         simulated.update(zip(block, automata.concatenation_bits(
             automaton.nfa, row_words, col_words)))
-    column = {j: k for k, j in enumerate(cols)}
-    for i, j in zip(pair_rows, pair_cols):
-        bit = simulated[i] >> column[j] & 1
-        if m.entry(i, j) != bit:
-            return CheckResult(name, False, f"entry {m.entry(i, j)}, simulation {bit} "
-                               f"on {m.row_labels[i]}, {m.col_labels[j]}")
+    # whole rows first; the sample, pair by pair, only to name the first
+    # failing pair in sample order, if a differing cell was sampled at all
+    if any(simulated[i] != m.bits[i] for i in rows):
+        for i, j in zip(pair_rows, pair_cols):
+            bit = simulated[i] >> j & 1
+            if m.entry(i, j) != bit:
+                return CheckResult(name, False, f"entry {m.entry(i, j)}, simulation {bit} "
+                                   f"on {m.row_labels[i]}, {m.col_labels[j]}")
     return CheckResult(name, True, f"{len(pair_rows)} pairs")
 
 
@@ -401,10 +404,20 @@ _CHECKS: list[Callable] = [
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
+    # imported here, so that only the commands that fork workers load it
+    from . import workers
+
+    def random_check() -> dict:
+        return check_random_automata_bound(n, level, random.Random(seed))._asdict()
+
     token = _run_memo.set({})
     try:
-        # every check draws from a fresh generator, so a shared sample is
-        # the one each check would have drawn itself
-        return [check(n, level, random.Random(seed)) for check in _CHECKS]
+        # the random-automaton check reads nothing the others build, so it
+        # runs beside them, in a worker forked before M or the pair study
+        # exists; every check draws from a fresh generator, so a shared
+        # sample is the one each check would have drawn itself
+        with workers.beside(random_check) as random_result:
+            return [CheckResult(**random_result()) if check is check_random_automata_bound
+                    else check(n, level, random.Random(seed)) for check in _CHECKS]
     finally:
         _run_memo.reset(token)

@@ -1,9 +1,11 @@
-"""Ordered fan-out of independent items over forked worker processes.
+"""Independent work in forked worker processes, returned as JSON lines.
 
-:func:`ordered_map` splits its items into contiguous shares, one per CPU
-this process may run on, computes the first share itself and every other
-share in an ``os.fork`` child, and yields the results in item order.  The
-work it serves is pure Python, which holds the interpreter lock, so
+Two entry points share one protocol.  :func:`ordered_map` splits its
+items into contiguous shares, one per CPU this process may run on,
+computes the first share itself and every other share in an ``os.fork``
+child, and yields the results in item order.  :func:`beside` forks one
+child for one call while the calling process goes on with other work.
+The work they serve is pure Python, which holds the interpreter lock, so
 threads would only take turns.  Importing :mod:`multiprocessing.pool`
 or :mod:`concurrent.futures.process` alone raises the CLI's peak memory
 by 1.0 or 1.4 MB, and both pickle the function and its arguments.  A
@@ -12,14 +14,15 @@ it needs, and it sends back only JSON lines through a pipe.
 
 A child buffers its whole share and writes it once, at the end: written
 line by line, a share past the pipe's buffer would wait for the parent,
-which reads it only after its own share.  Every child leaves through
+which reads it only after its own work.  Every child leaves through
 ``os._exit``, so it never returns into its caller's stack, and every
-child is killed if still running and reaped before the map ends, on
-every path out of it.
+child is killed if still running and reaped before the map or the
+``with`` block ends, on every path out of it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Callable, Iterator, Sequence
@@ -40,6 +43,17 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _cpu() -> int | None:
+    """The CPU this process runs on, where Linux's /proc says it, else None."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # field 39; those after the command name, which may hold spaces
+            # and parentheses, begin at field 3
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _stops(result: dict) -> bool:
@@ -80,10 +94,28 @@ def _start(fn: Callable, share: Sequence) -> tuple:
         os._exit(status)
 
 
-def _results(status: int, data: bytes, share: Sequence) -> Iterator[dict]:
+def _reap(pid: int, r: int) -> tuple:
+    """A child's exit status and everything it wrote, once it has ended."""
+    chunks = []
+    while chunk := os.read(r, 1 << 16):
+        chunks.append(chunk)
+    status = os.waitpid(pid, 0)[1]
+    os.close(r)
+    return status, b"".join(chunks)
+
+
+def _kill(running: list) -> None:
+    """Kill and reap every child of ``running``, entries (pid, read end, ...)."""
+    for pid, r, *_ in running:
+        os.close(r)
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _results(status: int, data: bytes, share: Sequence, where: str = "") -> Iterator[dict]:
     """A reaped child's results, then the error it reported, if any."""
     code = os.waitstatus_to_exitcode(status)
-    where = f"the worker on items {share[0]!r}..{share[-1]!r}"
+    where = where or f"the worker on items {share[0]!r}..{share[-1]!r}"
     if code not in (_DONE, _RAISED):
         raise ChildProcessError(f"{where} ended with status {code}")
     lines = data.decode().splitlines()
@@ -123,18 +155,57 @@ def ordered_map(fn: Callable[..., dict], items: Sequence) -> Iterator[dict]:
                 return
         while running:
             pid, r, share = running[0]
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            status = os.waitpid(pid, 0)[1]
-            os.close(r)
+            status, data = _reap(pid, r)
             running.pop(0)
-            for result in _results(status, b"".join(chunks), share):
+            for result in _results(status, data, share):
                 yield result
                 if _stops(result):
                     return
     finally:
-        for pid, r, _ in running:
-            os.close(r)
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+        _kill(running)
+
+
+@contextlib.contextmanager
+def beside(fn: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
+    """Compute ``fn()`` in a forked child while the ``with`` body runs.
+
+    ``fn`` returns a JSON object with an ``"ok"`` member.  The block gets a
+    function to call once, which returns that object: it waits for the
+    child and reads what the child sent.  With one CPU, or where there is
+    no ``os.fork``, nothing is forked and that function calls ``fn``
+    itself.  The child keeps off the CPU this process is on when it forks,
+    where the system says which one that is.  An exception in the child is
+    raised there as a :class:`ChildProcessError`, and so is a child that
+    dies.  The child is killed if still running and reaped when the block
+    ends, however it ends.
+    """
+    if _cpus() < 2 or not hasattr(os, "fork"):
+        yield fn
+        return
+    share = (None,)
+    running = []  # (pid, read end) of the child until it is reaped
+    here = _cpu()
+
+    def away(_) -> dict:
+        # Linux may leave a fresh child on its parent's CPU for the whole of
+        # a 40 ms call, the two taking turns while another CPU idles: on a
+        # 2-vCPU VM, verify --n 3 --level full took 108-119 ms so, 60-65 ms
+        # with the child moved
+        try:
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
+        except (AttributeError, OSError):
+            pass
+        return fn()
+
+    def result() -> dict:
+        pid, r = running[0]
+        status, data = _reap(pid, r)
+        running.pop()
+        [out] = _results(status, data, share, "the worker beside this process")
+        return out
+
+    try:
+        running.append(_start(away, share))
+        yield result
+    finally:
+        _kill(running)

@@ -465,6 +465,23 @@ def test_schmidt_random_refuses_bad_alphabets_and_states_before_any_automaton(
         main(["schmidt", "--random", "1", "--states", "1", "--alphabet", "240"])
 
 
+def test_schmidt_random_refuses_too_many_moves_before_any_automaton(capsys, monkeypatch):
+    # each of --states 815 and --alphabet 240 is allowed, but an automaton
+    # of both would keep some 160 million moves
+    monkeypatch.setattr(crossing, "random_campaign_report", _no_schmidt_work)
+    monkeypatch.setattr(crossing, "random_two_way_nfa", _no_schmidt_work)
+    monkeypatch.setattr(os, "fork", _no_schmidt_work)
+    error = ("error: schmidt --random is limited to states^2 * (alphabet + 2) <= 2000000: "
+             "a random automaton keeps about that many moves, at up to 185 bytes each\n")
+    for states, alphabet in (("815", "240"), ("100", "199"), ("400", "11")):
+        code, out, err = run(capsys, "schmidt", "--random", "100", "--states", states,
+                             "--alphabet", alphabet)
+        assert (code, out, err) == (2, "", error), (states, alphabet)
+    # 100^2 * (198 + 2) is the cap itself
+    with pytest.raises(AssertionError, match="past the state cap"):
+        main(["schmidt", "--random", "1", "--states", "100", "--alphabet", "198"])
+
+
 def test_schmidt_refuses_a_loaded_automaton_past_the_cap_before_the_search(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(crossing, "verify_optimality", _no_schmidt_work)

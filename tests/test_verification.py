@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import random
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import automata, combinatorics, exact_linalg, tables, verification, witness
+from ufabound import automata, combinatorics, crossing, exact_linalg, tables, verification, witness
+from ufabound.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -236,6 +238,56 @@ def test_concurrent_runs_keep_their_own_memo(monkeypatch):
         thread.join(timeout=120)
         assert not thread.is_alive()
     assert got == want
+
+
+# With a second CPU the random-automaton check runs in a forked worker
+# beside the other checks; the report must not show where it ran.
+
+def _verify_on(capsys, monkeypatch, cpus, *argv):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        code = main(["verify", *argv])
+    with pytest.raises(ChildProcessError):  # no worker left behind
+        os.waitpid(-1, os.WNOHANG)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", ["1", "2", "3", "4"])
+def test_verify_prints_the_same_bytes_with_one_cpu_and_two(capsys, monkeypatch, n):
+    for level in ("quick", "full"):
+        for seed in ("0", "7"):
+            argv = ("--n", n, "--level", level, "--seed", seed)
+            one = _verify_on(capsys, monkeypatch, {0}, *argv)
+            assert one[0] == 0 and one[1].endswith("11/11 checks passed\n")
+            assert _verify_on(capsys, monkeypatch, {0, 1}, *argv) == one
+
+
+def test_a_failing_random_instance_reads_the_same_from_the_worker(
+        capsys, monkeypatch, tmp_path):
+    rng = random.Random(0)
+    bad = [rng.randrange(2**30) for _ in range(3)][-1]
+    real = crossing.random_campaign_report
+    pids = tmp_path / "pids"
+
+    def third_fails(states, alphabet, seed):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        report = real(states, alphabet, seed)
+        return dataclasses.replace(report, ok=False) if seed == bad else report
+
+    monkeypatch.setattr(crossing, "random_campaign_report", third_fails)
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "2")
+        ran_in = set(pids.read_text().split())
+        pids.unlink()
+        # every instance in this process, or every one in one worker
+        assert len(ran_in) == 1 and (str(os.getpid()) in ran_in) == (len(cpus) == 1)
+    assert runs[1] == runs[2]
+    code, out = runs[2]
+    assert code == 1
+    assert (f"FAIL  random-automaton ranks stay within the bound (instance seed {bad})\n"
+            "10/11 checks passed\n") in out
 
 
 def test_a_full_run_at_size_four_reads_k_off_m(monkeypatch):

@@ -145,6 +145,78 @@ def test_workers_are_killed_when_this_process_stops_early(three_cpus):
 
 
 # ---------------------------------------------------------------------------
+# one call beside the calling process
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def pid_record():
+    return {"ok": True, "pid": os.getpid()}
+
+
+def test_beside_returns_what_fn_returns_from_a_worker(two_cpus):
+    def fn():
+        return {"ok": False, "detail": "ä ∅", "sizes": [1, 7, 115]}
+
+    with workers.beside(fn) as result:
+        assert result() == fn()
+    with workers.beside(pid_record) as result:
+        assert result()["pid"] != os.getpid()
+    assert_no_worker_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to move a worker between")
+def test_beside_moves_its_worker_off_this_process_cpu(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    assert workers._cpu() in cpus
+    here = min(cpus)
+    monkeypatch.setattr(workers, "_cpu", lambda: here)
+    with workers.beside(lambda: {"ok": True, "cpus": sorted(os.sched_getaffinity(0))}) as result:
+        assert result()["cpus"] == sorted(cpus - {here})
+    assert os.sched_getaffinity(0) == cpus
+    assert_no_worker_left()
+
+
+def test_beside_forks_nothing_with_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+    with workers.beside(pid_record) as result:
+        assert result() == pid_record()
+    assert_no_worker_left()
+
+
+def test_beside_raises_a_worker_exception(two_cpus):
+    def raising():
+        raise ValueError("no result")
+
+    with workers.beside(raising) as result:
+        with pytest.raises(ChildProcessError,
+                           match="the worker beside this process raised ValueError: no result"):
+            result()
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+def test_beside_kills_its_worker_when_the_block_stops_early(two_cpus, stop):
+    me = os.getpid()
+
+    def slow():
+        if os.getpid() != me:
+            time.sleep(60)
+        return pid_record()
+
+    start = time.monotonic()
+    with pytest.raises(stop):
+        with workers.beside(slow):
+            raise stop
+    assert_no_worker_left()
+    assert time.monotonic() - start < 30
+
+
+# ---------------------------------------------------------------------------
 # schmidt's random mode through the workers
 
 def schmidt(capsys, count, seed=40):
