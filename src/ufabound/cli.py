@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -215,8 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import: most of its cost is argparse's
+    # gettext and terminal-size lookups, paid once per process; parsing
+    # leaves the parser as it was
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "schmidt":
         files = (("--automaton", args.automaton), ("--prefixes", args.prefixes),

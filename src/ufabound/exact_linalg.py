@@ -13,6 +13,14 @@ and should go through :func:`rank_mod_p`, which gives a certified lower
 bound on the rational rank (a vanishing rational minor vanishes mod p as
 well, so the mod-p rank can never exceed it).
 
+The GF(p) rank works on the distinct non-zero rows as well.  When their
+GF(2) rank equals their number, the square minor on the GF(2) pivot
+columns is eliminated mod p first, and a full rank there is the answer:
+the rank of a column subset never exceeds the whole matrix's, and no rank
+exceeds the row count.  Otherwise (p divides that minor's determinant, or
+the GF(2) rank falls short) every column of the distinct rows is
+eliminated, by the same routine.
+
 Pivoting is deterministic: first non-zero entry in column order.
 """
 
@@ -24,6 +32,15 @@ from .errors import MOD_P_LIMIT, RANK_EXACT_MAX_ENTRIES, CapacityError
 from .witness import CHUNK_ELEMS, BoolMatrix
 
 
+def _distinct_rows(m: BoolMatrix) -> BoolMatrix:
+    """The distinct non-zero rows of ``m`` in their first order, ``m`` itself
+    when it has no zero or repeated row: those leave every rank alone."""
+    rows = tuple(dict.fromkeys(b for b in m.bits if b))
+    if len(rows) == m.rows:
+        return m
+    return BoolMatrix(tuple(range(len(rows))), m.col_labels, m.cols, rows)
+
+
 def rank_exact(m: BoolMatrix) -> int:
     """Rank over the rationals, by fraction-free integer elimination of the
     distinct non-zero rows unless their GF(2) rank is already full.
@@ -32,22 +49,19 @@ def rank_exact(m: BoolMatrix) -> int:
     limit is checked on the distinct rows, before elimination reads an
     entry.
     """
-    nrows, ncols = m.rows, m.cols
-    # zero and repeated rows leave the rank alone; an odd minor is non-zero,
-    # so a full rank mod 2 of the distinct rows is the rational rank
-    distinct = tuple(dict.fromkeys(b for b in m.bits if b))
-    full = min(len(distinct), ncols)
-    if _rank_mod_2(distinct) == full:
+    distinct = _distinct_rows(m)
+    nrows, ncols = distinct.rows, distinct.cols
+    # an odd minor is non-zero, so a full rank mod 2 of the distinct rows is
+    # the rational rank
+    full = min(nrows, ncols)
+    if len(_rank_mod_2(distinct.bits)) == full:
         return full
-    if len(distinct) * ncols > RANK_EXACT_MAX_ENTRIES:
+    if nrows * ncols > RANK_EXACT_MAX_ENTRIES:
         raise CapacityError(
-            f"{nrows}x{ncols} matrix with {len(distinct)} distinct non-zero rows "
+            f"{m.rows}x{ncols} matrix with {nrows} distinct non-zero rows "
             f"exceeds the {RANK_EXACT_MAX_ENTRIES}-entry limit of exact elimination; "
             "use rank_mod_p")
-    if len(distinct) < nrows:
-        nrows = len(distinct)
-        m = BoolMatrix(tuple(range(nrows)), m.col_labels, ncols, distinct)
-    a = m.to_lists()
+    a = distinct.to_lists()
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -100,9 +114,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _rank_mod_2(rows_bits: tuple[int, ...]) -> int:
-    """Rank over GF(2) with rows packed as Python ints; each pivot is filed
-    under its top bit, which no other pivot shares."""
+def _rank_mod_2(rows_bits: tuple[int, ...]) -> list[int]:
+    """The pivot columns of an elimination over GF(2), in increasing order,
+    with rows packed as Python ints; their number is the rank.  Each pivot
+    is filed under its top bit, which no other pivot shares."""
     pivots: dict[int, int] = {}
     for row in rows_bits:
         while row:
@@ -112,48 +127,62 @@ def _rank_mod_2(rows_bits: tuple[int, ...]) -> int:
                 pivots[top] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return sorted(pivots)
+
+
+def _eliminate_mod_p(arr: np.ndarray, p: int) -> int:
+    """Rank mod p of the residues ``arr`` (int32), which it overwrites.
+
+    Each column's first non-zero row is its pivot row.  Every other row that
+    is non-zero in that column becomes pv * row - f * pivot row, with pv the
+    pivot and f the row's entry there, which keeps the row space since pv is
+    a unit; the pivot row is then zeroed, so later columns see only rows
+    that have not been pivots, with no row swap and no modular inverse.
+    """
+    # a product of two residues needs 62 bits, and NumPy keeps int32 * int
+    # in int32, where it would wrap silently: the pivot row and the chunk
+    # being reduced are widened to int64, the residues stay int32
+    nrows, ncols = arr.shape
+    chunk = max(1, CHUNK_ELEMS // max(ncols, 1))
+    rank = 0
+    for col in range(ncols):
+        hits = np.flatnonzero(arr[:, col])
+        if hits.size == 0:
+            continue
+        piv = hits[0]
+        prow = arr[piv, col:].astype(np.int64)
+        pv = int(prow[0])
+        for s in range(1, hits.size, chunk):
+            idx = hits[s:s + chunk]
+            narrow = arr[idx, col:]
+            block = np.multiply(narrow, pv, dtype=np.int64)
+            block -= narrow[:, :1] * prow
+            block %= p
+            arr[idx, col:] = block
+            del narrow, block  # freed before the next chunk is gathered
+        arr[piv, col:] = 0
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def rank_mod_p(m: BoolMatrix, p: int) -> int:
     """Rank over GF(p) for a prime p below ``MOD_P_LIMIT`` (2^31).  Always a
-    lower bound on :func:`rank_exact`."""
+    lower bound on :func:`rank_exact`.  For odd p, the GF(2) pivot minor of
+    the distinct rows is eliminated first, as the module docstring says."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p >= MOD_P_LIMIT:
         raise CapacityError(
             f"rank_mod_p needs a prime below 2^31, got {p}: the int64 "
             "elimination is exact only while p^2 stays below 2^62")
+    m = _distinct_rows(m)
+    pivots = _rank_mod_2(m.bits)
     if p == 2:
-        return _rank_mod_2(m.bits)
-
-    # residues are stored in int32 and widened to int64 only in the pivot row
-    # and the chunk being reduced: a product of two residues needs 62 bits,
-    # and NumPy keeps int32 * int in int32, where it would wrap silently
-    arr = m.to_numpy()
-    nrows, ncols = arr.shape
-    chunk = max(1, CHUNK_ELEMS // max(ncols, 1))
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(arr[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            arr[[rank, piv]] = arr[[piv, rank]]
-        inv = pow(int(arr[rank, col]), p - 2, p)
-        row = arr[rank, col:].astype(np.int64) * inv % p
-        arr[rank, col:] = row
-        below = np.nonzero(arr[rank + 1:, col])[0] + rank + 1
-        for s in range(0, below.size, chunk):
-            idx = below[s:s + chunk]
-            narrow = arr[idx, col:]
-            block = narrow[:, :1].astype(np.int64) * row
-            np.subtract(narrow, block, out=block)
-            block %= p
-            arr[idx, col:] = block
-            del narrow, block  # freed before the next chunk is gathered
-        rank += 1
-    return rank
+        return len(pivots)
+    if len(pivots) == m.rows:
+        rank = _eliminate_mod_p(m.to_numpy(pivots), p)
+        if rank == m.rows:
+            return rank
+    return _eliminate_mod_p(m.to_numpy(), p)

@@ -120,10 +120,13 @@ class BoolMatrix:
     def to_lists(self) -> list[list[int]]:
         return [[b >> j & 1 for j in range(self.cols)] for b in self.bits]
 
-    def to_numpy(self) -> np.ndarray:
-        """The entries as an int32 array, unpacked a chunk of rows at a time
-        so that no wider copy of the whole matrix is ever held."""
-        out = np.empty((self.rows, self.cols), dtype=np.int32)
+    def to_numpy(self, cols: Sequence[int] | None = None) -> np.ndarray:
+        """The entries as an int32 array, or only the columns ``cols`` in
+        that order, unpacked a chunk of rows at a time so that no wider copy
+        of the whole matrix is ever held."""
+        pick = slice(self.cols) if cols is None else np.asarray(cols, dtype=np.intp)
+        width = self.cols if cols is None else len(pick)
+        out = np.empty((self.rows, width), dtype=np.int32)
         nbytes = (self.cols + 7) // 8
         step = max(1, CHUNK_ELEMS // max(self.cols, 1))
         for start in range(0, self.rows, step):
@@ -131,7 +134,7 @@ class BoolMatrix:
             raw = np.frombuffer(
                 b"".join(b.to_bytes(nbytes, "little") for b in chunk), dtype=np.uint8)
             out[start:start + len(chunk)] = np.unpackbits(
-                raw.reshape(len(chunk), nbytes), axis=1, bitorder="little")[:, :self.cols]
+                raw.reshape(len(chunk), nbytes), axis=1, bitorder="little")[:, pick]
         return out
 
 

@@ -61,7 +61,12 @@ def _stops(result: dict) -> bool:
 
 
 def _start(fn: Callable, share: Sequence) -> tuple:
-    """Fork a child that computes ``share``; its pid and the pipe to read."""
+    """Fork a child that computes ``share``; its pid and the pipe to read.
+
+    The child keeps off the CPU this process is on when it forks, where the
+    system says which one that is.
+    """
+    here = _cpu()
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -75,6 +80,14 @@ def _start(fn: Callable, share: Sequence) -> tuple:
     status = _LOST
     try:
         os.close(r)
+        # Linux may leave a fresh child on its parent's CPU for the whole of
+        # its work, the two taking turns while another CPU idles: on a
+        # 2-vCPU VM, verify --n 3 --level full took 108-119 ms so, 60-65 ms
+        # with the child moved
+        try:
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
+        except (AttributeError, OSError):
+            pass
         lines = []
         try:
             for item in share:
@@ -136,10 +149,10 @@ def ordered_map(fn: Callable[..., dict], items: Sequence) -> Iterator[dict]:
     into contiguous shares of at least :data:`MIN_SHARE` items, one per CPU;
     with one share, or where there is no ``os.fork``, every item is
     computed here.  The first share's results are yielded as they are
-    computed, each other share's once its child has finished.  An
-    exception in a child's share is raised here as a
-    :class:`ChildProcessError` after the results before it, and so is a
-    child that dies or returns too few results.
+    computed, each other share's once its child has finished; the children
+    keep off the CPU this process is on.  An exception in a child's share is
+    raised here as a :class:`ChildProcessError` after the results before
+    it, and so is a child that dies or returns too few results.
     """
     parts = max(1, min(_cpus(), len(items) // MIN_SHARE)) if hasattr(os, "fork") else 1
     cuts = [len(items) * k // parts for k in range(parts + 1)]
@@ -184,18 +197,6 @@ def beside(fn: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
         return
     share = (None,)
     running = []  # (pid, read end) of the child until it is reaped
-    here = _cpu()
-
-    def away(_) -> dict:
-        # Linux may leave a fresh child on its parent's CPU for the whole of
-        # a 40 ms call, the two taking turns while another CPU idles: on a
-        # 2-vCPU VM, verify --n 3 --level full took 108-119 ms so, 60-65 ms
-        # with the child moved
-        try:
-            os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
-        except (AttributeError, OSError):
-            pass
-        return fn()
 
     def result() -> dict:
         pid, r = running[0]
@@ -205,7 +206,7 @@ def beside(fn: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
         return out
 
     try:
-        running.append(_start(away, share))
+        running.append(_start(lambda _: fn(), share))
         yield result
     finally:
         _kill(running)

@@ -574,6 +574,34 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys,
+                                                               monkeypatch):
+    # main reuses one parser per process: calls in a row, mixing a rank, a
+    # usage error, --help and a count, each give the exit status and the
+    # bytes of the same call in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    mat = tmp_path / "k2.mat"
+    assert run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))[0] == 0
+    calls = [["rank", "--in", str(mat), "--mod", "3"], ["count"], ["--help"],
+             ["count", "--n", "3"], ["rank", "--in", str(mat)], ["rank", "--help"],
+             ["rank", "--in", str(mat), "--mod", "4"], ["count"], ["count", "--n", "3"]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = {}
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ufabound.cli import main; "
+             "sys.exit(main())", *argv], capture_output=True, text=True, env=env)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    for argv in calls + calls[::-1]:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        here = capsys.readouterr()
+        assert (code, here.out, here.err) == fresh[tuple(argv)], argv
+    assert code == 0 and here.out == "7\n"
+
+
 def test_bad_json_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

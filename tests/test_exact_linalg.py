@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ufabound import exact_linalg, witness
@@ -298,3 +299,78 @@ def test_rank_mod_p_reduces_in_chunks_of_rows(monkeypatch):
         rows = random_rows(rng, rng.randint(1, 12), 10)
         for p in (3, 2**31 - 1):
             assert rank_mod_p(packed(rows), p) == rank_mod_p_oracle(rows, p)
+
+
+def counted_eliminations(monkeypatch):
+    """The shapes of the arrays rank_mod_p hands to its elimination."""
+    shapes = []
+    real = exact_linalg._eliminate_mod_p
+
+    def counted(arr, p):
+        shapes.append(arr.shape)
+        return real(arr, p)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate_mod_p", counted)
+    return shapes
+
+
+def test_rank_mod_p_returns_a_full_rank_of_the_gf2_pivot_minor(monkeypatch):
+    # K at n = 3 has full GF(2) row rank, and its 115 x 115 pivot minor has
+    # full rank mod 2^31 - 1: no other column is eliminated
+    shapes = counted_eliminations(monkeypatch)
+    assert rank_mod_p(witness.build_K(3), 2**31 - 1) == 115
+    assert shapes == [(115, 115)]
+
+
+def test_rank_mod_p_eliminates_every_column_when_the_gf2_rank_falls_short(monkeypatch):
+    # M at n = 3 has 133 distinct non-zero rows of GF(2) rank 115: no minor
+    # is tried, and all 217 columns of the distinct rows are eliminated
+    shapes = counted_eliminations(monkeypatch)
+    m = witness.build_M(3)
+    assert rank_mod_p(m, 3) == rank_mod_p_oracle(m.to_lists(), 3) == 115
+    assert shapes == [(133, 217)]
+
+
+def test_rank_mod_p_falls_back_when_the_pivot_minor_is_singular(monkeypatch):
+    # full GF(2) row rank on pivot columns 1-4, whose minor is singular mod
+    # 3; column 0 brings the rank mod 3 back to 4
+    shapes = counted_eliminations(monkeypatch)
+    rows = [[0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1]]
+    assert exact_linalg._rank_mod_2(packed(rows).bits) == [1, 2, 3, 4]
+    assert rank_mod_p(packed(rows), 3) == rank_mod_p_oracle(rows, 3) == 4
+    assert shapes == [(4, 4), (4, 5)]
+
+
+def test_rank_mod_p_fallback_confirms_a_rank_below_the_gf2_rank(monkeypatch):
+    # GF(2) rank 4, but the first three rows less the last are (3, 0, 0, 0),
+    # zero mod 3: the minor falls short and every column confirms rank 3
+    shapes = counted_eliminations(monkeypatch)
+    rows = [[1, 0, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 1]]
+    assert rank_mod_p(packed(rows), 2) == 4
+    assert rank_mod_p(packed(rows), 3) == rank_mod_p_oracle(rows, 3) == 3
+    assert shapes == [(4, 4), (4, 4)]
+
+
+def test_rank_mod_p_of_wide_matrices_with_repeated_and_zero_rows():
+    rng = random.Random(20)
+    for _ in range(150):
+        ncols = rng.randint(8, 40)
+        base = random_rows(rng, rng.randint(1, 8), ncols)
+        rows = base + [rng.choice(base)[:] for _ in range(rng.randint(0, 4))]
+        rows += [[0] * ncols] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        for p in (3, 7, 2**31 - 1):
+            assert rank_mod_p(packed(rows), p) == rank_mod_p_oracle(rows, p)
+
+
+def test_to_numpy_of_selected_columns_is_the_slice_of_the_lists(monkeypatch):
+    # a few rows per unpacked chunk, columns in any order, and none at all
+    monkeypatch.setattr(witness, "CHUNK_ELEMS", 50)
+    rng = random.Random(21)
+    for _ in range(50):
+        rows = random_rows(rng, rng.randint(0, 9), rng.randint(1, 30))
+        m = packed(rows, len(rows[0]) if rows else 5)
+        cols = rng.sample(range(m.cols), rng.randint(0, m.cols))
+        arr = m.to_numpy(cols)
+        assert arr.dtype == np.int32 and arr.shape == (m.rows, len(cols))
+        assert arr.tolist() == [[row[c] for c in cols] for row in m.to_lists()]

@@ -144,6 +144,26 @@ def test_workers_are_killed_when_this_process_stops_early(three_cpus):
     assert time.monotonic() - start < 30
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to move a worker between")
+def test_map_workers_move_off_this_process_cpu(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    here = min(cpus)
+    monkeypatch.setattr(workers, "_cpu", lambda: here)
+    monkeypatch.setattr(workers, "MIN_SHARE", 1)
+
+    def cpus_record(item):
+        return {"ok": True, "pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0))}
+
+    # at most four shares, one here and up to three forked workers
+    out = list(workers.ordered_map(cpus_record, range(4)))
+    assert {tuple(r["cpus"]) for r in out if r["pid"] != os.getpid()} == {
+        tuple(sorted(cpus - {here}))}
+    assert len({r["pid"] for r in out}) == min(len(cpus), 4)
+    assert os.sched_getaffinity(0) == cpus
+    assert_no_worker_left()
+
+
 # ---------------------------------------------------------------------------
 # one call beside the calling process
 
