@@ -11,13 +11,15 @@ looping computations never contribute.  One search of that graph,
 :func:`_reach`, serves both acceptance and the crossing tables of
 :mod:`ufabound.crossing`.  It runs many tapes at once, bit-sliced over
 them: a tape is a lane, and per configuration (position p, state q),
-flat slot p·n + q, the search keeps the int of the lanes that reach it.
-Expanding a slot costs one AND per move of the automaton, however many
-letters its position holds.  :func:`_layout` stacks grids of tapes
+flat slot p·n + q, the search keeps the int of the lanes that reach it;
+a lane may carry its own automaton, of one state count for all.
+Expanding a slot costs one AND per move, however many letters and
+automata its position holds.  :func:`_layout` stacks grids of tapes
 prefixes[i]·suffixes[j] around one split position, writing each distinct
-string once, and :func:`_search` runs several such grids, each with its
-own seeds and readout, as one search; :func:`concatenation_bits` is its
-one-grid case that decides every word xs[i]·ys[j].
+string once, and :func:`_search` runs groups of grids, each group with
+its automaton and each grid with its seeds and readout, as one search;
+:func:`concatenation_bits` is its one-grid case that decides every word
+xs[i]·ys[j].
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -103,8 +105,9 @@ def _layout(grids: Sequence[tuple]):
     distinct suffix is written once, with the OR of its lanes across all
     grids.  Returns ``(cells, split, offsets)``: ``cells[p]`` lists the
     (symbol, lanes) pairs of position p, every prefix ends just before
-    ``split`` and every suffix starts at it.  Positions 0 and
-    ``len(cells) - 1`` are padding, with no cells.
+    ``split`` and every suffix starts at it, and ``offsets`` ends with the
+    number of lanes.  Positions 0 and ``len(cells) - 1`` are padding, with
+    no cells.
     """
     heads: dict[tuple, int] = {}
     tails: dict[tuple, int] = {}
@@ -119,6 +122,7 @@ def _layout(grids: Sequence[tuple]):
             tails[y] = tails.get(y, 0) | rep << j
         offsets.append(offset)
         offset += len(xs) * cols
+    offsets.append(offset)
     split = 1 + max(map(len, heads), default=0)
     width = max(map(len, tails), default=0)
     cells: list[dict[int, int]] = [{} for _ in range(split + width + 1)]
@@ -133,33 +137,54 @@ def _layout(grids: Sequence[tuple]):
     return [list(cell.items()) for cell in cells], split, offsets
 
 
-def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
+def _reach(groups: Sequence[tuple[TwoWayNfa, int]],
+           cells: Sequence[Sequence[tuple[int, int]]],
            seeds: Iterable[tuple[int, int, int]]) -> list[int]:
     """The lanes of a :func:`_layout` that reach each configuration from
     the (position, state, lanes) ``seeds``.  Configuration (p, q) is slot
     p·n + q of the flat result, which holds the int of its lanes.
 
-    Each slot first gets its moves, a tuple of (target slot, allowed
-    lanes): allowed is the OR of the lanes whose letter at p lets state q
-    make that move, so an expansion costs one AND per move however many
-    letters the position has.  Sweeps the slots left to right, then right
-    to left and so on, expanding only the newly reached lanes of each
-    slot, until a sweep reaches nothing new.  A head that leaves its
-    fragment lands in the padding, where the callers read the exits; a
-    right move off the right marker is dropped.  Private, so that
-    ``bench/tracer.py`` does not wrap it.
+    ``groups`` pairs each automaton with the int of its lanes.  Each slot
+    first gets its moves, a tuple of (target slot, allowed lanes): allowed
+    is the OR of the lanes whose letter at p lets state q make that move
+    and whose automaton has it, so an expansion costs one AND per move.
+    Several automata's moves are merged once per symbol, as (q, d·n + t,
+    their lanes); one automaton's are read straight from its table.
+    Sweeps the slots left to right, then right to left and so on, expanding
+    only the newly reached lanes of each slot, until a sweep reaches
+    nothing new.  A head that leaves its fragment lands in the padding,
+    where the callers read the exits; a right move off the right marker is
+    dropped.  Private, so that ``bench/tracer.py`` does not wrap it.
     """
-    n = a.state_count
+    n = groups[0][0].state_count
+    [(a, _), *several] = groups
+    merged: dict[int, tuple] = {}
     moves: list[tuple] = []
     for p, cell in enumerate(cells):
         base = p * n
         out: list[dict[int, int]] = [{} for _ in range(n)]
         for c, lanes in cell:
-            for q, allowed in enumerate(out):
-                for t, d in a.transitions.get((q, c), ()):
-                    if c != RIGHT_MARKER or d < 0:
-                        target = base + d * n + t
-                        allowed[target] = allowed.get(target, 0) | lanes
+            if not several:
+                for q, allowed in enumerate(out):
+                    for t, d in a.transitions.get((q, c), ()):
+                        if c != RIGHT_MARKER or d < 0:
+                            target = base + d * n + t
+                            allowed[target] = allowed.get(target, 0) | lanes
+                continue
+            if c not in merged:
+                found: dict[tuple[int, int], int] = {}
+                for b, own in groups:
+                    for q in range(n):
+                        for t, d in b.transitions.get((q, c), ()):
+                            if c != RIGHT_MARKER or d < 0:
+                                move = q, d * n + t
+                                found[move] = found[move] | own if move in found else own
+                merged[c] = tuple((q, offset, own) for (q, offset), own in found.items())
+            for q, offset, own in merged[c]:
+                if own := lanes & own:
+                    allowed = out[q]
+                    target = base + offset
+                    allowed[target] = allowed.get(target, 0) | own
         moves += [tuple(allowed.items()) for allowed in out]
     at = [0] * len(moves)
     fresh = [0] * len(moves)
@@ -184,27 +209,41 @@ def _reach(a: TwoWayNfa, cells: Sequence[Sequence[tuple[int, int]]],
     return at
 
 
-def _search(a: TwoWayNfa, grids: Sequence[tuple]) -> list:
-    """Every grid's result, from one :func:`_reach` over their stacked lanes.
+def _search(groups: Sequence[tuple[TwoWayNfa, Sequence[tuple]]]) -> list:
+    """Every grid's result, in order, from one :func:`_reach` over the
+    stacked lanes of all groups.
 
-    A grid is (prefixes, suffixes, seeds, read) in its own lanes i·C + j:
-    ``seeds`` are (position relative to the split, state, lanes), and
-    ``read(right, left, accepted)`` gives its result from the states' lanes
-    just after the split, those just before it and the lanes that reach
-    their right marker in an accepting state, each masked to the grid's
-    own lanes.  Strings must be checked against the alphabet first.
+    A group is (automaton, grids).  A grid is (prefixes, suffixes, seeds,
+    read) in its own lanes i·C + j: ``seeds`` are (position relative to the
+    split, state, lanes), and ``read(right, left, accepted)`` gives its
+    result from the states' lanes just after the split, those just before
+    it and the lanes that reach their right marker in an accepting state,
+    each masked to the grid's own lanes.  Strings must be checked against
+    the alphabet first.
     """
-    n = a.state_count
+    n = groups[0][0].state_count
+    grids = [grid for _, family in groups for grid in family]
     cells, split, offsets = _layout(grids)
-    at = _reach(a, cells, [(split + p, q, lanes << offset)
-                           for (_, _, seeds, _), offset in zip(grids, offsets)
-                           for p, q, lanes in seeds])
+    owners, k = [], 0
+    for a, family in groups:
+        start, k = offsets[k], k + len(family)
+        owners.append((a, ((1 << offsets[k] - start) - 1) << start))
+    # the seeds one at a time: a list of them, each as wide as its offset,
+    # would grow with the square of the number of grids
+    at = _reach(owners, cells, ((split + p, q, lanes << offset)
+                                for (_, _, seeds, _), offset in zip(grids, offsets)
+                                for p, q, lanes in seeds))
+    # each accepting state, with the lanes whose automaton accepts in it
+    accepting: dict[int, int] = {}
+    for a, own in owners:
+        for q in a.accepting:
+            accepting[q] = accepting[q] | own if q in accepting else own
     accepted = 0
     for p, cell in enumerate(cells):
         for c, lanes in cell:
             if c == RIGHT_MARKER:
-                for q in a.accepting:
-                    accepted |= at[p * n + q] & lanes
+                for q, own in accepting.items():
+                    accepted |= at[p * n + q] & lanes & own
     right, left = at[split * n:split * n + n], at[split * n - n:split * n]
     out = []
     for (xs, ys, _, read), offset in zip(grids, offsets):
@@ -232,7 +271,8 @@ def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     """Acceptance of every word xs[i] + ys[j], in one search: row i of the
     result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
     _check_words(a, (*xs, *ys))
-    return _search(a, [_concatenation_grid(a, xs, ys)])[0]
+    [bits] = _search([(a, [_concatenation_grid(a, xs, ys)])])
+    return bits
 
 
 def twonfa_accepts(a: TwoWayNfa, word: Sequence[int]) -> bool:

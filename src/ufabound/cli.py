@@ -139,11 +139,12 @@ def _cmd_schmidt(args) -> int:
         # imported here, so that only the commands that fork workers load it
         from . import workers
 
-        def instance(seed: int) -> dict:
-            return crossing.random_campaign_report(args.states, args.alphabet, seed).to_json()
+        def share(seeds: range):
+            return (report.to_json() for report in
+                    crossing.random_campaign(args.states, args.alphabet, seeds))
 
         seeds = range(args.seed, args.seed + args.random)
-        with contextlib.closing(workers.ordered_map(instance, seeds)) as records:
+        with contextlib.closing(workers.ordered_map(share, seeds)) as records:
             for record in records:
                 print(json.dumps(record, sort_keys=True))
         if not record["ok"]:

@@ -14,11 +14,13 @@ Tables are read straight off lane-parallel searches
 configuration, whose per-state ints :func:`ufabound.statesets.transpose`
 turns into one state mask per lane.  The concatenation matrix simulates
 every concatenated word as a lane of its own, so its entries never come
-from the tables they are compared against.  :func:`verify_optimality`
-lays out the concatenated words, the prefixes and the suffixes as three
-grids of one search; :func:`schmidt_matrix`, :func:`prefix_tables_of`
-and :func:`suffix_tables_of` are its one-grid cases.  Every string is
-checked against the automaton's alphabet first.
+from the tables they are compared against.  An instance lays out its
+concatenated words, prefixes and suffixes as three grids, and one search
+decides a block of instances, each with its own automaton;
+:func:`verify_optimality` is the one-instance case, and
+:func:`schmidt_matrix`, :func:`prefix_tables_of` and
+:func:`suffix_tables_of` are one-grid cases.  Every string is checked
+against its automaton's alphabet first.
 
 Tables here use 1-based state indices (state q_i of the automaton is
 index i = internal id + 1), matching :mod:`ufabound.tables`.
@@ -28,12 +30,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import exact_linalg
 from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words,
                        _concatenation_grid, _search, concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
+from .errors import random_block
 from .statesets import full_mask, transpose
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
@@ -102,7 +105,8 @@ def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     all zero anyway.
     """
     _check_words(a, xs)
-    return _search(a, [_prefix_grid(a, xs)])[0]
+    [found] = _search([(a, [_prefix_grid(a, xs)])])
+    return found
 
 
 def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
@@ -118,7 +122,8 @@ def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
     is then all zero anyway.
     """
     _check_words(a, ys)
-    return _search(a, [_suffix_grid(a, ys)])[0]
+    [found] = _search([(a, [_suffix_grid(a, ys)])])
+    return found
 
 
 def schmidt_matrix(a: TwoWayNfa, xs: Sequence[Sequence[int]],
@@ -181,12 +186,16 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     repeated and zero rows and columns added.  Its rank must then equal
     the universal matrix's and stay within the bound.
     """
+    [report] = _reports([(a, xs, ys, seed)])
+    return report
+
+
+def _report(a: TwoWayNfa, xs: tuple, ys: tuple, found: Sequence,
+            seed: Optional[int]) -> OptimalityReport:
+    """One instance's check, from the (matrix rows, prefix tables, suffix
+    tables) that its three grids found."""
     n = a.state_count
-    xs = tuple(tuple(x) for x in xs)
-    ys = tuple(tuple(y) for y in ys)
-    _check_words(a, xs + ys)
-    bits, fx, gy = _search(
-        a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs), _suffix_grid(a, ys)])
+    bits, fx, gy = found
     matrix = BoolMatrix(xs, ys, len(ys), tuple(bits))
 
     # the matrix's columns per distinct suffix table, in first-occurrence order
@@ -210,6 +219,19 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
         rows=matrix.rows, cols=matrix.cols,
         reduced_rows=universal.rows, reduced_cols=universal.cols,
         seed=seed, ok=ok, matrix=matrix, universal=universal)
+
+
+def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
+    """The report of each instance (automaton, xs, ys, seed), in order:
+    one search for all, then each compared and ranked as it is asked for."""
+    instances = [(a, tuple(map(tuple, xs)), tuple(map(tuple, ys)), seed)
+                 for a, xs, ys, seed in instances]
+    for a, xs, ys, _ in instances:
+        _check_words(a, xs + ys)
+    found = iter(_search([(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
+                               _suffix_grid(a, ys)]) for a, xs, ys, _ in instances]))
+    for (a, xs, ys, seed), *grids in zip(instances, found, found, found):
+        yield _report(a, xs, ys, grids, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +272,26 @@ CAMPAIGN_MAX_STRINGS = 20
 CAMPAIGN_MAX_LEN = 6
 
 
+def random_campaign(state_count: int, alphabet_size: int,
+                    seeds: Sequence[int]) -> Iterator[OptimalityReport]:
+    """Each seeded random instance (automaton, string sets, full check), in
+    seed order, one search per block of :func:`ufabound.errors.random_block`."""
+    def instance(seed: int) -> tuple:
+        rng = random.Random(seed)
+        a = random_two_way_nfa(state_count, alphabet_size, rng)
+        xs = random_strings(alphabet_size, rng.randint(1, CAMPAIGN_MAX_STRINGS),
+                            CAMPAIGN_MAX_LEN, rng)
+        ys = random_strings(alphabet_size, rng.randint(1, CAMPAIGN_MAX_STRINGS),
+                            CAMPAIGN_MAX_LEN, rng)
+        return a, xs, ys, seed
+
+    size = random_block(state_count, alphabet_size)
+    for k in range(0, len(seeds), size):
+        yield from _reports([instance(seed) for seed in seeds[k:k + size]])
+
+
 def random_campaign_report(state_count: int, alphabet_size: int,
                            seed: int) -> OptimalityReport:
     """One seeded random instance: automaton, string sets, full check."""
-    rng = random.Random(seed)
-    a = random_two_way_nfa(state_count, alphabet_size, rng)
-    xs = random_strings(alphabet_size, rng.randint(1, CAMPAIGN_MAX_STRINGS),
-                        CAMPAIGN_MAX_LEN, rng)
-    ys = random_strings(alphabet_size, rng.randint(1, CAMPAIGN_MAX_STRINGS),
-                        CAMPAIGN_MAX_LEN, rng)
-    return verify_optimality(a, xs, ys, seed=seed)
+    [report] = random_campaign(state_count, alphabet_size, [seed])
+    return report

@@ -33,3 +33,19 @@ RANDOM_ALPHABET_MAX = 240
 # letters, 55.2 MB at 400 states and one letter): this many keep one
 # automaton, of which schmidt's workers hold one per CPU, near 370 MB
 RANDOM_MOVES_MAX = 2_000_000
+
+# schmidt --random decides a block of instances in one lane search.  At 3
+# states and 2 letters, blocks of 6, 16 and 32 took about 70, 65 and 65 % of
+# the CPU time of one search each, at 0.1, 0.4 and 1.0 MB more peak RSS; at
+# 20-240 letters, 50 states or near RANDOM_MOVES_MAX, blocks ran 1.04-1.6
+# times slower.  Beyond these limits an automaton is a block of its own.
+RANDOM_BLOCK_MAX = 6
+RANDOM_BLOCK_MOVES = 2_000
+RANDOM_BLOCK_ALPHABET = 16
+
+
+def random_block(states: int, alphabet: int) -> int:
+    """The instances per search of schmidt's random automata of this shape."""
+    if alphabet > RANDOM_BLOCK_ALPHABET:
+        return 1
+    return max(1, min(RANDOM_BLOCK_MAX, RANDOM_BLOCK_MOVES // (states ** 2 * (alphabet + 2))))

@@ -21,7 +21,7 @@ from . import automata, combinatorics, crossing, exact_linalg, tables, witness
 from .statesets import elements, full_mask
 
 MERSENNE_PRIME = 2**31 - 1
-# sampled rows per search in the entry check: each search simulates its rows
+# rows of M per search in the entry check: each search simulates its rows
 # times every column (217 at n = 3), and its layout holds one int of all
 # those lanes per letter; one search over all 133 rows of M would raise
 # the check's peak memory by about 1.5 MB
@@ -90,39 +90,30 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
     name = "graph entries match two-way simulation"
     size = min(n, 3)
     m = _matrix_m(size)
+    automaton = witness.WitnessAutomaton(size, m.row_labels, m.col_labels)
+    # every row times every column, one lane per word, so that a simulated
+    # row reads like M's: a pair's word is two letters of its row and one
+    # of its column
+    col_words = [automaton.word(m.row_labels[0], g)[2:] for g in m.col_labels]
+    simulated = []
+    for first in range(0, m.rows, ENTRY_BLOCK_ROWS):
+        row_words = [automaton.word(f, m.col_labels[0])[:2]
+                     for f in m.row_labels[first:first + ENTRY_BLOCK_ROWS]]
+        simulated += automata.concatenation_bits(automaton.nfa, row_words, col_words)
     if n <= 2:
-        pairs = itertools.product(range(m.rows), range(m.cols))
+        count, pairs = m.rows * m.cols, iter(())
     else:
         count = 10_000 if level == "full" else 500
         pairs = (divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(count))
-    # the pairs kept as two byte strings of indices, which fit in a byte as M
-    # has 133 rows and 217 columns at size 3: 10,000 tuples would take about
-    # 30 times the memory
-    pair_rows, pair_cols = bytearray(), bytearray()
-    for i, j in pairs:
-        pair_rows.append(i)
-        pair_cols.append(j)
-    rows = sorted(set(pair_rows))
-    automaton = witness.WitnessAutomaton(size, m.row_labels, m.col_labels)
-    # the sampled rows times every column, one lane per word, so that a
-    # simulated row reads like M's: a pair's word is two letters of its
-    # row and one of its column
-    col_words = [automaton.word(m.row_labels[0], g)[2:] for g in m.col_labels]
-    simulated = {}
-    for first in range(0, len(rows), ENTRY_BLOCK_ROWS):
-        block = rows[first:first + ENTRY_BLOCK_ROWS]
-        row_words = [automaton.word(m.row_labels[i], m.col_labels[0])[:2] for i in block]
-        simulated.update(zip(block, automata.concatenation_bits(
-            automaton.nfa, row_words, col_words)))
-    # whole rows first; the sample, pair by pair, only to name the first
-    # failing pair in sample order, if a differing cell was sampled at all
-    if any(simulated[i] != m.bits[i] for i in rows):
-        for i, j in zip(pair_rows, pair_cols):
+    # the sample is drawn only to name a failure: its first failing pair in
+    # sample order, else the first failing cell
+    if tuple(simulated) != m.bits:
+        for i, j in itertools.chain(pairs, itertools.product(range(m.rows), range(m.cols))):
             bit = simulated[i] >> j & 1
             if m.entry(i, j) != bit:
                 return CheckResult(name, False, f"entry {m.entry(i, j)}, simulation {bit} "
                                    f"on {m.row_labels[i]}, {m.col_labels[j]}")
-    return CheckResult(name, True, f"{len(pair_rows)} pairs")
+    return CheckResult(name, True, f"{count} pairs")
 
 
 def check_augmentation_identity(n: int, level: str, rng: random.Random) -> CheckResult:
@@ -346,8 +337,8 @@ def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckR
 def check_random_automata_bound(n: int, level: str, rng: random.Random) -> CheckResult:
     instances = 50 if level == "full" else 10
     states = min(n, 3)
-    for i in range(instances):
-        report = crossing.random_campaign_report(states, 2, seed=rng.randrange(2**30))
+    seeds = [rng.randrange(2**30) for _ in range(instances)]
+    for report in crossing.random_campaign(states, 2, seeds):
         if not report.ok:
             return CheckResult("random-automaton ranks stay within the bound", False,
                                f"instance seed {report.seed}")

@@ -307,8 +307,10 @@ def _read_matrix(lines: Iterable[str]) -> BoolMatrix:
         if cols and not ln.strip():
             continue
         found += 1
-        # checked before int(), which would also accept "_", "+" and spaces
-        if bad or len(ln) != cols or set(ln) - {"0", "1"}:
+        # checked before int(), which would also accept "_", "+", spaces and
+        # other digits; counted in C, as a set of each row took longer than
+        # the int() itself
+        if bad or len(ln) != cols or ln.count("0") + ln.count("1") != cols:
             bad = True
         else:
             bits.append(int(ln[::-1] or "0", 2))

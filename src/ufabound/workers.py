@@ -25,12 +25,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-# fork, exit and reaping cost 1-2 ms at the CLI's 30 MB, against about
-# 0.5 ms per three-state schmidt instance: a share of this many items
-# does several times the work its child costs
-MIN_SHARE = 8
+# fork, exit and reaping cost 3-4 ms at the CLI's 30 MB, and a child's
+# first writes to the memory it shares cost more, against about 0.35 ms
+# per three-state schmidt instance checked in blocks: in fresh CLI runs,
+# two shares first beat one near 48 instances (16 and 32 ran faster on one)
+MIN_SHARE = 24
 # os names no signals; POSIX numbers SIGKILL 9
 _SIGKILL = 9
 # a child's exit status: its share written in full, or up to an exception
@@ -61,7 +62,7 @@ def _stops(result: dict) -> bool:
 
 
 def _start(fn: Callable, share: Sequence) -> tuple:
-    """Fork a child that computes ``share``; its pid and the pipe to read.
+    """Fork a child that computes ``fn(share)``; its pid and the pipe to read.
 
     The child keeps off the CPU this process is on when it forks, where the
     system says which one that is.
@@ -90,8 +91,7 @@ def _start(fn: Callable, share: Sequence) -> tuple:
             pass
         lines = []
         try:
-            for item in share:
-                result = fn(item)
+            for result in fn(share):
                 lines.append(json.dumps(result))
                 if _stops(result):
                     break
@@ -141,16 +141,17 @@ def _results(status: int, data: bytes, share: Sequence, where: str = "") -> Iter
         raise ChildProcessError(f"{where} returned {len(results)} of {len(share)} results")
 
 
-def ordered_map(fn: Callable[..., dict], items: Sequence) -> Iterator[dict]:
-    """Yield ``fn(item)`` for each item, in order, computed on every CPU.
+def ordered_map(fn: Callable[[Sequence], Iterable[dict]], items: Sequence) -> Iterator[dict]:
+    """Yield the result of each item, in order, computed on every CPU.
 
-    ``fn`` returns a JSON object with an ``"ok"`` member; the first result
-    whose ``"ok"`` is false is the last one yielded.  The items are split
-    into contiguous shares of at least :data:`MIN_SHARE` items, one per CPU;
-    with one share, or where there is no ``os.fork``, every item is
-    computed here.  The first share's results are yielded as they are
-    computed, each other share's once its child has finished; the children
-    keep off the CPU this process is on.  An exception in a child's share is
+    ``fn`` of a contiguous share of the items yields one JSON object per
+    item, in order, each with an ``"ok"`` member; the first result whose
+    ``"ok"`` is false is the last one yielded, and ``fn`` is asked for no
+    more after it.  The items are split into contiguous shares of at least
+    :data:`MIN_SHARE` items, one per CPU; with one share, or where there
+    is no ``os.fork``, every item is computed here.  The first share's
+    results are yielded as they are computed, each other share's once its
+    child has finished; the children keep off the CPU this process is on.  An exception in a child's share is
     raised here as a :class:`ChildProcessError` after the results before
     it, and so is a child that dies or returns too few results.
     """
@@ -161,8 +162,7 @@ def ordered_map(fn: Callable[..., dict], items: Sequence) -> Iterator[dict]:
     try:
         for share in shares[1:]:
             running.append((*_start(fn, share), share))
-        for item in shares[0]:
-            result = fn(item)
+        for result in fn(shares[0]):
             yield result
             if _stops(result):
                 return
@@ -206,7 +206,7 @@ def beside(fn: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
         return out
 
     try:
-        running.append(_start(lambda _: fn(), share))
+        running.append(_start(lambda _: [fn()], share))
         yield result
     finally:
         _kill(running)

@@ -38,6 +38,14 @@ def test_count_beyond_the_digit_limit_is_a_one_line_error():
     assert "Traceback" not in proc.stderr
 
 
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ufabound", "count", "--n", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "115\n", "")
+
+
 def test_count_refuses_sizes_beyond_its_cap_before_any_work(capsys):
     # count(815) has 4,299 digits and still prints; count(816) would not
     code, out, err = run(capsys, "count", "--n", "815")
@@ -437,7 +445,7 @@ SCHMIDT_CAP_ERROR = ("error: schmidt's state count is limited to n <= 815: "
 def test_schmidt_random_refuses_states_past_the_cap_before_any_automaton(
         capsys, monkeypatch):
     # the bound count(816) cannot be printed, so no automaton is built
-    monkeypatch.setattr(crossing, "random_campaign_report", _no_schmidt_work)
+    monkeypatch.setattr(crossing, "random_campaign", _no_schmidt_work)
     monkeypatch.setattr(crossing, "random_two_way_nfa", _no_schmidt_work)
     for states in ("816", "5000"):
         code, out, err = run(capsys, "schmidt", "--random", "1", "--states", states,
@@ -449,7 +457,7 @@ def test_schmidt_random_refuses_states_past_the_cap_before_any_automaton(
 
 def test_schmidt_random_refuses_bad_alphabets_and_states_before_any_automaton(
         capsys, monkeypatch):
-    monkeypatch.setattr(crossing, "random_campaign_report", _no_schmidt_work)
+    monkeypatch.setattr(crossing, "random_campaign", _no_schmidt_work)
     monkeypatch.setattr(crossing, "random_two_way_nfa", _no_schmidt_work)
     cap_error = ("error: schmidt --random is limited to --alphabet <= 240: "
                  "an instance's strings read no more letters\n")
@@ -468,7 +476,7 @@ def test_schmidt_random_refuses_bad_alphabets_and_states_before_any_automaton(
 def test_schmidt_random_refuses_too_many_moves_before_any_automaton(capsys, monkeypatch):
     # each of --states 815 and --alphabet 240 is allowed, but an automaton
     # of both would keep some 160 million moves
-    monkeypatch.setattr(crossing, "random_campaign_report", _no_schmidt_work)
+    monkeypatch.setattr(crossing, "random_campaign", _no_schmidt_work)
     monkeypatch.setattr(crossing, "random_two_way_nfa", _no_schmidt_work)
     monkeypatch.setattr(os, "fork", _no_schmidt_work)
     error = ("error: schmidt --random is limited to states^2 * (alphabet + 2) <= 2000000: "

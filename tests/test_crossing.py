@@ -14,6 +14,8 @@ from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_tables_of,
                                random_campaign_report, random_strings,
                                random_two_way_nfa, schmidt_matrix, suffix_tables_of,
                                verify_optimality)
+from ufabound.errors import (RANDOM_BLOCK_ALPHABET, RANDOM_BLOCK_MAX, RANDOM_BLOCK_MOVES,
+                             random_block)
 from ufabound.statesets import full_mask, mask_of, transpose
 from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, starting_state)
@@ -98,7 +100,7 @@ class TestProfiles:
             # positions, where the exits would land; slot p·2 + q holds
             # configuration (p, q)
             cells, _, _ = _layout([([tape], [()])])
-            slots = _reach(a, cells, [(1, 0, 1)])
+            slots = _reach([(a, 1)], cells, [(1, 0, 1)])
             exit_left, *at, exit_right = [
                 mask_of(q + 1 for q in range(2) if slots[p * 2 + q] & 1)
                 for p in range(len(cells))]
@@ -245,8 +247,8 @@ class TestLaneSearch:
                     ys = ragged(alphabet, cols, 4, rng) if cols else []
                     alone = [concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
                              suffix_tables_of(a, ys)]
-                    assert _search(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
-                                       _suffix_grid(a, ys)]) == alone
+                    assert _search([(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
+                                         _suffix_grid(a, ys)])]) == alone
                     report = verify_optimality(a, xs, ys)
                     assert report.ok
                     assert report.matrix == schmidt_matrix(a, xs, ys)
@@ -264,12 +266,13 @@ class TestLaneSearch:
         a = sparse_two_way_nfa(3, 2, rng)
         xs = ragged(2, 6, 4, rng)
         ys = ragged(2, 5, 4, rng)
-        got = _search(a, [_prefix_grid(a, []), _concatenation_grid(a, xs, []),
-                          _prefix_grid(a, xs), _suffix_grid(a, []), _suffix_grid(a, ys),
-                          _concatenation_grid(a, [], ys)])
+        got = _search([(a, [_prefix_grid(a, []), _concatenation_grid(a, xs, []),
+                            _prefix_grid(a, xs), _suffix_grid(a, []), _suffix_grid(a, ys),
+                            _concatenation_grid(a, [], ys)])])
         assert got == [[], [0] * len(xs), prefix_tables_of(a, xs), [],
                        suffix_tables_of(a, ys), []]
-        assert _search(a, [_prefix_grid(a, [])]) == _search(a, [_suffix_grid(a, [])]) == [[]]
+        assert _search([(a, [_prefix_grid(a, [])])]) == [[]]
+        assert _search([(a, [_suffix_grid(a, [])])]) == [[]]
         assert transpose([0, 0, 0], 0) == []
 
     @pytest.mark.parametrize("states", [7, 8, 9, 15, 16])
@@ -480,13 +483,12 @@ class TestVerifyOptimalityRejects:
 
     @staticmethod
     def patch_search(monkeypatch, change):
-        real = crossing._search
+        real = crossing._report
 
-        def patched(a, grids):
-            bits, fx, gy = real(a, grids)
-            return change(bits, fx, gy)
+        def patched(a, xs, ys, found, seed):
+            return real(a, xs, ys, change(*found), seed)
 
-        monkeypatch.setattr(crossing, "_search", patched)
+        monkeypatch.setattr(crossing, "_report", patched)
 
     def test_a_flipped_universal_entry_fails(self, monkeypatch):
         a, xs, ys = self.instance()
@@ -545,3 +547,72 @@ class TestVerifyOptimalityRejects:
         report = verify_optimality(a, xs, ys)
         assert report.rank == real(report.matrix)
         assert not report.ok
+
+
+class TestBlocks:
+    """Instances decided together, each lane running its own automaton,
+    against each instance decided alone."""
+
+    @staticmethod
+    def instances(states, alphabet, rng):
+        # empty strings in every family, empty families, and an automaton
+        # that induces no table at all
+        silent = TwoWayNfa(states, alphabet, set(), {}, set())
+        out = [(silent, ragged(alphabet, 3, 3, rng), ragged(alphabet, 4, 3, rng), 0)]
+        for k in range(1, 9):
+            a = random_two_way_nfa(states, alphabet, rng)
+            xs = ragged(alphabet, rng.randint(1, 7), 4, rng)
+            ys = ragged(alphabet, rng.randint(1, 7), 4, rng)
+            out.append((a, xs, ys, k))
+        out.append((a, [], ys, 9))
+        out.append((a, xs, [], 10))
+        return out
+
+    def test_a_block_reports_what_each_instance_reports_alone(self):
+        rng = random.Random(21)
+        kept = 0
+        for states in range(1, 6):
+            for alphabet in (1, 2, 3):
+                instances = self.instances(states, alphabet, rng)
+                alone = [verify_optimality(a, xs, ys, seed) for a, xs, ys, seed in instances]
+                assert list(crossing._reports(instances)) == alone
+                assert list(crossing._reports(instances[4:5])) == alone[4:5]
+                assert alone[0].universal.rows == alone[0].universal.cols == 0
+                kept += sum(r.universal.rows * r.universal.cols for r in alone)
+        assert kept > 100  # the universal matrices are not vacuously empty
+
+    def test_the_campaign_reports_each_seed_as_alone(self):
+        for states in (2, 3):
+            got = list(crossing.random_campaign(states, 2, range(70, 110)))
+            assert got == [random_campaign_report(states, 2, seed) for seed in range(70, 110)]
+
+    def test_a_block_keeps_at_most_its_moves(self, monkeypatch):
+        assert random_block(3, 2) == RANDOM_BLOCK_MAX
+        # states^2 * (alphabet + 2) moves per automaton, at most
+        # RANDOM_BLOCK_MOVES in a block and one automaton at least
+        assert random_block(10, 8) * 10**2 * (8 + 2) == RANDOM_BLOCK_MOVES
+        assert random_block(10, 18) == random_block(10, 19) == 1
+        # and at most RANDOM_BLOCK_ALPHABET letters
+        assert random_block(1, RANDOM_BLOCK_ALPHABET) > 1 == random_block(1, 17)
+        # 100^2 * (198 + 2) moves is the cap itself
+        assert random_block(100, 198) == 1
+        # one automaton per search at the cap, none of them built that size
+        real = crossing._search
+        blocks = []
+
+        def counted(groups):
+            blocks.append(len(groups))
+            return real(groups)
+
+        monkeypatch.setattr(crossing, "random_two_way_nfa",
+                            lambda states, alphabet, rng: forward_only_over(alphabet))
+        monkeypatch.setattr(crossing, "_search", counted)
+        for states, alphabet, sizes in ((100, 198, [1, 1, 1]), (10, 8, [2, 1])):
+            blocks.clear()
+            reports = list(crossing.random_campaign(states, alphabet, range(3)))
+            assert blocks == sizes and [r.seed for r in reports] == [0, 1, 2]
+
+
+def forward_only_over(alphabet):
+    trans = {(0, c): {(0, +1)} for c in (LEFT_MARKER, *range(alphabet))}
+    return TwoWayNfa(1, alphabet, {0}, trans, {0})

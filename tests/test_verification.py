@@ -84,6 +84,31 @@ def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
 
 
+def test_entry_simulation_fails_on_a_cell_the_sample_missed(monkeypatch):
+    # every row of M is simulated, so a fault in a cell outside the seeded
+    # quick sample fails the check too, naming the first failing cell
+    m = witness.build_M(3)
+    rng = random.Random(0)
+    sample = {divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(500)}
+    i, j = next((70, j) for j in range(m.cols) if (70, j) not in sample)
+    aut = witness.WitnessAutomaton(3, m.row_labels, m.col_labels)
+    word = aut.word(m.row_labels[i], m.col_labels[j])
+    real = automata.concatenation_bits
+
+    def cell_flipped(a, xs, ys):
+        bits = real(a, xs, ys)
+        for r, x in enumerate(xs):
+            if tuple(x) == tuple(word[:2]):
+                bits[r] ^= 1 << [tuple(y) for y in ys].index(tuple(word[2:]))
+        return bits
+
+    monkeypatch.setattr(automata, "concatenation_bits", cell_flipped)
+    r = verification.check_entry_simulation_agreement(3, "quick", random.Random(0))
+    assert not r.ok
+    assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
+                        f"on {m.row_labels[i]}, {m.col_labels[j]}")
+
+
 def test_layer_rank_disagreement_fails(monkeypatch):
     monkeypatch.setattr(verification, "_complement_rank", lambda f: 0)
     r = verification.check_layer_rank(3, "full", random.Random(0))
@@ -266,16 +291,16 @@ def test_a_failing_random_instance_reads_the_same_from_the_worker(
         capsys, monkeypatch, tmp_path):
     rng = random.Random(0)
     bad = [rng.randrange(2**30) for _ in range(3)][-1]
-    real = crossing.random_campaign_report
+    real = crossing._report
     pids = tmp_path / "pids"
 
-    def third_fails(states, alphabet, seed):
+    def third_fails(a, xs, ys, found, seed):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        report = real(states, alphabet, seed)
+        report = real(a, xs, ys, found, seed)
         return dataclasses.replace(report, ok=False) if seed == bad else report
 
-    monkeypatch.setattr(crossing, "random_campaign_report", third_fails)
+    monkeypatch.setattr(crossing, "_report", third_fails)
     runs = {}
     for cpus in ({0}, {0, 1}):
         runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "2")

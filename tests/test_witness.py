@@ -394,6 +394,17 @@ class TestMatrixText:
                 got = str(exc)
             assert got == want, text
 
+    def test_full_width_rows_of_other_characters_are_refused(self, tmp_path):
+        # each row has the stated width; int(row, 2) would take "_", "+",
+        # surrounding spaces and digits of other scripts, and the row check
+        # comes before it
+        for row in ("1021", "1_01", "+101", "-101", "10 1", " 101", "101 ", "1\t01",
+                    "1\u066101", "1\uff1101", "1\U0001d7d901", "\u0660\u0661\u0660\u0661"):
+            assert len(row) == 4, repr(row)
+            with pytest.raises(ValueError, match=WIDTH_ERROR):
+                read_text(tmp_path, f"2 4\n1111\n{row}\n")
+        assert read_text(tmp_path, "2 4\n1111\n0110\n").bits == (0b1111, 0b0110)
+
     def test_save_and_load_with_labels(self, tmp_path):
         m = build_K(2)
         path = tmp_path / "k2.mat"

@@ -26,9 +26,14 @@ def record(item):
     return {"item": item, "ok": item != 13, "pid": os.getpid()}
 
 
+def each(fn):
+    """``fn`` of one item as a function of a whole share."""
+    return lambda share: map(fn, share)
+
+
 def test_results_come_in_item_order_from_every_share(three_cpus):
     for count in (1, 2, 3, 7, 12):
-        out = list(workers.ordered_map(record, range(100, 100 + count)))
+        out = list(workers.ordered_map(each(record), range(100, 100 + count)))
         assert [r["item"] for r in out] == list(range(100, 100 + count))
         # contiguous shares, the first one computed here
         pids = [r["pid"] for r in out]
@@ -40,16 +45,16 @@ def test_results_come_in_item_order_from_every_share(three_cpus):
 
 def test_shares_are_no_smaller_than_the_minimum(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    pids = {r["pid"] for r in workers.ordered_map(record, range(100, 100 + 3 * workers.MIN_SHARE))}
+    pids = {r["pid"] for r in workers.ordered_map(each(record), range(100, 100 + 3 * workers.MIN_SHARE))}
     assert len(pids) == 3
-    pids = {r["pid"] for r in workers.ordered_map(record, range(100, 99 + 2 * workers.MIN_SHARE))}
+    pids = {r["pid"] for r in workers.ordered_map(each(record), range(100, 99 + 2 * workers.MIN_SHARE))}
     assert pids == {os.getpid()}
     assert_no_worker_left()
 
 
 def test_without_fork_every_item_is_computed_here(three_cpus, monkeypatch):
     monkeypatch.delattr(os, "fork")
-    out = list(workers.ordered_map(record, range(20, 29)))
+    out = list(workers.ordered_map(each(record), range(20, 29)))
     assert [r["item"] for r in out] == list(range(20, 29))
     assert {r["pid"] for r in out} == {os.getpid()}
 
@@ -57,7 +62,7 @@ def test_without_fork_every_item_is_computed_here(three_cpus, monkeypatch):
 @pytest.mark.parametrize("items", [range(10, 16), range(4, 16)])
 def test_the_first_failing_result_is_the_last(three_cpus, items):
     # item 13 fails in this process's share, then in a worker's
-    out = list(workers.ordered_map(record, items))
+    out = list(workers.ordered_map(each(record), items))
     assert [r["item"] for r in out] == list(range(items.start, 14))
     assert out[-1]["ok"] is False
     assert_no_worker_left()
@@ -68,7 +73,7 @@ def test_a_worker_stops_after_its_first_failure(three_cpus, tmp_path):
         (tmp_path / str(item)).touch()
         return record(item)
 
-    assert [r["item"] for r in workers.ordered_map(noted, range(0, 30))][-1] == 13
+    assert [r["item"] for r in workers.ordered_map(each(noted), range(0, 30))][-1] == 13
     # the worker on 10..19 stops at 13; the one on 20..29 is killed wherever it is
     done = {int(p.name) for p in tmp_path.iterdir()}
     assert done - set(range(20, 30)) == set(range(14))
@@ -84,7 +89,7 @@ def test_a_worker_exception_is_raised_after_the_results_before_it(three_cpus):
     got = []
     with pytest.raises(ChildProcessError,
                        match=r"the worker on items 3..5 raised ValueError: no item 5"):
-        for r in workers.ordered_map(raising, range(9)):
+        for r in workers.ordered_map(each(raising), range(9)):
             got.append(r["item"])
     assert got == [0, 1, 2, 3, 4]
     assert_no_worker_left()
@@ -109,7 +114,7 @@ def test_a_worker_that_dies_fails_the_map(three_cpus, end, status):
     try:
         got = []
         with pytest.raises(ChildProcessError, match=f"items 3..5 ended with {status}"):
-            for r in workers.ordered_map(dying, range(9)):
+            for r in workers.ordered_map(each(dying), range(9)):
                 got.append(r["item"])
         assert got == [0, 1, 2]
     finally:
@@ -135,9 +140,9 @@ def test_workers_are_killed_when_this_process_stops_early(three_cpus):
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        list(workers.ordered_map(slow, range(6)))
+        list(workers.ordered_map(each(slow), range(6)))
     assert_no_worker_left()
-    out = workers.ordered_map(slow, range(6))
+    out = workers.ordered_map(each(slow), range(6))
     assert next(out)["item"] == 0
     out.close()
     assert_no_worker_left()
@@ -156,7 +161,7 @@ def test_map_workers_move_off_this_process_cpu(monkeypatch):
         return {"ok": True, "pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0))}
 
     # at most four shares, one here and up to three forked workers
-    out = list(workers.ordered_map(cpus_record, range(4)))
+    out = list(workers.ordered_map(each(cpus_record), range(4)))
     assert {tuple(r["cpus"]) for r in out if r["pid"] != os.getpid()} == {
         tuple(sorted(cpus - {here}))}
     assert len({r["pid"] for r in out}) == min(len(cpus), 4)
@@ -258,15 +263,15 @@ def test_schmidt_random_prints_the_serial_bytes(capsys, monkeypatch, three_cpus,
 
 
 def fail_at(monkeypatch, bad_seed, error=None):
-    real = crossing.verify_optimality
+    real = crossing._report
 
-    def patched(a, xs, ys, seed=None):
+    def patched(a, xs, ys, found, seed):
         if seed == bad_seed and error is not None:
             raise error
-        report = real(a, xs, ys, seed=seed)
+        report = real(a, xs, ys, found, seed)
         return dataclasses.replace(report, ok=False) if seed == bad_seed else report
 
-    monkeypatch.setattr(crossing, "verify_optimality", patched)
+    monkeypatch.setattr(crossing, "_report", patched)
 
 
 @pytest.mark.parametrize("bad", [45, 65])
