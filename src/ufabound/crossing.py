@@ -16,8 +16,10 @@ turns into one state mask per lane.  The concatenation matrix simulates
 every concatenated word as a lane of its own, so its entries never come
 from the tables they are compared against.  An instance lays out its
 concatenated words, prefixes and suffixes as three grids, and one search
-decides a block of instances, each with its own automaton;
-:func:`verify_optimality` is the one-instance case, and
+decides a block of instances, each with its own automaton.  One universal
+matrix over the block's distinct tables follows, and each instance reads
+its own rows and columns out of it; :func:`verify_optimality` is the
+one-instance case, and
 :func:`schmidt_matrix`, :func:`prefix_tables_of` and
 :func:`suffix_tables_of` are one-grid cases.  Every string is checked
 against its automaton's alphabet first.
@@ -28,8 +30,10 @@ index i = internal id + 1), matching :mod:`ufabound.tables`.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from itertools import compress, repeat, starmap
 from typing import Iterator, Optional, Sequence
 
 from . import exact_linalg
@@ -191,9 +195,11 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
 
 
 def _report(a: TwoWayNfa, xs: tuple, ys: tuple, found: Sequence,
-            seed: Optional[int]) -> OptimalityReport:
+            seed: Optional[int], shared: tuple) -> OptimalityReport:
     """One instance's check, from the (matrix rows, prefix tables, suffix
-    tables) that its three grids found."""
+    tables) that its three grids found and its block's universal matrix,
+    ``shared`` = (the row of each prefix table, the column of each suffix
+    table)."""
     n = a.state_count
     bits, fx, gy = found
     matrix = BoolMatrix(xs, ys, len(ys), tuple(bits))
@@ -204,10 +210,22 @@ def _report(a: TwoWayNfa, xs: tuple, ys: tuple, found: Sequence,
         if g is not None:
             where[g] = where.get(g, 0) | 1 << j
     row_tables = list(dict.fromkeys(f for f in fx if f is not None))
-    universal = acceptance_matrix(row_tables, list(where), n)
+    # its universal matrix is its own rows and columns of the shared one;
+    # each row is also spread over the matrix's columns
+    block_rows, block_cols = shared
+    picks = [(1 << b, block_cols[g], cols) for b, (g, cols) in enumerate(where.items())]
+    universal_bits = []
     spread = {None: 0}
-    for f, u in zip(row_tables, universal.bits):
-        spread[f] = sum(cols for b, cols in enumerate(where.values()) if u >> b & 1)
+    for f in row_tables:
+        u = block_rows[f]
+        row = spread_row = 0
+        for bit, c, cols in picks:
+            if u >> c & 1:
+                row |= bit
+                spread_row |= cols
+        universal_bits.append(row)
+        spread[f] = spread_row
+    universal = BoolMatrix(tuple(row_tables), tuple(where), len(where), tuple(universal_bits))
     entries_ok = all(b == spread[f] for f, b in zip(fx, bits))
 
     rank = exact_linalg.rank_exact(matrix)
@@ -223,15 +241,24 @@ def _report(a: TwoWayNfa, xs: tuple, ys: tuple, found: Sequence,
 
 def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
     """The report of each instance (automaton, xs, ys, seed), in order:
-    one search for all, then each compared and ranked as it is asked for."""
+    one search and one universal matrix for all, over every distinct table
+    in first-occurrence order, then each compared and ranked as it is
+    asked for."""
     instances = [(a, tuple(map(tuple, xs)), tuple(map(tuple, ys)), seed)
                  for a, xs, ys, seed in instances]
     for a, xs, ys, _ in instances:
         _check_words(a, xs + ys)
-    found = iter(_search([(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
-                               _suffix_grid(a, ys)]) for a, xs, ys, _ in instances]))
-    for (a, xs, ys, seed), *grids in zip(instances, found, found, found):
-        yield _report(a, xs, ys, grids, seed)
+    results = iter(_search([(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
+                                 _suffix_grid(a, ys)]) for a, xs, ys, _ in instances]))
+    grids = list(zip(results, results, results))
+    universal = acceptance_matrix(
+        list(dict.fromkeys(f for _, fx, _ in grids for f in fx if f is not None)),
+        list(dict.fromkeys(g for _, _, gy in grids for g in gy if g is not None)),
+        instances[0][0].state_count)
+    shared = (dict(zip(universal.row_labels, universal.bits)),
+              {g: c for c, g in enumerate(universal.col_labels)})
+    for (a, xs, ys, seed), found in zip(instances, grids):
+        yield _report(a, xs, ys, found, seed, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +267,52 @@ def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
 def random_two_way_nfa(state_count: int, alphabet_size: int,
                        rng: random.Random) -> TwoWayNfa:
     """Every possible move is present independently with probability 1/2,
-    minus the moves the structural rules forbid."""
-    symbols = list(range(alphabet_size)) + [LEFT_MARKER, RIGHT_MARKER]
-    initial = frozenset(q for q in range(state_count) if rng.random() < 0.5)
-    accepting = frozenset(q for q in range(state_count) if rng.random() < 0.5)
+    minus the moves the structural rules forbid.
+
+    One ``rng.random()`` is drawn for each initial state, each accepting
+    state, and then each move (q, symbol, t, d) in that order, a forbidden
+    move included; a state or move is kept when its draw is below 1/2."""
+    # drawn as compress reads them, one per item
+    keep = map(operator.lt, starmap(rng.random, repeat(())), repeat(0.5))
+    states = range(state_count)
+    initial = frozenset(compress(states, keep))
+    accepting = frozenset(compress(states, keep))
+    moves = [(t, d) for t in states for d in (-1, +1)]
+    rightward = frozenset(moves[1::2])
+    symbols = (*range(alphabet_size), LEFT_MARKER, RIGHT_MARKER)
     trans: dict = {}
-    for q in range(state_count):
+    for q in states:
         for c in symbols:
-            for t in range(state_count):
-                for d in (-1, +1):
-                    if rng.random() >= 0.5:
-                        continue
-                    if c == LEFT_MARKER and d == -1:
-                        continue
-                    if c == RIGHT_MARKER and q in accepting:
-                        continue
-                    trans.setdefault((q, c), set()).add((t, d))
+            trans[(q, c)] = frozenset(compress(moves, keep))
+        # nothing moves off the left marker, and accepting states halt on
+        # the right marker
+        trans[(q, LEFT_MARKER)] &= rightward
+        if q in accepting:
+            del trans[(q, RIGHT_MARKER)]
     return TwoWayNfa(state_count, alphabet_size, initial, trans, accepting)
 
 
 def random_strings(alphabet_size: int, count: int, max_len: int,
                    rng: random.Random) -> list[tuple[int, ...]]:
+    """``count`` strings, each of ``rng.randint(0, max_len)`` letters drawn
+    by ``rng.randrange(alphabet_size)``, with the calls those make inlined:
+    ``getrandbits(k)``, k the bit length of the range's size, drawn again
+    while out of range, as :class:`random.Random` does."""
+    if alphabet_size < 1 or max_len < 0:
+        raise ValueError("random strings need a letter and a length of 0 or more")
+    bits = rng.getrandbits
+    k_len, k_letter = (max_len + 1).bit_length(), alphabet_size.bit_length()
     out = []
     for _ in range(count):
-        length = rng.randint(0, max_len)
-        out.append(tuple(rng.randrange(alphabet_size) for _ in range(length)))
+        length = bits(k_len)
+        while length > max_len:
+            length = bits(k_len)
+        word = []
+        while len(word) < length:
+            c = bits(k_letter)
+            if c < alphabet_size:
+                word.append(c)
+        out.append(tuple(word))
     return out
 
 

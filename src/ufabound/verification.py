@@ -9,6 +9,7 @@ identical reports.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import itertools
@@ -395,19 +396,24 @@ _CHECKS: list[Callable] = [
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
-    # imported here, so that only the commands that fork workers load it
-    from . import workers
 
     def random_check() -> dict:
         return check_random_automata_bound(n, level, random.Random(seed))._asdict()
 
     token = _run_memo.set({})
     try:
-        # the random-automaton check reads nothing the others build, so it
-        # runs beside them, in a worker forked before M or the pair study
-        # exists; every check draws from a fresh generator, so a shared
-        # sample is the one each check would have drawn itself
-        with workers.beside(random_check) as random_result:
+        # the random-automaton check reads nothing the others build.  Under
+        # full it runs beside them, in a worker forked before M or the pair
+        # study exists; every check draws from a fresh generator, so a shared
+        # sample is the one each check would have drawn itself.  Under quick
+        # its 10 instances cost about as much as the fork, so it runs here
+        if level == "full":
+            # imported here, so that only the commands that fork workers load it
+            from . import workers
+            beside = workers.beside(random_check)
+        else:
+            beside = contextlib.nullcontext(random_check)
+        with beside as random_result:
             return [CheckResult(**random_result()) if check is check_random_automata_bound
                     else check(n, level, random.Random(seed)) for check in _CHECKS]
     finally:

@@ -384,6 +384,19 @@ def test_schmidt_random_100_five_states_digest_is_pinned(capsys):
         "eaaf030f1b00494d9d87d92562b51b8dcd184a585430bf0edd7b327a83315801")
 
 
+@pytest.mark.parametrize("states, alphabet, digest", [
+    # one letter, drawn as 1-bit values with rejection
+    ("2", "1", "3a59d22a38c562695c1388d885959e5211481b4d02e50a34f844481a0b64a405"),
+    # 5-bit letters, and past RANDOM_BLOCK_ALPHABET one automaton per block
+    ("3", "20", "3a209a76c09c3a64b335edca272fe6c199fe8c4fbee547569912712ae6366486"),
+])
+def test_schmidt_random_40_digest_is_pinned(capsys, states, alphabet, digest):
+    code, out, _ = run(capsys, "schmidt", "--random", "40", "--states", states,
+                       "--alphabet", alphabet)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_schmidt_random_output_is_identical_under_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -485,8 +486,8 @@ class TestVerifyOptimalityRejects:
     def patch_search(monkeypatch, change):
         real = crossing._report
 
-        def patched(a, xs, ys, found, seed):
-            return real(a, xs, ys, change(*found), seed)
+        def patched(a, xs, ys, found, seed, shared):
+            return real(a, xs, ys, change(*found), seed, shared)
 
         monkeypatch.setattr(crossing, "_report", patched)
 
@@ -581,6 +582,57 @@ class TestBlocks:
                 kept += sum(r.universal.rows * r.universal.cols for r in alone)
         assert kept > 100  # the universal matrices are not vacuously empty
 
+    def test_each_universal_is_the_matrix_of_its_own_tables_alone(self):
+        rng = random.Random(22)
+        for states in range(1, 6):
+            for alphabet in (1, 2, 3):
+                instances = self.instances(states, alphabet, rng)
+                for (a, xs, ys, _), report in zip(instances, crossing._reports(instances)):
+                    fx = dict.fromkeys(f for f in prefix_tables_of(a, xs) if f is not None)
+                    gy = dict.fromkeys(g for g in suffix_tables_of(a, ys) if g is not None)
+                    assert report.universal == acceptance_matrix(list(fx), list(gy), states)
+
+    def test_a_block_builds_one_universal_matrix(self, monkeypatch):
+        calls = []
+        real = crossing.acceptance_matrix
+
+        def counted(prefixes, suffixes, n):
+            calls.append(n)
+            return real(prefixes, suffixes, n)
+
+        monkeypatch.setattr(crossing, "acceptance_matrix", counted)
+        assert len(list(crossing.random_campaign(3, 2, range(2 * RANDOM_BLOCK_MAX)))) == 12
+        assert calls == [3, 3]
+
+    def test_a_flipped_shared_entry_fails_exactly_its_readers(self, monkeypatch):
+        instances = self.instances(2, 2, random.Random(23))
+        reports = list(crossing._reports(instances))
+        assert all(r.ok for r in reports)
+        shared = crossing.acceptance_matrix(
+            list(dict.fromkeys(f for r in reports for f in r.universal.row_labels)),
+            list(dict.fromkeys(g for r in reports for g in r.universal.col_labels)), 2)
+        real = crossing.acceptance_matrix
+        readers_seen = set()
+        for i in range(shared.rows):
+            for j in range(shared.cols):
+                f, g = shared.row_labels[i], shared.col_labels[j]
+                readers = [f in r.universal.row_labels and g in r.universal.col_labels
+                           for r in reports]
+                readers_seen.add(min(sum(readers), 2))
+
+                def flipped(prefixes, suffixes, n, i=i, j=j):
+                    m = real(prefixes, suffixes, n)
+                    assert m == shared
+                    bits = list(m.bits)
+                    bits[i] ^= 1 << j
+                    return BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
+
+                monkeypatch.setattr(crossing, "acceptance_matrix", flipped)
+                got = [not r.ok for r in crossing._reports(instances)]
+                assert got == readers, (i, j)
+        # entries read by no instance, by one, and by several
+        assert readers_seen == {0, 1, 2}
+
     def test_the_campaign_reports_each_seed_as_alone(self):
         for states in (2, 3):
             got = list(crossing.random_campaign(states, 2, range(70, 110)))
@@ -611,6 +663,62 @@ class TestBlocks:
             blocks.clear()
             reports = list(crossing.random_campaign(states, alphabet, range(3)))
             assert blocks == sizes and [r.seed for r in reports] == [0, 1, 2]
+
+
+class TestRandomDraws:
+    """The random automata and strings against the per-move loop and the
+    ``randint``/``randrange`` calls that define them: equal results and the
+    generator left in the same state."""
+
+    @staticmethod
+    def oracle_two_way_nfa(state_count, alphabet_size, rng):
+        symbols = list(range(alphabet_size)) + [LEFT_MARKER, RIGHT_MARKER]
+        initial = frozenset(q for q in range(state_count) if rng.random() < 0.5)
+        accepting = frozenset(q for q in range(state_count) if rng.random() < 0.5)
+        trans: dict = {}
+        for q in range(state_count):
+            for c in symbols:
+                for t in range(state_count):
+                    for d in (-1, +1):
+                        if rng.random() >= 0.5:
+                            continue
+                        if c == LEFT_MARKER and d == -1:
+                            continue
+                        if c == RIGHT_MARKER and q in accepting:
+                            continue
+                        trans.setdefault((q, c), set()).add((t, d))
+        return TwoWayNfa(state_count, alphabet_size, initial, trans, accepting)
+
+    @staticmethod
+    def oracle_strings(alphabet_size, count, max_len, rng):
+        out = []
+        for _ in range(count):
+            length = rng.randint(0, max_len)
+            out.append(tuple(rng.randrange(alphabet_size) for _ in range(length)))
+        return out
+
+    def test_the_draws_are_the_oracles_draws(self):
+        alphabets = (1, 2, 3, 4, 5, 240)
+        # every third of the 3,840 shapes, each drawn from its own seed
+        shapes = list(itertools.product(range(1, 5), alphabets, range(1, 21), range(8)))[::3]
+        for seed, (states, alphabet, count, max_len) in enumerate(shapes):
+            got, want = random.Random(seed), random.Random(seed)
+            assert random_two_way_nfa(states, alphabet, got) == \
+                self.oracle_two_way_nfa(states, alphabet, want)
+            for _ in range(2):
+                assert random_strings(alphabet, count, max_len, got) == \
+                    self.oracle_strings(alphabet, count, max_len, want)
+            assert got.getstate() == want.getstate()
+        assert len(shapes) == 1280
+        assert {s[0] for s in shapes} == {1, 2, 3, 4}
+        assert {s[1] for s in shapes} == set(alphabets)
+        assert {s[2] for s in shapes} == set(range(1, 21))
+        assert {s[3] for s in shapes} == set(range(8))
+
+    def test_strings_need_a_letter_and_a_length(self):
+        for alphabet, max_len in ((0, 3), (2, -1)):
+            with pytest.raises(ValueError):
+                random_strings(alphabet, 1, max_len, random.Random(0))
 
 
 def forward_only_over(alphabet):

@@ -265,8 +265,8 @@ def test_concurrent_runs_keep_their_own_memo(monkeypatch):
     assert got == want
 
 
-# With a second CPU the random-automaton check runs in a forked worker
-# beside the other checks; the report must not show where it ran.
+# With a second CPU a full run's random-automaton check runs in a forked
+# worker beside the other checks; the report must not show where it ran.
 
 def _verify_on(capsys, monkeypatch, cpus, *argv):
     with monkeypatch.context() as m:
@@ -294,16 +294,16 @@ def test_a_failing_random_instance_reads_the_same_from_the_worker(
     real = crossing._report
     pids = tmp_path / "pids"
 
-    def third_fails(a, xs, ys, found, seed):
+    def third_fails(a, xs, ys, found, seed, shared):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        report = real(a, xs, ys, found, seed)
+        report = real(a, xs, ys, found, seed, shared)
         return dataclasses.replace(report, ok=False) if seed == bad else report
 
     monkeypatch.setattr(crossing, "_report", third_fails)
     runs = {}
     for cpus in ({0}, {0, 1}):
-        runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "2")
+        runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "2", "--level", "full")
         ran_in = set(pids.read_text().split())
         pids.unlink()
         # every instance in this process, or every one in one worker
@@ -313,6 +313,25 @@ def test_a_failing_random_instance_reads_the_same_from_the_worker(
     assert code == 1
     assert (f"FAIL  random-automaton ranks stay within the bound (instance seed {bad})\n"
             "10/11 checks passed\n") in out
+
+
+def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
+    # a quick run's 10 instances run here; a full run's 50 in one worker
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", lambda: pytest.fail("a quick run forked"))
+        code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", "3")
+    assert code == 0 and out.endswith("11/11 checks passed\n")
+    real, forks = os.fork, []
+
+    def counted():
+        forks.append(os.getpid())
+        return real()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", counted)
+        code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", "3", "--level", "full")
+    assert code == 0 and out.endswith("11/11 checks passed\n")
+    assert forks == [os.getpid()]
 
 
 def test_a_full_run_at_size_four_reads_k_off_m(monkeypatch):

@@ -265,10 +265,10 @@ def test_schmidt_random_prints_the_serial_bytes(capsys, monkeypatch, three_cpus,
 def fail_at(monkeypatch, bad_seed, error=None):
     real = crossing._report
 
-    def patched(a, xs, ys, found, seed):
+    def patched(a, xs, ys, found, seed, shared):
         if seed == bad_seed and error is not None:
             raise error
-        report = real(a, xs, ys, found, seed)
+        report = real(a, xs, ys, found, seed, shared)
         return dataclasses.replace(report, ok=False) if seed == bad_seed else report
 
     monkeypatch.setattr(crossing, "_report", patched)
