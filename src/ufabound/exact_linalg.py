@@ -26,8 +26,6 @@ Pivoting is deterministic: first non-zero entry in column order.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import MOD_P_LIMIT, RANK_EXACT_MAX_ENTRIES, CapacityError
 from .witness import CHUNK_ELEMS, BoolMatrix
 
@@ -139,6 +137,8 @@ def _eliminate_mod_p(arr: np.ndarray, p: int) -> int:
     a unit; the pivot row is then zeroed, so later columns see only rows
     that have not been pivots, with no row swap and no modular inverse.
     """
+    import numpy as np  # here, so that only the commands that need numpy load it
+
     # a product of two residues needs 62 bits, and NumPy keeps int32 * int
     # in int32, where it would wrap silently: the pivot row and the chunk
     # being reduced are widened to int64, the residues stay int32

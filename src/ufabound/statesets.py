@@ -7,8 +7,8 @@ plain Python ints, so they have no width limit; the size caps of the
 computations that grow with n live in :mod:`ufabound.errors`.  The
 bit-sliced code slices the other way: one int per state with one bit per
 tape (:mod:`ufabound.automata`), one int per vertex with one bit per
-column (:mod:`ufabound.witness`), and one int per arc, layer or staged
-table with one bit per first table of a table pair
+column (:mod:`ufabound.witness`), and one int per arc, layer or column
+of the staged matrix G with one bit per first table of a table pair
 (:func:`ufabound.tables.layer_masks`,
 :func:`ufabound.witness.staged_columns` and the pair checks in
 :mod:`ufabound.verification`).  :func:`transpose` is the one step

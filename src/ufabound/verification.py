@@ -4,7 +4,8 @@ Each check re-derives one structural fact of the construction by
 independent means and reports pass/fail; together they exercise the whole
 pipeline at a chosen size.  ``quick`` samples where ``full`` is
 exhaustive.  All sampling is seeded, so identical invocations print
-identical reports.
+identical reports.  The table-pair checks and the rank check read one
+square matrix G (:func:`ufabound.witness.staged_matrix`) per run and size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ MERSENNE_PRIME = 2**31 - 1
 # the check's peak memory by about 1.5 MB
 ENTRY_BLOCK_ROWS = 32
 
-# what several checks read (M and the ordered tables at a size, the pair
+# what several checks read (M, G and the ordered tables at a size, the pair
 # study), kept by run_checks for one run and seen only inside it, so that
 # concurrent runs keep their own; a check called on its own builds its own
 _run_memo = contextvars.ContextVar("_run_memo", default=None)
@@ -56,6 +57,10 @@ def _matrix_m(size: int) -> witness.BoolMatrix:
 def _ordered(size: int) -> list[tables.PrefixTable]:
     return _shared(("ordered", size),
                    lambda: combinatorics.enumerate_ordered_prefix_tables(size))
+
+
+def _matrix_g(size: int) -> witness.BoolMatrix:
+    return _shared(("G", size), lambda: witness.staged_matrix(_ordered(size), size))
 
 
 def _tables_for(n: int, level: str, rng: random.Random):
@@ -178,8 +183,8 @@ class _PairStudy(NamedTuple):
     Bit t of an int of entry j stands for the pair of the base table
     bases[j] with the first table firsts[j][t].  masks[j] are its
     :func:`tables.layer_masks`; for stage set b (bit l stages layer l),
-    accepts[j][b] is the accept set of its :func:`witness.build_g_I` table
-    and columns[j][b] the int of the first tables that table accepts.
+    accepts[j][b] and columns[j][b] are what :func:`witness.staged_columns`
+    reads off G for its :func:`witness.build_g_I` table.
     When every pair is studied, each base table is one entry and all
     entries share one list of every ordered table; otherwise each drawn
     pair is one entry, in draw order.  Either way the studied pairs run in
@@ -205,9 +210,7 @@ def _draw_pairs(size: int, level: str, rng: random.Random) -> tuple:
 
 def _pair_study(size: int, level: str, rng: random.Random) -> _PairStudy:
     bases, firsts = _draw_pairs(size, level, rng)
-    # the masks after the columns, once the staged tables are freed: at
-    # size 4 that keeps them out of the run's peak
-    accepts, columns = witness.staged_columns(firsts, bases, size)
+    accepts, columns = witness.staged_columns(_matrix_g(size), firsts, bases)
     return _PairStudy(bases, firsts, tables.layer_masks(firsts, bases), accepts, columns)
 
 
@@ -236,6 +239,8 @@ def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckR
         k = ls.rank_k
         for bits, accept in enumerate(accepts):
             stage = _stage_set(bits, k)
+            if accept is None:
+                return CheckResult(name, False, f"no column of G for {f0}, {sorted(stage)}")
             if k - 1 in stage:
                 expected = tables.mask_of(
                     v for v in range(1, f0.n + 1) if ls.suffix_layer[v - 1] >= k - 1)
@@ -304,32 +309,17 @@ def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckRe
     return CheckResult(name, True, f"{checked} pairs")
 
 
-def _ordered_rows(m: witness.BoolMatrix) -> witness.BoolMatrix:
-    """K read off M: the rows of the ordered prefix tables, in M's row order,
-    which is the order of :func:`tables.enumerate_ordered_prefix_tables_by_filter`."""
-    rows = [i for i, f in enumerate(m.row_labels) if tables.is_ordered(f)]
-    return witness.BoolMatrix(tuple(m.row_labels[i] for i in rows), m.col_labels, m.cols,
-                              tuple(m.bits[i] for i in rows))
-
-
 def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckResult:
     expected = combinatorics.count_ordered_prefix_tables(n)
+    # exact, and at most K's rank, which is at most G's row count
+    got_k = exact_linalg.rank_exact(_matrix_g(n))
     if n <= 2:
-        m = _matrix_m(n)
-        got_k = exact_linalg.rank_exact(_ordered_rows(m))
-        got_m = exact_linalg.rank_exact(m)
-    elif n == 3:
-        m = _matrix_m(n)
-        got_k = exact_linalg.rank_exact(_ordered_rows(m))
-        got_m = exact_linalg.rank_mod_p(m, MERSENNE_PRIME)
-    elif level == "full":
-        # size 4 is heavy: certify through the cheap packed-bit field only;
-        # the full level builds M anyway, so K is read off it and M is ranked
-        m = _matrix_m(n)
-        got_k = exact_linalg.rank_mod_p(_ordered_rows(m), 2)
-        got_m = exact_linalg.rank_mod_p(m, 2)
+        got_m = exact_linalg.rank_exact(_matrix_m(n))
+    elif n == 3 or level == "full":
+        # size 4 is heavy: there M is ranked through the cheap packed-bit field only
+        got_m = exact_linalg.rank_mod_p(_matrix_m(n), MERSENNE_PRIME if n == 3 else 2)
     else:
-        got_k = got_m = exact_linalg.rank_mod_p(witness.build_K(n), 2)
+        got_m = got_k
     ok = got_m == got_k == expected
     return CheckResult("matrix rank equals the ordered-table count", ok,
                        f"rank {got_k}, count {expected}")

@@ -7,23 +7,22 @@ far too large to list, so :class:`WitnessAutomaton` is built as one plain
 two-way automaton over the letters of the tables it is given.
 
 The acceptance matrix has one row per prefix table and one column per
-suffix table; the reduced matrix keeps only the rows of ordered prefix
-tables.  Every entry is decided by one kernel, bipartite-graph
-reachability run over a whole row of columns at once until no column's
-reached set grows.  The kernel is bit-sliced: per vertex it keeps one int
-of the columns that reach it, so a row comes out packed, one int with bit
-j = column j, and stays that way through the matrix text format and the
-GF(2) rank.  Direct two-way simulation of the automaton is the
-independent oracle it is compared against, in
-:mod:`ufabound.verification` and the test suite.
+suffix table; the reduced matrix K keeps only the rows of ordered prefix
+tables, and the staged matrix G only K's columns of the unstaged suffix
+tables, one per ordered table, which every staged table equals.  Every
+entry is decided by one kernel, bipartite-graph reachability run over a
+whole row of columns at once until no column's reached set grows.  The
+kernel is bit-sliced: per vertex it keeps one int of the columns that
+reach it, so a row comes out packed, one int with bit j = column j, and
+stays that way through the matrix text format and the GF(2) rank.
+Direct two-way simulation of the automaton is the independent oracle it
+is compared against, in :mod:`ufabound.verification` and the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .automata import LEFT_MARKER, TwoWayNfa, twonfa_accepts
 from .statesets import elements, full_mask, transpose
@@ -124,6 +123,8 @@ class BoolMatrix:
         """The entries as an int32 array, or only the columns ``cols`` in
         that order, unpacked a chunk of rows at a time so that no wider copy
         of the whole matrix is ever held."""
+        import numpy as np  # here, so that only the commands that need numpy load it
+
         pick = slice(self.cols) if cols is None else np.asarray(cols, dtype=np.intp)
         width = self.cols if cols is None else len(pick)
         out = np.empty((self.rows, width), dtype=np.int32)
@@ -245,33 +246,41 @@ def build_g_I(f0: PrefixTable, stage_layers: set[int] | frozenset[int]) -> Suffi
     return SuffixTable(f0.n, tuple(values), accept)
 
 
-def staged_columns(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixTable],
-                   n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The staged suffix tables of each base table f0 = bases[j], one per
-    stage set b (bit l stages layer l), against the tables fs = firsts[j],
-    as (accepts, columns): accepts[j][b] is the accept set of
-    ``build_g_I(f0, b's layers)``, and columns[j][b] the int of the tables
-    fs[t] (bit t) that it accepts.
+def staged_matrix(ordered: Sequence[PrefixTable], n: int) -> BoolMatrix:
+    """G: the acceptance matrix of the tables ``ordered`` against
+    ``build_g_I(h, set())`` for each h in ``ordered``.  When those are all
+    the ordered tables, each of their staged tables is a column of G (the
+    tests check it up to size 4), and a full rank of G is K's rank."""
+    return acceptance_matrix(ordered, [build_g_I(h, set()) for h in ordered], n)
 
-    Every table in firsts is one row of a single :func:`acceptance_matrix`
-    over all the staged tables.  Each run of base tables that share one
-    list fs reads the rows of fs down its own columns, in one
-    :func:`ufabound.statesets.transpose`.
+
+def staged_columns(g: BoolMatrix, firsts: Sequence[Sequence[PrefixTable]],
+                   bases: Sequence[PrefixTable]
+                   ) -> tuple[list[list[int | None]], list[list[int]]]:
+    """The staged suffix tables of each base table f0 = bases[j], one per
+    stage set b (bit l stages layer l), looked up among the columns of G
+    (:func:`staged_matrix`) and read against the tables fs = firsts[j], each
+    a row of G: accepts[j][b] is the accept set of the column equal to
+    ``build_g_I(f0, b's layers)``, None when there is none, and
+    columns[j][b] the int of the tables fs[t] (bit t) with a 1 there, 0
+    when there is none.  Each run of base tables that share one list fs
+    transposes its rows of G once, in :func:`ufabound.statesets.transpose`.
     """
-    staged = [[build_g_I(f0, {i for i in range(k) if b >> i & 1}) for b in range(1 << k)]
-              for f0 in bases for k in [layer_structure(f0).rank_k]]
-    starts = [j for j in range(len(bases)) if j == 0 or firsts[j] is not firsts[j - 1]]
-    runs = list(zip(starts, starts[1:] + [len(bases)]))
-    rows = iter(acceptance_matrix([f for lo, _ in runs for f in firsts[lo]],
-                                  [g for gs in staged for g in gs], n).bits)
-    columns, at = [], 0
-    for lo, hi in runs:
-        width = sum(map(len, staged[lo:hi]))
-        window = (1 << width) - 1
-        cols = iter(transpose([next(rows) >> at & window for _ in firsts[lo]], width))
-        columns += [[next(cols) for _ in gs] for gs in staged[lo:hi]]
-        at += width
-    return [[g.accept_flags for g in gs] for gs in staged], columns
+    row_of = {f: i for i, f in enumerate(g.row_labels)}
+    col_of = {h: c for c, h in enumerate(g.col_labels)}
+    accepts, columns, fs = [], [], None
+    for group, f0 in zip(firsts, bases):
+        if group is not fs:
+            fs = group
+            if not all(f in row_of for f in fs):
+                raise ValueError("every first table must be a row of G")
+            down = transpose([g.bits[row_of[f]] for f in fs], g.cols)
+        k = layer_structure(f0).rank_k
+        cols = [col_of.get(build_g_I(f0, {i for i in range(k) if b >> i & 1}))
+                for b in range(1 << k)]
+        accepts.append([None if c is None else g.col_labels[c].accept_flags for c in cols])
+        columns.append([0 if c is None else down[c] for c in cols])
+    return accepts, columns
 
 
 # ---------------------------------------------------------------------------

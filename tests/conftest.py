@@ -2,7 +2,7 @@ import pytest
 
 from ufabound.automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa
 from ufabound.statesets import elements, full_mask, mask_of
-from ufabound.tables import PrefixTable, SuffixTable
+from ufabound.tables import PrefixTable, SuffixTable, layer_structure
 
 
 def _sparse_two_way_nfa(states, alphabet, rng, moves=2):
@@ -118,3 +118,26 @@ def oracle_suffix_table(a, y):
             exit_left = full_mask(a.state_count)
         values.append(exit_left)
     return SuffixTable(a.state_count, tuple(values), accept) if accept else None
+
+
+# ---------------------------------------------------------------------------
+# the map from a staged suffix table to the ordered table whose unstaged
+# table it is
+
+def staged_table_image(f0, stage):
+    """phi(f0, I): the ordered table h with ``build_g_I(h, set()) ==
+    build_g_I(f0, I)``.
+
+    Each staged suffix layer moves up by one; the distinct shifted layers
+    t_0 < ... < t_{m-1} below f0's rank k give the chain S'_i of the states
+    on shifted layers up to t_i, closed by the full set, and h sends u to
+    S'_i for the least i with f0's prefix layer of u at most t_i, else to
+    the full set.
+    """
+    ls = layer_structure(f0)
+    shifted = [s + 1 if s in stage else s for s in ls.suffix_layer]
+    tops = sorted({s for s in shifted if s < ls.rank_k})
+    chain = [mask_of(v for v, s in enumerate(shifted, start=1) if s <= t) for t in tops]
+    chain.append(full_mask(f0.n))
+    return PrefixTable(f0.n, tuple(chain[next((i for i, t in enumerate(tops) if p <= t),
+                                              len(tops))] for p in ls.prefix_layer))

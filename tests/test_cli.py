@@ -46,6 +46,21 @@ def test_the_package_runs_as_a_module():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "115\n", "")
 
 
+def test_only_rank_mod_an_odd_prime_loads_numpy(tmp_path, capsys):
+    # numpy is imported by the GF(p) elimination and BoolMatrix.to_numpy
+    # alone: verify at n = 4 and a random schmidt run finish without it
+    mat = tmp_path / "k2.mat"
+    assert run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))[0] == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, loaded in ((["verify", "--n", "4"], False), (["schmidt", "--random", "3"], False),
+                         (["rank", "--in", str(mat), "--mod", "7"], True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ufabound.cli import main; code = main(); "
+             "print('numpy' in sys.modules); sys.exit(code)", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.endswith(f"\n{loaded}\n"), argv
+
+
 def test_count_refuses_sizes_beyond_its_cap_before_any_work(capsys):
     # count(815) has 4,299 digits and still prints; count(816) would not
     code, out, err = run(capsys, "count", "--n", "815")

@@ -13,6 +13,8 @@ import pytest
 from ufabound import automata, combinatorics, crossing, exact_linalg, tables, verification, witness
 from ufabound.cli import main
 
+from conftest import staged_table_image
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -163,31 +165,63 @@ def test_completion_mismatch_names_the_lowest_wrong_stage(monkeypatch):
 
 def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
     # flip the entries of ordered[60] against stage sets {1} and {0, 1} of
-    # ordered[100], and of ordered[61] against stage set {0} of ordered[45]:
-    # the report names the first pair in pair order, the first table
-    # outermost, and its lowest wrong stage set
+    # ordered[100], and of ordered[61] against stage set {0} of ordered[45],
+    # in G: each flipped entry is read by every (f0, I) whose staged table
+    # is that column of G.  The completion report names the first such
+    # pair in pair order, the first table outermost, that does not drop
+    # down, with its lowest stage set; the drop-down report names the
+    # first one that does
     ordered = combinatorics.enumerate_ordered_prefix_tables(3)
     ks = [tables.layer_structure(f).rank_k for f in ordered]
-    flips = [(60, 100, 0b11), (60, 100, 0b10), (61, 45, 0b01)]
-    real = witness.acceptance_matrix
 
-    def flipped(prefixes, suffixes, n):
-        m = real(prefixes, suffixes, n)
+    def stage(j, b):
+        return {layer for layer in range(ks[j]) if b >> layer & 1}
+
+    flips = [(60, 100, 0b11), (60, 100, 0b10), (61, 45, 0b01)]
+    cells = {(i, staged_table_image(ordered[j], stage(j, b))) for i, j, b in flips}
+    real = witness.staged_matrix
+
+    def flipped(rows, n):
+        m = real(rows, n)
         bits = list(m.bits)
-        for i, j, stage in flips:
-            # the staged tables are the columns, base by base, in stage-set order
-            col = sum(1 << k for k in ks[:j]) + stage
-            assert suffixes[col] == witness.build_g_I(
-                ordered[j], {layer for layer in range(ks[j]) if stage >> layer & 1})
-            bits[list(prefixes).index(ordered[i])] ^= 1 << col
+        for i, h in cells:
+            bits[i] ^= 1 << m.col_labels.index(witness.build_g_I(h, set()))
         return witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
 
-    monkeypatch.setattr(witness, "acceptance_matrix", flipped)
+    hits = sorted((i, j, b) for i, h in cells for j, f0 in enumerate(ordered)
+                  for b in range(1 << ks[j]) if staged_table_image(f0, stage(j, b)) == h)
+    drops = [any(d for d, _ in tables.layer_masks([[ordered[i]]], [ordered[j]])[0])
+             for i, j, _ in hits]
+    monkeypatch.setattr(witness, "staged_matrix", flipped)
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    i, j, b = next(hit for hit, drop in zip(hits, drops) if not drop)
     assert not r.ok
+    assert r.detail == (f"mismatch for {ordered[i]} against {ordered[j]}, "
+                        f"stage {sorted(stage(j, b))}")
     assert r.detail == ("mismatch for PrefixTable(n=3, values=(6, 4, 4)) against "
-                        "PrefixTable(n=3, values=(12, 14, 4)), stage [1]")
-    assert verification.check_drop_down_rows(3, "full", random.Random(0)).ok
+                        "PrefixTable(n=3, values=(4, 14, 4)), stage []")
+    r = verification.check_drop_down_rows(3, "full", random.Random(0))
+    i, j, _ = next(hit for hit, drop in zip(hits, drops) if drop)
+    assert not r.ok and r.detail == f"non-zero entry for {ordered[i]} against {ordered[j]}"
+
+
+def test_a_staged_table_outside_g_fails_the_staged_check(monkeypatch):
+    # build_g_I(ordered[100], {1}) replaced by a table that is no column of
+    # G: the staged-table check names it, and no check raises
+    ordered = combinatorics.enumerate_ordered_prefix_tables(3)
+    f0 = ordered[100]
+    stray = tables.SuffixTable(3, (0, 14, 14), 0b1100)
+    real = witness.build_g_I
+
+    def build(f, stage):
+        return stray if (f, set(stage)) == (f0, {1}) else real(f, stage)
+
+    monkeypatch.setattr(witness, "build_g_I", build)
+    assert stray not in witness.staged_matrix(ordered, 3).col_labels
+    results = verification.run_checks(3, "full")
+    r = _check_named(results, "staged suffix tables: acceptance sets")
+    assert not r.ok and r.detail == f"no column of G for {f0}, [1]"
+    assert len(results) == len(verification._CHECKS)
 
 
 # One run studies the table pairs once and shares M, and keeps neither
@@ -209,7 +243,8 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     masks = _counting(monkeypatch, tables, "layer_masks")
     staged = _counting(monkeypatch, witness, "build_g_I")
     built = _counting(monkeypatch, witness, "build_M")
-    # K is read off the memoised M
+    built_g = _counting(monkeypatch, witness, "staged_matrix")
+    # G stands in for K, which is never built
     built_k = _counting(monkeypatch, witness, "build_K")
     results = verification.run_checks(3, "full")
     assert all(r.ok for r in results)
@@ -219,8 +254,10 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     [(firsts, bases)] = masks
     assert [f.values for f in bases] == [f.values for f in ordered]
     assert len({id(fs) for fs in firsts}) == 1 and len(firsts[0]) == 115
-    # each of the 115 base tables' 2^k staged suffix tables, built once
-    assert len(staged) == sum(1 << tables.layer_structure(f).rank_k for f in ordered)
+    # G once, with one unstaged table per ordered table, and each of the
+    # 115 base tables' 2^k staged suffix tables, built once
+    assert len(built_g) == 1
+    assert len(staged) == 115 + sum(1 << tables.layer_structure(f).rank_k for f in ordered)
     assert built == [(3,)] and built_k == []
 
 
@@ -334,17 +371,12 @@ def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
     assert forks == [os.getpid()]
 
 
-def test_a_full_run_at_size_four_reads_k_off_m(monkeypatch):
+def test_a_full_run_at_size_four_builds_no_k(monkeypatch):
     built_k = _counting(monkeypatch, witness, "build_K")
     built_m = _counting(monkeypatch, witness, "build_M")
     results = verification.run_checks(4, "full")
     assert all(r.ok for r in results)
     assert built_k == [] and built_m == [(3,), (4,)]
-
-
-def test_k_read_off_m_is_k():
-    for n in (1, 2, 3):
-        assert verification._ordered_rows(witness.build_M(n)) == witness.build_K(n)
 
 
 def test_no_study_survives_a_run():
@@ -374,8 +406,9 @@ def test_a_failing_check_still_clears_the_run_memo(monkeypatch):
 
 
 def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
-    # K at size 4 has 3451 rows and M 7891: a wrong rank of M must fail the
-    # full check, where the quick one takes M's rank from K's
+    # M at size 4 has 7891 rows and is the only matrix ranked mod 2: a wrong
+    # rank of M must fail the full check, where the quick one takes M's rank
+    # from G's
     ranked = []
     real = exact_linalg.rank_mod_p
 
@@ -385,7 +418,7 @@ def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "rank_mod_p", wrong_on_m)
     r = verification.check_matrix_rank_is_count(4, "full", random.Random(0))
-    assert not r.ok and ranked == [3451, 7891]
+    assert not r.ok and ranked == [7891]
 
 
 def _check_named(results, name):

@@ -12,7 +12,10 @@ from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
 from ufabound.witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix,
-                              build_K, build_M, build_g_I, staged_columns)
+                              build_K, build_M, build_g_I, staged_columns,
+                              staged_matrix)
+
+from conftest import staged_table_image
 
 
 def pt(n, *sets):
@@ -309,6 +312,27 @@ class TestStagedSuffixTables:
                 stage = {i for i in range(k) if rng.random() < 0.5}
                 assert build_g_I(f0, stage) == oracle(f0, stage)
 
+    def test_every_staged_table_is_a_column_of_g(self):
+        # every (f0, I) at sizes 1 to 4 has an ordered image h under the
+        # map phi with build_g_I(f0, I) == build_g_I(h, set()), and G's
+        # columns are distinct, so each staged table is exactly one column
+        from ufabound.combinatorics import enumerate_ordered_prefix_tables
+        for n, pairs in zip((1, 2, 3, 4), (1, 13, 373, 19141)):
+            ordered = enumerate_ordered_prefix_tables(n)
+            known = set(ordered)
+            seen = 0
+            for f0 in ordered:
+                k = layer_structure(f0).rank_k
+                for s in range(1 << k):
+                    stage = {i for i in range(k) if s >> i & 1}
+                    h = staged_table_image(f0, stage)
+                    assert h in known and build_g_I(f0, stage) == build_g_I(h, set())
+                    seen += 1
+            assert seen == pairs
+            g = staged_matrix(ordered, n)
+            assert g.row_labels == tuple(ordered) and g.cols == len(ordered)
+            assert len(set(g.col_labels)) == g.cols
+
 
 WIDTH_ERROR = "rows must be contiguous 0/1 strings of the stated width"
 
@@ -328,7 +352,7 @@ class TestStagedColumns:
         a, b = ordered[:30], ordered[30:]
         firsts = [a, a, b, a, [], list(a), list(a)]
         bases = ordered[40:47]
-        accepts, columns = staged_columns(firsts, bases, 3)
+        accepts, columns = staged_columns(staged_matrix(ordered, 3), firsts, bases)
         for fs, f0, acc, cols in zip(firsts, bases, accepts, columns, strict=True):
             k = layer_structure(f0).rank_k
             staged = [build_g_I(f0, {i for i in range(k) if s >> i & 1}) for s in range(1 << k)]
@@ -337,9 +361,31 @@ class TestStagedColumns:
             assert cols == [sum((row >> s & 1) << t for t, row in enumerate(rows))
                             for s in range(1 << k)]
 
+    def test_a_staged_table_outside_g_has_no_accept_set(self):
+        # G without the column of one staged table of a rank-2 base table:
+        # that stage set reads None and 0, every other one its column
+        ordered = enumerate_ordered_prefix_tables_by_filter(3)
+        f0 = next(f for f in ordered if layer_structure(f).rank_k == 2)
+        stages = [{i for i in range(2) if s >> i & 1} for s in range(4)]
+        c = ordered.index(staged_table_image(f0, {0}))
+        full = staged_matrix(ordered, 3)
+        low = (1 << c) - 1
+        g = BoolMatrix(full.row_labels, full.col_labels[:c] + full.col_labels[c + 1:],
+                       full.cols - 1, tuple(row >> 1 & ~low | row & low for row in full.bits))
+        [acc], [cols] = staged_columns(g, [ordered], [f0])
+        [want_acc], [want_cols] = staged_columns(full, [ordered], [f0])
+        for s, stage in enumerate(stages):
+            if staged_table_image(f0, stage) == ordered[c]:
+                assert acc[s] is None and cols[s] == 0
+            else:
+                assert (acc[s], cols[s]) == (want_acc[s], want_cols[s])
+        assert acc[1] is None and None not in want_acc
+
     def test_sizes_must_match_n(self):
+        ordered = enumerate_ordered_prefix_tables_by_filter(3)
         with pytest.raises(ValueError):
-            staged_columns([[pt(2, {1}, {1, 2})]], [pt(3, {1}, {1, 2}, {1, 2, 3})], 3)
+            staged_columns(staged_matrix(ordered, 3), [[pt(2, {1}, {1, 2})]],
+                           [pt(3, {1}, {1, 2}, {1, 2, 3})])
 
 
 class TestMatrixText:
