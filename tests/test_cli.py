@@ -225,6 +225,12 @@ def test_build_matrix_size_errors(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_verify_beyond_the_enumeration_cap_is_a_one_line_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "error: exhaustive table enumeration is limited to n <= 4\n"
+
+
 def test_jobs_below_one_rejected(tmp_path, capsys):
     # neither command has a --jobs option: rows are built and eliminated in
     # one thread

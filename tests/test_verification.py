@@ -12,6 +12,7 @@ import pytest
 
 from ufabound import automata, combinatorics, crossing, exact_linalg, tables, verification, witness
 from ufabound.cli import main
+from ufabound.errors import CapacityError
 
 from conftest import staged_table_image
 
@@ -419,6 +420,37 @@ def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
     monkeypatch.setattr(exact_linalg, "rank_mod_p", wrong_on_m)
     r = verification.check_matrix_rank_is_count(4, "full", random.Random(0))
     assert not r.ok and ranked == [7891]
+
+
+def test_g_dependent_mod_2_at_size_four_fails_the_rank_check(capsys, monkeypatch):
+    # row 2 of G4 set to the XOR of rows 0 and 1: the distinct rows are
+    # dependent mod 2 and too many for exact elimination, so the check
+    # reports their GF(2) rank as a lower bound and fails, and the other
+    # checks still report
+    real = witness.staged_matrix
+
+    def dependent(rows, n):
+        m = real(rows, n)
+        bits = list(m.bits)
+        bits[2] = bits[0] ^ bits[1]
+        assert bits[2] not in m.bits
+        return witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
+
+    monkeypatch.setattr(witness, "staged_matrix", dependent)
+    code = main(["verify", "--n", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert ("FAIL  matrix rank equals the ordered-table count "
+            "(rank at least 3450 (mod 2), count 3451)") in out.splitlines()
+    assert len(out.splitlines()) == len(verification._CHECKS) + 1
+
+
+def test_rank_check_refuses_sizes_beyond_the_enumeration_cap(monkeypatch):
+    # G at size 5 would be 164,731 square: the check refuses before any work
+    monkeypatch.setattr(verification, "_matrix_g", None)
+    for level in ("quick", "full"):
+        with pytest.raises(CapacityError, match="limited to n <= 4"):
+            verification.check_matrix_rank_is_count(5, level, random.Random(0))
 
 
 def _check_named(results, name):
