@@ -337,9 +337,3 @@ def random_campaign(state_count: int, alphabet_size: int,
     for k in range(0, len(seeds), size):
         yield from _reports([instance(seed) for seed in seeds[k:k + size]])
 
-
-def random_campaign_report(state_count: int, alphabet_size: int,
-                           seed: int) -> OptimalityReport:
-    """One seeded random instance: automaton, string sets, full check."""
-    [report] = random_campaign(state_count, alphabet_size, [seed])
-    return report

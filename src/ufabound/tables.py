@@ -177,11 +177,11 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
     return ls
 
 
-def layer_masks(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixTable]
+def layer_masks(fs: Sequence[PrefixTable], bases: Sequence[PrefixTable]
                 ) -> list[list[tuple[int, int]]]:
     """For each base table f0 = bases[j] and each of its layers i = 0..k-1,
-    the pair (drop, brk) of ints over fs = firsts[j]: bit t of drop is set
-    iff fs[t] drops down from layer i, bit t of brk iff fs[t] breaks
+    the pair (drop, brk) of ints over the first tables fs: bit t of drop is
+    set iff fs[t] drops down from layer i, bit t of brk iff fs[t] breaks
     through it.
 
     With reach_i the union of f(u) over the states u on f0's prefix layers
@@ -189,21 +189,19 @@ def layer_masks(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixT
     (empty for i = 0) and breaks through layer i when reach_i leaves S_i.
     The work is bit-sliced over fs: arcs[u-1][v] is the int of the tables
     with v in f(u), one :func:`ufabound.statesets.transpose` of their
-    values at u, built once for each run of base tables that share one
-    list fs.  Every table must be ordered and of the same size.
+    values at u.  Every table must be ordered and of the same size.
     """
-    out, fs = [], None
-    for group, f0 in zip(firsts, bases):
-        ls, n = layer_structure(f0), f0.n
-        if group is not fs:
-            fs, every = group, (1 << len(group)) - 1
-            for f in fs:
-                layer_structure(f)  # rejects an unordered f
-                if f.n != n:
-                    raise ValueError("every table must have the same size")
-            arcs = [transpose([f.values[u] for f in fs], n + 1) for u in range(n)]
-        if len(arcs) != n:
-            raise ValueError("every table must have the same size")
+    every = (1 << len(fs)) - 1
+    sizes = {f.n for f in itertools.chain(fs, bases)}
+    if len(sizes) > 1:
+        raise ValueError("every table must have the same size")
+    for f in fs:
+        layer_structure(f)  # rejects an unordered f
+    n = sizes.pop() if sizes else 0
+    arcs = [transpose([f.values[u] for f in fs], n + 1) for u in range(n)]
+    out = []
+    for f0 in bases:
+        ls = layer_structure(f0)
         # reach[v] is the int of the tables whose reach_i holds v
         reach, below, layers = [0] * (n + 1), 0, []
         for i, s_i in enumerate(ls.nested_sets[:ls.rank_k]):
@@ -224,7 +222,7 @@ def layer_masks(firsts: Sequence[Sequence[PrefixTable]], bases: Sequence[PrefixT
     return out
 
 
-def _check_enumeration_size(n: int) -> None:
+def check_enumeration_size(n: int) -> None:
     check_n(n)
     if n > ENUMERATION_MAX_N:
         raise CapacityError(
@@ -233,7 +231,7 @@ def _check_enumeration_size(n: int) -> None:
 
 def enumerate_prefix_tables(n: int) -> list[PrefixTable]:
     """All prefix tables on {1..n}, ordered by their value-mask tuples."""
-    _check_enumeration_size(n)
+    check_enumeration_size(n)
     full = full_mask(n)
     nonempty = [m for m in range(2, full + 1) if m and is_subset(m, full)]
     out = []
@@ -248,7 +246,7 @@ def enumerate_prefix_tables(n: int) -> list[PrefixTable]:
 
 def enumerate_suffix_tables(n: int) -> list[SuffixTable]:
     """All suffix tables on {1..n}, accept flags most significant."""
-    _check_enumeration_size(n)
+    check_enumeration_size(n)
     full = full_mask(n)
     subsets = [m for m in range(0, full + 1) if is_subset(m, full)]
     accept_masks = [m for m in subsets if m]

@@ -10,6 +10,7 @@ square matrix G (:func:`ufabound.witness.staged_matrix`) per run and size.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import functools
@@ -20,7 +21,7 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from . import automata, combinatorics, crossing, exact_linalg, tables, witness
-from .errors import ENUMERATION_MAX_N, CapacityError
+from .errors import CapacityError
 from .statesets import elements, full_mask
 
 MERSENNE_PRIME = 2**31 - 1
@@ -100,19 +101,15 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
         row_words = [automaton.word(f, m.col_labels[0])[:2]
                      for f in m.row_labels[first:first + ENTRY_BLOCK_ROWS]]
         simulated += automata.concatenation_bits(automaton.nfa, row_words, col_words)
-    if n <= 2:
-        count, pairs = m.rows * m.cols, iter(())
-    else:
-        count = 10_000 if level == "full" else 500
-        pairs = (divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(count))
-    # the sample is drawn only to name a failure: its first failing pair in
-    # sample order, else the first failing cell
-    if tuple(simulated) != m.bits:
-        for i, j in itertools.chain(pairs, itertools.product(range(m.rows), range(m.cols))):
-            bit = simulated[i] >> j & 1
-            if m.entry(i, j) != bit:
-                return CheckResult(name, False, f"entry {m.entry(i, j)}, simulation {bit} "
-                                   f"on {m.row_labels[i]}, {m.col_labels[j]}")
+    for i, (row, sim) in enumerate(zip(m.bits, simulated)):
+        if diff := row ^ sim:  # the first failing cell, in grid order
+            j = (diff & -diff).bit_length() - 1
+            return CheckResult(name, False, f"entry {m.entry(i, j)}, simulation {sim >> j & 1} "
+                               f"on {m.row_labels[i]}, {m.col_labels[j]}")
+    # above size 2 the count is that of a sample this check no longer
+    # draws; the bench digests and the CLI pins fix the wording, so it
+    # changes with the phase-record benchmark change (ROADMAP item 3)
+    count = m.rows * m.cols if n <= 2 else 10_000 if level == "full" else 500
     return CheckResult(name, True, f"{count} pairs")
 
 
@@ -171,37 +168,39 @@ class _PairStudy(NamedTuple):
     checks read of them, computed once and bit-sliced over the first tables.
 
     Bit t of an int of entry j stands for the pair of the base table
-    bases[j] with the first table firsts[j][t].  masks[j] are its
-    :func:`tables.layer_masks`; for stage set b (bit l stages layer l),
-    accepts[j][b] and columns[j][b] are what :func:`witness.staged_columns`
-    reads off G for its :func:`witness.build_g_I` table.
-    When every pair is studied, each base table is one entry and all
-    entries share one list of every ordered table; otherwise each drawn
-    pair is one entry, in draw order.  Either way the studied pairs run in
-    the order of t, then j.
+    bases[j] with the first table firsts[t]; bit t of pairs[j] marks the
+    pairs studied, which run in the order of t, then j.  masks[j] are the
+    base table's :func:`tables.layer_masks`; for stage set b (bit l stages
+    layer l), accepts[j][b] and columns[j][b] are what
+    :func:`witness.staged_columns` reads off G for its
+    :func:`witness.build_g_I` table.
     """
 
     bases: list
     firsts: list
+    pairs: list
     masks: list
     accepts: list
     columns: list
 
 
 def _draw_pairs(size: int, level: str, rng: random.Random) -> tuple:
-    """The bases and firsts of a :class:`_PairStudy`."""
+    """The bases, firsts and pairs of a :class:`_PairStudy`: every pair of
+    ordered tables, or the drawn pairs, the first of draw j in bit j."""
     ordered = _ordered(size)
     if level == "full" and size <= 3:
-        return ordered, [ordered] * len(ordered)
+        return ordered, ordered, [(1 << len(ordered)) - 1] * len(ordered)
     picks = [ordered[rng.randrange(len(ordered))]
              for _ in range(120 if level == "quick" else 2000)]
-    return picks[1::2], [[f] for f in picks[0::2]]
+    bases = picks[1::2]
+    return bases, picks[0::2], [1 << j for j in range(len(bases))]
 
 
 def _pair_study(size: int, level: str, rng: random.Random) -> _PairStudy:
-    bases, firsts = _draw_pairs(size, level, rng)
+    bases, firsts, pairs = _draw_pairs(size, level, rng)
     accepts, columns = witness.staged_columns(_matrix_g(size), firsts, bases)
-    return _PairStudy(bases, firsts, tables.layer_masks(firsts, bases), accepts, columns)
+    return _PairStudy(bases, firsts, pairs, tables.layer_masks(firsts, bases),
+                      accepts, columns)
 
 
 def _study(n: int, level: str, rng: random.Random) -> _PairStudy:
@@ -218,7 +217,7 @@ def _first_failing(study: _PairStudy, failing: list[int]) -> tuple:
     failing[j] set, as (f, f0, t, j)."""
     t = min((w & -w).bit_length() - 1 for w in failing if w)
     j = next(j for j, w in enumerate(failing) if w >> t & 1)
-    return study.firsts[j][t], study.bases[j], t, j
+    return study.firsts[t], study.bases[j], t, j
 
 
 def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckResult:
@@ -243,8 +242,8 @@ def check_drop_down_rows(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "drop-down rows vanish"
     study = _study(n, level, rng)
     failing, checked = [], 0
-    for layers, cols in zip(study.masks, study.columns):
-        drop = _union(d for d, _ in layers)
+    for pairs, layers, cols in zip(study.pairs, study.masks, study.columns):
+        drop = pairs & _union(d for d, _ in layers)
         failing.append(drop & _union(cols))
         checked += drop.bit_count() * len(cols)
     if any(failing):
@@ -265,8 +264,8 @@ def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> Che
     name = "breakthrough completion determines entries"
     study = _study(n, level, rng)
     failing, checked = [], 0
-    for fs, layers, cols in zip(study.firsts, study.masks, study.columns):
-        kept = (1 << len(fs)) - 1 & ~_union(d for d, _ in layers)
+    for pairs, layers, cols in zip(study.pairs, study.masks, study.columns):
+        kept = pairs & ~_union(d for d, _ in layers)
         failing.append(kept & _union(_completed(layers, b) ^ col for b, col in enumerate(cols)))
         checked += kept.bit_count() * len(cols)
     if any(failing):
@@ -281,13 +280,16 @@ def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> Che
 def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "at-least-as-large tables always break through"
     study = _study(n, level, rng)
-    failing, checked, sized = [], 0, {}
-    for fs, f0, layers in zip(study.firsts, study.bases, study.masks):
-        if id(fs) not in sized:  # each list once: its sizes, values and bits
-            sized[id(fs)] = [(tables.table_size(f), f.values, 1 << t) for t, f in enumerate(fs)]
+    # the first tables of each table size and of each value tuple, as lanes
+    by_size, by_values = collections.defaultdict(int), collections.defaultdict(int)
+    for t, f in enumerate(study.firsts):
+        by_size[tables.table_size(f)] |= 1 << t
+        by_values[f.values] |= 1 << t
+    failing, checked = [], 0
+    for f0, pairs, layers in zip(study.bases, study.pairs, study.masks):
         size = tables.table_size(f0)
-        larger = _union(bit for z, values, bit in sized[id(fs)]
-                        if z >= size and values != f0.values)
+        larger = pairs & ~by_values[f0.values] & _union(
+            lanes for z, lanes in by_size.items() if z >= size)
         failing.append(larger & ~_union(brk for _, brk in layers))
         checked += larger.bit_count()
     if any(failing):
@@ -298,9 +300,7 @@ def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckRe
 
 def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "matrix rank equals the ordered-table count"
-    if n > ENUMERATION_MAX_N:  # G lists every ordered table at n, with no cap of its own
-        raise CapacityError(
-            f"exhaustive table enumeration is limited to n <= {ENUMERATION_MAX_N}")
+    tables.check_enumeration_size(n)  # G lists every ordered table at n, with no cap of its own
     expected = combinatorics.count_ordered_prefix_tables(n)
     g = _matrix_g(n)
     try:

@@ -148,7 +148,7 @@ def _check_staged_table_properties(f, f0, n):
     ls = tables.layer_structure(f0)
     k = ls.rank_k
     # the pair's masks, bit i = layer i of f0
-    [layers] = tables.layer_masks([[f]], [f0])
+    [layers] = tables.layer_masks([f], [f0])
     drop = sum(d << i for i, (d, _) in enumerate(layers))
     brk = sum(b << i for i, (_, b) in enumerate(layers))
     if f.values != f0.values and tables.table_size(f) >= tables.table_size(f0):
@@ -193,7 +193,7 @@ def test_criterion_8_optimality_campaign():
     start = time.perf_counter()
     for states, instances, bound in ((2, 500, 7), (3, 100, 115)):
         for seed in range(instances):
-            result = crossing.random_campaign_report(states, 2, seed=seed)
+            result = next(crossing.random_campaign(states, 2, [seed]))
             assert result.ok, result.to_json()
             assert result.rank <= bound, result.to_json()
     elapsed = time.perf_counter() - start

@@ -323,12 +323,40 @@ VERIFY_QUICK_N3_DIGESTS = {
 
 def test_verify_quick_n3_outputs_with_a_repeated_pair_are_pinned(capsys):
     for seed, digest in VERIFY_QUICK_N3_DIGESTS.items():
-        bases, firsts = verification._draw_pairs(3, "quick", random.Random(int(seed)))
-        drawn = [(f.values, f0.values) for fs, f0 in zip(firsts, bases) for f in fs]
+        bases, firsts, pairs = verification._draw_pairs(3, "quick", random.Random(int(seed)))
+        drawn = [(f.values, f0.values) for f0, lanes in zip(bases, pairs)
+                 for t, f in enumerate(firsts) if lanes >> t & 1]
         assert len(set(drawn)) == len(drawn) - 1, seed
         code, out, _ = run(capsys, "verify", "--n", "3", "--level", "quick", "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+# verify's stdout at sizes 1-3 at both levels with seeds 0 and 7, and at
+# size 4 under quick with seed 0, taken before the pair study read one list
+# of first tables with a lane int per base table
+VERIFY_DIGESTS = {
+    ("1", "quick", "0"): "076e35c0a22594b5fd1cf95a95604e89514b15f6dfe54bc0bb5cbff10b10532b",
+    ("1", "quick", "7"): "076e35c0a22594b5fd1cf95a95604e89514b15f6dfe54bc0bb5cbff10b10532b",
+    ("2", "quick", "0"): "6f6b7f620dacc94d30811f363b6cbd3b023404225a67469aca0b3d8108a8f504",
+    ("2", "quick", "7"): "3e7dcd031ec88f35b69c636775eb6a8e03b62aff4795b82c3208e51afff2d6a9",
+    ("3", "quick", "0"): "d6ba63c3e35d98ba0a249b4d38f06b997eb12997a3fe5b8202de9836812313df",
+    ("3", "quick", "7"): "5168e4d444ee50d01076443d7513dbb74496010fd432dab67c5db77058c2995a",
+    ("1", "full", "0"): "22cd1f8b256dc365c437c00b9580ae3968d2d047f107d0c100cd9becf4a9c77d",
+    ("1", "full", "7"): "22cd1f8b256dc365c437c00b9580ae3968d2d047f107d0c100cd9becf4a9c77d",
+    ("2", "full", "0"): "75f76b4deb13ab4de54d79163c18b4885ead592b277179b30161da3ed822f4d4",
+    ("2", "full", "7"): "75f76b4deb13ab4de54d79163c18b4885ead592b277179b30161da3ed822f4d4",
+    ("3", "full", "0"): "ec154bd1aa05273d5f5e6f87321d565a45a5b36e3d94cd6c8cf9757dd4494032",
+    ("3", "full", "7"): "ec154bd1aa05273d5f5e6f87321d565a45a5b36e3d94cd6c8cf9757dd4494032",
+    ("4", "quick", "0"): "ec0906c66e7f4b74db458bfdad86a00e26ab615f42f803f9b7a2dca359d87f90",
+}
+
+
+@pytest.mark.parametrize("n, level, seed", sorted(VERIFY_DIGESTS))
+def test_verify_output_digests_are_pinned(capsys, n, level, seed):
+    code, out, _ = run(capsys, "verify", "--n", n, "--level", level, "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[n, level, seed]
 
 
 # the full level checks the augmented-row identity on all of M at size 4

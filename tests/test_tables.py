@@ -229,7 +229,7 @@ def _reach_up_to(f, f0, i):
 def pair_masks(f, f0):
     """f's drop-down and breakthrough layers against f0, as bit masks over
     f0's layers (bit i = layer i), read off the sliced masks of one pair."""
-    [layers] = layer_masks([[f]], [f0])
+    [layers] = layer_masks([f], [f0])
     return (sum(d << i for i, (d, _) in enumerate(layers)),
             sum(b << i for i, (_, b) in enumerate(layers)))
 
@@ -244,16 +244,19 @@ def _oracle_layers(f, f0):
              not _reach_up_to(f, f0, i) <= chain[i]) for i in range(ls.rank_k)]
 
 
-def _assert_sliced_masks_match_the_oracle(firsts, bases, masks):
-    pairs = 0
-    for fs, f0, layers in zip(firsts, bases, masks, strict=True):
+def _assert_sliced_masks_match_the_oracle(fs, bases, pairs, masks):
+    """Checks bit t of masks[j] for each pair (fs[t], bases[j]) that bit t
+    of pairs[j] marks; returns the number of pairs checked."""
+    checked = 0
+    for f0, lanes, layers in zip(bases, pairs, masks, strict=True):
         for d, b in layers:
             assert 0 <= d < 1 << len(fs) and 0 <= b < 1 << len(fs)
         for t, f in enumerate(fs):
-            got = [(bool(d >> t & 1), bool(b >> t & 1)) for d, b in layers]
-            assert got == _oracle_layers(f, f0), (f, f0)
-            pairs += 1
-    return pairs
+            if lanes >> t & 1:
+                got = [(bool(d >> t & 1), bool(b >> t & 1)) for d, b in layers]
+                assert got == _oracle_layers(f, f0), (f, f0)
+                checked += 1
+    return checked
 
 
 class TestBreakthroughAndDropDown:
@@ -351,36 +354,40 @@ class TestBreakthroughAndDropDown:
 
     def test_sliced_masks_match_the_oracle_on_every_pair_at_n3(self):
         # the full study at size 3: every ordered table is a first table of
-        # every base table, in one shared list and one call
+        # every base table, in one call
         study = _pair_study(3, "full", random.Random(0))
         assert len(study.bases) == 115
         assert _assert_sliced_masks_match_the_oracle(
-            study.firsts, study.bases, study.masks) == 115 ** 2
+            study.firsts, study.bases, study.pairs, study.masks) == 115 ** 2
 
     def test_sliced_masks_match_the_oracle_on_the_quick_n4_sample(self):
-        # the pairs of verify --n 4 --level quick --seed 7: each base table
-        # with its own list of the first tables drawn with it
+        # the pairs of verify --n 4 --level quick --seed 7: draw j pairs
+        # base table j with first table j, and the masks hold every pair
         study = _pair_study(4, "quick", random.Random(7))
+        assert study.pairs == [1 << j for j in range(60)]
+        every = [(1 << 60) - 1] * 60
         assert _assert_sliced_masks_match_the_oracle(
-            study.firsts, study.bases, study.masks) == 60
+            study.firsts, study.bases, every, study.masks) == 60 ** 2
 
-    def test_runs_of_shared_first_tables(self):
-        # the arcs are rebuilt whenever the list of first tables changes,
-        # also back to a list seen before and to an equal copy
+    def test_one_list_of_first_tables(self):
+        # a table twice among the first tables, also as an equal copy, and
+        # no first tables at all
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
-        a, b = ordered[:40], ordered[40:]
-        firsts = [a, a, b, a, list(a), b]
+        fs = ordered[:40] + [ordered[7], PrefixTable(3, ordered[7].values)]
         bases = ordered[3:9]
-        masks = layer_masks(firsts, bases)
-        assert _assert_sliced_masks_match_the_oracle(firsts, bases, masks) == 40 * 4 + 75 * 2
+        masks = layer_masks(fs, bases)
+        every = [(1 << len(fs)) - 1] * len(bases)
+        assert _assert_sliced_masks_match_the_oracle(fs, bases, every, masks) == 42 * 6
+        assert layer_masks([], bases) == [[(0, 0)] * layer_structure(f0).rank_k
+                                          for f0 in bases]
         assert layer_masks([], []) == []
 
     def test_tables_of_another_size_are_rejected(self):
         two = pt(2, {1}, {1, 2})
-        for firsts, bases in (([[two]], [CHAIN3]), ([[CHAIN3]], [two]),
-                              ([[CHAIN3]] * 2, [CHAIN3, two])):
+        for fs, bases in (([two], [CHAIN3]), ([CHAIN3], [two]),
+                          ([CHAIN3], [CHAIN3, two]), ([CHAIN3, two], [CHAIN3])):
             with pytest.raises(ValueError):
-                layer_masks(firsts, bases)
+                layer_masks(fs, bases)
 
 
 class TestEnumeration:

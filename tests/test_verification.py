@@ -54,10 +54,9 @@ def test_entry_simulation_disagreement_fails(monkeypatch):
 
 
 def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
-    # faults in the grid cells of the 251st draw of the seeded sample and of
-    # a later draw on a lower row, which a scan in grid order would meet
-    # first: the report names the 251st draw, the first failing pair in
-    # sample order
+    # faults in the grid cells of the 251st draw of a seeded sample and of
+    # a later draw on a lower row: the report names the later draw's cell,
+    # the first failing cell in grid order
     m = witness.build_M(3)
     rng = random.Random(0)
     sample = [divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(10_000)]
@@ -83,13 +82,14 @@ def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
     r = verification.check_entry_simulation_agreement(3, "full", random.Random(0))
     assert len(flipped) == 2
     assert not r.ok
+    i, j = later
     assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
 
 
 def test_entry_simulation_fails_on_a_cell_the_sample_missed(monkeypatch):
-    # every row of M is simulated, so a fault in a cell outside the seeded
-    # quick sample fails the check too, naming the first failing cell
+    # every cell of M is simulated, so a fault in a cell outside what was
+    # once the seeded quick sample fails the check too, naming that cell
     m = witness.build_M(3)
     rng = random.Random(0)
     sample = {divmod(rng.randrange(m.rows * m.cols), m.cols) for _ in range(500)}
@@ -112,6 +112,30 @@ def test_entry_simulation_fails_on_a_cell_the_sample_missed(monkeypatch):
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
 
 
+def test_entry_simulation_names_the_lowest_failing_column_of_a_row(monkeypatch):
+    # faults in two columns of one row of M: the report names the lower one
+    m = witness.build_M(3)
+    i, j, k = 70, 5, 150
+    aut = witness.WitnessAutomaton(3, m.row_labels, m.col_labels)
+    faults = {(tuple(w[:2]), tuple(w[2:]))
+              for w in (aut.word(m.row_labels[i], m.col_labels[c]) for c in (k, j))}
+    real = automata.concatenation_bits
+
+    def cells_flipped(a, xs, ys):
+        bits = real(a, xs, ys)
+        for r, x in enumerate(xs):
+            for c, y in enumerate(ys):
+                if (tuple(x), tuple(y)) in faults:
+                    bits[r] ^= 1 << c
+        return bits
+
+    monkeypatch.setattr(automata, "concatenation_bits", cells_flipped)
+    r = verification.check_entry_simulation_agreement(3, "quick", random.Random(0))
+    assert not r.ok
+    assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
+                        f"on {m.row_labels[i]}, {m.col_labels[j]}")
+
+
 def test_layer_rank_disagreement_fails(monkeypatch):
     monkeypatch.setattr(verification, "_complement_rank", lambda f: 0)
     r = verification.check_layer_rank(3, "full", random.Random(0))
@@ -128,13 +152,10 @@ def _same_for_every_pair(drop, brk):
     # a stand-in for tables.layer_masks that gives every pair the same
     # layers: bit i of drop (of brk) says that it drops down from (breaks
     # through) layer i
-    def masks(firsts, bases):
-        out = []
-        for fs, f0 in zip(firsts, bases):
-            every = (1 << len(fs)) - 1
-            out.append([(every if drop >> i & 1 else 0, every if brk >> i & 1 else 0)
-                        for i in range(tables.layer_structure(f0).rank_k)])
-        return out
+    def masks(fs, bases):
+        every = (1 << len(fs)) - 1
+        return [[(every if drop >> i & 1 else 0, every if brk >> i & 1 else 0)
+                 for i in range(tables.layer_structure(f0).rank_k)] for f0 in bases]
     return masks
 
 
@@ -191,7 +212,7 @@ def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
 
     hits = sorted((i, j, b) for i, h in cells for j, f0 in enumerate(ordered)
                   for b in range(1 << ks[j]) if staged_table_image(f0, stage(j, b)) == h)
-    drops = [any(d for d, _ in tables.layer_masks([[ordered[i]]], [ordered[j]])[0])
+    drops = [any(d for d, _ in tables.layer_masks([ordered[i]], [ordered[j]])[0])
              for i, j, _ in hits]
     monkeypatch.setattr(witness, "staged_matrix", flipped)
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
@@ -204,6 +225,40 @@ def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
     r = verification.check_drop_down_rows(3, "full", random.Random(0))
     i, j, _ = next(hit for hit, drop in zip(hits, drops) if drop)
     assert not r.ok and r.detail == f"non-zero entry for {ordered[i]} against {ordered[j]}"
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_the_quick_study_reads_each_pair_as_a_call_of_its_own(size):
+    # draw j pairs base table j with first table j: bit j of its masks and
+    # columns is what layer_masks and staged_columns give that pair alone
+    study = verification._pair_study(size, "quick", random.Random(0))
+    assert study.pairs == [1 << j for j in range(len(study.bases))]
+    g = witness.staged_matrix(verification._ordered(size), size)
+    for j, (f, f0) in enumerate(zip(study.firsts, study.bases, strict=True)):
+        assert [(d >> j & 1, b >> j & 1) for d, b in study.masks[j]] == \
+            tables.layer_masks([f], [f0])[0]
+        [acc], [cols] = witness.staged_columns(g, [f], [f0])
+        assert study.accepts[j] == acc
+        assert [c >> j & 1 for c in study.columns[j]] == cols
+
+
+def test_forced_breakthrough_studies_distinct_tables_of_at_least_the_base_size(monkeypatch):
+    # one base table against itself, an equal copy of it, a larger table
+    # outside its pairs, a different table of its size and a smaller one:
+    # only the different table of its size is a pair the check counts
+    f0 = tables.PrefixTable.from_sets(3, [{1}, {1, 2}, {1, 2, 3}])
+    larger = tables.PrefixTable.from_sets(3, [{1, 2, 3}] * 3)
+    other = tables.PrefixTable.from_sets(3, [{1, 2}] * 3)
+    smaller = tables.PrefixTable.from_sets(3, [{1}] * 3)
+    fs = [f0, tables.PrefixTable(3, f0.values), larger, other, smaller]
+    assert tables.table_size(other) == tables.table_size(f0)
+    monkeypatch.setattr(verification, "_draw_pairs",
+                        lambda size, level, rng: ([f0], fs, [0b11011]))
+    r = verification.check_forced_breakthrough(3, "full", random.Random(0))
+    assert r.ok and r.detail == "1 pairs"
+    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0))
+    r = verification.check_forced_breakthrough(3, "full", random.Random(0))
+    assert not r.ok and r.detail == f"no breakthrough for {other} against {f0}"
 
 
 def test_a_staged_table_outside_g_fails_the_staged_check(monkeypatch):
@@ -251,10 +306,10 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     assert all(r.ok for r in results)
     ordered = combinatorics.enumerate_ordered_prefix_tables(3)
     # one masks computation over all 115 base tables, each with all 115
-    # first tables in one shared list
+    # first tables in one list
     [(firsts, bases)] = masks
     assert [f.values for f in bases] == [f.values for f in ordered]
-    assert len({id(fs) for fs in firsts}) == 1 and len(firsts[0]) == 115
+    assert [f.values for f in firsts] == [f.values for f in ordered]
     # G once, with one unstaged table per ordered table, and each of the
     # 115 base tables' 2^k staged suffix tables, built once
     assert len(built_g) == 1
@@ -504,7 +559,7 @@ def test_injected_disagreement_fails_under_optimize():
 def test_missing_breakthrough_fails_under_optimize():
     code = ("import random\n"
             "from ufabound import tables, verification\n"
-            "tables.layer_masks = lambda firsts, bases: [\n"
+            "tables.layer_masks = lambda fs, bases: [\n"
             "    [(0, 0)] * tables.layer_structure(f0).rank_k for f0 in bases]\n"
             "r = verification.check_forced_breakthrough(3, 'full', random.Random(0))\n"
             "print('PASS' if r.ok else 'FAIL')\n")

@@ -346,20 +346,21 @@ def read_text(tmp_path, text):
 
 class TestStagedColumns:
     def test_columns_are_the_acceptance_entries(self):
-        # runs of base tables sharing one list of first tables, a list seen
-        # before, an equal copy of it, and an empty list
+        # a table twice among the first tables, also as an equal copy, and
+        # no first tables at all
         ordered = enumerate_ordered_prefix_tables_by_filter(3)
-        a, b = ordered[:30], ordered[30:]
-        firsts = [a, a, b, a, [], list(a), list(a)]
+        g = staged_matrix(ordered, 3)
         bases = ordered[40:47]
-        accepts, columns = staged_columns(staged_matrix(ordered, 3), firsts, bases)
-        for fs, f0, acc, cols in zip(firsts, bases, accepts, columns, strict=True):
-            k = layer_structure(f0).rank_k
-            staged = [build_g_I(f0, {i for i in range(k) if s >> i & 1}) for s in range(1 << k)]
-            assert acc == [g.accept_flags for g in staged]
-            rows = acceptance_matrix(fs, staged, 3).bits
-            assert cols == [sum((row >> s & 1) << t for t, row in enumerate(rows))
-                            for s in range(1 << k)]
+        for fs in (ordered[:30] + [ordered[5], PrefixTable(3, ordered[5].values)], []):
+            accepts, columns = staged_columns(g, fs, bases)
+            for f0, acc, cols in zip(bases, accepts, columns, strict=True):
+                k = layer_structure(f0).rank_k
+                staged = [build_g_I(f0, {i for i in range(k) if s >> i & 1})
+                          for s in range(1 << k)]
+                assert acc == [h.accept_flags for h in staged]
+                rows = acceptance_matrix(fs, staged, 3).bits
+                assert cols == [sum((row >> s & 1) << t for t, row in enumerate(rows))
+                                for s in range(1 << k)]
 
     def test_a_staged_table_outside_g_has_no_accept_set(self):
         # G without the column of one staged table of a rank-2 base table:
@@ -372,8 +373,8 @@ class TestStagedColumns:
         low = (1 << c) - 1
         g = BoolMatrix(full.row_labels, full.col_labels[:c] + full.col_labels[c + 1:],
                        full.cols - 1, tuple(row >> 1 & ~low | row & low for row in full.bits))
-        [acc], [cols] = staged_columns(g, [ordered], [f0])
-        [want_acc], [want_cols] = staged_columns(full, [ordered], [f0])
+        [acc], [cols] = staged_columns(g, ordered, [f0])
+        [want_acc], [want_cols] = staged_columns(full, ordered, [f0])
         for s, stage in enumerate(stages):
             if staged_table_image(f0, stage) == ordered[c]:
                 assert acc[s] is None and cols[s] == 0
@@ -384,7 +385,7 @@ class TestStagedColumns:
     def test_sizes_must_match_n(self):
         ordered = enumerate_ordered_prefix_tables_by_filter(3)
         with pytest.raises(ValueError):
-            staged_columns(staged_matrix(ordered, 3), [[pt(2, {1}, {1, 2})]],
+            staged_columns(staged_matrix(ordered, 3), [pt(2, {1}, {1, 2})],
                            [pt(3, {1}, {1, 2}, {1, 2, 3})])
 
 
