@@ -139,10 +139,7 @@ def _cmd_schmidt(args) -> int:
         # imported here, so that only the commands that fork workers load it
         from . import workers
 
-        def share(seeds: range):
-            return (report.to_json() for report in
-                    crossing.random_campaign(args.states, args.alphabet, seeds))
-
+        share = functools.partial(crossing.random_records, args.states, args.alphabet)
         seeds = range(args.seed, args.seed + args.random)
         with contextlib.closing(workers.ordered_map(share, seeds)) as records:
             for record in records:

@@ -337,3 +337,8 @@ def random_campaign(state_count: int, alphabet_size: int,
     for k in range(0, len(seeds), size):
         yield from _reports([instance(seed) for seed in seeds[k:k + size]])
 
+
+def random_records(state_count: int, alphabet_size: int,
+                   seeds: Sequence[int]) -> Iterator[dict]:
+    """The JSON record of each :func:`random_campaign` report, in seed order."""
+    return (report.to_json() for report in random_campaign(state_count, alphabet_size, seeds))

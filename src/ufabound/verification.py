@@ -11,14 +11,13 @@ square matrix G (:func:`ufabound.witness.staged_matrix`) per run and size.
 from __future__ import annotations
 
 import collections
-import contextlib
 import contextvars
 import functools
 import itertools
 import operator
 import random
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import automata, combinatorics, crossing, exact_linalg, tables, witness
 from .errors import CapacityError
@@ -321,16 +320,22 @@ def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckR
     return CheckResult(name, got_m == got_k == expected, f"rank {got_k}, count {expected}")
 
 
+def _random_seeds(n: int, level: str, rng: random.Random) -> tuple:
+    """The random-automaton check's state count and instance seeds."""
+    return min(n, 3), [rng.randrange(2**30) for _ in range(50 if level == "full" else 10)]
+
+
+def _random_result(states: int, seeds: list, records: Iterable[dict]) -> CheckResult:
+    name = "random-automaton ranks stay within the bound"
+    for record in records:
+        if not record["ok"]:
+            return CheckResult(name, False, f"instance seed {record['seed']}")
+    return CheckResult(name, True, f"{len(seeds)} instances with {states} states")
+
+
 def check_random_automata_bound(n: int, level: str, rng: random.Random) -> CheckResult:
-    instances = 50 if level == "full" else 10
-    states = min(n, 3)
-    seeds = [rng.randrange(2**30) for _ in range(instances)]
-    for report in crossing.random_campaign(states, 2, seeds):
-        if not report.ok:
-            return CheckResult("random-automaton ranks stay within the bound", False,
-                               f"instance seed {report.seed}")
-    return CheckResult("random-automaton ranks stay within the bound", True,
-                       f"{instances} instances with {states} states")
+    states, seeds = _random_seeds(n, level, rng)
+    return _random_result(states, seeds, crossing.random_records(states, 2, seeds))
 
 
 def _count_by_second_index_form(n: int) -> int:
@@ -383,24 +388,21 @@ def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
 
-    def random_check() -> dict:
-        return check_random_automata_bound(n, level, random.Random(seed))._asdict()
+    # imported here, so that only the commands that fork workers load it
+    from . import workers
 
+    # the random-automaton check reads nothing the others build: its
+    # instances run beside them, in a worker forked before M or the pair
+    # study exists, where workers.MIN_SHARE finds them worth one (under
+    # full, not quick).  Every check draws from a fresh generator, so a
+    # shared sample is the one each check would have drawn itself
+    states, seeds = _random_seeds(n, level, random.Random(seed))
     token = _run_memo.set({})
     try:
-        # the random-automaton check reads nothing the others build.  Under
-        # full it runs beside them, in a worker forked before M or the pair
-        # study exists; every check draws from a fresh generator, so a shared
-        # sample is the one each check would have drawn itself.  Under quick
-        # its 10 instances cost about as much as the fork, so it runs here
-        if level == "full":
-            # imported here, so that only the commands that fork workers load it
-            from . import workers
-            beside = workers.beside(random_check)
-        else:
-            beside = contextlib.nullcontext(random_check)
-        with beside as random_result:
-            return [CheckResult(**random_result()) if check is check_random_automata_bound
+        with workers.beside(functools.partial(crossing.random_records, states, 2),
+                            seeds) as records:
+            return [_random_result(states, seeds, records())
+                    if check is check_random_automata_bound
                     else check(n, level, random.Random(seed)) for check in _CHECKS]
     finally:
         _run_memo.reset(token)

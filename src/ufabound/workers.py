@@ -1,28 +1,30 @@
 """Independent work in forked worker processes, returned as JSON lines.
 
-Two entry points share one protocol.  :func:`ordered_map` splits its
-items into contiguous shares, one per CPU this process may run on,
-computes the first share itself and every other share in an ``os.fork``
-child, and yields the results in item order.  :func:`beside` forks one
-child for one call while the calling process goes on with other work.
-The work they serve is pure Python, which holds the interpreter lock, so
-threads would only take turns.  Importing :mod:`multiprocessing.pool`
-or :mod:`concurrent.futures.process` alone raises the CLI's peak memory
-by 1.0 or 1.4 MB, and both pickle the function and its arguments.  A
-forked child already holds the function and every module
-it needs, and it sends back only JSON lines through a pipe.
+One primitive forks: :func:`beside` computes a share of items in an
+``os.fork`` child while the calling process goes on with other work, or
+here when the share is too small to pay for a fork.  :func:`ordered_map`
+splits its items into contiguous shares, one per CPU this process may run
+on, computes the first share itself and every other one beside it, and
+yields the results in item order.  The work they serve is pure Python,
+which holds the interpreter lock, so threads would only take turns.
+Importing :mod:`multiprocessing.pool` or :mod:`concurrent.futures.process`
+alone raises the CLI's peak memory by 1.0 or 1.4 MB, and both pickle the
+function and its arguments.  A forked child already holds the function
+and every module it needs, and it sends back only JSON lines through a
+pipe.
 
 A child buffers its whole share and writes it once, at the end: written
 line by line, a share past the pipe's buffer would wait for the parent,
 which reads it only after its own work.  Every child leaves through
 ``os._exit``, so it never returns into its caller's stack, and every
-child is killed if still running and reaped before the map or the
-``with`` block ends, on every path out of it.
+child is killed if still running and reaped before its ``with`` block
+ends, on every path out of it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 from typing import Callable, Iterable, Iterator, Sequence
@@ -61,12 +63,17 @@ def _stops(result: dict) -> bool:
     return not result["ok"]
 
 
-def _start(fn: Callable, share: Sequence) -> tuple:
-    """Fork a child that computes ``fn(share)``; its pid and the pipe to read.
+def _upto_failure(results: Iterable[dict]) -> Iterator[dict]:
+    """``results`` up to and including the first whose ``"ok"`` is false."""
+    for result in results:
+        yield result
+        if _stops(result):
+            return
 
-    The child keeps off the CPU this process is on when it forks, where the
-    system says which one that is.
-    """
+
+def _start(fn: Callable, share: Sequence) -> tuple:
+    """Fork a child that computes ``fn(share)`` off the CPU this process is
+    on, where the system says which one that is; its pid and the pipe to read."""
     here = _cpu()
     r, w = os.pipe()
     try:
@@ -91,10 +98,8 @@ def _start(fn: Callable, share: Sequence) -> tuple:
             pass
         lines = []
         try:
-            for result in fn(share):
+            for result in _upto_failure(fn(share)):
                 lines.append(json.dumps(result))
-                if _stops(result):
-                    break
             end = _DONE
         except Exception as e:
             lines.append(json.dumps(f"{type(e).__name__}: {e}"))
@@ -107,28 +112,10 @@ def _start(fn: Callable, share: Sequence) -> tuple:
         os._exit(status)
 
 
-def _reap(pid: int, r: int) -> tuple:
-    """A child's exit status and everything it wrote, once it has ended."""
-    chunks = []
-    while chunk := os.read(r, 1 << 16):
-        chunks.append(chunk)
-    status = os.waitpid(pid, 0)[1]
-    os.close(r)
-    return status, b"".join(chunks)
-
-
-def _kill(running: list) -> None:
-    """Kill and reap every child of ``running``, entries (pid, read end, ...)."""
-    for pid, r, *_ in running:
-        os.close(r)
-        os.kill(pid, _SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _results(status: int, data: bytes, share: Sequence, where: str = "") -> Iterator[dict]:
+def _results(status: int, data: bytes, share: Sequence) -> Iterator[dict]:
     """A reaped child's results, then the error it reported, if any."""
     code = os.waitstatus_to_exitcode(status)
-    where = where or f"the worker on items {share[0]!r}..{share[-1]!r}"
+    where = f"the worker on items {share[0]!r}..{share[-1]!r}"
     if code not in (_DONE, _RAISED):
         raise ChildProcessError(f"{where} ended with status {code}")
     lines = data.decode().splitlines()
@@ -141,72 +128,60 @@ def _results(status: int, data: bytes, share: Sequence, where: str = "") -> Iter
         raise ChildProcessError(f"{where} returned {len(results)} of {len(share)} results")
 
 
+@contextlib.contextmanager
+def beside(fn: Callable[[Sequence], Iterable[dict]],
+           items: Sequence) -> Iterator[Callable[[], Iterator[dict]]]:
+    """Compute ``fn(items)`` in a forked child while the ``with`` body runs.
+
+    ``fn`` of the items yields one JSON object per item, in order, each
+    with an ``"ok"`` member, and is asked for none after the first whose
+    ``"ok"`` is false.  The block gets a function to call once, which waits
+    for the child and returns an iterator of its results.  Fewer than
+    :data:`MIN_SHARE` items, one CPU or no ``os.fork`` are not worth a
+    child: then that function computes ``fn(items)`` here, as its results
+    are asked for.  An exception in the child is raised here as a
+    :class:`ChildProcessError` after the results before it, and so is a
+    child that dies or returns too few.  The child is killed if still
+    running and reaped when the block ends, however it ends.
+    """
+    if len(items) < MIN_SHARE or _cpus() < 2 or not hasattr(os, "fork"):
+        yield lambda: _upto_failure(fn(items))
+        return
+    running = [_start(fn, items)]  # (pid, read end) of the child until it is reaped
+
+    def results() -> Iterator[dict]:
+        pid, r = running[0]
+        chunks = []
+        while chunk := os.read(r, 1 << 16):
+            chunks.append(chunk)
+        status = os.waitpid(pid, 0)[1]
+        running.clear()
+        os.close(r)
+        return _results(status, b"".join(chunks), items)
+
+    try:
+        yield results
+    finally:
+        for pid, r in running:
+            os.close(r)
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def ordered_map(fn: Callable[[Sequence], Iterable[dict]], items: Sequence) -> Iterator[dict]:
     """Yield the result of each item, in order, computed on every CPU.
 
-    ``fn`` of a contiguous share of the items yields one JSON object per
-    item, in order, each with an ``"ok"`` member; the first result whose
-    ``"ok"`` is false is the last one yielded, and ``fn`` is asked for no
-    more after it.  The items are split into contiguous shares of at least
-    :data:`MIN_SHARE` items, one per CPU; with one share, or where there
-    is no ``os.fork``, every item is computed here.  The first share's
-    results are yielded as they are computed, each other share's once its
-    child has finished; the children keep off the CPU this process is on.  An exception in a child's share is
-    raised here as a :class:`ChildProcessError` after the results before
-    it, and so is a child that dies or returns too few results.
+    ``fn`` is as for :func:`beside`.  The items are split into contiguous
+    shares of at least :data:`MIN_SHARE` items, one per CPU: the first is
+    computed here, as its results are yielded, and every other one
+    :func:`beside` it.  The first result whose ``"ok"`` is false is the
+    last one yielded, and an error in a share is raised after the results
+    before it.
     """
-    parts = max(1, min(_cpus(), len(items) // MIN_SHARE)) if hasattr(os, "fork") else 1
+    parts = max(1, min(_cpus(), len(items) // MIN_SHARE))
     cuts = [len(items) * k // parts for k in range(parts + 1)]
     shares = [items[cuts[k]:cuts[k + 1]] for k in range(parts)]
-    running = []  # (pid, read end, share) of each child not yet reaped
-    try:
-        for share in shares[1:]:
-            running.append((*_start(fn, share), share))
-        for result in fn(shares[0]):
-            yield result
-            if _stops(result):
-                return
-        while running:
-            pid, r, share = running[0]
-            status, data = _reap(pid, r)
-            running.pop(0)
-            for result in _results(status, data, share):
-                yield result
-                if _stops(result):
-                    return
-    finally:
-        _kill(running)
-
-
-@contextlib.contextmanager
-def beside(fn: Callable[[], dict]) -> Iterator[Callable[[], dict]]:
-    """Compute ``fn()`` in a forked child while the ``with`` body runs.
-
-    ``fn`` returns a JSON object with an ``"ok"`` member.  The block gets a
-    function to call once, which returns that object: it waits for the
-    child and reads what the child sent.  With one CPU, or where there is
-    no ``os.fork``, nothing is forked and that function calls ``fn``
-    itself.  The child keeps off the CPU this process is on when it forks,
-    where the system says which one that is.  An exception in the child is
-    raised there as a :class:`ChildProcessError`, and so is a child that
-    dies.  The child is killed if still running and reaped when the block
-    ends, however it ends.
-    """
-    if _cpus() < 2 or not hasattr(os, "fork"):
-        yield fn
-        return
-    share = (None,)
-    running = []  # (pid, read end) of the child until it is reaped
-
-    def result() -> dict:
-        pid, r = running[0]
-        status, data = _reap(pid, r)
-        running.pop()
-        [out] = _results(status, data, share, "the worker beside this process")
-        return out
-
-    try:
-        running.append(_start(lambda _: [fn()], share))
-        yield result
-    finally:
-        _kill(running)
+    with contextlib.ExitStack() as stack:
+        later = [stack.enter_context(beside(fn, share)) for share in shares[1:]]
+        yield from _upto_failure(itertools.chain.from_iterable(
+            results() for results in [lambda: fn(shares[0]), *later]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import crossing, verification
+from ufabound import crossing, exact_linalg, verification
 from ufabound.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -213,6 +213,24 @@ def test_rank_rejects_primes_beyond_the_limit(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "Traceback" not in err
     code, out, _ = run(capsys, "rank", "--in", str(mat), "--mod", str(2**31 - 1))
     assert code == 0 and out == "115\n"
+
+
+def test_rank_refuses_an_oversized_modulus_before_testing_primality(
+        tmp_path, capsys, monkeypatch):
+    mat = tmp_path / "k2.mat"
+    run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))
+    real = exact_linalg._is_prime
+
+    def small_only(p):
+        if p >= 2**31:
+            pytest.fail(f"primality tested on a {len(str(p))}-digit modulus")
+        return real(p)
+
+    monkeypatch.setattr(exact_linalg, "_is_prime", small_only)
+    for p in (2**31, 4294967311, 10**3999 + 1):
+        code, out, err = run(capsys, "rank", "--in", str(mat), "--mod", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "2^31" in err and len(err.splitlines()) == 1
 
 
 def test_build_matrix_size_errors(tmp_path, capsys):

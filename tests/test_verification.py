@@ -380,51 +380,78 @@ def test_verify_prints_the_same_bytes_with_one_cpu_and_two(capsys, monkeypatch, 
             assert _verify_on(capsys, monkeypatch, {0, 1}, *argv) == one
 
 
+def _random_seed(level, k, seed=0):
+    """The seed of the random-automaton check's instance k."""
+    return verification._random_seeds(3, level, random.Random(seed))[1][k]
+
+
 def test_a_failing_random_instance_reads_the_same_from_the_worker(
         capsys, monkeypatch, tmp_path):
-    rng = random.Random(0)
-    bad = [rng.randrange(2**30) for _ in range(3)][-1]
     real = crossing._report
     pids = tmp_path / "pids"
+    for level in ("quick", "full"):
+        bad = _random_seed(level, 2)
 
-    def third_fails(a, xs, ys, found, seed, shared):
-        with open(pids, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        report = real(a, xs, ys, found, seed, shared)
-        return dataclasses.replace(report, ok=False) if seed == bad else report
+        def third_fails(a, xs, ys, found, seed, shared):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            report = real(a, xs, ys, found, seed, shared)
+            return dataclasses.replace(report, ok=False) if seed == bad else report
 
-    monkeypatch.setattr(crossing, "_report", third_fails)
-    runs = {}
-    for cpus in ({0}, {0, 1}):
-        runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "2", "--level", "full")
-        ran_in = set(pids.read_text().split())
-        pids.unlink()
-        # every instance in this process, or every one in one worker
-        assert len(ran_in) == 1 and (str(os.getpid()) in ran_in) == (len(cpus) == 1)
-    assert runs[1] == runs[2]
-    code, out = runs[2]
-    assert code == 1
-    assert (f"FAIL  random-automaton ranks stay within the bound (instance seed {bad})\n"
-            "10/11 checks passed\n") in out
+        monkeypatch.setattr(crossing, "_report", third_fails)
+        runs = {}
+        for cpus in ({0}, {0, 1}):
+            runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "3", "--level", level)
+            ran_in = set(pids.read_text().split())
+            pids.unlink()
+            # every instance in this process, or under full with two CPUs
+            # every one in one worker
+            here = len(cpus) == 1 or level == "quick"
+            assert len(ran_in) == 1 and (str(os.getpid()) in ran_in) == here
+        assert runs[1] == runs[2]
+        code, out = runs[2]
+        assert code == 1
+        assert (f"FAIL  random-automaton ranks stay within the bound (instance seed {bad})\n"
+                "10/11 checks passed\n") in out
+
+
+def test_an_error_in_the_random_check_worker_exits_2(capsys, monkeypatch):
+    bad = _random_seed("full", 30)
+    real = crossing._report
+
+    def raising(a, xs, ys, found, seed, shared):
+        if seed == bad:
+            raise RuntimeError("boom")
+        return real(a, xs, ys, found, seed, shared)
+
+    monkeypatch.setattr(crossing, "_report", raising)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = main(["verify", "--n", "3", "--level", "full"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    seeds = verification._random_seeds(3, "full", random.Random(0))[1]
+    assert err == (f"error: the worker on items {seeds[0]}..{seeds[-1]} "
+                   "raised RuntimeError: boom\n")
+    with pytest.raises(ChildProcessError):  # no worker left behind
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
-    # a quick run's 10 instances run here; a full run's 50 in one worker
-    with monkeypatch.context() as m:
-        m.setattr(os, "fork", lambda: pytest.fail("a quick run forked"))
-        code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", "3")
-    assert code == 0 and out.endswith("11/11 checks passed\n")
-    real, forks = os.fork, []
+    # a quick run's 10 instances are fewer than a worker's share and run
+    # here; a full run's 50 run in one worker
+    real = os.fork
+    for level, forks in (("quick", 0), ("full", 1)):
+        forked = []
 
-    def counted():
-        forks.append(os.getpid())
-        return real()
+        def counted():
+            forked.append(os.getpid())
+            return real()
 
-    with monkeypatch.context() as m:
-        m.setattr(os, "fork", counted)
-        code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", "3", "--level", "full")
-    assert code == 0 and out.endswith("11/11 checks passed\n")
-    assert forks == [os.getpid()]
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", counted)
+            code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", "3", "--level", level)
+        assert code == 0 and out.endswith("11/11 checks passed\n")
+        assert forked == [os.getpid()] * forks
 
 
 def test_a_full_run_at_size_four_builds_no_k(monkeypatch):

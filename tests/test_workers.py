@@ -170,25 +170,28 @@ def test_map_workers_move_off_this_process_cpu(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one call beside the calling process
+# one share beside the calling process
 
 @pytest.fixture
 def two_cpus(monkeypatch):
+    """Two CPUs, and a share of one item worth a fork."""
+    monkeypatch.setattr(workers, "MIN_SHARE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def pid_record():
-    return {"ok": True, "pid": os.getpid()}
+def pid_records(share):
+    return [{"item": item, "ok": True, "pid": os.getpid()} for item in share]
 
 
 def test_beside_returns_what_fn_returns_from_a_worker(two_cpus):
-    def fn():
-        return {"ok": False, "detail": "ä ∅", "sizes": [1, 7, 115]}
+    def fn(share):
+        return [{"ok": True, "detail": "ä ∅", "sizes": [1, 7, 115]},
+                {"ok": False, "item": share[1]}]
 
-    with workers.beside(fn) as result:
-        assert result() == fn()
-    with workers.beside(pid_record) as result:
-        assert result()["pid"] != os.getpid()
+    with workers.beside(fn, [3, 4]) as results:
+        assert list(results()) == fn([3, 4])
+    with workers.beside(pid_records, [3]) as results:
+        assert [r["pid"] != os.getpid() for r in results()] == [True]
     assert_no_worker_left()
 
 
@@ -199,28 +202,47 @@ def test_beside_moves_its_worker_off_this_process_cpu(monkeypatch):
     assert workers._cpu() in cpus
     here = min(cpus)
     monkeypatch.setattr(workers, "_cpu", lambda: here)
-    with workers.beside(lambda: {"ok": True, "cpus": sorted(os.sched_getaffinity(0))}) as result:
-        assert result()["cpus"] == sorted(cpus - {here})
+    monkeypatch.setattr(workers, "MIN_SHARE", 1)
+
+    def cpus_records(share):
+        return [{"ok": True, "cpus": sorted(os.sched_getaffinity(0))} for _ in share]
+
+    with workers.beside(cpus_records, [0]) as results:
+        assert [r["cpus"] for r in results()] == [sorted(cpus - {here})]
     assert os.sched_getaffinity(0) == cpus
     assert_no_worker_left()
 
 
 def test_beside_forks_nothing_with_one_cpu(monkeypatch):
+    monkeypatch.setattr(workers, "MIN_SHARE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
-    with workers.beside(pid_record) as result:
-        assert result() == pid_record()
+    with workers.beside(pid_records, [3, 4]) as results:
+        assert list(results()) == pid_records([3, 4])
+    assert_no_worker_left()
+
+
+def test_beside_forks_nothing_for_fewer_items_than_a_share(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small share"))
+    items = range(workers.MIN_SHARE - 1)
+    with workers.beside(pid_records, items) as results:
+        assert list(results()) == pid_records(items)
     assert_no_worker_left()
 
 
 def test_beside_raises_a_worker_exception(two_cpus):
-    def raising():
+    def raising(share):
+        yield {"ok": True}
         raise ValueError("no result")
 
-    with workers.beside(raising) as result:
+    with workers.beside(raising, [7, 8]) as results:
+        got = []
         with pytest.raises(ChildProcessError,
-                           match="the worker beside this process raised ValueError: no result"):
-            result()
+                           match="the worker on items 7..8 raised ValueError: no result"):
+            for r in results():
+                got.append(r)
+        assert got == [{"ok": True}]
     assert_no_worker_left()
 
 
@@ -228,14 +250,14 @@ def test_beside_raises_a_worker_exception(two_cpus):
 def test_beside_kills_its_worker_when_the_block_stops_early(two_cpus, stop):
     me = os.getpid()
 
-    def slow():
+    def slow(share):
         if os.getpid() != me:
             time.sleep(60)
-        return pid_record()
+        return pid_records(share)
 
     start = time.monotonic()
     with pytest.raises(stop):
-        with workers.beside(slow):
+        with workers.beside(slow, [0]):
             raise stop
     assert_no_worker_left()
     assert time.monotonic() - start < 30
@@ -251,8 +273,10 @@ def schmidt(capsys, count, seed=40):
 
 
 def serial_schmidt(capsys, monkeypatch, count, seed=40):
+    # one share, all computed here
     with monkeypatch.context() as m:
         m.delattr(os, "fork")
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
         return schmidt(capsys, count, seed)
 
 
