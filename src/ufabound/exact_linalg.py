@@ -171,11 +171,12 @@ def rank_mod_p(m: BoolMatrix, p: int) -> int:
     """Rank over GF(p) for a prime p below ``MOD_P_LIMIT`` (2^31).  Always a
     lower bound on :func:`rank_exact`.  For odd p, the GF(2) pivot minor of
     the distinct rows is eliminated first, as the module docstring says."""
-    # refused by size first: a primality test of a 4,000-digit modulus takes seconds
+    # refused by size first: a primality test of a 4,000-digit modulus takes
+    # seconds, and its digits would make a 4 kB error line
     if p >= MOD_P_LIMIT:
         raise CapacityError(
-            f"rank_mod_p needs a prime below 2^31, got {p}: the int64 "
-            "elimination is exact only while p^2 stays below 2^62")
+            f"rank_mod_p needs a prime below 2^31, got a {p.bit_length()}-bit "
+            "modulus: the int64 elimination is exact only while p^2 stays below 2^62")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = _distinct_rows(m)

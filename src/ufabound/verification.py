@@ -17,7 +17,7 @@ import itertools
 import operator
 import random
 from math import factorial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import automata, combinatorics, crossing, exact_linalg, tables, witness
 from .errors import CapacityError
@@ -31,8 +31,9 @@ MERSENNE_PRIME = 2**31 - 1
 ENTRY_BLOCK_ROWS = 32
 
 # what several checks read (M, G and the ordered tables at a size, the pair
-# study), kept by run_checks for one run and seen only inside it, so that
-# concurrent runs keep their own; a check called on its own builds its own
+# study) and the random check's records, computed beside the others, kept by
+# run_checks for one run and seen only inside it, so that concurrent runs
+# keep their own; a check called on its own builds its own
 _run_memo = contextvars.ContextVar("_run_memo", default=None)
 
 
@@ -325,17 +326,16 @@ def _random_seeds(n: int, level: str, rng: random.Random) -> tuple:
     return min(n, 3), [rng.randrange(2**30) for _ in range(50 if level == "full" else 10)]
 
 
-def _random_result(states: int, seeds: list, records: Iterable[dict]) -> CheckResult:
+def check_random_automata_bound(n: int, level: str, rng: random.Random) -> CheckResult:
     name = "random-automaton ranks stay within the bound"
-    for record in records:
+    states, seeds = _random_seeds(n, level, rng)
+    # run_checks keeps the function that returns these records, computed
+    # beside the other checks; called on its own, the check computes them
+    records = _shared("random", lambda: lambda: crossing.random_records(states, 2, seeds))
+    for record in records():
         if not record["ok"]:
             return CheckResult(name, False, f"instance seed {record['seed']}")
     return CheckResult(name, True, f"{len(seeds)} instances with {states} states")
-
-
-def check_random_automata_bound(n: int, level: str, rng: random.Random) -> CheckResult:
-    states, seeds = _random_seeds(n, level, rng)
-    return _random_result(states, seeds, crossing.random_records(states, 2, seeds))
 
 
 def _count_by_second_index_form(n: int) -> int:
@@ -397,12 +397,10 @@ def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]
     # full, not quick).  Every check draws from a fresh generator, so a
     # shared sample is the one each check would have drawn itself
     states, seeds = _random_seeds(n, level, random.Random(seed))
-    token = _run_memo.set({})
-    try:
-        with workers.beside(functools.partial(crossing.random_records, states, 2),
-                            seeds) as records:
-            return [_random_result(states, seeds, records())
-                    if check is check_random_automata_bound
-                    else check(n, level, random.Random(seed)) for check in _CHECKS]
-    finally:
-        _run_memo.reset(token)
+    with workers.beside(functools.partial(crossing.random_records, states, 2),
+                        seeds) as records:
+        token = _run_memo.set({"random": records})
+        try:
+            return [check(n, level, random.Random(seed)) for check in _CHECKS]
+        finally:
+            _run_memo.reset(token)

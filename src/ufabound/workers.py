@@ -32,7 +32,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 # fork, exit and reaping cost 3-4 ms at the CLI's 30 MB, and a child's
 # first writes to the memory it shares cost more, against about 0.35 ms
 # per three-state schmidt instance checked in blocks: in fresh CLI runs,
-# two shares first beat one near 48 instances (16 and 32 ran faster on one)
+# two shares first beat one near 48 instances (16 and 32 ran faster on one).
+# verify's random check forks by it too: its 10 quick instances were measured
+# not to pay, its 50 full ones to pay; the break-even between is unmeasured
 MIN_SHARE = 24
 # os names no signals; POSIX numbers SIGKILL 9
 _SIGKILL = 9

@@ -248,6 +248,14 @@ def test_rank_mod_p_rejects_primes_beyond_int64_range():
     assert rank_mod_p(m, 2**31 - 1) == 2
 
 
+def test_rank_mod_p_refuses_a_modulus_too_long_to_print():
+    # past Python's 4,300-digit limit on int-to-text conversion; the
+    # refusal neither prints its digits nor tests its primality
+    with pytest.raises(CapacityError, match="2\\^31") as refused:
+        rank_mod_p(packed([[1]]), 10**4999 + 1)
+    assert len(str(refused.value)) < 200
+
+
 def test_rank_mod_p_never_exceeds_rational_rank():
     rng = random.Random(3)
     for _ in range(500):

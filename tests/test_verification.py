@@ -436,6 +436,28 @@ def test_an_error_in_the_random_check_worker_exits_2(capsys, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_run_checks_calls_the_random_check_it_lists(monkeypatch):
+    # a wrapper bound in the module and in _CHECKS, as the bench tracer binds
+    # its own, sees the check run, forked or not, and report what the check
+    # reports called on its own
+    real = verification.check_random_automata_bound
+    listed = verification._CHECKS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for level in ("quick", "full"):
+        calls = []
+
+        def wrapped(n, lvl, rng):
+            calls.append(real(n, lvl, rng))
+            return calls[-1]
+
+        monkeypatch.setattr(verification, "check_random_automata_bound", wrapped)
+        monkeypatch.setattr(verification, "_CHECKS",
+                            [wrapped if check is real else check for check in listed])
+        results = verification.run_checks(3, level)
+        assert calls == [results[-1]] and results[-1].ok
+        assert results[-1] == real(3, level, random.Random(0))
+
+
 def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
     # a quick run's 10 instances are fewer than a worker's share and run
     # here; a full run's 50 run in one worker
