@@ -11,8 +11,7 @@ produces a higher rank.
 
 from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, dump_automaton,
                        load_automaton, twonfa_accepts)
-from .combinatorics import (NestedSetSequence, PrefixLayerFunction,
-                            asymptotic_floor, count_ordered_prefix_tables,
+from .combinatorics import (asymptotic_floor, count_ordered_prefix_tables,
                             enumerate_ordered_prefix_tables, p_count, s_count,
                             stirling2, table1_row)
 from .crossing import (OptimalityReport, prefix_tables_of, random_two_way_nfa,

@@ -1,8 +1,13 @@
 """Counting and enumerating ordered prefix tables.
 
-An ordered prefix table decomposes uniquely into a layer assignment (which
+An ordered prefix table decomposes uniquely into a layer function (which
 chain position each state's value occupies) and the chain of nested sets
-itself.  Counting each factor separately gives the closed form
+itself.  Both factors of rank k are maps {1..n} -> {0..k}: a layer
+function attains every value below k, and a chain S_0 < ... < S_k is the
+surjection s with S_i = {v : s(v) <= i}, which is the suffix layer of its
+tables.  The bijection builds each table from the two and hands it out with
+its layer structure attached.  Counting each factor separately gives the
+closed form
 
     count(n) = sum over k of  k! * stirling2(n+1, k+1) * (k+1)! * stirling2(n, k+1)
 
@@ -19,13 +24,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
 from math import comb, factorial
-from typing import Iterator
 
 from .errors import BIJECTION_MAX_N, CapacityError
-from .statesets import check_n, full_mask
-from .tables import PrefixTable
+from .statesets import check_n
+from .tables import PrefixTable, layered_tables
 
 def _stirling_row(n: int, top: int) -> list[int]:
     """stirling2(n, k) for k = 0..top, built row by row from n = 0."""
@@ -75,99 +79,41 @@ def count_ordered_prefix_tables(n: int) -> int:
                for k in range(n))
 
 
-@dataclass(frozen=True)
-class PrefixLayerFunction:
-    """A map {1..n} -> {0..k} attaining every value in {0..k-1}."""
-
-    n: int
-    rank_k: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.n:
-            raise ValueError("one layer per state required")
-        if any(not 0 <= v <= self.rank_k for v in self.values):
-            raise ValueError("layer out of range")
-        if not set(range(self.rank_k)) <= set(self.values):
-            raise ValueError("every layer below the rank must be attained")
+def _layer_maps(n: int, k: int, hit: int) -> list[tuple[int, ...]]:
+    """The maps {1..n} -> {0..k} whose image holds every value below hit,
+    as value tuples in :func:`itertools.product` order."""
+    required = set(range(hit))
+    return [p for p in itertools.product(range(k + 1), repeat=n) if required.issubset(p)]
 
 
-@dataclass(frozen=True)
-class NestedSetSequence:
-    """Masks S_0 < S_1 < ... < S_k = {1..n}, strictly nested, S_0 non-empty."""
-
-    n: int
-    rank_k: int
-    sets: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.sets) != self.rank_k + 1:
-            raise ValueError("a rank-k sequence has k+1 sets")
-        if self.sets[0] == 0:
-            raise ValueError("the first set must be non-empty")
-        if self.sets[-1] != full_mask(self.n):
-            raise ValueError("the last set must be the full set")
-        for a, b in zip(self.sets, self.sets[1:]):
-            if a & ~b or a == b:
-                raise ValueError("sets must be strictly nested")
-
-
-def enumerate_prefix_layer_functions(n: int, k: int) -> Iterator[PrefixLayerFunction]:
-    _check_rank_range(n, k)
-    required = set(range(k))
-    for values in itertools.product(range(k + 1), repeat=n):
-        if required <= set(values):
-            yield PrefixLayerFunction(n, k, values)
-
-
-def _submasks_between(mask: int, min_bits: int) -> list[int]:
-    # proper non-empty submasks of mask with at least min_bits bits, ascending
-    out = []
-    sub = (mask - 1) & mask
-    while sub:
-        if sub.bit_count() >= min_bits:
-            out.append(sub)
-        sub = (sub - 1) & mask
-    out.reverse()
-    return out
-
-
-def enumerate_nested_set_sequences(n: int, k: int) -> Iterator[NestedSetSequence]:
-    _check_rank_range(n, k)
-
-    def grow(top: int, depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == 0:
-            yield (top,)
-            return
-        for sub in _submasks_between(top, depth):
-            for seq in grow(sub, depth - 1):
-                yield seq + (top,)
-
-    for sets in grow(full_mask(n), k):
-        yield NestedSetSequence(n, k, sets)
-
-
-def table_from_layer_pair(p: PrefixLayerFunction, s: NestedSetSequence) -> PrefixTable:
-    """The ordered prefix table with f(u) = S_{p(u)}."""
-    if p.n != s.n or p.rank_k != s.rank_k:
-        raise ValueError("mismatched layer function and set sequence")
-    return PrefixTable(p.n, tuple(s.sets[v] for v in p.values))
+def _chain(s: tuple[int, ...], k: int) -> tuple[int, ...]:
+    # the nested sets S_i = {v : s(v) <= i}, i = 0..k, of a surjection s
+    sets = [0] * (k + 1)
+    for v, i in enumerate(s, start=1):
+        sets[i] |= 1 << v
+    return tuple(itertools.accumulate(sets, operator.or_))
 
 
 def enumerate_ordered_prefix_tables(n: int) -> list[PrefixTable]:
-    """All ordered prefix tables, generated through the layer decomposition.
+    """All ordered prefix tables, generated through the layer decomposition
+    and born with their layer structure: by rank k, then by chain in the
+    order of (S_{k-1}, ..., S_0), then by layer function.
 
-    ``verify`` checks the output for repeats and against the closed-form
-    count.
+    ``verify`` checks the output for repeats, against the closed-form count
+    and, structure by structure, against :func:`ufabound.tables.layer_structure`.
     """
     check_n(n)
     if n > BIJECTION_MAX_N:
         raise CapacityError(
             f"ordered-table enumeration is limited to n <= {BIJECTION_MAX_N}")
-    return [table_from_layer_pair(p, s)
-            for k in range(n)
-            for s in enumerate_nested_set_sequences(n, k)
-            for p in enumerate_prefix_layer_functions(n, k)]
+    out = []
+    for k in range(n):
+        layer_functions = _layer_maps(n, k, k)
+        chains = sorted((_chain(s, k) for s in _layer_maps(n, k, k + 1)),
+                        key=lambda chain: chain[-2::-1])
+        for chain in chains:
+            out += layered_tables(n, chain, layer_functions)
+    return out
 
 
 def table1_row(n: int) -> tuple[int, int, int, int]:

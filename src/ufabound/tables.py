@@ -139,7 +139,7 @@ def is_ordered(f: PrefixTable) -> bool:
                for a, b in itertools.combinations(f.values, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerStructure:
     """The chain of a table's distinct values and the derived layer maps.
 
@@ -155,9 +155,15 @@ class LayerStructure:
     suffix_layer: tuple[int, ...]
 
 
+def _suffix_layer(n: int, chain: Sequence[int]) -> tuple[int, ...]:
+    # for each state v, the first chain index whose set holds v
+    return tuple(next(i for i, s in enumerate(chain) if s >> v & 1) for v in range(1, n + 1))
+
+
 def layer_structure(f: PrefixTable) -> LayerStructure:
     """f's layer structure, computed on the first call and kept on f itself
-    (not in a module-level cache).  Raises ValueError for an unordered table."""
+    (not in a module-level cache), unless f was born with it
+    (:func:`layered_tables`).  Raises ValueError for an unordered table."""
     cached = f.__dict__.get("_layers")
     if cached is not None:
         return cached
@@ -170,11 +176,30 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
         chain.append(full)
     index = {s: i for i, s in enumerate(chain)}
     pl = tuple(index[v] for v in f.values)
-    sl = []
-    for v in range(1, f.n + 1):
-        sl.append(next(i for i, s in enumerate(chain) if s >> v & 1))
-    ls = f.__dict__["_layers"] = LayerStructure(rank_k, tuple(chain), pl, tuple(sl))
+    ls = f.__dict__["_layers"] = LayerStructure(rank_k, tuple(chain), pl,
+                                                _suffix_layer(f.n, chain))
     return ls
+
+
+def layered_tables(n: int, chain: tuple[int, ...],
+                   layer_functions: Iterable[tuple[int, ...]]) -> list[PrefixTable]:
+    """The ordered tables f(u) = chain[p[u-1]], one per layer function p,
+    each born with its layer structure.
+
+    chain is S_0 < S_1 < ... < S_k with S_k the full set, and each p maps
+    {1..n} to {0..k} attaining every layer below k, so p is the table's
+    prefix layer.  Each table is validated as a prefix table; chain and p
+    are taken as given (``verify``'s count check compares the structures
+    they give with :func:`layer_structure`'s).
+    """
+    rank_k = len(chain) - 1
+    suffix_layer = _suffix_layer(n, chain)
+    out = []
+    for p in layer_functions:
+        f = PrefixTable(n, tuple(map(chain.__getitem__, p)))
+        f.__dict__["_layers"] = LayerStructure(rank_k, chain, p, suffix_layer)
+        out.append(f)
+    return out
 
 
 def layer_masks(fs: Sequence[PrefixTable], bases: Sequence[PrefixTable]

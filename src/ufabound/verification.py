@@ -366,6 +366,14 @@ def check_count_matches_enumeration(n: int, level: str, rng: random.Random) -> C
     if {f.values for f in by_filter} != layered:
         return CheckResult(name, False, f"the filter and layer enumerations differ "
                            f"at size {size}")
+    # the layer enumeration's tables are born with their layer structure,
+    # which the other checks read: compare it with the one computed afresh
+    # for the filter enumeration's copy of each table
+    computed = {f.values: tables.layer_structure(f) for f in by_filter}
+    for f in by_layers:
+        if tables.layer_structure(f) != computed[f.values]:
+            return CheckResult(name, False, f"the layer enumeration's structure of {f} "
+                               f"differs from the computed one")
     return CheckResult(name, True, f"{len(by_filter)} tables at size {size}")
 
 

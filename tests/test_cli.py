@@ -126,6 +126,28 @@ def test_enumerate_methods_agree(tmp_path, capsys):
     assert a == b and len(a) == 115
 
 
+# the table count and the sha256 of the file enumerate --n N writes with
+# the default method: the bijection's order, into which verify's seeded
+# draws index
+ENUMERATE_PINS = {
+    3: (115, "eed984fb6c07eafed7eacfb58a4d5253406de1d5161e4c9259dd57336f11165b"),
+    4: (3451, "28d783973fa7651b5349a11a20cc5f1f1af494c612cbfe695b5e5e5438ec5998"),
+    5: (164731, "13311dda15558f8418d4ae5793b84c466fa58e4b905629c4d7a83472e77e71d5"),
+}
+
+
+@pytest.mark.parametrize("n", [
+    3, 4, pytest.param(5, marks=pytest.mark.skipif(
+        not os.environ.get("UFABOUND_EXTENDED"),
+        reason="set UFABOUND_EXTENDED=1 for the n=5 enumeration (about 3.5 s)"))])
+def test_enumerate_output_is_pinned(tmp_path, capsys, n):
+    count, digest = ENUMERATE_PINS[n]
+    out = tmp_path / "ordered.txt"
+    code, text, _ = run(capsys, "enumerate", "--n", str(n), "--out", str(out))
+    assert code == 0 and text == f"{count} tables written to {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_build_matrix_and_rank(tmp_path, capsys):
     mat = tmp_path / "m2.mat"
     code, out, _ = run(capsys, "build-matrix", "--n", "2", "--kind", "M",

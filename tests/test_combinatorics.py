@@ -6,7 +6,6 @@ import pytest
 from ufabound import combinatorics as cmb
 from ufabound import tables
 from ufabound.errors import CapacityError
-from ufabound.statesets import full_mask
 
 
 def partitions_brute_force(n, k):
@@ -76,15 +75,24 @@ class TestLayerCounts:
         for n in range(1, 5):
             for k in range(0, n):
                 assert cmb.p_count(n, k) == surjections_with_pin_brute_force(n, k)
-                assert cmb.p_count(n, k) == sum(
-                    1 for _ in cmb.enumerate_prefix_layer_functions(n, k))
 
     def test_s_count_against_enumeration(self):
         for n in range(1, 5):
             for k in range(0, n):
                 assert cmb.s_count(n, k) == ordered_partitions_brute_force(n, k)
-                assert cmb.s_count(n, k) == sum(
-                    1 for _ in cmb.enumerate_nested_set_sequences(n, k))
+
+    def test_the_bijection_has_both_factors_of_each_rank(self):
+        # the tables of rank k pair every layer function with every chain
+        for n in range(1, 5):
+            layer_functions, chains = {}, {}
+            for f in cmb.enumerate_ordered_prefix_tables(n):
+                ls = tables.layer_structure(f)
+                layer_functions.setdefault(ls.rank_k, set()).add(ls.prefix_layer)
+                chains.setdefault(ls.rank_k, set()).add(ls.nested_sets)
+            assert {k: len(ps) for k, ps in layer_functions.items()} == {
+                k: cmb.p_count(n, k) for k in range(n)}, n
+            assert {k: len(ss) for k, ss in chains.items()} == {
+                k: cmb.s_count(n, k) for k in range(n)}, n
 
     def test_named_values(self):
         assert cmb.p_count(2, 1) == 3
@@ -127,37 +135,16 @@ class TestBijectionEnumeration:
             hist[k] = hist.get(k, 0) + 1
         assert hist == {0: 1, 1: 6}
 
-    def test_outputs_are_ordered_with_generating_rank(self):
-        for k in range(3):
-            for s in cmb.enumerate_nested_set_sequences(3, k):
-                for p in cmb.enumerate_prefix_layer_functions(3, k):
-                    f = cmb.table_from_layer_pair(p, s)
-                    assert tables.is_ordered(f)
-                    ls = tables.layer_structure(f)
-                    assert ls.rank_k == k
-                    # round-trip: the layer decomposition returns the pair
-                    assert ls.nested_sets == s.sets
-                    assert ls.prefix_layer == p.values
+    def test_born_structures_match_the_computed_ones(self):
+        for n in range(1, 5):
+            for f in cmb.enumerate_ordered_prefix_tables(n):
+                assert tables.is_ordered(f)
+                fresh = tables.PrefixTable(n, f.values)
+                assert tables.layer_structure(f) == tables.layer_structure(fresh), f
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             cmb.enumerate_ordered_prefix_tables(6)
-
-    def test_layer_function_validation(self):
-        with pytest.raises(ValueError):
-            cmb.PrefixLayerFunction(3, 2, (0, 0, 0))   # layer 1 missing
-        with pytest.raises(ValueError):
-            cmb.PrefixLayerFunction(3, 1, (0, 2, 1))   # value above rank
-        cmb.PrefixLayerFunction(3, 1, (0, 1, 1))
-
-    def test_nested_sequence_validation(self):
-        with pytest.raises(ValueError):
-            cmb.NestedSetSequence(2, 1, (0, full_mask(2)))          # empty start
-        with pytest.raises(ValueError):
-            cmb.NestedSetSequence(2, 1, (0b010, 0b010))             # not strict
-        with pytest.raises(ValueError):
-            cmb.NestedSetSequence(2, 0, (0b010,))                   # not full at end
-        cmb.NestedSetSequence(2, 1, (0b010, full_mask(2)))
 
 
 class TestTable1:

@@ -7,7 +7,7 @@ from ufabound.errors import CapacityError
 from ufabound.statesets import elements, full_mask, mask_of
 from ufabound.tables import (PrefixTable, SuffixTable, augment,
                              enumerate_prefix_tables, enumerate_suffix_tables,
-                             is_ordered, layer_masks, layer_structure,
+                             is_ordered, layer_masks, layer_structure, layered_tables,
                              prefix_table_from_text, prefix_table_to_text,
                              starting_state, suffix_table_from_text,
                              suffix_table_to_text, table_size)
@@ -195,6 +195,19 @@ class TestLayerStructure:
             ls = layer_structure(f)
             assert ls.prefix_layer[starting_state(f) - 1] == 0
             assert all(p <= ls.rank_k for p in ls.prefix_layer)
+
+    def test_layered_tables_are_born_with_their_structure(self):
+        chain = (mask_of({1}), mask_of({1, 2}), full_mask(3))
+        f, g = layered_tables(3, chain, [(1, 0, 2), (0, 1, 1)])
+        assert f == pt(3, {1, 2}, {1}, {1, 2, 3}) and g == pt(3, {1}, {1, 2}, {1, 2})
+        assert layer_structure(f) == layer_structure(pt(3, {1, 2}, {1}, {1, 2, 3}))
+        assert layer_structure(g) == layer_structure(pt(3, {1}, {1, 2}, {1, 2}))
+        assert layer_structure(g).nested_sets is chain
+
+    def test_layered_tables_are_validated(self):
+        # an empty S_0 gives an empty value, which no prefix table has
+        with pytest.raises(ValueError, match="non-empty"):
+            layered_tables(2, (0, full_mask(2)), [(0, 1)])
 
 
 class TestTableRankViaMatrix:

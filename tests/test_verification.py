@@ -585,6 +585,20 @@ def test_enumeration_differing_from_filter_fails(monkeypatch):
     assert not r.ok and "differ" in r.detail
 
 
+def test_a_wrong_born_structure_fails_the_count_check(monkeypatch):
+    real = combinatorics.enumerate_ordered_prefix_tables
+    # the table ({1}, {1}, {1,2,3}) born as if {1,2} were one of its
+    # values: rank 2, where its computed structure has rank 1
+    wrong = tables.layered_tables(3, (0b0010, 0b0110, 0b1110), [(0, 0, 2)])[0]
+    assert tables.layer_structure(wrong) != tables.layer_structure(
+        tables.PrefixTable(3, wrong.values))
+    monkeypatch.setattr(combinatorics, "enumerate_ordered_prefix_tables",
+                        lambda n: [wrong if f == wrong else f for f in real(n)])
+    r = verification.check_count_matches_enumeration(3, "quick", random.Random(0))
+    assert not r.ok and r.detail == (f"the layer enumeration's structure of {wrong} "
+                                     f"differs from the computed one")
+
+
 # Under ``python -O`` the checks must compare exactly as without it.
 
 def _run(*args):
@@ -611,6 +625,20 @@ def test_missing_breakthrough_fails_under_optimize():
             "tables.layer_masks = lambda fs, bases: [\n"
             "    [(0, 0)] * tables.layer_structure(f0).rank_k for f0 in bases]\n"
             "r = verification.check_forced_breakthrough(3, 'full', random.Random(0))\n"
+            "print('PASS' if r.ok else 'FAIL')\n")
+    proc = _run("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "FAIL\n"
+
+
+def test_wrong_born_structure_fails_under_optimize():
+    code = ("import random\n"
+            "from ufabound import combinatorics, tables, verification\n"
+            "real = combinatorics.enumerate_ordered_prefix_tables\n"
+            "wrong = tables.layered_tables(3, (0b0010, 0b0110, 0b1110), [(0, 0, 2)])[0]\n"
+            "combinatorics.enumerate_ordered_prefix_tables = lambda n: [\n"
+            "    wrong if f == wrong else f for f in real(n)]\n"
+            "r = verification.check_count_matches_enumeration(3, 'quick', random.Random(0))\n"
             "print('PASS' if r.ok else 'FAIL')\n")
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
