@@ -141,3 +141,27 @@ def staged_table_image(f0, stage):
     chain.append(full_mask(f0.n))
     return PrefixTable(f0.n, tuple(chain[next((i for i, t in enumerate(tops) if p <= t),
                                               len(tops))] for p in ls.prefix_layer))
+
+
+# ---------------------------------------------------------------------------
+# the plain-set oracle of the pair study's drop-down and breakthrough layers
+
+def reach_up_to(f, f0, i):
+    """The union of f(u), as a set, over the states u on f0's prefix
+    layers up to i."""
+    ls = layer_structure(f0)
+    reach = set()
+    for u in range(1, f.n + 1):
+        if ls.prefix_layer[u - 1] <= i:
+            reach |= set(elements(f.value(u)))
+    return reach
+
+
+def oracle_layers(f, f0):
+    """Plain sets, per layer i of f0: whether f drops down from it (reach_i
+    inside S_{i-1}, empty for i = 0) and whether f breaks through it
+    (reach_i leaves S_i)."""
+    ls = layer_structure(f0)
+    chain = [set(elements(s)) for s in ls.nested_sets]
+    return [(reach_up_to(f, f0, i) <= (chain[i - 1] if i else set()),
+             not reach_up_to(f, f0, i) <= chain[i]) for i in range(ls.rank_k)]

@@ -17,6 +17,8 @@ from ufabound import combinatorics as cmb
 from ufabound import crossing, exact_linalg, tables, witness
 from ufabound.statesets import elements
 
+from conftest import oracle_layers
+
 MERSENNE = 2**31 - 1
 
 ORDERED_TABLE_COUNTS = [1, 7, 115, 3451, 164731, 11467387,
@@ -147,8 +149,9 @@ def test_criterion_6_augmentation_row_identity():
 def _check_staged_table_properties(f, f0, n):
     ls = tables.layer_structure(f0)
     k = ls.rank_k
-    # the pair's masks, bit i = layer i of f0
-    [layers] = tables.layer_masks([f], [f0])
+    # the pair's drop-down and breakthrough layers from the plain-set
+    # oracle, bit i = layer i of f0
+    layers = oracle_layers(f, f0)
     drop = sum(d << i for i, (d, _) in enumerate(layers))
     brk = sum(b << i for i, (_, b) in enumerate(layers))
     if f.values != f0.values and tables.table_size(f) >= tables.table_size(f0):

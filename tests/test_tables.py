@@ -15,6 +15,8 @@ from ufabound.verification import (_complement_rank, _pair_study,
                                    _unordered_witness, check_layer_rank)
 from ufabound.witness import acceptance_matrix
 
+from conftest import oracle_layers, reach_up_to
+
 
 def pt(n, *sets):
     return PrefixTable.from_sets(n, sets)
@@ -229,32 +231,12 @@ def _layers_of(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
-def _reach_up_to(f, f0, i):
-    # plain-set oracle: f's values on the states of f0's prefix layers <= i
-    ls = layer_structure(f0)
-    reach = set()
-    for u in range(1, f.n + 1):
-        if ls.prefix_layer[u - 1] <= i:
-            reach |= set(elements(f.value(u)))
-    return reach
-
-
 def pair_masks(f, f0):
     """f's drop-down and breakthrough layers against f0, as bit masks over
     f0's layers (bit i = layer i), read off the sliced masks of one pair."""
     [layers] = layer_masks([f], [f0])
     return (sum(d << i for i, (d, _) in enumerate(layers)),
             sum(b << i for i, (_, b) in enumerate(layers)))
-
-
-def _oracle_layers(f, f0):
-    """Plain sets, per layer i of f0: whether f drops down from it (reach_i
-    inside S_{i-1}, empty for i = 0) and whether f breaks through it
-    (reach_i leaves S_i)."""
-    ls = layer_structure(f0)
-    chain = [set(elements(s)) for s in ls.nested_sets]
-    return [(_reach_up_to(f, f0, i) <= (chain[i - 1] if i else set()),
-             not _reach_up_to(f, f0, i) <= chain[i]) for i in range(ls.rank_k)]
 
 
 def _assert_sliced_masks_match_the_oracle(fs, bases, pairs, masks):
@@ -267,7 +249,7 @@ def _assert_sliced_masks_match_the_oracle(fs, bases, pairs, masks):
         for t, f in enumerate(fs):
             if lanes >> t & 1:
                 got = [(bool(d >> t & 1), bool(b >> t & 1)) for d, b in layers]
-                assert got == _oracle_layers(f, f0), (f, f0)
+                assert got == oracle_layers(f, f0), (f, f0)
                 checked += 1
     return checked
 
@@ -328,7 +310,7 @@ class TestBreakthroughAndDropDown:
         def breaks_at(f, f0, i):
             # f's reach from f0's prefix layers <= i leaves S_i
             s_i = set(elements(layer_structure(f0).nested_sets[i]))
-            return bool(_reach_up_to(f, f0, i) - s_i)
+            return bool(reach_up_to(f, f0, i) - s_i)
 
         rng = random.Random(9)
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
@@ -343,7 +325,7 @@ class TestBreakthroughAndDropDown:
             # f's reach from f0's prefix layers <= i stays inside S_{i-1}
             ls = layer_structure(f0)
             below = set(elements(ls.nested_sets[i - 1])) if i >= 1 else set()
-            return _reach_up_to(f, f0, i) <= below
+            return reach_up_to(f, f0, i) <= below
 
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         drops = 0

@@ -227,6 +227,35 @@ def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
     assert not r.ok and r.detail == f"non-zero entry for {ordered[i]} against {ordered[j]}"
 
 
+def _assert_columns_are_the_acceptance_cells(firsts, bases, accepts, columns, n):
+    """accepts[j][b] is the accept set of base table bases[j]'s staged
+    table of stage set b, and bit t of columns[j][b] the cell of firsts[t]
+    against that table, read off one acceptance matrix per base table (its
+    cells are those of one-cell matrices); returns the cells checked."""
+    checked = 0
+    for f0, acc, cols in zip(bases, accepts, columns, strict=True):
+        k = tables.layer_structure(f0).rank_k
+        staged = [witness.build_g_I(f0, {i for i in range(k) if b >> i & 1})
+                  for b in range(1 << k)]
+        assert acc == [h.accept_flags for h in staged]
+        rows = witness.acceptance_matrix(firsts, staged, n).bits
+        assert cols == [sum((row >> b & 1) << t for t, row in enumerate(rows))
+                        for b in range(1 << k)]
+        checked += len(firsts) << k
+    return checked
+
+
+@pytest.mark.parametrize("size, level, seed", [(3, "full", 0), (4, "quick", 7)])
+def test_the_study_columns_are_the_acceptance_cells(size, level, seed):
+    # every first table against every staged table of every base table,
+    # also the pairs a sampled study does not mark
+    study = verification._pair_study(size, level, random.Random(seed))
+    ks = [tables.layer_structure(f0).rank_k for f0 in study.bases]
+    assert _assert_columns_are_the_acceptance_cells(
+        study.firsts, study.bases, study.accepts, study.columns, size) == \
+        len(study.firsts) * sum(1 << k for k in ks)
+
+
 @pytest.mark.parametrize("size", [3, 4])
 def test_the_quick_study_reads_each_pair_as_a_call_of_its_own(size):
     # draw j pairs base table j with first table j: bit j of its masks and
