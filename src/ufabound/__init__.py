@@ -20,8 +20,8 @@ from .errors import CapacityError
 from .exact_linalg import rank_exact, rank_mod_p
 from .tables import (LayerStructure, PrefixTable, SuffixTable, augment,
                      enumerate_prefix_tables, enumerate_suffix_tables, is_ordered,
-                     layer_masks, layer_structure, starting_state, table_size)
+                     layer_structure, starting_state, table_size)
 from .witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix, build_K,
-                      build_M, build_g_I, staged_columns)
+                      build_M, build_g_I)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

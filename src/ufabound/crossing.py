@@ -144,20 +144,22 @@ class OptimalityReport:
     """Outcome of one rank-versus-bound experiment.
 
     ``universal`` is the acceptance matrix over the distinct induced
-    tables, which label its rows and columns.
+    tables, which label its rows and columns; the sizes are read off the
+    two matrices.
     """
 
     n: int
     rank: int
     bound: int
-    rows: int
-    cols: int
-    reduced_rows: int
-    reduced_cols: int
     seed: Optional[int]
     ok: bool
     matrix: BoolMatrix
     universal: BoolMatrix
+
+    rows = property(lambda self: self.matrix.rows)
+    cols = property(lambda self: self.matrix.cols)
+    reduced_rows = property(lambda self: self.universal.rows)
+    reduced_cols = property(lambda self: self.universal.cols)
 
     def to_json(self) -> dict:
         return {
@@ -232,11 +234,8 @@ def _report(a: TwoWayNfa, xs: tuple, ys: tuple, found: Sequence,
     bound = count_ordered_prefix_tables(n)
     ok = entries_ok and rank == exact_linalg.rank_exact(universal) <= bound
 
-    return OptimalityReport(
-        n=n, rank=rank, bound=bound,
-        rows=matrix.rows, cols=matrix.cols,
-        reduced_rows=universal.rows, reduced_cols=universal.cols,
-        seed=seed, ok=ok, matrix=matrix, universal=universal)
+    return OptimalityReport(n=n, rank=rank, bound=bound, seed=seed, ok=ok,
+                            matrix=matrix, universal=universal)
 
 
 def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:

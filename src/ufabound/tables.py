@@ -22,13 +22,11 @@ with values[u-1] holding the set for state u.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ENUMERATION_MAX_N, CapacityError
-from .statesets import (check_n, format_set, full_mask, is_subset, mask_of, parse_set,
-                        transpose)
+from .statesets import check_n, format_set, full_mask, is_subset, mask_of, parse_set
 
 
 @dataclass(frozen=True)
@@ -199,51 +197,6 @@ def layered_tables(n: int, chain: tuple[int, ...],
         f = PrefixTable(n, tuple(map(chain.__getitem__, p)))
         f.__dict__["_layers"] = LayerStructure(rank_k, chain, p, suffix_layer)
         out.append(f)
-    return out
-
-
-def layer_masks(fs: Sequence[PrefixTable], bases: Sequence[PrefixTable]
-                ) -> list[list[tuple[int, int]]]:
-    """For each base table f0 = bases[j] and each of its layers i = 0..k-1,
-    the pair (drop, brk) of ints over the first tables fs: bit t of drop is
-    set iff fs[t] drops down from layer i, bit t of brk iff fs[t] breaks
-    through it.
-
-    With reach_i the union of f(u) over the states u on f0's prefix layers
-    up to i, f drops down from layer i when reach_i stays inside S_{i-1}
-    (empty for i = 0) and breaks through layer i when reach_i leaves S_i.
-    The work is bit-sliced over fs: arcs[u-1][v] is the int of the tables
-    with v in f(u), one :func:`ufabound.statesets.transpose` of their
-    values at u.  Every table must be ordered and of the same size.
-    """
-    every = (1 << len(fs)) - 1
-    sizes = {f.n for f in itertools.chain(fs, bases)}
-    if len(sizes) > 1:
-        raise ValueError("every table must have the same size")
-    for f in fs:
-        layer_structure(f)  # rejects an unordered f
-    n = sizes.pop() if sizes else 0
-    arcs = [transpose([f.values[u] for f in fs], n + 1) for u in range(n)]
-    out = []
-    for f0 in bases:
-        ls = layer_structure(f0)
-        # reach[v] is the int of the tables whose reach_i holds v
-        reach, below, layers = [0] * (n + 1), 0, []
-        for i, s_i in enumerate(ls.nested_sets[:ls.rank_k]):
-            for arc, layer in zip(arcs, ls.prefix_layer):
-                if layer == i:
-                    reach = list(map(operator.or_, reach, arc))
-            # the tables whose reach_i leaves S_{i-1}, which do not drop
-            # down, and those whose reach_i leaves S_i, which break through
-            left_below = left_s_i = 0
-            for v, r in enumerate(reach):
-                if not below >> v & 1:
-                    left_below |= r
-                    if not s_i >> v & 1:
-                        left_s_i |= r
-            layers.append((every & ~left_below, left_s_i))
-            below = s_i
-        out.append(layers)
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import automata, combinatorics, crossing, exact_linalg, tables, witness
 from .errors import CapacityError
-from .statesets import elements, full_mask
+from .statesets import elements, full_mask, transpose
 
 MERSENNE_PRIME = 2**31 - 1
 # rows of M per search in the entry check: each search simulates its rows
@@ -169,11 +169,8 @@ class _PairStudy(NamedTuple):
 
     Bit t of an int of entry j stands for the pair of the base table
     bases[j] with the first table firsts[t]; bit t of pairs[j] marks the
-    pairs studied, which run in the order of t, then j.  masks[j] are the
-    base table's :func:`tables.layer_masks`; for stage set b (bit l stages
-    layer l), accepts[j][b] and columns[j][b] are what
-    :func:`witness.staged_columns` reads off G for its
-    :func:`witness.build_g_I` table.
+    pairs studied, which run in the order of t, then j.  masks, accepts and
+    columns are :func:`_study_of`'s.
     """
 
     bases: list
@@ -196,11 +193,58 @@ def _draw_pairs(size: int, level: str, rng: random.Random) -> tuple:
     return bases, picks[0::2], [1 << j for j in range(len(bases))]
 
 
+def _study_of(g: witness.BoolMatrix, firsts: list, bases: list) -> tuple:
+    """(masks, accepts, columns) of the first tables, each a row of G,
+    against the base tables, in one pass per base table f0 = bases[j].
+
+    masks[j][i] is the pair (drop, brk) of ints over the first tables for
+    layer i < k of f0: with reach_i the union of f(u) over the states u on
+    f0's prefix layers up to i, f drops down from layer i when reach_i
+    stays inside S_{i-1} (empty for i = 0) and breaks through it when
+    reach_i leaves S_i.  For stage set b (bit l stages layer l),
+    accepts[j][b] is the accept set of the column of G equal to
+    :func:`witness.build_g_I` of f0 and b's layers, and columns[j][b] the
+    int of the first tables with a 1 there; None and 0 where no column of
+    G equals it.  arcs[u-1][v] is the int of the first tables with v in
+    f(u), and down[c] that of those with a 1 in column c, each from one
+    :func:`transpose` per call.
+    """
+    n = g.row_labels[0].n
+    every = (1 << len(firsts)) - 1
+    row_of = {f: i for i, f in enumerate(g.row_labels)}
+    col_of = {h: c for c, h in enumerate(g.col_labels)}
+    arcs = [transpose([f.values[u] for f in firsts], n + 1) for u in range(n)]
+    down = transpose([g.bits[row_of[f]] for f in firsts], g.cols)
+    masks, accepts, columns = [], [], []
+    for f0 in bases:
+        ls = tables.layer_structure(f0)
+        k = ls.rank_k
+        # reach[v] is the int of the first tables whose reach_i holds v
+        reach, below, layers = [0] * (n + 1), 0, []
+        for i, s_i in enumerate(ls.nested_sets[:k]):
+            for arc, layer in zip(arcs, ls.prefix_layer):
+                if layer == i:
+                    reach = list(map(operator.or_, reach, arc))
+            # the tables whose reach_i leaves S_{i-1}, which do not drop
+            # down, and those whose reach_i leaves S_i, which break through
+            left_below = left_s_i = 0
+            for v, r in enumerate(reach):
+                if not below >> v & 1:
+                    left_below |= r
+                    if not s_i >> v & 1:
+                        left_s_i |= r
+            layers.append((every & ~left_below, left_s_i))
+            below = s_i
+        masks.append(layers)
+        cols = [col_of.get(witness.build_g_I(f0, _stage_set(b, k))) for b in range(1 << k)]
+        accepts.append([None if c is None else g.col_labels[c].accept_flags for c in cols])
+        columns.append([0 if c is None else down[c] for c in cols])
+    return masks, accepts, columns
+
+
 def _pair_study(size: int, level: str, rng: random.Random) -> _PairStudy:
     bases, firsts, pairs = _draw_pairs(size, level, rng)
-    accepts, columns = witness.staged_columns(_matrix_g(size), firsts, bases)
-    return _PairStudy(bases, firsts, pairs, tables.layer_masks(firsts, bases),
-                      accepts, columns)
+    return _PairStudy(bases, firsts, pairs, *_study_of(_matrix_g(size), firsts, bases))
 
 
 def _study(n: int, level: str, rng: random.Random) -> _PairStudy:
@@ -395,6 +439,9 @@ _CHECKS: list[Callable] = [
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
+    # the rank check lists every ordered table at n: refused before a worker
+    # forks or any check runs
+    tables.check_enumeration_size(n)
 
     # imported here, so that only the commands that fork workers load it
     from . import workers

@@ -254,32 +254,6 @@ def staged_matrix(ordered: Sequence[PrefixTable], n: int) -> BoolMatrix:
     return acceptance_matrix(ordered, [build_g_I(h, set()) for h in ordered], n)
 
 
-def staged_columns(g: BoolMatrix, fs: Sequence[PrefixTable], bases: Sequence[PrefixTable]
-                   ) -> tuple[list[list[int | None]], list[list[int]]]:
-    """The staged suffix tables of each base table f0 = bases[j], one per
-    stage set b (bit l stages layer l), looked up among the columns of G
-    (:func:`staged_matrix`) and read against the first tables fs, each a
-    row of G: accepts[j][b] is the accept set of the column equal to
-    ``build_g_I(f0, b's layers)``, None when there is none, and
-    columns[j][b] the int of the tables fs[t] (bit t) with a 1 there, 0
-    when there is none.  The rows of fs are transposed once, in
-    :func:`ufabound.statesets.transpose`.
-    """
-    row_of = {f: i for i, f in enumerate(g.row_labels)}
-    col_of = {h: c for c, h in enumerate(g.col_labels)}
-    if not all(f in row_of for f in fs):
-        raise ValueError("every first table must be a row of G")
-    down = transpose([g.bits[row_of[f]] for f in fs], g.cols)
-    accepts, columns = [], []
-    for f0 in bases:
-        k = layer_structure(f0).rank_k
-        cols = [col_of.get(build_g_I(f0, {i for i in range(k) if b >> i & 1}))
-                for b in range(1 << k)]
-        accepts.append([None if c is None else g.col_labels[c].accept_flags for c in cols])
-        columns.append([0 if c is None else down[c] for c in cols])
-    return accepts, columns
-
-
 # ---------------------------------------------------------------------------
 # matrix text format: "rows cols" on the first line, then one line of
 # contiguous 0/1 characters per row; when the labels are tables, companion

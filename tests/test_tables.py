@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,13 +8,13 @@ from ufabound.errors import CapacityError
 from ufabound.statesets import elements, full_mask, mask_of
 from ufabound.tables import (PrefixTable, SuffixTable, augment,
                              enumerate_prefix_tables, enumerate_suffix_tables,
-                             is_ordered, layer_masks, layer_structure, layered_tables,
+                             is_ordered, layer_structure, layered_tables,
                              prefix_table_from_text, prefix_table_to_text,
                              starting_state, suffix_table_from_text,
                              suffix_table_to_text, table_size)
-from ufabound.verification import (_complement_rank, _pair_study,
+from ufabound.verification import (_complement_rank, _pair_study, _study_of,
                                    _unordered_witness, check_layer_rank)
-from ufabound.witness import acceptance_matrix
+from ufabound.witness import acceptance_matrix, staged_matrix
 
 from conftest import oracle_layers, reach_up_to
 
@@ -231,12 +232,28 @@ def _layers_of(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
+@functools.cache
+def g_at(n):
+    """The staged matrix G over the ordered tables of size n."""
+    return staged_matrix([f for f in enumerate_prefix_tables(n) if is_ordered(f)], n)
+
+
+@functools.cache
+def every_pair_masks(n):
+    """The lane of each ordered table of size n and the masks of each as a
+    base table, from one study of all of them against all of them."""
+    g = g_at(n)
+    masks, _, _ = _study_of(g, g.row_labels, g.row_labels)
+    return {f: t for t, f in enumerate(g.row_labels)}, masks
+
+
 def pair_masks(f, f0):
     """f's drop-down and breakthrough layers against f0, as bit masks over
-    f0's layers (bit i = layer i), read off the sliced masks of one pair."""
-    [layers] = layer_masks([f], [f0])
-    return (sum(d << i for i, (d, _) in enumerate(layers)),
-            sum(b << i for i, (_, b) in enumerate(layers)))
+    f0's layers (bit i = layer i), read off f's lane of f0's masks."""
+    lane, masks = every_pair_masks(f.n)
+    t = lane[f]
+    return (sum((d >> t & 1) << i for i, (d, _) in enumerate(masks[lane[f0]])),
+            sum((b >> t & 1) << i for i, (_, b) in enumerate(masks[lane[f0]])))
 
 
 def _assert_sliced_masks_match_the_oracle(fs, bases, pairs, masks):
@@ -283,9 +300,7 @@ class TestBreakthroughAndDropDown:
     def test_layer_index_validated(self):
         unordered = pt(3, {1}, {1, 2}, {1, 3})
         with pytest.raises(ValueError):
-            pair_masks(unordered, CHAIN3)
-        with pytest.raises(ValueError):
-            pair_masks(CHAIN3, unordered)
+            _study_of(g_at(3), [CHAIN3], [unordered])
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         for f in ordered:
             for f0 in ordered:
@@ -299,7 +314,7 @@ class TestBreakthroughAndDropDown:
             with pytest.raises(ValueError):
                 layer_structure(unordered)
             with pytest.raises(ValueError):
-                pair_masks(CHAIN3, unordered)
+                _study_of(g_at(3), [CHAIN3], [unordered])
 
     def test_layer_structure_is_computed_once_per_table(self):
         f = pt(3, {1}, {1, 2}, {1, 2, 3})
@@ -370,19 +385,12 @@ class TestBreakthroughAndDropDown:
         ordered = [f for f in enumerate_prefix_tables(3) if is_ordered(f)]
         fs = ordered[:40] + [ordered[7], PrefixTable(3, ordered[7].values)]
         bases = ordered[3:9]
-        masks = layer_masks(fs, bases)
+        masks, _, _ = _study_of(g_at(3), fs, bases)
         every = [(1 << len(fs)) - 1] * len(bases)
         assert _assert_sliced_masks_match_the_oracle(fs, bases, every, masks) == 42 * 6
-        assert layer_masks([], bases) == [[(0, 0)] * layer_structure(f0).rank_k
-                                          for f0 in bases]
-        assert layer_masks([], []) == []
-
-    def test_tables_of_another_size_are_rejected(self):
-        two = pt(2, {1}, {1, 2})
-        for fs, bases in (([two], [CHAIN3]), ([CHAIN3], [two]),
-                          ([CHAIN3], [CHAIN3, two]), ([CHAIN3, two], [CHAIN3])):
-            with pytest.raises(ValueError):
-                layer_masks(fs, bases)
+        assert _study_of(g_at(3), [], bases)[0] == [[(0, 0)] * layer_structure(f0).rank_k
+                                                    for f0 in bases]
+        assert _study_of(g_at(3), [], []) == ([], [], [])
 
 
 class TestEnumeration:

@@ -14,7 +14,7 @@ from ufabound import automata, combinatorics, crossing, exact_linalg, tables, ve
 from ufabound.cli import main
 from ufabound.errors import CapacityError
 
-from conftest import staged_table_image
+from conftest import oracle_layers, staged_table_image
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -149,30 +149,33 @@ def test_count_index_form_disagreement_fails(monkeypatch):
 
 
 def _same_for_every_pair(drop, brk):
-    # a stand-in for tables.layer_masks that gives every pair the same
-    # layers: bit i of drop (of brk) says that it drops down from (breaks
-    # through) layer i
-    def masks(fs, bases):
-        every = (1 << len(fs)) - 1
-        return [[(every if drop >> i & 1 else 0, every if brk >> i & 1 else 0)
-                 for i in range(tables.layer_structure(f0).rank_k)] for f0 in bases]
-    return masks
+    # verification._study_of with every pair given the same layers: bit i of
+    # drop (of brk) says that it drops down from (breaks through) layer i
+    real = verification._study_of
+
+    def study_of(g, firsts, bases):
+        _, accepts, columns = real(g, firsts, bases)
+        every = (1 << len(firsts)) - 1
+        masks = [[(every if drop >> i & 1 else 0, every if brk >> i & 1 else 0)
+                  for i in range(tables.layer_structure(f0).rank_k)] for f0 in bases]
+        return masks, accepts, columns
+    return study_of
 
 
 def test_spurious_drop_down_fails(monkeypatch):
-    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(1, 0))
+    monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(1, 0))
     r = verification.check_drop_down_rows(3, "full", random.Random(0))
     assert not r.ok and "non-zero entry" in r.detail
 
 
 def test_missing_breakthrough_breaks_completion(monkeypatch):
-    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0))
+    monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
     assert not r.ok and re.fullmatch(r"mismatch for .* against .*, stage \[.*\]", r.detail)
 
 
 def test_missing_forced_breakthrough_fails(monkeypatch):
-    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0))
+    monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
     r = verification.check_forced_breakthrough(3, "full", random.Random(0))
     assert not r.ok and "no breakthrough" in r.detail
 
@@ -180,7 +183,7 @@ def test_missing_forced_breakthrough_fails(monkeypatch):
 def test_completion_mismatch_names_the_lowest_wrong_stage(monkeypatch):
     # claim a breakthrough through every layer: the entries then read 1 on
     # every stage set, and the first real zero is the empty stage set
-    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0b111))
+    monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0b111))
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
     assert not r.ok and r.detail.endswith("stage []")
 
@@ -212,8 +215,7 @@ def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
 
     hits = sorted((i, j, b) for i, h in cells for j, f0 in enumerate(ordered)
                   for b in range(1 << ks[j]) if staged_table_image(f0, stage(j, b)) == h)
-    drops = [any(d for d, _ in tables.layer_masks([ordered[i]], [ordered[j]])[0])
-             for i, j, _ in hits]
+    drops = [any(d for d, _ in oracle_layers(ordered[i], ordered[j])) for i, j, _ in hits]
     monkeypatch.setattr(witness, "staged_matrix", flipped)
     r = verification.check_breakthrough_completion(3, "full", random.Random(0))
     i, j, b = next(hit for hit, drop in zip(hits, drops) if not drop)
@@ -256,17 +258,50 @@ def test_the_study_columns_are_the_acceptance_cells(size, level, seed):
         len(study.firsts) * sum(1 << k for k in ks)
 
 
+def test_the_study_reads_a_repeated_first_table_and_no_first_tables():
+    # a table twice among the first tables, also as an equal copy, and no
+    # first tables at all
+    ordered = combinatorics.enumerate_ordered_prefix_tables(3)
+    g = witness.staged_matrix(ordered, 3)
+    bases = ordered[40:47]
+    for fs in (ordered[:30] + [ordered[5], tables.PrefixTable(3, ordered[5].values)], []):
+        _, accepts, columns = verification._study_of(g, fs, bases)
+        assert _assert_columns_are_the_acceptance_cells(fs, bases, accepts, columns, 3) == \
+            len(fs) * sum(1 << tables.layer_structure(f0).rank_k for f0 in bases)
+
+
+def test_a_staged_table_outside_g_reads_none_and_zero():
+    # G without the column of one staged table of a rank-2 base table:
+    # that stage set reads None and 0, every other one its column
+    ordered = combinatorics.enumerate_ordered_prefix_tables(3)
+    f0 = next(f for f in ordered if tables.layer_structure(f).rank_k == 2)
+    stages = [{i for i in range(2) if s >> i & 1} for s in range(4)]
+    c = ordered.index(staged_table_image(f0, {0}))
+    full = witness.staged_matrix(ordered, 3)
+    low = (1 << c) - 1
+    g = witness.BoolMatrix(full.row_labels, full.col_labels[:c] + full.col_labels[c + 1:],
+                           full.cols - 1,
+                           tuple(row >> 1 & ~low | row & low for row in full.bits))
+    _, [acc], [cols] = verification._study_of(g, ordered, [f0])
+    _, [want_acc], [want_cols] = verification._study_of(full, ordered, [f0])
+    for s, stage in enumerate(stages):
+        if staged_table_image(f0, stage) == ordered[c]:
+            assert acc[s] is None and cols[s] == 0
+        else:
+            assert (acc[s], cols[s]) == (want_acc[s], want_cols[s])
+    assert acc[1] is None and None not in want_acc
+
+
 @pytest.mark.parametrize("size", [3, 4])
 def test_the_quick_study_reads_each_pair_as_a_call_of_its_own(size):
     # draw j pairs base table j with first table j: bit j of its masks and
-    # columns is what layer_masks and staged_columns give that pair alone
+    # columns is what the study of that pair alone gives
     study = verification._pair_study(size, "quick", random.Random(0))
     assert study.pairs == [1 << j for j in range(len(study.bases))]
     g = witness.staged_matrix(verification._ordered(size), size)
     for j, (f, f0) in enumerate(zip(study.firsts, study.bases, strict=True)):
-        assert [(d >> j & 1, b >> j & 1) for d, b in study.masks[j]] == \
-            tables.layer_masks([f], [f0])[0]
-        [acc], [cols] = witness.staged_columns(g, [f], [f0])
+        [layers], [acc], [cols] = verification._study_of(g, [f], [f0])
+        assert [(d >> j & 1, b >> j & 1) for d, b in study.masks[j]] == layers
         assert study.accepts[j] == acc
         assert [c >> j & 1 for c in study.columns[j]] == cols
 
@@ -285,7 +320,7 @@ def test_forced_breakthrough_studies_distinct_tables_of_at_least_the_base_size(m
                         lambda size, level, rng: ([f0], fs, [0b11011]))
     r = verification.check_forced_breakthrough(3, "full", random.Random(0))
     assert r.ok and r.detail == "1 pairs"
-    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(0, 0))
+    monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
     r = verification.check_forced_breakthrough(3, "full", random.Random(0))
     assert not r.ok and r.detail == f"no breakthrough for {other} against {f0}"
 
@@ -325,7 +360,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_one_run_studies_each_pair_once(monkeypatch):
-    masks = _counting(monkeypatch, tables, "layer_masks")
+    studies = _counting(monkeypatch, verification, "_study_of")
     staged = _counting(monkeypatch, witness, "build_g_I")
     built = _counting(monkeypatch, witness, "build_M")
     built_g = _counting(monkeypatch, witness, "staged_matrix")
@@ -334,14 +369,14 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     results = verification.run_checks(3, "full")
     assert all(r.ok for r in results)
     ordered = combinatorics.enumerate_ordered_prefix_tables(3)
-    # one masks computation over all 115 base tables, each with all 115
-    # first tables in one list
-    [(firsts, bases)] = masks
+    # one study of all 115 base tables, each with all 115 first tables in
+    # one list
+    [(g, firsts, bases)] = studies
     assert [f.values for f in bases] == [f.values for f in ordered]
     assert [f.values for f in firsts] == [f.values for f in ordered]
     # G once, with one unstaged table per ordered table, and each of the
     # 115 base tables' 2^k staged suffix tables, built once
-    assert len(built_g) == 1
+    assert len(built_g) == 1 and g.cols == 115
     assert len(staged) == 115 + sum(1 << tables.layer_structure(f).rank_k for f in ordered)
     assert built == [(3,)] and built_k == []
 
@@ -523,7 +558,7 @@ def test_no_study_survives_a_run():
 def test_a_later_run_sees_a_patched_layer_mask(monkeypatch):
     name = "drop-down rows vanish"
     assert _check_named(verification.run_checks(3, "full"), name).ok
-    monkeypatch.setattr(tables, "layer_masks", _same_for_every_pair(1, 0))
+    monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(1, 0))
     r = _check_named(verification.run_checks(3, "full"), name)
     assert not r.ok and "non-zero entry" in r.detail
 
@@ -584,6 +619,32 @@ def test_rank_check_refuses_sizes_beyond_the_enumeration_cap(monkeypatch):
     for level in ("quick", "full"):
         with pytest.raises(CapacityError, match="limited to n <= 4"):
             verification.check_matrix_rank_is_count(5, level, random.Random(0))
+
+
+@pytest.mark.parametrize("n, message", [("5", "exhaustive table enumeration is limited to n <= 4"),
+                                        ("0", "n must be positive, got 0")])
+def test_verify_refuses_a_size_out_of_range_before_any_work(capsys, monkeypatch, n, message):
+    # with a second CPU a full run would fork its random-automaton worker
+    # first; a size out of range forks nothing and builds nothing
+    from ufabound import workers
+
+    real = os.fork
+    forked = []
+
+    def counted():
+        forked.append(os.getpid())
+        return real()
+
+    def no_build(size):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(witness, "build_M", no_build)
+    code = main(["verify", "--n", n, "--level", "full"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert forked == []
 
 
 def _check_named(results, name):
@@ -650,14 +711,41 @@ def test_injected_disagreement_fails_under_optimize():
 
 def test_missing_breakthrough_fails_under_optimize():
     code = ("import random\n"
-            "from ufabound import tables, verification\n"
-            "tables.layer_masks = lambda fs, bases: [\n"
-            "    [(0, 0)] * tables.layer_structure(f0).rank_k for f0 in bases]\n"
+            "from ufabound import verification\n"
+            "real = verification._study_of\n"
+            "def study_of(g, firsts, bases):\n"
+            "    masks, accepts, columns = real(g, firsts, bases)\n"
+            "    return [[(0, 0)] * len(layers) for layers in masks], accepts, columns\n"
+            "verification._study_of = study_of\n"
             "r = verification.check_forced_breakthrough(3, 'full', random.Random(0))\n"
             "print('PASS' if r.ok else 'FAIL')\n")
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "FAIL\n"
+
+
+def test_staged_drop_down_and_completion_faults_fail_under_optimize():
+    # the study's accept sets emptied, every first table dropping down from
+    # layer 0, and no breakthrough anywhere
+    code = ("import random\n"
+            "from ufabound import verification\n"
+            "real = verification._study_of\n"
+            "def faulty(drop, accept):\n"
+            "    def study_of(g, firsts, bases):\n"
+            "        masks, accepts, columns = real(g, firsts, bases)\n"
+            "        every = (1 << len(firsts)) - 1 if drop else 0\n"
+            "        return ([[(every, 0)] * len(layers) for layers in masks],\n"
+            "                [[a if accept else 0 for a in acc] for acc in accepts], columns)\n"
+            "    return study_of\n"
+            "for name, drop, accept in (('check_staged_suffix_tables', 0, 0),\n"
+            "                           ('check_drop_down_rows', 1, 1),\n"
+            "                           ('check_breakthrough_completion', 0, 1)):\n"
+            "    verification._study_of = faulty(drop, accept)\n"
+            "    r = getattr(verification, name)(3, 'full', random.Random(0))\n"
+            "    print('PASS' if r.ok else 'FAIL', r.detail.split()[0])\n")
+    proc = _run("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "FAIL wrong\nFAIL non-zero\nFAIL mismatch\n"
 
 
 def test_wrong_born_structure_fails_under_optimize():

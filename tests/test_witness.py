@@ -12,7 +12,7 @@ from ufabound.tables import (PrefixTable, SuffixTable, enumerate_prefix_tables,
                              enumerate_suffix_tables, is_ordered,
                              layer_structure, starting_state)
 from ufabound.witness import (BoolMatrix, WitnessAutomaton, acceptance_matrix,
-                              build_K, build_M, build_g_I, staged_columns,
+                              build_K, build_M, build_g_I,
                               staged_matrix)
 
 from conftest import staged_table_image
@@ -342,51 +342,6 @@ def read_text(tmp_path, text):
     path = tmp_path / "m.mat"
     path.write_bytes(text.encode())
     return witness.load_matrix(str(path))
-
-
-class TestStagedColumns:
-    def test_columns_are_the_acceptance_entries(self):
-        # a table twice among the first tables, also as an equal copy, and
-        # no first tables at all
-        ordered = enumerate_ordered_prefix_tables_by_filter(3)
-        g = staged_matrix(ordered, 3)
-        bases = ordered[40:47]
-        for fs in (ordered[:30] + [ordered[5], PrefixTable(3, ordered[5].values)], []):
-            accepts, columns = staged_columns(g, fs, bases)
-            for f0, acc, cols in zip(bases, accepts, columns, strict=True):
-                k = layer_structure(f0).rank_k
-                staged = [build_g_I(f0, {i for i in range(k) if s >> i & 1})
-                          for s in range(1 << k)]
-                assert acc == [h.accept_flags for h in staged]
-                rows = acceptance_matrix(fs, staged, 3).bits
-                assert cols == [sum((row >> s & 1) << t for t, row in enumerate(rows))
-                                for s in range(1 << k)]
-
-    def test_a_staged_table_outside_g_has_no_accept_set(self):
-        # G without the column of one staged table of a rank-2 base table:
-        # that stage set reads None and 0, every other one its column
-        ordered = enumerate_ordered_prefix_tables_by_filter(3)
-        f0 = next(f for f in ordered if layer_structure(f).rank_k == 2)
-        stages = [{i for i in range(2) if s >> i & 1} for s in range(4)]
-        c = ordered.index(staged_table_image(f0, {0}))
-        full = staged_matrix(ordered, 3)
-        low = (1 << c) - 1
-        g = BoolMatrix(full.row_labels, full.col_labels[:c] + full.col_labels[c + 1:],
-                       full.cols - 1, tuple(row >> 1 & ~low | row & low for row in full.bits))
-        [acc], [cols] = staged_columns(g, ordered, [f0])
-        [want_acc], [want_cols] = staged_columns(full, ordered, [f0])
-        for s, stage in enumerate(stages):
-            if staged_table_image(f0, stage) == ordered[c]:
-                assert acc[s] is None and cols[s] == 0
-            else:
-                assert (acc[s], cols[s]) == (want_acc[s], want_cols[s])
-        assert acc[1] is None and None not in want_acc
-
-    def test_sizes_must_match_n(self):
-        ordered = enumerate_ordered_prefix_tables_by_filter(3)
-        with pytest.raises(ValueError):
-            staged_columns(staged_matrix(ordered, 3), [pt(2, {1}, {1, 2})],
-                           [pt(3, {1}, {1, 2}, {1, 2, 3})])
 
 
 class TestMatrixText:
