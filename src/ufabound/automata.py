@@ -359,6 +359,9 @@ def load_automaton(obj: dict) -> tuple[TwoWayNfa, list[str]]:
         d = t["dir"]
         if not _is_int(d) or d not in _DIRECTIONS:
             raise ValueError(f"dir must be -1 or +1, got {d!r}")
+        # TwoWayNfa's own check would name the 0-based state
+        if t["symbol"] == "⊣" and src - 1 in accepting:
+            raise ValueError(f"accepting state {src} must halt on the right marker")
         trans.setdefault((src - 1, sym_id[t["symbol"]]), set()).add((dst - 1, d))
 
     return TwoWayNfa(states, len(alphabet), initial, trans, accepting), list(alphabet)

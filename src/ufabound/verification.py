@@ -4,14 +4,15 @@ Each check re-derives one structural fact of the construction by
 independent means and reports pass/fail; together they exercise the whole
 pipeline at a chosen size.  ``quick`` samples where ``full`` is
 exhaustive.  All sampling is seeded, so identical invocations print
-identical reports.  The table-pair checks and the rank check read one
-square matrix G (:func:`ufabound.witness.staged_matrix`) per run and size.
+identical reports.  Every check reads what it needs off one :class:`Run`:
+M, the ordered tables and the square matrix G
+(:func:`ufabound.witness.staged_matrix`) per size, the pair study, and
+the random check's seeds and records.
 """
 
 from __future__ import annotations
 
 import collections
-import contextvars
 import functools
 import itertools
 import operator
@@ -30,12 +31,6 @@ MERSENNE_PRIME = 2**31 - 1
 # the check's peak memory by about 1.5 MB
 ENTRY_BLOCK_ROWS = 32
 
-# what several checks read (M, G and the ordered tables at a size, the pair
-# study) and the random check's records, computed beside the others, kept by
-# run_checks for one run and seen only inside it, so that concurrent runs
-# keep their own; a check called on its own builds its own
-_run_memo = contextvars.ContextVar("_run_memo", default=None)
-
 
 class CheckResult(NamedTuple):
     name: str
@@ -43,26 +38,66 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _shared(key, build: Callable):
-    memo = _run_memo.get()
-    if memo is None:
-        return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+class Run:
+    """One verify run at size n: M, the ordered tables and G per size and
+    the pair study, each built on first use and kept on the run, and the
+    random-automaton check's state count and instance seeds.
 
+    A bad level, or n beyond the enumeration cap (G lists every ordered
+    table at n), is refused before a worker forks or anything is built.
+    Each check draws from a fresh generator (:meth:`rng`), so a shared
+    sample is the one it would have drawn itself.  Entering the run starts
+    the random check's instances beside the other checks, before M or the
+    pair study exists; ``records`` then returns their records, and leaving
+    the run reaps the worker.
+    """
 
-def _matrix_m(size: int) -> witness.BoolMatrix:
-    return _shared(("M", size), lambda: witness.build_M(size))
+    def __init__(self, n: int, level: str = "quick", seed: int = 0):
+        if level not in ("quick", "full"):
+            raise ValueError("level must be quick or full")
+        tables.check_enumeration_size(n)
+        self.n, self.level, self.seed = n, level, seed
+        self.states = min(n, 3)
+        rng = self.rng()
+        self.seeds = [rng.randrange(2**30) for _ in range(50 if level == "full" else 10)]
+        self._built = {}
 
+    def rng(self) -> random.Random:
+        return random.Random(self.seed)
 
-def _ordered(size: int) -> list[tables.PrefixTable]:
-    return _shared(("ordered", size),
-                   lambda: combinatorics.enumerate_ordered_prefix_tables(size))
+    def __enter__(self) -> Run:
+        # imported here, so that only the commands that fork workers load it
+        from . import workers
 
+        self._beside = workers.beside(
+            functools.partial(crossing.random_records, self.states, 2), self.seeds)
+        self.records = self._beside.__enter__()
+        return self
 
-def _matrix_g(size: int) -> witness.BoolMatrix:
-    return _shared(("G", size), lambda: witness.staged_matrix(_ordered(size), size))
+    def __exit__(self, *exc) -> None:
+        self._beside.__exit__(*exc)
+
+    def _kept(self, key, build: Callable, *args):
+        if key not in self._built:
+            self._built[key] = build(*args)
+        return self._built[key]
+
+    def m(self, size: int) -> witness.BoolMatrix:
+        return self._kept(("M", size), witness.build_M, size)
+
+    def ordered(self, size: int) -> list[tables.PrefixTable]:
+        return self._kept(("ordered", size), combinatorics.enumerate_ordered_prefix_tables, size)
+
+    def g(self, size: int) -> witness.BoolMatrix:
+        return self._kept(("G", size), witness.staged_matrix, self.ordered(size), size)
+
+    def study(self) -> _PairStudy:
+        """The sampled table pairs at n and G's reading of them."""
+        if "study" not in self._built:
+            bases, firsts, pairs = _draw_pairs(self)
+            self._built["study"] = _PairStudy(bases, firsts, pairs,
+                                              *_study_of(self.g(self.n), firsts, bases))
+        return self._built["study"]
 
 
 def _unordered_witness(f: tables.PrefixTable):
@@ -76,21 +111,21 @@ def _unordered_witness(f: tables.PrefixTable):
     return None
 
 
-def check_orderedness_agreement(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_orderedness_agreement(run: Run) -> CheckResult:
     name = "orderedness characterizations agree"
-    fs = tables.enumerate_prefix_tables(min(n, 3))
-    if n >= 4:
-        fs += rng.sample(tables.enumerate_prefix_tables(4), 500)
+    fs = tables.enumerate_prefix_tables(min(run.n, 3))
+    if run.n >= 4:
+        fs += run.rng().sample(tables.enumerate_prefix_tables(4), 500)
     for f in fs:
         if (_unordered_witness(f) is None) != tables.is_ordered(f):
             return CheckResult(name, False, f"they disagree on {f}")
     return CheckResult(name, True, f"{len(fs)} tables")
 
 
-def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_entry_simulation_agreement(run: Run) -> CheckResult:
     name = "graph entries match two-way simulation"
-    size = min(n, 3)
-    m = _matrix_m(size)
+    size = min(run.n, 3)
+    m = run.m(size)
     automaton = witness.WitnessAutomaton(size, m.row_labels, m.col_labels)
     # every row times every column, one lane per word, so that a simulated
     # row reads like M's: a pair's word is two letters of its row and one
@@ -109,13 +144,13 @@ def check_entry_simulation_agreement(n: int, level: str, rng: random.Random) -> 
     # above size 2 the count is that of a sample this check no longer
     # draws; the bench digests and the CLI pins fix the wording, so it
     # changes with the phase-record benchmark change (ROADMAP item 3)
-    count = m.rows * m.cols if n <= 2 else 10_000 if level == "full" else 500
+    count = m.rows * m.cols if run.n <= 2 else 10_000 if run.level == "full" else 500
     return CheckResult(name, True, f"{count} pairs")
 
 
-def check_augmentation_identity(n: int, level: str, rng: random.Random) -> CheckResult:
-    size = min(n, 4) if level == "full" else min(n, 3)
-    m = _matrix_m(size)
+def check_augmentation_identity(run: Run) -> CheckResult:
+    size = min(run.n, 4) if run.level == "full" else min(run.n, 3)
+    m = run.m(size)
     fs = m.row_labels
     index = {f.values: i for i, f in enumerate(fs)}
     checked = 0
@@ -145,11 +180,11 @@ def _complement_rank(f: tables.PrefixTable) -> int:
     return exact_linalg.rank_exact(witness.BoolMatrix(labels, labels, f.n, bits))
 
 
-def check_layer_rank(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_layer_rank(run: Run) -> CheckResult:
     name = "layer rank equals complement-matrix rank"
-    fs = _ordered(min(n, 4))
-    if level == "quick" and len(fs) > 40:
-        fs = rng.sample(fs, 40)
+    fs = run.ordered(min(run.n, 4))
+    if run.level == "quick" and len(fs) > 40:
+        fs = run.rng().sample(fs, 40)
     for f in fs:
         layer_rank = tables.layer_structure(f).rank_k
         matrix_rank = _complement_rank(f)
@@ -181,14 +216,15 @@ class _PairStudy(NamedTuple):
     columns: list
 
 
-def _draw_pairs(size: int, level: str, rng: random.Random) -> tuple:
-    """The bases, firsts and pairs of a :class:`_PairStudy`: every pair of
-    ordered tables, or the drawn pairs, the first of draw j in bit j."""
-    ordered = _ordered(size)
-    if level == "full" and size <= 3:
+def _draw_pairs(run: Run) -> tuple:
+    """The bases, firsts and pairs of the run's :class:`_PairStudy`: every
+    pair of ordered tables, or the drawn pairs, the first of draw j in bit j."""
+    ordered = run.ordered(run.n)
+    if run.level == "full" and run.n <= 3:
         return ordered, ordered, [(1 << len(ordered)) - 1] * len(ordered)
+    rng = run.rng()
     picks = [ordered[rng.randrange(len(ordered))]
-             for _ in range(120 if level == "quick" else 2000)]
+             for _ in range(120 if run.level == "quick" else 2000)]
     bases = picks[1::2]
     return bases, picks[0::2], [1 << j for j in range(len(bases))]
 
@@ -242,16 +278,6 @@ def _study_of(g: witness.BoolMatrix, firsts: list, bases: list) -> tuple:
     return masks, accepts, columns
 
 
-def _pair_study(size: int, level: str, rng: random.Random) -> _PairStudy:
-    bases, firsts, pairs = _draw_pairs(size, level, rng)
-    return _PairStudy(bases, firsts, pairs, *_study_of(_matrix_g(size), firsts, bases))
-
-
-def _study(n: int, level: str, rng: random.Random) -> _PairStudy:
-    size = min(n, 4)
-    return _shared(("pairs", size), lambda: _pair_study(size, level, rng))
-
-
 def _union(ints) -> int:
     return functools.reduce(operator.or_, ints, 0)
 
@@ -264,9 +290,9 @@ def _first_failing(study: _PairStudy, failing: list[int]) -> tuple:
     return study.firsts[t], study.bases[j], t, j
 
 
-def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_staged_suffix_tables(run: Run) -> CheckResult:
     name = "staged suffix tables: acceptance sets"
-    study = _study(n, level, rng)
+    study = run.study()
     for f0, accepts in zip(study.bases, study.accepts):
         ls = tables.layer_structure(f0)
         k = ls.rank_k
@@ -282,9 +308,9 @@ def check_staged_suffix_tables(n: int, level: str, rng: random.Random) -> CheckR
     return CheckResult(name, True, f"{len(set(study.bases))} base tables")
 
 
-def check_drop_down_rows(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_drop_down_rows(run: Run) -> CheckResult:
     name = "drop-down rows vanish"
-    study = _study(n, level, rng)
+    study = run.study()
     failing, checked = [], 0
     for pairs, layers, cols in zip(study.pairs, study.masks, study.columns):
         drop = pairs & _union(d for d, _ in layers)
@@ -304,9 +330,9 @@ def _completed(layers: list, b: int) -> int:
                                             if not b >> i & 1), -1)
 
 
-def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_breakthrough_completion(run: Run) -> CheckResult:
     name = "breakthrough completion determines entries"
-    study = _study(n, level, rng)
+    study = run.study()
     failing, checked = [], 0
     for pairs, layers, cols in zip(study.pairs, study.masks, study.columns):
         kept = pairs & ~_union(d for d, _ in layers)
@@ -321,9 +347,9 @@ def check_breakthrough_completion(n: int, level: str, rng: random.Random) -> Che
     return CheckResult(name, True, f"{checked} entries")
 
 
-def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_forced_breakthrough(run: Run) -> CheckResult:
     name = "at-least-as-large tables always break through"
-    study = _study(n, level, rng)
+    study = run.study()
     # the first tables of each table size and of each value tuple, as lanes
     by_size, by_values = collections.defaultdict(int), collections.defaultdict(int)
     for t, f in enumerate(study.firsts):
@@ -342,11 +368,10 @@ def check_forced_breakthrough(n: int, level: str, rng: random.Random) -> CheckRe
     return CheckResult(name, True, f"{checked} pairs")
 
 
-def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_matrix_rank_is_count(run: Run) -> CheckResult:
     name = "matrix rank equals the ordered-table count"
-    tables.check_enumeration_size(n)  # G lists every ordered table at n, with no cap of its own
-    expected = combinatorics.count_ordered_prefix_tables(n)
-    g = _matrix_g(n)
+    expected = combinatorics.count_ordered_prefix_tables(run.n)
+    g = run.g(run.n)
     try:
         # exact, and at most K's rank, which is at most G's row count
         got_k = exact_linalg.rank_exact(g)
@@ -355,31 +380,22 @@ def check_matrix_rank_is_count(n: int, level: str, rng: random.Random) -> CheckR
         # entry cap: their GF(2) rank is then a lower bound, and no proof
         return CheckResult(name, False, f"rank at least {exact_linalg.rank_mod_p(g, 2)} "
                            f"(mod 2), count {expected}")
-    if n <= 2:
-        got_m = exact_linalg.rank_exact(_matrix_m(n))
-    elif n == 3 or level == "full":
+    if run.n <= 2:
+        got_m = exact_linalg.rank_exact(run.m(run.n))
+    elif run.n == 3 or run.level == "full":
         # size 4 is heavy: there M is ranked through the cheap packed-bit field only
-        got_m = exact_linalg.rank_mod_p(_matrix_m(n), MERSENNE_PRIME if n == 3 else 2)
+        got_m = exact_linalg.rank_mod_p(run.m(run.n), MERSENNE_PRIME if run.n == 3 else 2)
     else:
         got_m = got_k
     return CheckResult(name, got_m == got_k == expected, f"rank {got_k}, count {expected}")
 
 
-def _random_seeds(n: int, level: str, rng: random.Random) -> tuple:
-    """The random-automaton check's state count and instance seeds."""
-    return min(n, 3), [rng.randrange(2**30) for _ in range(50 if level == "full" else 10)]
-
-
-def check_random_automata_bound(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_random_automata_bound(run: Run) -> CheckResult:
     name = "random-automaton ranks stay within the bound"
-    states, seeds = _random_seeds(n, level, rng)
-    # run_checks keeps the function that returns these records, computed
-    # beside the other checks; called on its own, the check computes them
-    records = _shared("random", lambda: lambda: crossing.random_records(states, 2, seeds))
-    for record in records():
+    for record in run.records():
         if not record["ok"]:
             return CheckResult(name, False, f"instance seed {record['seed']}")
-    return CheckResult(name, True, f"{len(seeds)} instances with {states} states")
+    return CheckResult(name, True, f"{len(run.seeds)} instances with {run.states} states")
 
 
 def _count_by_second_index_form(n: int) -> int:
@@ -390,16 +406,16 @@ def _count_by_second_index_form(n: int) -> int:
                for k in range(1, n + 1))
 
 
-def check_count_matches_enumeration(n: int, level: str, rng: random.Random) -> CheckResult:
+def check_count_matches_enumeration(run: Run) -> CheckResult:
     name = "ordered-table enumerations agree"
-    size = min(n, 4) if level == "full" else min(n, 3)
+    size = min(run.n, 4) if run.level == "full" else min(run.n, 3)
     count = combinatorics.count_ordered_prefix_tables(size)
     second = _count_by_second_index_form(size)
     if count != second:
         return CheckResult(name, False, f"index forms of the count disagree at "
                            f"size {size}: {count} != {second}")
     by_filter = tables.enumerate_ordered_prefix_tables_by_filter(size)
-    by_layers = _ordered(size)
+    by_layers = run.ordered(size)
     layered = {f.values for f in by_layers}
     if len(layered) != len(by_layers):
         return CheckResult(name, False, f"the layer enumeration yields {len(by_layers)} "
@@ -437,25 +453,5 @@ _CHECKS: list[Callable] = [
 
 
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
-    if level not in ("quick", "full"):
-        raise ValueError("level must be quick or full")
-    # the rank check lists every ordered table at n: refused before a worker
-    # forks or any check runs
-    tables.check_enumeration_size(n)
-
-    # imported here, so that only the commands that fork workers load it
-    from . import workers
-
-    # the random-automaton check reads nothing the others build: its
-    # instances run beside them, in a worker forked before M or the pair
-    # study exists, where workers.MIN_SHARE finds them worth one (under
-    # full, not quick).  Every check draws from a fresh generator, so a
-    # shared sample is the one each check would have drawn itself
-    states, seeds = _random_seeds(n, level, random.Random(seed))
-    with workers.beside(functools.partial(crossing.random_records, states, 2),
-                        seeds) as records:
-        token = _run_memo.set({"random": records})
-        try:
-            return [check(n, level, random.Random(seed)) for check in _CHECKS]
-        finally:
-            _run_memo.reset(token)
+    with Run(n, level, seed) as run:
+        return [check(run) for check in _CHECKS]

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -364,7 +363,7 @@ VERIFY_QUICK_N3_DIGESTS = {
 
 def test_verify_quick_n3_outputs_with_a_repeated_pair_are_pinned(capsys):
     for seed, digest in VERIFY_QUICK_N3_DIGESTS.items():
-        bases, firsts, pairs = verification._draw_pairs(3, "quick", random.Random(int(seed)))
+        bases, firsts, pairs = verification._draw_pairs(verification.Run(3, "quick", int(seed)))
         drawn = [(f.values, f0.values) for f0, lanes in zip(bases, pairs)
                  for t, f in enumerate(firsts) if lanes >> t & 1]
         assert len(set(drawn)) == len(drawn) - 1, seed
@@ -677,6 +676,23 @@ def test_strings_refuse_symbols_a_line_cannot_spell(tmp_path, capsys, alphabet, 
     assert code == 2 and out == ""
     assert err.startswith("error:") and repr(alphabet[0]) in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_a_json_accepting_state_moving_on_the_right_marker_is_named_as_numbered(
+        tmp_path, capsys):
+    # the JSON numbers states from 1, and so does the error
+    automaton = {
+        "type": "2nfa", "states": 2, "alphabet": ["a"],
+        "initial": [1], "accepting": [2],
+        "transitions": [{"from": 2, "symbol": "⊣", "to": 1, "dir": -1}],
+    }
+    aut = tmp_path / "a.json"
+    aut.write_text(json.dumps(automaton))
+    (tmp_path / "xs.txt").write_text("a\n")
+    code, out, err = run(capsys, "schmidt", "--automaton", str(aut),
+                         "--prefixes", str(tmp_path / "xs.txt"),
+                         "--suffixes", str(tmp_path / "xs.txt"))
+    assert (code, out, err) == (2, "", "error: accepting state 2 must halt on the right marker\n")
 
 
 def test_usage_error_exit_code():

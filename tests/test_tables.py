@@ -12,8 +12,8 @@ from ufabound.tables import (PrefixTable, SuffixTable, augment,
                              prefix_table_from_text, prefix_table_to_text,
                              starting_state, suffix_table_from_text,
                              suffix_table_to_text, table_size)
-from ufabound.verification import (_complement_rank, _pair_study, _study_of,
-                                   _unordered_witness, check_layer_rank)
+from ufabound.verification import (Run, _complement_rank, _study_of, _unordered_witness,
+                                   check_layer_rank)
 from ufabound.witness import acceptance_matrix, staged_matrix
 
 from conftest import oracle_layers, reach_up_to
@@ -224,7 +224,7 @@ class TestTableRankViaMatrix:
 
     def test_matches_layer_rank_exhaustively(self):
         for n, ordered in ((2, 7), (3, 115)):
-            result = check_layer_rank(n, "full", random.Random(0))
+            result = check_layer_rank(Run(n, "full"))
             assert result.ok and result.detail == f"{ordered} tables", result
 
 
@@ -365,7 +365,7 @@ class TestBreakthroughAndDropDown:
     def test_sliced_masks_match_the_oracle_on_every_pair_at_n3(self):
         # the full study at size 3: every ordered table is a first table of
         # every base table, in one call
-        study = _pair_study(3, "full", random.Random(0))
+        study = Run(3, "full").study()
         assert len(study.bases) == 115
         assert _assert_sliced_masks_match_the_oracle(
             study.firsts, study.bases, study.pairs, study.masks) == 115 ** 2
@@ -373,7 +373,7 @@ class TestBreakthroughAndDropDown:
     def test_sliced_masks_match_the_oracle_on_the_quick_n4_sample(self):
         # the pairs of verify --n 4 --level quick --seed 7: draw j pairs
         # base table j with first table j, and the masks hold every pair
-        study = _pair_study(4, "quick", random.Random(7))
+        study = Run(4, "quick", 7).study()
         assert study.pairs == [1 << j for j in range(60)]
         every = [(1 << 60) - 1] * 60
         assert _assert_sliced_masks_match_the_oracle(

@@ -42,14 +42,14 @@ def test_level_validated():
 
 def test_orderedness_disagreement_fails(monkeypatch):
     monkeypatch.setattr(verification, "_unordered_witness", lambda f: None)
-    r = verification.check_orderedness_agreement(3, "full", random.Random(0))
+    r = verification.check_orderedness_agreement(verification.Run(3, "full"))
     assert not r.ok and "disagree" in r.detail
 
 
 def test_entry_simulation_disagreement_fails(monkeypatch):
     # the check reads its simulation from one batched search per block of rows
     monkeypatch.setattr(automata, "concatenation_bits", lambda a, xs, ys: [0] * len(xs))
-    r = verification.check_entry_simulation_agreement(2, "full", random.Random(0))
+    r = verification.check_entry_simulation_agreement(verification.Run(2, "full"))
     assert not r.ok and "simulation 0" in r.detail
 
 
@@ -79,7 +79,7 @@ def test_entry_simulation_reports_the_first_failing_pair(monkeypatch):
         return bits
 
     monkeypatch.setattr(automata, "concatenation_bits", cells_flipped)
-    r = verification.check_entry_simulation_agreement(3, "full", random.Random(0))
+    r = verification.check_entry_simulation_agreement(verification.Run(3, "full"))
     assert len(flipped) == 2
     assert not r.ok
     i, j = later
@@ -106,7 +106,7 @@ def test_entry_simulation_fails_on_a_cell_the_sample_missed(monkeypatch):
         return bits
 
     monkeypatch.setattr(automata, "concatenation_bits", cell_flipped)
-    r = verification.check_entry_simulation_agreement(3, "quick", random.Random(0))
+    r = verification.check_entry_simulation_agreement(verification.Run(3, "quick"))
     assert not r.ok
     assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
@@ -130,7 +130,7 @@ def test_entry_simulation_names_the_lowest_failing_column_of_a_row(monkeypatch):
         return bits
 
     monkeypatch.setattr(automata, "concatenation_bits", cells_flipped)
-    r = verification.check_entry_simulation_agreement(3, "quick", random.Random(0))
+    r = verification.check_entry_simulation_agreement(verification.Run(3, "quick"))
     assert not r.ok
     assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
@@ -138,13 +138,13 @@ def test_entry_simulation_names_the_lowest_failing_column_of_a_row(monkeypatch):
 
 def test_layer_rank_disagreement_fails(monkeypatch):
     monkeypatch.setattr(verification, "_complement_rank", lambda f: 0)
-    r = verification.check_layer_rank(3, "full", random.Random(0))
+    r = verification.check_layer_rank(verification.Run(3, "full"))
     assert not r.ok and "complement-matrix rank 0" in r.detail
 
 
 def test_count_index_form_disagreement_fails(monkeypatch):
     monkeypatch.setattr(verification, "_count_by_second_index_form", lambda n: -1)
-    r = verification.check_count_matches_enumeration(3, "full", random.Random(0))
+    r = verification.check_count_matches_enumeration(verification.Run(3, "full"))
     assert not r.ok and "index forms" in r.detail
 
 
@@ -164,19 +164,19 @@ def _same_for_every_pair(drop, brk):
 
 def test_spurious_drop_down_fails(monkeypatch):
     monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(1, 0))
-    r = verification.check_drop_down_rows(3, "full", random.Random(0))
+    r = verification.check_drop_down_rows(verification.Run(3, "full"))
     assert not r.ok and "non-zero entry" in r.detail
 
 
 def test_missing_breakthrough_breaks_completion(monkeypatch):
     monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
-    r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    r = verification.check_breakthrough_completion(verification.Run(3, "full"))
     assert not r.ok and re.fullmatch(r"mismatch for .* against .*, stage \[.*\]", r.detail)
 
 
 def test_missing_forced_breakthrough_fails(monkeypatch):
     monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
-    r = verification.check_forced_breakthrough(3, "full", random.Random(0))
+    r = verification.check_forced_breakthrough(verification.Run(3, "full"))
     assert not r.ok and "no breakthrough" in r.detail
 
 
@@ -184,7 +184,7 @@ def test_completion_mismatch_names_the_lowest_wrong_stage(monkeypatch):
     # claim a breakthrough through every layer: the entries then read 1 on
     # every stage set, and the first real zero is the empty stage set
     monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0b111))
-    r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    r = verification.check_breakthrough_completion(verification.Run(3, "full"))
     assert not r.ok and r.detail.endswith("stage []")
 
 
@@ -217,14 +217,14 @@ def test_flipped_staged_entries_fail_completion_at_the_first_pair(monkeypatch):
                   for b in range(1 << ks[j]) if staged_table_image(f0, stage(j, b)) == h)
     drops = [any(d for d, _ in oracle_layers(ordered[i], ordered[j])) for i, j, _ in hits]
     monkeypatch.setattr(witness, "staged_matrix", flipped)
-    r = verification.check_breakthrough_completion(3, "full", random.Random(0))
+    r = verification.check_breakthrough_completion(verification.Run(3, "full"))
     i, j, b = next(hit for hit, drop in zip(hits, drops) if not drop)
     assert not r.ok
     assert r.detail == (f"mismatch for {ordered[i]} against {ordered[j]}, "
                         f"stage {sorted(stage(j, b))}")
     assert r.detail == ("mismatch for PrefixTable(n=3, values=(6, 4, 4)) against "
                         "PrefixTable(n=3, values=(4, 14, 4)), stage []")
-    r = verification.check_drop_down_rows(3, "full", random.Random(0))
+    r = verification.check_drop_down_rows(verification.Run(3, "full"))
     i, j, _ = next(hit for hit, drop in zip(hits, drops) if drop)
     assert not r.ok and r.detail == f"non-zero entry for {ordered[i]} against {ordered[j]}"
 
@@ -251,7 +251,7 @@ def _assert_columns_are_the_acceptance_cells(firsts, bases, accepts, columns, n)
 def test_the_study_columns_are_the_acceptance_cells(size, level, seed):
     # every first table against every staged table of every base table,
     # also the pairs a sampled study does not mark
-    study = verification._pair_study(size, level, random.Random(seed))
+    study = verification.Run(size, level, seed).study()
     ks = [tables.layer_structure(f0).rank_k for f0 in study.bases]
     assert _assert_columns_are_the_acceptance_cells(
         study.firsts, study.bases, study.accepts, study.columns, size) == \
@@ -296,9 +296,10 @@ def test_a_staged_table_outside_g_reads_none_and_zero():
 def test_the_quick_study_reads_each_pair_as_a_call_of_its_own(size):
     # draw j pairs base table j with first table j: bit j of its masks and
     # columns is what the study of that pair alone gives
-    study = verification._pair_study(size, "quick", random.Random(0))
+    run = verification.Run(size, "quick")
+    study = run.study()
     assert study.pairs == [1 << j for j in range(len(study.bases))]
-    g = witness.staged_matrix(verification._ordered(size), size)
+    g = run.g(size)
     for j, (f, f0) in enumerate(zip(study.firsts, study.bases, strict=True)):
         [layers], [acc], [cols] = verification._study_of(g, [f], [f0])
         assert [(d >> j & 1, b >> j & 1) for d, b in study.masks[j]] == layers
@@ -316,12 +317,11 @@ def test_forced_breakthrough_studies_distinct_tables_of_at_least_the_base_size(m
     smaller = tables.PrefixTable.from_sets(3, [{1}] * 3)
     fs = [f0, tables.PrefixTable(3, f0.values), larger, other, smaller]
     assert tables.table_size(other) == tables.table_size(f0)
-    monkeypatch.setattr(verification, "_draw_pairs",
-                        lambda size, level, rng: ([f0], fs, [0b11011]))
-    r = verification.check_forced_breakthrough(3, "full", random.Random(0))
+    monkeypatch.setattr(verification, "_draw_pairs", lambda run: ([f0], fs, [0b11011]))
+    r = verification.check_forced_breakthrough(verification.Run(3, "full"))
     assert r.ok and r.detail == "1 pairs"
     monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
-    r = verification.check_forced_breakthrough(3, "full", random.Random(0))
+    r = verification.check_forced_breakthrough(verification.Run(3, "full"))
     assert not r.ok and r.detail == f"no breakthrough for {other} against {f0}"
 
 
@@ -390,21 +390,21 @@ def test_one_run_enumerates_the_ordered_tables_once(monkeypatch):
 
 
 def test_concurrent_runs_keep_their_own_memo(monkeypatch):
-    # two runs inside run_checks at once, the quick one storing its pair
+    # two runs inside run_checks at once, the quick one building its pair
     # study before the full one reaches the pair checks: each must report
     # what it reports on its own
     runs = (("quick", 5), ("full", 0))
     want = {level: verification.run_checks(3, level, seed) for level, seed in runs}
     barrier = threading.Barrier(len(runs), timeout=60)
 
-    def meet(n, level, rng):
+    def meet(run):
         barrier.wait()
         return verification.CheckResult("meet", True, "")
 
-    def quick_study_first(n, level, rng):
-        if level == "quick":
-            verification._study(n, level, rng)
-        return meet(n, level, rng)
+    def quick_study_first(run):
+        if run.level == "quick":
+            run.study()
+        return meet(run)
 
     monkeypatch.setattr(verification, "_CHECKS",
                         [meet, quick_study_first, *verification._CHECKS, meet])
@@ -446,7 +446,7 @@ def test_verify_prints_the_same_bytes_with_one_cpu_and_two(capsys, monkeypatch, 
 
 def _random_seed(level, k, seed=0):
     """The seed of the random-automaton check's instance k."""
-    return verification._random_seeds(3, level, random.Random(seed))[1][k]
+    return verification.Run(3, level, seed).seeds[k]
 
 
 def test_a_failing_random_instance_reads_the_same_from_the_worker(
@@ -493,7 +493,7 @@ def test_an_error_in_the_random_check_worker_exits_2(capsys, monkeypatch):
     code = main(["verify", "--n", "3", "--level", "full"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    seeds = verification._random_seeds(3, "full", random.Random(0))[1]
+    seeds = verification.Run(3, "full").seeds
     assert err == (f"error: the worker on items {seeds[0]}..{seeds[-1]} "
                    "raised RuntimeError: boom\n")
     with pytest.raises(ChildProcessError):  # no worker left behind
@@ -510,8 +510,8 @@ def test_run_checks_calls_the_random_check_it_lists(monkeypatch):
     for level in ("quick", "full"):
         calls = []
 
-        def wrapped(n, lvl, rng):
-            calls.append(real(n, lvl, rng))
+        def wrapped(run):
+            calls.append(real(run))
             return calls[-1]
 
         monkeypatch.setattr(verification, "check_random_automata_bound", wrapped)
@@ -519,7 +519,8 @@ def test_run_checks_calls_the_random_check_it_lists(monkeypatch):
                             [wrapped if check is real else check for check in listed])
         results = verification.run_checks(3, level)
         assert calls == [results[-1]] and results[-1].ok
-        assert results[-1] == real(3, level, random.Random(0))
+        with verification.Run(3, level) as run:
+            assert results[-1] == real(run)
 
 
 def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
@@ -550,7 +551,6 @@ def test_a_full_run_at_size_four_builds_no_k(monkeypatch):
 
 def test_no_study_survives_a_run():
     verification.run_checks(3, "full")
-    assert verification._run_memo.get() is None
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, verification._PairStudy)]
 
@@ -563,15 +563,34 @@ def test_a_later_run_sees_a_patched_layer_mask(monkeypatch):
     assert not r.ok and "non-zero entry" in r.detail
 
 
-def test_a_failing_check_still_clears_the_run_memo(monkeypatch):
-    def broken(n, level, rng):
-        raise RuntimeError("broken check")
+def test_leaving_a_run_early_reaps_its_worker_and_keeps_no_study(monkeypatch):
+    # a full run with a second CPU forks its random-automaton worker as it
+    # is entered; an exception inside the block, after the pair study is
+    # built, must still reap the worker and drop the study with the run
+    from ufabound import workers
 
-    monkeypatch.setattr(verification, "_CHECKS", [verification.check_staged_suffix_tables,
-                                                  broken])
-    with pytest.raises(RuntimeError):
-        verification.run_checks(2, "full")
-    assert verification._run_memo.get() is None
+    real = os.fork
+    forked = []
+
+    def counted():
+        forked.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+
+    run = verification.Run(3, "full")
+    with pytest.raises(RuntimeError, match="left early"):
+        with run:
+            run.study()
+            raise RuntimeError("left early")
+    assert forked == [os.getpid()]
+    # reaped as the block ends, while the run is still held
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    del run
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, verification._PairStudy)]
 
 
 def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
@@ -586,7 +605,7 @@ def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
         return real(m, p) if m.rows == 3451 else 0
 
     monkeypatch.setattr(exact_linalg, "rank_mod_p", wrong_on_m)
-    r = verification.check_matrix_rank_is_count(4, "full", random.Random(0))
+    r = verification.check_matrix_rank_is_count(verification.Run(4, "full"))
     assert not r.ok and ranked == [7891]
 
 
@@ -613,12 +632,27 @@ def test_g_dependent_mod_2_at_size_four_fails_the_rank_check(capsys, monkeypatch
     assert len(out.splitlines()) == len(verification._CHECKS) + 1
 
 
-def test_rank_check_refuses_sizes_beyond_the_enumeration_cap(monkeypatch):
-    # G at size 5 would be 164,731 square: the check refuses before any work
-    monkeypatch.setattr(verification, "_matrix_g", None)
+def test_a_run_refuses_a_bad_size_or_level_before_any_work(monkeypatch):
+    # G at size 5 would be 164,731 square: a run refuses that size, and a
+    # level it does not know, before it forks its worker or builds anything
+    from ufabound import workers
+
+    def no_work(*args):
+        raise AssertionError("work done")
+
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_work)
+    for module, name in ((witness, "build_M"), (witness, "staged_matrix"),
+                         (combinatorics, "enumerate_ordered_prefix_tables"),
+                         (crossing, "random_records")):
+        monkeypatch.setattr(module, name, no_work)
     for level in ("quick", "full"):
         with pytest.raises(CapacityError, match="limited to n <= 4"):
-            verification.check_matrix_rank_is_count(5, level, random.Random(0))
+            with verification.Run(5, level):
+                pass
+    with pytest.raises(ValueError, match="level must be quick or full"):
+        with verification.Run(3, "medium"):
+            pass
 
 
 @pytest.mark.parametrize("n, message", [("5", "exhaustive table enumeration is limited to n <= 4"),
@@ -671,7 +705,7 @@ def test_enumeration_differing_from_filter_fails(monkeypatch):
     real = combinatorics.enumerate_ordered_prefix_tables
     monkeypatch.setattr(tables, "enumerate_ordered_prefix_tables_by_filter",
                         lambda n: real(n)[1:])
-    r = verification.check_count_matches_enumeration(2, "full", random.Random(0))
+    r = verification.check_count_matches_enumeration(verification.Run(2, "full"))
     assert not r.ok and "differ" in r.detail
 
 
@@ -684,7 +718,7 @@ def test_a_wrong_born_structure_fails_the_count_check(monkeypatch):
         tables.PrefixTable(3, wrong.values))
     monkeypatch.setattr(combinatorics, "enumerate_ordered_prefix_tables",
                         lambda n: [wrong if f == wrong else f for f in real(n)])
-    r = verification.check_count_matches_enumeration(3, "quick", random.Random(0))
+    r = verification.check_count_matches_enumeration(verification.Run(3, "quick"))
     assert not r.ok and r.detail == (f"the layer enumeration's structure of {wrong} "
                                      f"differs from the computed one")
 
@@ -699,10 +733,9 @@ def _run(*args):
 
 
 def test_injected_disagreement_fails_under_optimize():
-    code = ("import random\n"
-            "from ufabound import tables, verification\n"
+    code = ("from ufabound import tables, verification\n"
             "tables.is_ordered = lambda f: True\n"
-            "r = verification.check_orderedness_agreement(3, 'full', random.Random(0))\n"
+            "r = verification.check_orderedness_agreement(verification.Run(3, 'full'))\n"
             "print('PASS' if r.ok else 'FAIL')\n")
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -710,14 +743,13 @@ def test_injected_disagreement_fails_under_optimize():
 
 
 def test_missing_breakthrough_fails_under_optimize():
-    code = ("import random\n"
-            "from ufabound import verification\n"
+    code = ("from ufabound import verification\n"
             "real = verification._study_of\n"
             "def study_of(g, firsts, bases):\n"
             "    masks, accepts, columns = real(g, firsts, bases)\n"
             "    return [[(0, 0)] * len(layers) for layers in masks], accepts, columns\n"
             "verification._study_of = study_of\n"
-            "r = verification.check_forced_breakthrough(3, 'full', random.Random(0))\n"
+            "r = verification.check_forced_breakthrough(verification.Run(3, 'full'))\n"
             "print('PASS' if r.ok else 'FAIL')\n")
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -727,8 +759,7 @@ def test_missing_breakthrough_fails_under_optimize():
 def test_staged_drop_down_and_completion_faults_fail_under_optimize():
     # the study's accept sets emptied, every first table dropping down from
     # layer 0, and no breakthrough anywhere
-    code = ("import random\n"
-            "from ufabound import verification\n"
+    code = ("from ufabound import verification\n"
             "real = verification._study_of\n"
             "def faulty(drop, accept):\n"
             "    def study_of(g, firsts, bases):\n"
@@ -741,7 +772,7 @@ def test_staged_drop_down_and_completion_faults_fail_under_optimize():
             "                           ('check_drop_down_rows', 1, 1),\n"
             "                           ('check_breakthrough_completion', 0, 1)):\n"
             "    verification._study_of = faulty(drop, accept)\n"
-            "    r = getattr(verification, name)(3, 'full', random.Random(0))\n"
+            "    r = getattr(verification, name)(verification.Run(3, 'full'))\n"
             "    print('PASS' if r.ok else 'FAIL', r.detail.split()[0])\n")
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -749,13 +780,12 @@ def test_staged_drop_down_and_completion_faults_fail_under_optimize():
 
 
 def test_wrong_born_structure_fails_under_optimize():
-    code = ("import random\n"
-            "from ufabound import combinatorics, tables, verification\n"
+    code = ("from ufabound import combinatorics, tables, verification\n"
             "real = combinatorics.enumerate_ordered_prefix_tables\n"
             "wrong = tables.layered_tables(3, (0b0010, 0b0110, 0b1110), [(0, 0, 2)])[0]\n"
             "combinatorics.enumerate_ordered_prefix_tables = lambda n: [\n"
             "    wrong if f == wrong else f for f in real(n)]\n"
-            "r = verification.check_count_matches_enumeration(3, 'quick', random.Random(0))\n"
+            "r = verification.check_count_matches_enumeration(verification.Run(3, 'quick'))\n"
             "print('PASS' if r.ok else 'FAIL')\n")
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
