@@ -13,13 +13,13 @@ looping computations never contribute.  One search of that graph,
 them: a tape is a lane, and per configuration (position p, state q),
 flat slot p·n + q, the search keeps the int of the lanes that reach it;
 a lane may carry its own automaton, of one state count for all.
-Expanding a slot costs one AND per move, however many letters and
-automata its position holds.  :func:`_layout` stacks grids of tapes
-prefixes[i]·suffixes[j] around one split position, writing each distinct
-string once, and :func:`_search` runs groups of grids, each group with
-its automaton and each grid with its seeds and readout, as one search;
-:func:`concatenation_bits` is its one-grid case that decides every word
-xs[i]·ys[j].
+Expanding a slot masks it once and costs one AND and one OR per move,
+however many letters and automata its position holds.  :func:`_layout`
+stacks grids of tapes prefixes[i]·suffixes[j] around one split position,
+writing each distinct string once, and :func:`_search` runs groups of
+grids, each group with its automaton and each grid with its seeds and
+readout, as one search; :func:`concatenation_bits` is its one-grid case
+that decides every word xs[i]·ys[j].
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -147,14 +147,19 @@ def _reach(groups: Sequence[tuple[TwoWayNfa, int]],
     ``groups`` pairs each automaton with the int of its lanes.  Each slot
     first gets its moves, a tuple of (target slot, allowed lanes): allowed
     is the OR of the lanes whose letter at p lets state q make that move
-    and whose automaton has it, so an expansion costs one AND per move.
+    and whose automaton has it, so a move reads no letter.
     Several automata's moves are merged once per symbol, as (q, d·n + t,
     their lanes); one automaton's are read straight from its table.
-    Sweeps the slots left to right, then right to left and so on, expanding
-    only the newly reached lanes of each slot, until a sweep reaches
-    nothing new.  A head that leaves its fragment lands in the padding,
-    where the callers read the exits; a right move off the right marker is
-    dropped.  Private, so that ``bench/tracer.py`` does not wrap it.
+    Sweeps the slots left to right, then right to left and so on, until a
+    sweep reaches nothing new.  A slot is masked once as it is expanded:
+    its fresh lanes less those it already has are its new lanes, recorded
+    and moved on, and a move only ORs the allowed ones into its target's
+    fresh lanes, even lanes the target already has.  An expansion thus
+    costs one AND and one OR per move.  A head that leaves its
+    fragment lands in the padding, which is never expanded: its fresh
+    lanes are recorded at the end, and the callers read the exits there.
+    A right move off the right marker is dropped.  Private, so that
+    ``bench/tracer.py`` does not wrap it.
     """
     n = groups[0][0].state_count
     [(a, _), *several] = groups
@@ -189,7 +194,6 @@ def _reach(groups: Sequence[tuple[TwoWayNfa, int]],
     at = [0] * len(moves)
     fresh = [0] * len(moves)
     for p, q, lanes in seeds:
-        at[p * n + q] |= lanes
         fresh[p * n + q] |= lanes
     forward = range(n, len(moves) - n)
     sweep, moved = forward, True
@@ -198,14 +202,17 @@ def _reach(groups: Sequence[tuple[TwoWayNfa, int]],
         for s in sweep:
             reached = fresh[s]
             if reached:
-                moved = True
                 fresh[s] = 0
-                for t, allowed in moves[s]:
-                    lanes = reached & allowed & ~at[t]
-                    if lanes:
-                        at[t] |= lanes
-                        fresh[t] |= lanes
+                reached &= ~at[s]
+                if reached:
+                    moved = True
+                    at[s] |= reached
+                    for t, allowed in moves[s]:
+                        fresh[t] |= reached & allowed
         sweep = forward[::-1] if sweep is forward else forward
+    # the padding is never expanded: what reached it is still fresh
+    for s in (*range(n), *range(len(moves) - n, len(moves))):
+        at[s] |= fresh[s]
     return at
 
 

@@ -35,11 +35,13 @@ RANDOM_ALPHABET_MAX = 240
 RANDOM_MOVES_MAX = 2_000_000
 
 # schmidt --random decides a block of instances in one lane search.  At 3
-# states and 2 letters, blocks of 6, 16 and 32 took about 70, 65 and 65 % of
-# the CPU time of one search each, at 0.1, 0.4 and 1.0 MB more peak RSS; at
-# 20-240 letters, 50 states or near RANDOM_MOVES_MAX, blocks ran 1.04-1.6
+# states and 2 letters, blocks of 6, 12, 16, 24 and 32 took about 65, 58, 59,
+# 56 and 58 % of the time of one search each, and schmidt --random 300 peaked
+# 0.10, 0.25, 0.26 and 0.36 MB higher at 12, 16, 24 and 32 than at 6; blocks
+# of 12 ran 4-14 % faster than blocks of 6 at 1-6 states and 2-16 letters.
+# At 20-240 letters, 50 states or near RANDOM_MOVES_MAX, blocks ran 1.04-1.6
 # times slower.  Beyond these limits an automaton is a block of its own.
-RANDOM_BLOCK_MAX = 6
+RANDOM_BLOCK_MAX = 12
 RANDOM_BLOCK_MOVES = 2_000
 RANDOM_BLOCK_ALPHABET = 16
 

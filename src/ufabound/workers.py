@@ -30,11 +30,13 @@ import os
 from typing import Callable, Iterable, Iterator, Sequence
 
 # fork, exit and reaping cost 3-4 ms at the CLI's 30 MB, and a child's
-# first writes to the memory it shares cost more, against about 0.35 ms
-# per three-state schmidt instance checked in blocks: in fresh CLI runs,
-# two shares first beat one near 48 instances (16 and 32 ran faster on one).
-# verify's random check forks by it too: its 10 quick instances were measured
-# not to pay, its 50 full ones to pay; the break-even between is unmeasured
+# first writes to the memory it shares cost more, against 0.3-0.45 ms per
+# three-state schmidt instance checked in blocks of 12 (cli.main's own time
+# on 2 shared cores): in fresh CLI runs, two shares first beat one near
+# 48 instances (24 and 32 ran faster on one, 40 and 48 about even, 64 faster
+# on two).  verify's random check forks by it too: its 10 quick instances
+# were measured not to pay, its 50 full ones to pay at n = 3 (168 against
+# 183 ms); the break-even between is unmeasured
 MIN_SHARE = 24
 # os names no signals; POSIX numbers SIGKILL 9
 _SIGKILL = 9

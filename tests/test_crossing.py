@@ -600,8 +600,78 @@ class TestBlocks:
             return real(prefixes, suffixes, n)
 
         monkeypatch.setattr(crossing, "acceptance_matrix", counted)
-        assert len(list(crossing.random_campaign(3, 2, range(2 * RANDOM_BLOCK_MAX)))) == 12
+        seeds = range(2 * RANDOM_BLOCK_MAX)
+        assert len(list(crossing.random_campaign(3, 2, seeds))) == len(seeds)
         assert calls == [3, 3]
+
+    def test_each_lane_of_several_automata_is_its_own_closure(self, sparse_two_way_nfa):
+        # the several-automata search against the closure oracle on each
+        # lane's own tape: 3-4 automata, each with a grid of bare fragments,
+        # whose heads zig-zag out of both ends, one of marked prefixes, which
+        # exit right at the split, and one of marked suffixes, which exit
+        # left just before it; every grid has seeds
+        rng = random.Random(24)
+        seen = {"right": set(), "left": set(), "far": 0, "padding": 0}
+        for states in (1, 2, 3, 4):
+            for _ in range(3):
+                alphabet = rng.randint(1, 3)
+                groups = []
+                for _ in range(rng.randint(3, 4)):
+                    a = (random_two_way_nfa(states, alphabet, rng) if rng.random() < 0.3
+                         else sparse_two_way_nfa(states, alphabet, rng, 3))
+                    # bare fragments up to 5 letters, marked ones up to 4
+                    # with the marker, so that some exits land in the padding
+                    xs = ragged(alphabet, rng.randint(1, 4), 5, rng)
+                    ys = [*ragged(alphabet, rng.randint(1, 3), 4, rng),
+                          (*random_strings(alphabet, 1, 4, rng)[0], rng.randrange(alphabet))]
+                    marked = ragged(alphabet, 3, 3, rng)
+                    groups.append((a, [(xs, ys), ([(LEFT_MARKER, *x) for x in marked], [()]),
+                                       ([()], [(*y, RIGHT_MARKER) for y in marked])]))
+                lanes, seeds = [], []
+                for a, grids in groups:
+                    for kind, (xs, ys) in zip(("bare", "prefix", "suffix"), grids):
+                        tapes = [(x, y) for x in xs for y in ys]
+                        # each lane's seeds, as (state, tape position)
+                        picks = [[(rng.randrange(states), rng.randrange(len(x + y)))
+                                  for _ in range(rng.randint(0, 2))] if x + y else []
+                                 for x, y in tapes]
+                        if not any(picks):
+                            x, y = next(t for t in tapes if t[0] + t[1])
+                            picks[tapes.index((x, y))] = [(0, 0)]
+                        lanes += [(a, kind, x, x + y, pick) for (x, y), pick in zip(tapes, picks)]
+                        seeds.append([(k - len(x), q, 1 << lane)
+                                      for lane, ((x, _), pick) in enumerate(zip(tapes, picks))
+                                      for q, k in pick])
+                stacked = [(xs, ys) for _, grids in groups for xs, ys in grids]
+                cells, split, offsets = _layout(stacked)
+                owners, g = [], 0
+                for a, grids in groups:
+                    owners.append((a, (1 << offsets[g + len(grids)]) - (1 << offsets[g])))
+                    g += len(grids)
+                at = _reach(owners, cells, [(split + p, q, bits << offset)
+                                            for grid, offset in zip(seeds, offsets)
+                                            for p, q, bits in grid])
+                assert len(lanes) == offsets[-1]
+                for lane, (a, kind, x, tape, pick) in enumerate(lanes):
+                    start = split - len(x)
+                    reached = {(q, p - start) for p in range(len(cells)) for q in range(states)
+                               if at[p * states + q] >> lane & 1}
+                    assert all(-1 <= k <= len(tape) for _, k in reached)
+                    configs = {(q, k) for q, k in reached if 0 <= k < len(tape)}
+                    right = mask_of(q + 1 for q, k in reached if k == len(tape))
+                    left = mask_of(q + 1 for q, k in reached if k == -1)
+                    assert (configs, right, left) == closure_exits(a, tape, pick), (lane, kind)
+                    if right:
+                        seen["right"].add(kind)
+                    if left:
+                        seen["left"].add(kind)
+                    seen["far"] += len(configs) > len(pick) + 2
+                    seen["padding"] += bool(left and start == 1 or right
+                                            and start + len(tape) == len(cells) - 1)
+        # exits on both sides, at the split and in the padding, and lanes
+        # that reach far
+        assert seen["right"] == {"bare", "prefix"} and seen["left"] == {"bare", "suffix"}
+        assert seen["far"] > 50 and seen["padding"] > 10
 
     def test_a_flipped_shared_entry_fails_exactly_its_readers(self, monkeypatch):
         instances = self.instances(2, 2, random.Random(23))
@@ -633,10 +703,14 @@ class TestBlocks:
         assert readers_seen == {0, 1, 2}
 
     def test_the_campaign_reports_each_seed_as_alone(self):
+        seeds = range(70, 110)
         for states in (2, 3):
-            got = list(crossing.random_campaign(states, 2, range(70, 110)))
-            assert got == [next(crossing.random_campaign(states, 2, [seed]))
-                           for seed in range(70, 110)]
+            # full blocks and a partial last one
+            assert len(seeds) % random_block(states, 2)
+            got = list(crossing.random_campaign(states, 2, seeds))
+            assert got == [next(crossing.random_campaign(states, 2, [seed])) for seed in seeds]
+            assert list(crossing.random_records(states, 2, seeds)) == \
+                [next(crossing.random_records(states, 2, [seed])) for seed in seeds]
 
     def test_a_block_keeps_at_most_its_moves(self, monkeypatch):
         assert random_block(3, 2) == RANDOM_BLOCK_MAX
