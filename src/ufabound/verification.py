@@ -13,6 +13,7 @@ the random check's seeds and records.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import operator
@@ -46,10 +47,10 @@ class Run:
     A bad level, or n beyond the enumeration cap (G lists every ordered
     table at n), is refused before a worker forks or anything is built.
     Each check draws from a fresh generator (:meth:`rng`), so a shared
-    sample is the one it would have drawn itself.  Entering the run starts
-    the random check's instances beside the other checks, before M or the
-    pair study exists; ``records`` then returns their records, and leaving
-    the run reaps the worker.
+    sample is the one it would have drawn itself.  At three states, entering
+    the run starts the random check's instances beside the other checks,
+    before M or the pair study exists, and leaving it reaps the worker;
+    below, ``records`` computes their records here as they are read.
     """
 
     def __init__(self, n: int, level: str = "quick", seed: int = 0):
@@ -69,8 +70,10 @@ class Run:
         # imported here, so that only the commands that fork workers load it
         from . import workers
 
-        self._beside = workers.beside(
-            functools.partial(crossing.random_records, self.states, 2), self.seeds)
+        records = functools.partial(crossing.random_records, self.states, 2)
+        # below three states a fork costs more than the other checks take
+        self._beside = (workers.beside(records, self.seeds) if self.states == 3
+                        else contextlib.nullcontext(lambda: records(self.seeds)))
         self.records = self._beside.__enter__()
         return self
 
@@ -100,15 +103,18 @@ class Run:
         return self._built["study"]
 
 
-def _unordered_witness(f: tables.PrefixTable):
-    """A quadruple (u1, u2, v1, v2) with v1 in f(u1) - f(u2) and v2 in
-    f(u2) - f(u1), or None: the second characterization of orderedness."""
+def _quadruples(f: tables.PrefixTable):
+    """The quadruples (u1, u2, v1, v2) with v1 in f(u1) - f(u2), v2 in f(u2) - f(u1)."""
     for u1, u2 in itertools.permutations(range(1, f.n + 1), 2):
         a, b = f.value(u1), f.value(u2)
         for v1 in elements(a & ~b):
             for v2 in elements(b & ~a):
-                return (u1, u2, v1, v2)
-    return None
+                yield u1, u2, v1, v2
+
+
+def _unordered_witness(f: tables.PrefixTable):
+    """A quadruple of f, or None: the second characterization of orderedness."""
+    return next(_quadruples(f), None)
 
 
 def check_orderedness_agreement(run: Run) -> CheckResult:
@@ -151,21 +157,15 @@ def check_entry_simulation_agreement(run: Run) -> CheckResult:
 def check_augmentation_identity(run: Run) -> CheckResult:
     size = min(run.n, 4) if run.level == "full" else min(run.n, 3)
     m = run.m(size)
-    fs = m.row_labels
-    index = {f.values: i for i, f in enumerate(fs)}
+    row = {f.values: bits for f, bits in zip(m.row_labels, m.bits)}
     checked = 0
-    for f in fs:
-        for u1, u2 in itertools.permutations(range(1, size + 1), 2):
-            for v1 in elements(f.value(u1) & ~f.value(u2)):
-                for v2 in elements(f.value(u2) & ~f.value(u1)):
-                    fe, fep, fee = tables.augment(f, u1, u2, v1, v2)
-                    a = m.bits[index[f.values]]
-                    d = m.bits[index[fee.values]]
-                    b = m.bits[index[fe.values]]
-                    c = m.bits[index[fep.values]]
-                    if (a ^ d) != (b ^ c) or (a & d) != (b & c):
-                        return CheckResult("augmented-row identity", False, f"violated at {f}")
-                    checked += 1
+    for f, a in zip(m.row_labels, m.bits):
+        for quadruple in _quadruples(f):
+            fe, fep, fee = tables.augment(f, *quadruple)
+            b, c, d = row[fe.values], row[fep.values], row[fee.values]
+            if (a ^ d) != (b ^ c) or (a & d) != (b & c):
+                return CheckResult("augmented-row identity", False, f"violated at {f}")
+            checked += 1
     detail = f"{checked} quadruples" if checked else "vacuous: every table is ordered"
     return CheckResult("augmented-row identity", True, detail)
 

@@ -34,9 +34,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 # three-state schmidt instance checked in blocks of 12 (cli.main's own time
 # on 2 shared cores): in fresh CLI runs, two shares first beat one near
 # 48 instances (24 and 32 ran faster on one, 40 and 48 about even, 64 faster
-# on two).  verify's random check forks by it too: its 10 quick instances
-# were measured not to pay, its 50 full ones to pay at n = 3 (168 against
-# 183 ms); the break-even between is unmeasured
+# on two).  verify's random check forks by it too, at n >= 3 only: its 10
+# quick instances were measured not to pay, its 50 full ones to pay at n = 3
+# (168 against 186 ms), not at n = 1 or 2, whose other checks take a few ms
 MIN_SHARE = 24
 # os names no signals; POSIX numbers SIGKILL 9
 _SIGKILL = 9

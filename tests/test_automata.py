@@ -100,6 +100,20 @@ def test_two_way_structural_rules():
     TwoWayNfa(2, 1, {0}, {(0, RIGHT_MARKER): {(0, -1)}}, {1})
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, set(), {}, set()), "state_count must be positive"),
+    ((1, 0, {0}, {}, set()), "alphabet_size must be positive"),
+    ((1, 1, {0}, {(1, 0): {(0, 1)}}, set()), "transition from unknown state 1"),
+    ((1, 1, {0}, {(0, 1): {(0, 1)}}, set()), "transition on unknown symbol 1"),
+    ((1, 1, {0}, {(0, 0): {(1, 1)}}, set()), "transition into unknown state 1"),
+    ((1, 1, {0}, {(0, 0): {(0, 0)}}, set()), "bad direction 0"),
+    ((1, 1, {1}, {}, set()), "state 1 out of range"),
+])
+def test_two_way_nfa_refuses_malformed_parts(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TwoWayNfa(*args)
+
+
 JSON_2NFA = {
     "type": "2nfa",
     "states": 2,

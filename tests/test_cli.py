@@ -575,6 +575,12 @@ def test_schmidt_random_refuses_bad_alphabets_and_states_before_any_automaton(
         main(["schmidt", "--random", "1", "--states", "1", "--alphabet", "240"])
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_schmidt_random_refuses_a_count_below_one(capsys, count):
+    code, out, err = run(capsys, "schmidt", "--random", count)
+    assert (code, out, err) == (2, "", "error: --random needs a positive instance count\n")
+
+
 def test_schmidt_random_refuses_too_many_moves_before_any_automaton(capsys, monkeypatch):
     # each of --states 815 and --alphabet 240 is allowed, but an automaton
     # of both would keep some 160 million moves
@@ -693,6 +699,27 @@ def test_a_json_accepting_state_moving_on_the_right_marker_is_named_as_numbered(
                          "--prefixes", str(tmp_path / "xs.txt"),
                          "--suffixes", str(tmp_path / "xs.txt"))
     assert (code, out, err) == (2, "", "error: accepting state 2 must halt on the right marker\n")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda a: [a], "automaton JSON must be an object"),
+    (lambda a: dict(a, initial=3), "initial must be an array of 1-based states"),
+    (lambda a: dict(a, transitions={}), "transitions must be an array"),
+    (lambda a: dict(a, transitions=["1 a 1 +1"]), "each transition must be an object"),
+])
+def test_schmidt_refuses_a_malformed_automaton_file(tmp_path, capsys, change, message):
+    automaton = {
+        "type": "2nfa", "states": 1, "alphabet": ["a"],
+        "initial": [1], "accepting": [1],
+        "transitions": [{"from": 1, "symbol": "a", "to": 1, "dir": 1}],
+    }
+    aut = tmp_path / "a.json"
+    aut.write_text(json.dumps(change(automaton)))
+    (tmp_path / "xs.txt").write_text("a\n")
+    code, out, err = run(capsys, "schmidt", "--automaton", str(aut),
+                         "--prefixes", str(tmp_path / "xs.txt"),
+                         "--suffixes", str(tmp_path / "xs.txt"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_usage_error_exit_code():

@@ -136,6 +136,19 @@ def test_entry_simulation_names_the_lowest_failing_column_of_a_row(monkeypatch):
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
 
 
+def test_a_flipped_bit_of_m_fails_the_augmentation_identity(monkeypatch):
+    # bit 0 flipped in the row of M's first unordered table, the first row
+    # that a quadruple reads
+    m = witness.build_M(3)
+    i = next(i for i, f in enumerate(m.row_labels) if not tables.is_ordered(f))
+    bits = list(m.bits)
+    bits[i] ^= 1
+    flipped = witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
+    monkeypatch.setattr(witness, "build_M", lambda size: flipped)
+    r = verification.check_augmentation_identity(verification.Run(3, "quick"))
+    assert not r.ok and r.detail == f"violated at {m.row_labels[i]}"
+
+
 def test_layer_rank_disagreement_fails(monkeypatch):
     monkeypatch.setattr(verification, "_complement_rank", lambda f: 0)
     r = verification.check_layer_rank(verification.Run(3, "full"))
@@ -323,6 +336,23 @@ def test_forced_breakthrough_studies_distinct_tables_of_at_least_the_base_size(m
     monkeypatch.setattr(verification, "_study_of", _same_for_every_pair(0, 0))
     r = verification.check_forced_breakthrough(verification.Run(3, "full"))
     assert not r.ok and r.detail == f"no breakthrough for {other} against {f0}"
+
+
+def test_a_wrong_staged_accept_set_fails_the_staged_check(monkeypatch):
+    # the accept set of base table 100's last staged table, every layer
+    # staged, with state 1 flipped
+    real = verification._study_of
+
+    def study_of(g, firsts, bases):
+        masks, accepts, columns = real(g, firsts, bases)
+        accepts[100][-1] ^= 0b10
+        return masks, accepts, columns
+
+    monkeypatch.setattr(verification, "_study_of", study_of)
+    f0 = combinatorics.enumerate_ordered_prefix_tables(3)[100]
+    stage = list(range(tables.layer_structure(f0).rank_k))
+    r = verification.check_staged_suffix_tables(verification.Run(3, "full"))
+    assert not r.ok and r.detail == f"wrong accept set for {f0}, {stage}"
 
 
 def test_a_staged_table_outside_g_fails_the_staged_check(monkeypatch):
@@ -525,9 +555,11 @@ def test_run_checks_calls_the_random_check_it_lists(monkeypatch):
 
 def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
     # a quick run's 10 instances are fewer than a worker's share and run
-    # here; a full run's 50 run in one worker
+    # here; a full run's 50 run in one worker from three states on, and
+    # here below, where the other checks take less than the fork
     real = os.fork
-    for level, forks in (("quick", 0), ("full", 1)):
+    for n, level, forks in (("3", "quick", 0), ("1", "full", 0), ("2", "full", 0),
+                            ("3", "full", 1)):
         forked = []
 
         def counted():
@@ -536,9 +568,9 @@ def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(os, "fork", counted)
-            code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", "3", "--level", level)
+            code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", n, "--level", level)
         assert code == 0 and out.endswith("11/11 checks passed\n")
-        assert forked == [os.getpid()] * forks
+        assert forked == [os.getpid()] * forks, (n, level)
 
 
 def test_a_full_run_at_size_four_builds_no_k(monkeypatch):
@@ -777,6 +809,31 @@ def test_staged_drop_down_and_completion_faults_fail_under_optimize():
     proc = _run("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "FAIL wrong\nFAIL non-zero\nFAIL mismatch\n"
+
+
+def test_flipped_m_bit_and_wrong_accept_set_fail_under_optimize():
+    # the faults of test_a_flipped_bit_of_m_fails_the_augmentation_identity
+    # and test_a_wrong_staged_accept_set_fails_the_staged_check
+    code = ("from ufabound import tables, verification, witness\n"
+            "m = witness.build_M(3)\n"
+            "i = next(i for i, f in enumerate(m.row_labels) if not tables.is_ordered(f))\n"
+            "bits = list(m.bits)\n"
+            "bits[i] ^= 1\n"
+            "flipped = witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))\n"
+            "witness.build_M = lambda size: flipped\n"
+            "r = verification.check_augmentation_identity(verification.Run(3, 'quick'))\n"
+            "print('PASS' if r.ok else 'FAIL', r.detail == f'violated at {m.row_labels[i]}')\n"
+            "real = verification._study_of\n"
+            "def study_of(g, firsts, bases):\n"
+            "    masks, accepts, columns = real(g, firsts, bases)\n"
+            "    accepts[100][-1] ^= 0b10\n"
+            "    return masks, accepts, columns\n"
+            "verification._study_of = study_of\n"
+            "r = verification.check_staged_suffix_tables(verification.Run(3, 'full'))\n"
+            "print('PASS' if r.ok else 'FAIL', r.detail.split(' for ')[0])\n")
+    proc = _run("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "FAIL True\nFAIL wrong accept set\n"
 
 
 def test_wrong_born_structure_fails_under_optimize():
