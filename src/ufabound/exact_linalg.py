@@ -156,10 +156,17 @@ def _eliminate_mod_p(arr: np.ndarray, p: int) -> int:
             idx = hits[s:s + chunk]
             narrow = arr[idx, col:]
             block = np.multiply(narrow, pv, dtype=np.int64)
-            block -= narrow[:, :1] * prow
-            block %= p
+            spare = np.multiply(narrow[:, :1], prow)
+            block -= spare
+            # block -= block // p * p: the residues of %, since int64 //
+            # floors too, at a fraction of the cost of NumPy's remainder by
+            # a scalar; spare holds each product in turn, so that no third
+            # array of the chunk's size is made
+            np.floor_divide(block, p, out=spare)
+            spare *= p
+            block -= spare
             arr[idx, col:] = block
-            del narrow, block  # freed before the next chunk is gathered
+            del narrow, block, spare  # freed before the next chunk is gathered
         arr[piv, col:] = 0
         rank += 1
         if rank == nrows:

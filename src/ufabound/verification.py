@@ -5,15 +5,16 @@ independent means and reports pass/fail; together they exercise the whole
 pipeline at a chosen size.  ``quick`` samples where ``full`` is
 exhaustive.  All sampling is seeded, so identical invocations print
 identical reports.  Every check reads what it needs off one :class:`Run`:
-M, the ordered tables and the square matrix G
+M, the prefix tables, the ordered tables and the square matrix G
 (:func:`ufabound.witness.staged_matrix`) per size, the pair study, and
-the random check's seeds and records.
+the random check's seeds.  From three states on, the checks that build
+what no other check reads run in a worker forked as the run is entered,
+on its own copy of the run, beside the others (:data:`_BESIDE`).
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import itertools
 import operator
@@ -40,17 +41,19 @@ class CheckResult(NamedTuple):
 
 
 class Run:
-    """One verify run at size n: M, the ordered tables and G per size and
-    the pair study, each built on first use and kept on the run, and the
-    random-automaton check's state count and instance seeds.
+    """One verify run at size n: M, the prefix tables, the ordered tables
+    and G per size and the pair study, each built on first use and kept on
+    the run, and the random-automaton check's state count and instance seeds.
 
     A bad level, or n beyond the enumeration cap (G lists every ordered
     table at n), is refused before a worker forks or anything is built.
     Each check draws from a fresh generator (:meth:`rng`), so a shared
-    sample is the one it would have drawn itself.  At three states, entering
-    the run starts the random check's instances beside the other checks,
-    before M or the pair study exists, and leaving it reaps the worker;
-    below, ``records`` computes their records here as they are read.
+    sample is the one it would have drawn itself.  At three states,
+    entering the run forks a worker that runs the checks of :data:`_BESIDE`
+    on its copy of the run, before anything is built here: ``away`` holds
+    their positions in :data:`_CHECKS`, ``results_away()`` waits for their
+    JSON lines, and leaving the run reaps the worker.  Below three states
+    ``away`` is empty, and every check runs here.
     """
 
     def __init__(self, n: int, level: str = "quick", seed: int = 0):
@@ -70,15 +73,22 @@ class Run:
         # imported here, so that only the commands that fork workers load it
         from . import workers
 
-        records = functools.partial(crossing.random_records, self.states, 2)
         # below three states a fork costs more than the other checks take
-        self._beside = (workers.beside(records, self.seeds) if self.states == 3
-                        else contextlib.nullcontext(lambda: records(self.seeds)))
-        self.records = self._beside.__enter__()
+        self.away = [i for i, check in enumerate(_CHECKS)
+                     if check in _BESIDE and self.states == 3]
+        self._beside = workers.beside(self._check_away, self.away)
+        self.results_away = self._beside.__enter__()
         return self
 
     def __exit__(self, *exc) -> None:
         self._beside.__exit__(*exc)
+
+    def _check_away(self, positions: list[int]):
+        # a failed check is a result too: every line is "ok", its verdict in
+        # "passed", so that the worker goes on to the next check
+        for i in positions:
+            r = _CHECKS[i](self)
+            yield {"ok": True, "name": r.name, "passed": r.ok, "detail": r.detail}
 
     def _kept(self, key, build: Callable, *args):
         if key not in self._built:
@@ -87,6 +97,9 @@ class Run:
 
     def m(self, size: int) -> witness.BoolMatrix:
         return self._kept(("M", size), witness.build_M, size)
+
+    def prefix(self, size: int) -> list[tables.PrefixTable]:
+        return self._kept(("prefix", size), tables.enumerate_prefix_tables, size)
 
     def ordered(self, size: int) -> list[tables.PrefixTable]:
         return self._kept(("ordered", size), combinatorics.enumerate_ordered_prefix_tables, size)
@@ -119,9 +132,9 @@ def _unordered_witness(f: tables.PrefixTable):
 
 def check_orderedness_agreement(run: Run) -> CheckResult:
     name = "orderedness characterizations agree"
-    fs = tables.enumerate_prefix_tables(min(run.n, 3))
+    fs = run.prefix(min(run.n, 3))
     if run.n >= 4:
-        fs += run.rng().sample(tables.enumerate_prefix_tables(4), 500)
+        fs = fs + run.rng().sample(run.prefix(4), 500)
     for f in fs:
         if (_unordered_witness(f) is None) != tables.is_ordered(f):
             return CheckResult(name, False, f"they disagree on {f}")
@@ -239,7 +252,7 @@ def _study_of(g: witness.BoolMatrix, firsts: list, bases: list) -> tuple:
     stays inside S_{i-1} (empty for i = 0) and breaks through it when
     reach_i leaves S_i.  For stage set b (bit l stages layer l),
     accepts[j][b] is the accept set of the column of G equal to
-    :func:`witness.build_g_I` of f0 and b's layers, and columns[j][b] the
+    :func:`witness.staged_tables` of f0 at b, and columns[j][b] the
     int of the first tables with a 1 there; None and 0 where no column of
     G equals it.  arcs[u-1][v] is the int of the first tables with v in
     f(u), and down[c] that of those with a 1 in column c, each from one
@@ -272,7 +285,7 @@ def _study_of(g: witness.BoolMatrix, firsts: list, bases: list) -> tuple:
             layers.append((every & ~left_below, left_s_i))
             below = s_i
         masks.append(layers)
-        cols = [col_of.get(witness.build_g_I(f0, _stage_set(b, k))) for b in range(1 << k)]
+        cols = [col_of.get(h) for h in witness.staged_tables(f0)]
         accepts.append([None if c is None else g.col_labels[c].accept_flags for c in cols])
         columns.append([0 if c is None else down[c] for c in cols])
     return masks, accepts, columns
@@ -392,7 +405,7 @@ def check_matrix_rank_is_count(run: Run) -> CheckResult:
 
 def check_random_automata_bound(run: Run) -> CheckResult:
     name = "random-automaton ranks stay within the bound"
-    for record in run.records():
+    for record in crossing.random_records(run.states, 2, run.seeds):
         if not record["ok"]:
             return CheckResult(name, False, f"instance seed {record['seed']}")
     return CheckResult(name, True, f"{len(run.seeds)} instances with {run.states} states")
@@ -414,7 +427,7 @@ def check_count_matches_enumeration(run: Run) -> CheckResult:
     if count != second:
         return CheckResult(name, False, f"index forms of the count disagree at "
                            f"size {size}: {count} != {second}")
-    by_filter = tables.enumerate_ordered_prefix_tables_by_filter(size)
+    by_filter = [f for f in run.prefix(size) if tables.is_ordered(f)]
     by_layers = run.ordered(size)
     layered = {f.values for f in by_layers}
     if len(layered) != len(by_layers):
@@ -452,6 +465,21 @@ _CHECKS: list[Callable] = [
 ]
 
 
+# the checks that build what no other check reads (every prefix table of
+# size 3, the sample of size 4, the filter enumeration, the random automata):
+# at three states a run's worker runs them, its own ordered tables built
+# anew, while the checks that share M, G and the pair study run here
+_BESIDE: list[Callable] = [
+    check_orderedness_agreement,
+    check_count_matches_enumeration,
+    check_random_automata_bound,
+]
+
+
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
+    """Every check of :data:`_CHECKS` on one run, in that order."""
     with Run(n, level, seed) as run:
-        return [check(run) for check in _CHECKS]
+        results = [None if i in run.away else check(run) for i, check in enumerate(_CHECKS)]
+        for i, r in zip(run.away, run.results_away()):
+            results[i] = CheckResult(r["name"], r["passed"], r["detail"])
+        return results

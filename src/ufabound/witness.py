@@ -21,6 +21,7 @@ is compared against, in :mod:`ufabound.verification` and the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,22 +52,28 @@ class WitnessAutomaton:
             raise ValueError("letter payload has the wrong size")
         self._prefix_letter: dict[PrefixTable, int] = {}
         self._suffix_letter: dict[SuffixTable, int] = {}
+
+        @functools.cache
+        def moves(mask: int, d: int) -> frozenset:
+            # one shared set per state mask and direction, made when first used
+            return frozenset((v - 1, d) for v in elements(mask))
+
         trans: dict = {}
         for q in range(n):
-            trans[(q, LEFT_MARKER)] = frozenset({(q, +1)})
+            trans[(q, LEFT_MARKER)] = moves(2 << q, +1)
             for c in range(n):
-                trans[(q, c)] = frozenset({(c, +1)})
+                trans[(q, c)] = moves(2 << c, +1)
         for c, f in enumerate(prefixes, start=n):
             self._prefix_letter.setdefault(f, c)
             for q in range(n):
-                trans[(q, c)] = frozenset((v - 1, +1) for v in elements(f.values[q]))
+                trans[(q, c)] = moves(f.values[q], +1)
         for c, g in enumerate(suffixes, start=n + len(prefixes)):
             self._suffix_letter.setdefault(g, c)
             for q in range(n):
                 if g.accept_flags >> (q + 1) & 1:
-                    trans[(q, c)] = frozenset({(q, +1)})
+                    trans[(q, c)] = moves(2 << q, +1)
                 else:
-                    trans[(q, c)] = frozenset((v - 1, -1) for v in elements(g.values[q]))
+                    trans[(q, c)] = moves(g.values[q], -1)
         self.nfa = TwoWayNfa(n, n + len(prefixes) + len(suffixes), frozenset({0}),
                              trans, frozenset(range(n)))
 
@@ -220,30 +227,45 @@ def build_g_I(f0: PrefixTable, stage_layers: set[int] | frozenset[int]) -> Suffi
     prefix layers up to s (or up to s+1 where a breakthrough is staged);
     entries that would reach past the top layer accept outright.
     """
-    ls = layer_structure(f0)
-    k = ls.rank_k
+    k = layer_structure(f0).rank_k
     stage = set(stage_layers)
     if not stage <= set(range(k)):
         raise ValueError(f"stage layers must lie in 0..{k - 1}")
+    return _staged(f0, [sum(1 << layer for layer in stage)])[0]
+
+
+def staged_tables(f0: PrefixTable) -> list[SuffixTable]:
+    """:func:`build_g_I` of f0 and every set of its layers, the set whose
+    bit l stands for layer l at that index: 2^k tables from one reading of
+    f0's layers."""
+    return _staged(f0, range(1 << layer_structure(f0).rank_k))
+
+
+def _staged(f0: PrefixTable, stage_sets: Iterable[int]) -> list[SuffixTable]:
+    # the staged table of each stage set, bit l of a set staging layer l
+    ls = layer_structure(f0)
+    k = ls.rank_k
     full = full_mask(f0.n)
     # left vertices on prefix layer <= j, for each j
     pl_le = [0] * (k + 1)
-    for u in range(1, f0.n + 1):
-        pl_le[ls.prefix_layer[u - 1]] |= 1 << u
+    for u, layer in enumerate(ls.prefix_layer, 1):
+        pl_le[layer] |= 1 << u
     for j in range(1, k + 1):
         pl_le[j] |= pl_le[j - 1]
-    values = []
-    accept = 0
-    for v in range(1, f0.n + 1):
-        s = ls.suffix_layer[v - 1]
-        if s not in stage and s < k:
-            values.append(pl_le[s])
-        elif s in stage and s + 1 < k:
-            values.append(pl_le[s + 1])
-        else:
-            values.append(full)
-            accept |= 1 << v
-    return SuffixTable(f0.n, tuple(values), accept)
+    out = []
+    for b in stage_sets:
+        values = []
+        accept = 0
+        for v, s in enumerate(ls.suffix_layer, 1):
+            # a staged layer s feeds up to s + 1; none of them is layer k
+            top = s + (b >> s & 1)
+            if top < k:
+                values.append(pl_le[top])
+            else:
+                values.append(full)
+                accept |= 1 << v
+        out.append(SuffixTable(f0.n, tuple(values), accept))
+    return out
 
 
 def staged_matrix(ordered: Sequence[PrefixTable], n: int) -> BoolMatrix:

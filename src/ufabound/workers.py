@@ -2,16 +2,18 @@
 
 One primitive forks: :func:`beside` computes a share of items in an
 ``os.fork`` child while the calling process goes on with other work, or
-here when the share is too small to pay for a fork.  :func:`ordered_map`
-splits its items into contiguous shares, one per CPU this process may run
-on, computes the first share itself and every other one beside it, and
-yields the results in item order.  The work they serve is pure Python,
-which holds the interpreter lock, so threads would only take turns.
-Importing :mod:`multiprocessing.pool` or :mod:`concurrent.futures.process`
-alone raises the CLI's peak memory by 1.0 or 1.4 MB, and both pickle the
-function and its arguments.  A forked child already holds the function
-and every module it needs, and it sends back only JSON lines through a
-pipe.
+here when the share is empty or there is no second CPU or ``os.fork``;
+whether a share is worth a fork its caller decides.  :func:`ordered_map`
+splits its items into contiguous shares of at least :data:`MIN_SHARE`
+items, one per CPU this process may run on, computes the first share
+itself and every other one beside it, and yields the results in item
+order; ``verify`` runs its checks that read nothing the others build
+beside them.  The work they serve is pure Python, which holds the
+interpreter lock, so threads would only take turns.  Importing :mod:`multiprocessing.pool` or
+:mod:`concurrent.futures.process` alone raises the CLI's peak memory by
+1.0 or 1.4 MB, and both pickle the function and its arguments.  A forked
+child already holds the function and every module it needs, and it sends
+back only JSON lines through a pipe.
 
 A child buffers its whole share and writes it once, at the end: written
 line by line, a share past the pipe's buffer would wait for the parent,
@@ -29,14 +31,12 @@ import json
 import os
 from typing import Callable, Iterable, Iterator, Sequence
 
-# fork, exit and reaping cost 3-4 ms at the CLI's 30 MB, and a child's
-# first writes to the memory it shares cost more, against 0.3-0.45 ms per
-# three-state schmidt instance checked in blocks of 12 (cli.main's own time
-# on 2 shared cores): in fresh CLI runs, two shares first beat one near
-# 48 instances (24 and 32 ran faster on one, 40 and 48 about even, 64 faster
-# on two).  verify's random check forks by it too, at n >= 3 only: its 10
-# quick instances were measured not to pay, its 50 full ones to pay at n = 3
-# (168 against 186 ms), not at n = 1 or 2, whose other checks take a few ms
+# the fewest items in a share of ordered_map: fork, exit and reaping cost
+# 3-4 ms at the CLI's 30 MB, and a child's first writes to the memory it
+# shares cost more, against 0.3-0.45 ms per three-state schmidt instance
+# checked in blocks of 12 (cli.main's own time on 2 shared cores): in fresh
+# CLI runs, two shares first beat one near 48 instances (24 and 32 ran
+# faster on one, 40 and 48 about even, 64 faster on two)
 MIN_SHARE = 24
 # os names no signals; POSIX numbers SIGKILL 9
 _SIGKILL = 9
@@ -75,6 +75,14 @@ def _upto_failure(results: Iterable[dict]) -> Iterator[dict]:
             return
 
 
+def _move_off(pid: int, cpu: int | None) -> None:
+    """Keep process ``pid`` (0: this one) off ``cpu``, where the system allows."""
+    try:
+        os.sched_setaffinity(pid, os.sched_getaffinity(0) - {cpu})
+    except (AttributeError, OSError):
+        pass
+
+
 def _start(fn: Callable, share: Sequence) -> tuple:
     """Fork a child that computes ``fn(share)`` off the CPU this process is
     on, where the system says which one that is; its pid and the pipe to read."""
@@ -88,6 +96,10 @@ def _start(fn: Callable, share: Sequence) -> tuple:
         raise
     if pid:
         os.close(w)
+        # moved at once: a child queued on this CPU may wait for a scheduler
+        # tick before it first runs (about 2 ms of verify --n 3 --level full
+        # on a 2-vCPU VM)
+        _move_off(pid, here)
         return pid, r
     status = _LOST
     try:
@@ -95,11 +107,9 @@ def _start(fn: Callable, share: Sequence) -> tuple:
         # Linux may leave a fresh child on its parent's CPU for the whole of
         # its work, the two taking turns while another CPU idles: on a
         # 2-vCPU VM, verify --n 3 --level full took 108-119 ms so, 60-65 ms
-        # with the child moved
-        try:
-            os.sched_setaffinity(0, os.sched_getaffinity(0) - {here})
-        except (AttributeError, OSError):
-            pass
+        # with the child moved.  The child moves itself too, so that fn sees
+        # the move whichever of the two runs first
+        _move_off(0, here)
         lines = []
         try:
             for result in _upto_failure(fn(share)):
@@ -140,15 +150,15 @@ def beside(fn: Callable[[Sequence], Iterable[dict]],
     ``fn`` of the items yields one JSON object per item, in order, each
     with an ``"ok"`` member, and is asked for none after the first whose
     ``"ok"`` is false.  The block gets a function to call once, which waits
-    for the child and returns an iterator of its results.  Fewer than
-    :data:`MIN_SHARE` items, one CPU or no ``os.fork`` are not worth a
-    child: then that function computes ``fn(items)`` here, as its results
-    are asked for.  An exception in the child is raised here as a
-    :class:`ChildProcessError` after the results before it, and so is a
-    child that dies or returns too few.  The child is killed if still
-    running and reaped when the block ends, however it ends.
+    for the child and returns an iterator of its results.  With no items,
+    one CPU or no ``os.fork`` there is no child: then that function
+    computes ``fn(items)`` here, as its results are asked for.  An
+    exception in the child is raised here as a :class:`ChildProcessError`
+    after the results before it, and so is a child that dies or returns too
+    few.  The child is killed if still running and reaped when the block
+    ends, however it ends.
     """
-    if len(items) < MIN_SHARE or _cpus() < 2 or not hasattr(os, "fork"):
+    if not items or _cpus() < 2 or not hasattr(os, "fork"):
         yield lambda: _upto_failure(fn(items))
         return
     running = [_start(fn, items)]  # (pid, read end) of the child until it is reaped

@@ -299,6 +299,18 @@ def test_rank_mod_odd_p_against_elimination_oracle():
             assert rank_mod_p(packed(rows), p) == rank_mod_p_oracle(rows, p)
 
 
+def test_eliminate_mod_p_against_elimination_oracle():
+    # the int64 reduction by floor division, on every column of the residues
+    # and with no GF(2) pivot minor first; at 65537 and 2^31 - 1 the
+    # products of residues pass 2^32 and 2^62 - 2^33
+    rng = random.Random(31)
+    for _ in range(200):
+        rows = random_rows(rng, rng.randint(1, 14), rng.randint(1, 14))
+        for p in (3, 65537, 2**31 - 1):
+            arr = np.array(rows, dtype=np.int32)
+            assert exact_linalg._eliminate_mod_p(arr, p) == rank_mod_p_oracle(rows, p)
+
+
 def test_rank_mod_p_reduces_in_chunks_of_rows(monkeypatch):
     # one or two rows per chunk of the update below each pivot
     monkeypatch.setattr(exact_linalg, "CHUNK_ELEMS", 20)

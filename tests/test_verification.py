@@ -356,17 +356,20 @@ def test_a_wrong_staged_accept_set_fails_the_staged_check(monkeypatch):
 
 
 def test_a_staged_table_outside_g_fails_the_staged_check(monkeypatch):
-    # build_g_I(ordered[100], {1}) replaced by a table that is no column of
-    # G: the staged-table check names it, and no check raises
+    # the staged table of ordered[100] and {1} replaced by a table that is
+    # no column of G: the staged-table check names it, and no check raises
     ordered = combinatorics.enumerate_ordered_prefix_tables(3)
     f0 = ordered[100]
     stray = tables.SuffixTable(3, (0, 14, 14), 0b1100)
-    real = witness.build_g_I
+    real = witness.staged_tables
 
-    def build(f, stage):
-        return stray if (f, set(stage)) == (f0, {1}) else real(f, stage)
+    def build(f):
+        staged = real(f)
+        if f == f0:
+            staged[0b10] = stray
+        return staged
 
-    monkeypatch.setattr(witness, "build_g_I", build)
+    monkeypatch.setattr(witness, "staged_tables", build)
     assert stray not in witness.staged_matrix(ordered, 3).col_labels
     results = verification.run_checks(3, "full")
     r = _check_named(results, "staged suffix tables: acceptance sets")
@@ -391,7 +394,8 @@ def _counting(monkeypatch, module, name):
 
 def test_one_run_studies_each_pair_once(monkeypatch):
     studies = _counting(monkeypatch, verification, "_study_of")
-    staged = _counting(monkeypatch, witness, "build_g_I")
+    unstaged = _counting(monkeypatch, witness, "build_g_I")
+    staged = _counting(monkeypatch, witness, "staged_tables")
     built = _counting(monkeypatch, witness, "build_M")
     built_g = _counting(monkeypatch, witness, "staged_matrix")
     # G stands in for K, which is never built
@@ -405,18 +409,22 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     assert [f.values for f in bases] == [f.values for f in ordered]
     assert [f.values for f in firsts] == [f.values for f in ordered]
     # G once, with one unstaged table per ordered table, and each of the
-    # 115 base tables' 2^k staged suffix tables, built once
-    assert len(built_g) == 1 and g.cols == 115
-    assert len(staged) == 115 + sum(1 << tables.layer_structure(f).rank_k for f in ordered)
+    # 115 base tables' 2^k staged suffix tables, built in one call
+    assert len(built_g) == 1 and g.cols == 115 and len(unstaged) == 115
+    assert [f.values for (f,) in staged] == [f.values for f in ordered]
     assert built == [(3,)] and built_k == []
 
 
 def test_one_run_enumerates_the_ordered_tables_once(monkeypatch):
-    # the layer-rank check, the count check and the pair study share one
-    # list; the filter enumeration stays the count check's own oracle
+    # on one CPU the layer-rank check, the count check and the pair study
+    # share one list, and the orderedness check and the count check's
+    # filter enumeration one list of prefix tables; the filter enumeration
+    # stays the count check's own oracle
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     enumerated = _counting(monkeypatch, combinatorics, "enumerate_ordered_prefix_tables")
+    prefixes = _counting(monkeypatch, tables, "enumerate_prefix_tables")
     assert all(r.ok for r in verification.run_checks(3, "full"))
-    assert enumerated == [(3,)]
+    assert enumerated == [(3,)] and prefixes == [(3,)]
 
 
 def test_concurrent_runs_keep_their_own_memo(monkeypatch):
@@ -452,8 +460,9 @@ def test_concurrent_runs_keep_their_own_memo(monkeypatch):
     assert got == want
 
 
-# With a second CPU a full run's random-automaton check runs in a forked
-# worker beside the other checks; the report must not show where it ran.
+# With a second CPU, from three states on, the orderedness, count and
+# random-automaton checks run in a forked worker beside the other checks;
+# the report must not show where they ran.
 
 def _verify_on(capsys, monkeypatch, cpus, *argv):
     with monkeypatch.context() as m:
@@ -498,9 +507,9 @@ def test_a_failing_random_instance_reads_the_same_from_the_worker(
             runs[len(cpus)] = _verify_on(capsys, monkeypatch, cpus, "--n", "3", "--level", level)
             ran_in = set(pids.read_text().split())
             pids.unlink()
-            # every instance in this process, or under full with two CPUs
-            # every one in one worker
-            here = len(cpus) == 1 or level == "quick"
+            # every instance in this process with one CPU, or with two every
+            # one in one worker
+            here = len(cpus) == 1
             assert len(ran_in) == 1 and (str(os.getpid()) in ran_in) == here
         assert runs[1] == runs[2]
         code, out = runs[2]
@@ -523,43 +532,47 @@ def test_an_error_in_the_random_check_worker_exits_2(capsys, monkeypatch):
     code = main(["verify", "--n", "3", "--level", "full"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    seeds = verification.Run(3, "full").seeds
-    assert err == (f"error: the worker on items {seeds[0]}..{seeds[-1]} "
-                   "raised RuntimeError: boom\n")
+    # the worker's items are the positions of its checks in _CHECKS
+    away = [verification._CHECKS.index(check) for check in verification._BESIDE]
+    assert err == f"error: the worker on items {away[0]}..{away[-1]} raised RuntimeError: boom\n"
     with pytest.raises(ChildProcessError):  # no worker left behind
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_run_checks_calls_the_random_check_it_lists(monkeypatch):
-    # a wrapper bound in the module and in _CHECKS, as the bench tracer binds
-    # its own, sees the check run, forked or not, and report what the check
-    # reports called on its own
+def test_run_checks_calls_the_random_check_it_lists(monkeypatch, tmp_path):
+    # a wrapper bound in the module and in its lists, as the bench tracer
+    # binds its own, sees the check run, in the worker with two CPUs, and
+    # report what the check reports called on its own
     real = verification.check_random_automata_bound
-    listed = verification._CHECKS
+    calls = tmp_path / "calls"
+
+    def wrapped(run):
+        r = real(run)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {r.detail}\n")
+        return r
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(verification, "check_random_automata_bound", wrapped)
+    for name in ("_CHECKS", "_BESIDE"):
+        monkeypatch.setattr(verification, name, [wrapped if check is real else check
+                                                 for check in getattr(verification, name)])
     for level in ("quick", "full"):
-        calls = []
-
-        def wrapped(run):
-            calls.append(real(run))
-            return calls[-1]
-
-        monkeypatch.setattr(verification, "check_random_automata_bound", wrapped)
-        monkeypatch.setattr(verification, "_CHECKS",
-                            [wrapped if check is real else check for check in listed])
         results = verification.run_checks(3, level)
-        assert calls == [results[-1]] and results[-1].ok
-        with verification.Run(3, level) as run:
-            assert results[-1] == real(run)
+        [(pid, detail)] = [line.split(" ", 1) for line in calls.read_text().splitlines()]
+        calls.unlink()
+        assert pid != str(os.getpid()) and detail == results[-1].detail and results[-1].ok
+        assert results[-1] == real(verification.Run(3, level))
 
 
-def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
-    # a quick run's 10 instances are fewer than a worker's share and run
-    # here; a full run's 50 run in one worker from three states on, and
-    # here below, where the other checks take less than the fork
+def test_a_run_forks_once_from_three_states_at_both_levels(capsys, monkeypatch):
+    # from three states on one worker runs the checks of _BESIDE, at both
+    # levels; at one and two states, where the other checks take less than
+    # the fork costs, every check runs here
     real = os.fork
-    for n, level, forks in (("3", "quick", 0), ("1", "full", 0), ("2", "full", 0),
-                            ("3", "full", 1)):
+    for n, level, forks in (("1", "quick", 0), ("1", "full", 0), ("2", "quick", 0),
+                            ("2", "full", 0), ("3", "quick", 1), ("3", "full", 1),
+                            ("4", "quick", 1)):
         forked = []
 
         def counted():
@@ -571,6 +584,28 @@ def test_only_a_full_run_forks_for_its_random_check(capsys, monkeypatch):
             code, out = _verify_on(capsys, monkeypatch, {0, 1}, "--n", n, "--level", level)
         assert code == 0 and out.endswith("11/11 checks passed\n")
         assert forked == [os.getpid()] * forks, (n, level)
+
+
+@pytest.mark.parametrize("name, fault, value, detail", [
+    ("orderedness characterizations agree", "_unordered_witness", None, "they disagree on"),
+    ("ordered-table enumerations agree", "_count_by_second_index_form", -1,
+     "index forms of the count disagree")])
+def test_a_failing_check_in_the_worker_still_lets_the_others_report(
+        capsys, monkeypatch, name, fault, value, detail):
+    # a check of the worker forced to fail, before the fork: its FAIL line
+    # and every other check's PASS line print as on one CPU, the worker
+    # going on past the failure to the checks after it
+    monkeypatch.setattr(verification, fault, lambda arg: value)
+    for level in ("quick", "full"):
+        runs = {len(cpus): _verify_on(capsys, monkeypatch, cpus, "--n", "3", "--level", level)
+                for cpus in ({0}, {0, 1})}
+        assert runs[1] == runs[2]
+        code, out = runs[2]
+        *checks, summary = out.splitlines()
+        failed = [line for line in checks if not line.startswith("PASS  ")]
+        assert code == 1 and len(checks) == len(verification._CHECKS) and len(failed) == 1
+        assert failed[0].startswith(f"FAIL  {name} ({detail}")
+        assert summary == "10/11 checks passed"
 
 
 def test_a_full_run_at_size_four_builds_no_k(monkeypatch):
@@ -734,9 +769,10 @@ def test_enumeration_count_mismatch_fails(monkeypatch):
 
 
 def test_enumeration_differing_from_filter_fails(monkeypatch):
-    real = combinatorics.enumerate_ordered_prefix_tables
-    monkeypatch.setattr(tables, "enumerate_ordered_prefix_tables_by_filter",
-                        lambda n: real(n)[1:])
+    # the filter enumeration misses the first ordered table
+    real = tables.is_ordered
+    first = combinatorics.enumerate_ordered_prefix_tables(2)[0]
+    monkeypatch.setattr(tables, "is_ordered", lambda f: f != first and real(f))
     r = verification.check_count_matches_enumeration(verification.Run(2, "full"))
     assert not r.ok and "differ" in r.detail
 

@@ -174,8 +174,7 @@ def test_map_workers_move_off_this_process_cpu(monkeypatch):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs, and a share of one item worth a fork."""
-    monkeypatch.setattr(workers, "MIN_SHARE", 1)
+    """Two CPUs: beside forks for a share of any size."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -202,7 +201,6 @@ def test_beside_moves_its_worker_off_this_process_cpu(monkeypatch):
     assert workers._cpu() in cpus
     here = min(cpus)
     monkeypatch.setattr(workers, "_cpu", lambda: here)
-    monkeypatch.setattr(workers, "MIN_SHARE", 1)
 
     def cpus_records(share):
         return [{"ok": True, "cpus": sorted(os.sched_getaffinity(0))} for _ in share]
@@ -213,8 +211,19 @@ def test_beside_moves_its_worker_off_this_process_cpu(monkeypatch):
     assert_no_worker_left()
 
 
+def test_beside_moves_its_worker_as_soon_as_it_exists(two_cpus, monkeypatch):
+    # this process moves the worker off its CPU right after the fork, so the
+    # worker need not first run here to move itself
+    moved = []
+    monkeypatch.setattr(workers, "_cpu", lambda: 0)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moved.append((pid, cpus)))
+    with workers.beside(pid_records, [3]) as results:
+        [r] = results()
+    assert moved == [(r["pid"], {1})]
+    assert_no_worker_left()
+
+
 def test_beside_forks_nothing_with_one_cpu(monkeypatch):
-    monkeypatch.setattr(workers, "MIN_SHARE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
     with workers.beside(pid_records, [3, 4]) as results:
@@ -222,13 +231,10 @@ def test_beside_forks_nothing_with_one_cpu(monkeypatch):
     assert_no_worker_left()
 
 
-def test_beside_forks_nothing_for_fewer_items_than_a_share(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small share"))
-    items = range(workers.MIN_SHARE - 1)
-    with workers.beside(pid_records, items) as results:
-        assert list(results()) == pid_records(items)
-    assert_no_worker_left()
+def test_beside_forks_nothing_for_no_items(two_cpus, monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for no items"))
+    with workers.beside(pid_records, []) as results:
+        assert list(results()) == []
 
 
 def test_beside_raises_a_worker_exception(two_cpus):
