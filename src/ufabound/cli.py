@@ -161,81 +161,96 @@ def _cmd_schmidt(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every subcommand when
+    ``command`` names none: usage errors and help inside a subcommand print
+    the same bytes either way."""
     parser = argparse.ArgumentParser(
         prog="ufabound",
         description="State-complexity experiments: two-way NFAs versus UFAs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="ordered prefix table count")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_count)
+    if command in (None, "count"):
+        p = sub.add_parser("count", help="ordered prefix table count")
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("table1", help="bound formulas as CSV")
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(func=_cmd_table1)
+    if command in (None, "table1"):
+        p = sub.add_parser("table1", help="bound formulas as CSV")
+        p.add_argument("--max", type=int, required=True)
+        p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("enumerate", help="write ordered prefix tables to a file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("filter", "bijection"), default="bijection")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_enumerate)
+    if command in (None, "enumerate"):
+        p = sub.add_parser("enumerate", help="write ordered prefix tables to a file")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--method", choices=("filter", "bijection"), default="bijection")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("build-matrix", help="write an acceptance matrix with labels")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("M", "K"), required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_matrix)
+    if command in (None, "build-matrix"):
+        p = sub.add_parser("build-matrix", help="write an acceptance matrix with labels")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--kind", choices=("M", "K"), required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_build_matrix)
 
-    p = sub.add_parser("rank", help="rank of a matrix file")
-    p.add_argument("--in", dest="input", required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--mod", type=int, default=None, help="prime modulus")
-    group.add_argument("--exact", action="store_true", help="rational rank (default)")
-    p.set_defaults(func=_cmd_rank)
+    if command in (None, "rank"):
+        p = sub.add_parser("rank", help="rank of a matrix file")
+        p.add_argument("--in", dest="input", required=True)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--mod", type=int, default=None, help="prime modulus")
+        group.add_argument("--exact", action="store_true", help="rational rank (default)")
+        p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("verify", help="run the self-check suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", help="run the self-check suite")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--level", choices=("quick", "full"), default="quick")
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("schmidt", help="rank-versus-bound report")
-    p.add_argument("--automaton", help="two-way automaton JSON file")
-    p.add_argument("--prefixes", help="prefix strings, one per line")
-    p.add_argument("--suffixes", help="suffix strings, one per line")
-    p.add_argument("--random", type=int, default=None,
-                   help="run this many seeded random instances instead")
-    p.add_argument("--states", type=int, default=2)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_schmidt)
+    if command in (None, "schmidt"):
+        p = sub.add_parser("schmidt", help="rank-versus-bound report")
+        p.add_argument("--automaton", help="two-way automaton JSON file")
+        p.add_argument("--prefixes", help="prefix strings, one per line")
+        p.add_argument("--suffixes", help="suffix strings, one per line")
+        p.add_argument("--random", type=int, default=None,
+                       help="run this many seeded random instances instead")
+        p.add_argument("--states", type=int, default=2)
+        p.add_argument("--alphabet", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_schmidt)
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import: most of its cost is argparse's
-    # gettext and terminal-size lookups, paid once per process; parsing
-    # leaves the parser as it was
-    return build_parser()
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    # built on the first call per command, not at import: most of its cost
+    # is argparse's gettext and terminal-size lookups, paid once per process
+    # and command; parsing leaves the parser as it was
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser(argv[0] if argv else None)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # parsed again by the full parser, so that the error's usage line
+        # names every command, as a full parse's would
+        _parser(None).parse_args(argv)
     if args.command == "schmidt":
         files = (("--automaton", args.automaton), ("--prefixes", args.prefixes),
                  ("--suffixes", args.suffixes))
         if args.random is None:
             missing = [flag for flag, val in files if val is None]
             if missing:
-                parser.error(f"schmidt requires {' '.join(missing)} (or --random)")
+                _parser(None).error(f"schmidt requires {' '.join(missing)} (or --random)")
         else:
             given = [flag for flag, val in files if val is not None]
             if given:
-                parser.error(f"--random cannot be combined with {' '.join(given)}")
+                _parser(None).error(f"--random cannot be combined with {' '.join(given)}")
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as e:

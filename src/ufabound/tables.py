@@ -16,39 +16,70 @@ combined string is exactly the existence of a path from the starting state
 to an accepting right vertex (decided in :mod:`ufabound.witness`).
 
 ``values`` tuples are bit masks over {1..n} (see :mod:`ufabound.statesets`)
-with values[u-1] holding the set for state u.
+with values[u-1] holding the set for state u.  Both tables are immutable
+slotted records that compare, hash and print as frozen dataclasses of
+their fields would; a prefix table also keeps its layer structure once
+computed.  Their text forms format each distinct mask once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
 from .errors import ENUMERATION_MAX_N, CapacityError
 from .statesets import check_n, format_set, full_mask, is_subset, mask_of, parse_set
 
 
-@dataclass(frozen=True)
-class PrefixTable:
-    n: int
-    values: tuple[int, ...]
+class _Record:
+    """A slotted record whose fields are set once, in ``__init__``, and
+    never assigned or deleted after, as in a frozen dataclass."""
 
-    def __post_init__(self):
-        check_n(self.n)
-        object.__setattr__(self, "values", tuple(self.values))
-        full = full_mask(self.n)
-        if len(self.values) != self.n:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PrefixTable(_Record):
+    __slots__ = ("n", "values", "_layers")
+
+    def __init__(self, n: int, values: Iterable[int]):
+        check_n(n)
+        values = tuple(values)
+        full = (1 << (n + 1)) - 2
+        if len(values) != n:
             raise ValueError("a prefix table needs one value per state")
         common = full
-        for v in self.values:
+        for v in values:
             if v == 0:
                 raise ValueError("prefix table values must be non-empty")
-            if not is_subset(v, full):
+            if v & ~full:
                 raise ValueError("value out of range")
             common &= v
-        if common not in self.values:
+        if common not in values:
             raise ValueError("no starting state: some value must be contained in all others")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.values))
+
+    def __repr__(self):
+        return f"PrefixTable(n={self.n!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        return PrefixTable, (self.n, self.values)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "PrefixTable":
@@ -58,27 +89,45 @@ class PrefixTable:
         return self.values[u - 1]
 
 
-@dataclass(frozen=True)
-class SuffixTable:
-    n: int
-    values: tuple[int, ...]       # values[v-1] = g(v) restricted to {1..n}
-    accept_flags: int             # mask of states whose value contains Accept
+class SuffixTable(_Record):
+    __slots__ = ("n", "values", "accept_flags")
 
-    def __post_init__(self):
-        check_n(self.n)
-        object.__setattr__(self, "values", tuple(self.values))
-        full = full_mask(self.n)
-        if len(self.values) != self.n:
+    def __init__(self, n: int, values: Iterable[int], accept_flags: int):
+        # values[v-1] = g(v) restricted to {1..n}; accept_flags is the mask
+        # of the states whose value contains Accept
+        check_n(n)
+        values = tuple(values)
+        full = (1 << (n + 1)) - 2
+        if len(values) != n:
             raise ValueError("a suffix table needs one value per state")
-        if self.accept_flags == 0:
+        if accept_flags == 0:
             raise ValueError("some state must lead to acceptance")
-        if not is_subset(self.accept_flags, full):
+        if accept_flags & ~full:
             raise ValueError("accept flags out of range")
-        for v, val in enumerate(self.values, start=1):
-            if not is_subset(val, full):
+        for v, val in enumerate(values, start=1):
+            if val & ~full:
                 raise ValueError("value out of range")
-            if self.accept_flags >> v & 1 and val != full:
+            if accept_flags >> v & 1 and val != full:
                 raise ValueError("an accepting entry must carry the full set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "accept_flags", accept_flags)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n == other.n and self.values == other.values
+                    and self.accept_flags == other.accept_flags)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.values, self.accept_flags))
+
+    def __repr__(self):
+        return (f"SuffixTable(n={self.n!r}, values={self.values!r}, "
+                f"accept_flags={self.accept_flags!r})")
+
+    def __reduce__(self):
+        return SuffixTable, (self.n, self.values, self.accept_flags)
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]],
@@ -162,7 +211,7 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
     """f's layer structure, computed on the first call and kept on f itself
     (not in a module-level cache), unless f was born with it
     (:func:`layered_tables`).  Raises ValueError for an unordered table."""
-    cached = f.__dict__.get("_layers")
+    cached = getattr(f, "_layers", None)
     if cached is not None:
         return cached
     if not is_ordered(f):
@@ -174,8 +223,8 @@ def layer_structure(f: PrefixTable) -> LayerStructure:
         chain.append(full)
     index = {s: i for i, s in enumerate(chain)}
     pl = tuple(index[v] for v in f.values)
-    ls = f.__dict__["_layers"] = LayerStructure(rank_k, tuple(chain), pl,
-                                                _suffix_layer(f.n, chain))
+    ls = LayerStructure(rank_k, tuple(chain), pl, _suffix_layer(f.n, chain))
+    object.__setattr__(f, "_layers", ls)
     return ls
 
 
@@ -195,7 +244,7 @@ def layered_tables(n: int, chain: tuple[int, ...],
     out = []
     for p in layer_functions:
         f = PrefixTable(n, tuple(map(chain.__getitem__, p)))
-        f.__dict__["_layers"] = LayerStructure(rank_k, chain, p, suffix_layer)
+        object.__setattr__(f, "_layers", LayerStructure(rank_k, chain, p, suffix_layer))
         out.append(f)
     return out
 
@@ -207,8 +256,8 @@ def check_enumeration_size(n: int) -> None:
             f"exhaustive table enumeration is limited to n <= {ENUMERATION_MAX_N}")
 
 
-def enumerate_prefix_tables(n: int) -> list[PrefixTable]:
-    """All prefix tables on {1..n}, ordered by their value-mask tuples."""
+def prefix_table_values(n: int) -> list[tuple[int, ...]]:
+    """The value-mask tuples of all prefix tables on {1..n}, ascending."""
     check_enumeration_size(n)
     full = full_mask(n)
     nonempty = [m for m in range(2, full + 1) if m and is_subset(m, full)]
@@ -218,8 +267,13 @@ def enumerate_prefix_tables(n: int) -> list[PrefixTable]:
         for v in values:
             common &= v
         if common in values:
-            out.append(PrefixTable(n, values))
+            out.append(values)
     return out
+
+
+def enumerate_prefix_tables(n: int) -> list[PrefixTable]:
+    """All prefix tables on {1..n}, ordered by their value-mask tuples."""
+    return [PrefixTable(n, values) for values in prefix_table_values(n)]
 
 
 def enumerate_suffix_tables(n: int) -> list[SuffixTable]:
@@ -247,8 +301,12 @@ def enumerate_ordered_prefix_tables_by_filter(n: int) -> list[PrefixTable]:
 # text serialization: "n; f(1); f(2); ..." with comma-separated 1-based
 # states, "-" for the empty set, and "A" marking an accepting suffix entry
 
+# the text of each mask, formatted once: a matrix's label files repeat few masks
+_set_text = functools.cache(format_set)
+
+
 def prefix_table_to_text(f: PrefixTable) -> str:
-    return "; ".join([str(f.n)] + [format_set(v) for v in f.values])
+    return "; ".join([str(f.n)] + [_set_text(v) for v in f.values])
 
 
 def prefix_table_from_text(text: str) -> PrefixTable:
@@ -262,7 +320,7 @@ def prefix_table_from_text(text: str) -> PrefixTable:
 def suffix_table_to_text(g: SuffixTable) -> str:
     parts = [str(g.n)]
     for v in range(1, g.n + 1):
-        parts.append("A" if g.accept_flags >> v & 1 else format_set(g.value(v)))
+        parts.append("A" if g.accept_flags >> v & 1 else _set_text(g.values[v - 1]))
     return "; ".join(parts)
 
 

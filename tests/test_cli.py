@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ufabound import crossing, exact_linalg, verification
-from ufabound.cli import main
+from ufabound.cli import _parser, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -754,6 +754,54 @@ def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys,
         here = capsys.readouterr()
         assert (code, here.out, here.err) == fresh[tuple(argv)], argv
     assert code == 0 and here.out == "7\n"
+
+
+def _exit_of(capsys, call):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+FULL_USAGE = ("usage: ufabound [-h]\n"
+              "                {count,table1,enumerate,build-matrix,rank,verify,schmidt} ...\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["bogus", "--n", "3"], ["co", "--n", "3"],
+    *([command, "--help"] for command in
+      ("count", "table1", "enumerate", "build-matrix", "rank", "verify", "schmidt")),
+    ["count"], ["table1", "--max"], ["verify", "--n", "x"],
+    ["build-matrix", "--n", "2", "--kind", "Z", "--out", "m"],
+    ["verify", "--n", "2", "--level", "medium"],
+    ["rank", "--in", "F", "--mod", "3", "--exact"],
+    ["count", "--n", "3", "extra"], ["rank", "--in", "F", "--mo", "3", "--bogus"],
+])
+def test_usage_errors_and_help_print_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # main parses with a parser of the named command alone; its exit status
+    # and bytes are those of the parser of every command
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_of(capsys, lambda: main(argv)) == \
+        _exit_of(capsys, lambda: build_parser().parse_args(argv))
+
+
+def test_an_abbreviated_option_parses_as_with_the_full_parser(tmp_path, capsys):
+    mat = tmp_path / "k2.mat"
+    assert run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))[0] == 0
+    argv = ["rank", "--in", str(mat), "--mo", "3"]
+    assert _parser("rank").parse_args(argv) == build_parser().parse_args(argv)
+    assert run(capsys, *argv) == (0, "7\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["schmidt", "--prefixes", "x"], "schmidt requires --automaton --suffixes (or --random)"),
+    (["schmidt", "--random", "2", "--suffixes", "y", "--automaton", "a"],
+     "--random cannot be combined with --automaton --suffixes"),
+])
+def test_schmidt_conflicts_print_the_full_usage(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_of(capsys, lambda: main(argv)) == \
+        (2, "", f"{FULL_USAGE}ufabound: error: {message}\n")
 
 
 def test_bad_json_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -87,6 +89,68 @@ class TestSuffixTableInvariants:
 
 def st(n, sets, accept):
     return SuffixTable.from_sets(n, sets, accept)
+
+
+class TestRecords:
+    """The tables are slotted records that behave as the frozen dataclasses
+    of their fields: repr, equality, hash and immutability."""
+
+    def test_repr(self):
+        assert repr(pt(2, {1}, {1, 2})) == "PrefixTable(n=2, values=(2, 6))"
+        assert repr(st(2, [{1, 2}, set()], {1})) == \
+            "SuffixTable(n=2, values=(6, 0), accept_flags=2)"
+
+    def test_hash_is_the_field_tuples(self):
+        assert hash(pt(2, {1}, {1, 2})) == hash((2, (2, 6)))
+        assert hash(st(2, [{1, 2}, set()], {1})) == hash((2, (6, 0), 2))
+
+    def test_equality_needs_the_same_class_and_fields(self):
+        f, g = PrefixTable(2, (6, 6)), SuffixTable(2, (6, 6), 2)
+        assert f == PrefixTable(2, [6, 6]) and g == SuffixTable(2, (6, 6), 2)
+        assert f != g and g != f
+        assert f != (2, (6, 6)) and g != (2, (6, 6), 2)
+        assert g != SuffixTable(2, (6, 6), 6) and f != PrefixTable(2, (2, 6))
+
+    @pytest.mark.parametrize("table", [CHAIN3, st(2, [{1, 2}, set()], {1})])
+    def test_fields_can_be_neither_assigned_nor_deleted(self, table):
+        for name in ("n", "values", "accept_flags", "_layers", "other"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        assert table.n in (2, 3)
+
+    def test_copies_are_equal(self):
+        for table in (CHAIN3, st(2, [{1, 2}, set()], {1})):
+            assert pickle.loads(pickle.dumps(table)) == table
+            assert copy.copy(table) == table == copy.deepcopy(table)
+
+    @pytest.mark.parametrize("n, values, message", [
+        (0, (), "n must be positive, got 0"),
+        (2, (2,), "a prefix table needs one value per state"),
+        (2, (2, 0), "prefix table values must be non-empty"),
+        (2, (2, 8), "value out of range"),
+        (2, (2, 1), "value out of range"),
+        (2, (2, 4), "no starting state: some value must be contained in all others"),
+    ])
+    def test_prefix_table_errors(self, n, values, message):
+        with pytest.raises(ValueError) as exc:
+            PrefixTable(n, values)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n, values, accept, message", [
+        (0, (), 2, "n must be positive, got 0"),
+        (2, (6,), 2, "a suffix table needs one value per state"),
+        (2, (6, 6), 0, "some state must lead to acceptance"),
+        (2, (6, 6), 8, "accept flags out of range"),
+        (2, (6, 6), 1, "accept flags out of range"),
+        (2, (6, 8), 2, "value out of range"),
+        (2, (6, 2), 6, "an accepting entry must carry the full set"),
+    ])
+    def test_suffix_table_errors(self, n, values, accept, message):
+        with pytest.raises(ValueError) as exc:
+            SuffixTable(n, values, accept)
+        assert str(exc.value) == message
 
 
 class TestHaspath:
