@@ -162,9 +162,8 @@ def _cmd_schmidt(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every subcommand when
-    ``command`` names none: usage errors and help inside a subcommand print
-    the same bytes either way."""
+    """The parser of ``command`` alone, or of every subcommand when it is
+    None: usage errors and help inside a subcommand print the same bytes."""
     parser = argparse.ArgumentParser(
         prog="ufabound",
         description="State-complexity experiments: two-way NFAs versus UFAs.")
@@ -221,20 +220,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=_cmd_schmidt)
 
-    return parser if sub.choices else build_parser()
+    return parser
 
 
 @functools.cache
 def _parser(command: str | None = None) -> argparse.ArgumentParser:
     # built on the first call per command, not at import: most of its cost
-    # is argparse's gettext and terminal-size lookups, paid once per process
-    # and command; parsing leaves the parser as it was
+    # is argparse's gettext and terminal-size lookups; parsing leaves it as it was
     return build_parser(command)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser(argv[0] if argv else None)
+    # a named command's own parser, and every command's for anything else
+    parser = _parser(argv[0] if argv and argv[0] in (
+        "count", "table1", "enumerate", "build-matrix", "rank", "verify", "schmidt") else None)
     args, extra = parser.parse_known_args(argv)
     if extra:
         # parsed again by the full parser, so that the error's usage line

@@ -16,38 +16,28 @@ combined string is exactly the existence of a path from the starting state
 to an accepting right vertex (decided in :mod:`ufabound.witness`).
 
 ``values`` tuples are bit masks over {1..n} (see :mod:`ufabound.statesets`)
-with values[u-1] holding the set for state u.  Both tables are immutable
-slotted records that compare, hash and print as frozen dataclasses of
-their fields would; a prefix table also keeps its layer structure once
-computed.  Their text forms format each distinct mask once per process.
+with values[u-1] holding the set for state u.  Both tables are slotted
+frozen dataclasses, each with its own validating ``__init__``; a prefix
+table also keeps its layer structure, once computed, in a slot that is no
+field.  Their text forms format each distinct mask once per process.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ENUMERATION_MAX_N, CapacityError
 from .statesets import check_n, format_set, full_mask, is_subset, mask_of, parse_set
 
 
-class _Record:
-    """A slotted record whose fields are set once, in ``__init__``, and
-    never assigned or deleted after, as in a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class PrefixTable(_Record):
+@dataclass(frozen=True, init=False)
+class PrefixTable:
     __slots__ = ("n", "values", "_layers")
+    n: int
+    values: tuple[int, ...]
 
     def __init__(self, n: int, values: Iterable[int]):
         check_n(n)
@@ -67,17 +57,6 @@ class PrefixTable(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.values))
-
-    def __repr__(self):
-        return f"PrefixTable(n={self.n!r}, values={self.values!r})"
-
     def __reduce__(self):
         return PrefixTable, (self.n, self.values)
 
@@ -89,8 +68,12 @@ class PrefixTable(_Record):
         return self.values[u - 1]
 
 
-class SuffixTable(_Record):
+@dataclass(frozen=True, init=False)
+class SuffixTable:
     __slots__ = ("n", "values", "accept_flags")
+    n: int
+    values: tuple[int, ...]
+    accept_flags: int
 
     def __init__(self, n: int, values: Iterable[int], accept_flags: int):
         # values[v-1] = g(v) restricted to {1..n}; accept_flags is the mask
@@ -112,19 +95,6 @@ class SuffixTable(_Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "accept_flags", accept_flags)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n == other.n and self.values == other.values
-                    and self.accept_flags == other.accept_flags)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.values, self.accept_flags))
-
-    def __repr__(self):
-        return (f"SuffixTable(n={self.n!r}, values={self.values!r}, "
-                f"accept_flags={self.accept_flags!r})")
 
     def __reduce__(self):
         return SuffixTable, (self.n, self.values, self.accept_flags)

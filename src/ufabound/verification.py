@@ -8,8 +8,9 @@ identical reports.  Every check reads what it needs off one :class:`Run`:
 M, the prefix tables, the ordered tables and the square matrix G
 (:func:`ufabound.witness.staged_matrix`) per size, the pair study, and
 the random check's seeds.  From three states on, the checks that build
-what no other check reads run in a worker forked as the run is entered,
-on its own copy of the run, beside the others (:data:`_BESIDE`).
+what no other check reads run in a worker that :func:`run_checks` forks
+once the run is made, on its copy of the run, beside the others
+(:data:`_BESIDE`).
 """
 
 from __future__ import annotations
@@ -41,19 +42,15 @@ class CheckResult(NamedTuple):
 
 
 class Run:
-    """One verify run at size n: M, the prefix tables, the ordered tables
-    and G per size and the pair study, each built on first use and kept on
-    the run, and the random-automaton check's state count and instance seeds.
+    """One verify run at size n: the prefix tables' value tuples, the
+    prefix tables built from them (M's rows), M, the ordered tables and G
+    per size and the pair study, each built on first use and kept on the
+    run, and the random-automaton check's state count and instance seeds.
 
     A bad level, or n beyond the enumeration cap (G lists every ordered
-    table at n), is refused before a worker forks or anything is built.
+    table at n), is refused as the run is made, before anything is built.
     Each check draws from a fresh generator (:meth:`rng`), so a shared
-    sample is the one it would have drawn itself.  At three states,
-    entering the run forks a worker that runs the checks of :data:`_BESIDE`
-    on its copy of the run, before anything is built here: ``away`` holds
-    their positions in :data:`_CHECKS`, ``results_away()`` waits for their
-    JSON lines, and leaving the run reaps the worker.  Below three states
-    ``away`` is empty, and every check runs here.
+    sample is the one it would have drawn itself.
     """
 
     def __init__(self, n: int, level: str = "quick", seed: int = 0):
@@ -69,37 +66,21 @@ class Run:
     def rng(self) -> random.Random:
         return random.Random(self.seed)
 
-    def __enter__(self) -> Run:
-        # imported here, so that only the commands that fork workers load it
-        from . import workers
-
-        # below three states a fork costs more than the other checks take
-        self.away = [i for i, check in enumerate(_CHECKS)
-                     if check in _BESIDE and self.states == 3]
-        self._beside = workers.beside(self._check_away, self.away)
-        self.results_away = self._beside.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._beside.__exit__(*exc)
-
-    def _check_away(self, positions: list[int]):
-        # a failed check is a result too: every line is "ok", its verdict in
-        # "passed", so that the worker goes on to the next check
-        for i in positions:
-            r = _CHECKS[i](self)
-            yield {"ok": True, "name": r.name, "passed": r.ok, "detail": r.detail}
-
     def _kept(self, key, build: Callable, *args):
         if key not in self._built:
             self._built[key] = build(*args)
         return self._built[key]
 
-    def m(self, size: int) -> witness.BoolMatrix:
-        return self._kept(("M", size), witness.build_M, size)
+    def values(self, size: int) -> list[tuple[int, ...]]:
+        return self._kept(("values", size), tables.prefix_table_values, size)
 
     def prefix(self, size: int) -> list[tables.PrefixTable]:
-        return self._kept(("prefix", size), tables.enumerate_prefix_tables, size)
+        return self._kept(("prefix", size), lambda: [
+            tables.PrefixTable(size, values) for values in self.values(size)])
+
+    def m(self, size: int) -> witness.BoolMatrix:
+        return self._kept(("M", size), lambda: witness.acceptance_matrix(
+            self.prefix(size), tables.enumerate_suffix_tables(size), size))
 
     def ordered(self, size: int) -> list[tables.PrefixTable]:
         return self._kept(("ordered", size), combinatorics.enumerate_ordered_prefix_tables, size)
@@ -135,7 +116,7 @@ def check_orderedness_agreement(run: Run) -> CheckResult:
     fs = run.prefix(min(run.n, 3))
     if run.n >= 4:
         # the sample is drawn by index, so only its 500 tables are built
-        values = tables.prefix_table_values(4)
+        values = run.values(4)
         fs = fs + [tables.PrefixTable(4, values[i])
                    for i in run.rng().sample(range(len(values)), 500)]
     for f in fs:
@@ -470,8 +451,8 @@ _CHECKS: list[Callable] = [
 
 # the checks that build what no other check reads (every prefix table of
 # size 3, the sample of size 4, the filter enumeration, the random automata):
-# at three states a run's worker runs them, its own ordered tables built
-# anew, while the checks that share M, G and the pair study run here
+# from three states on a run's worker runs them, its own tables built anew,
+# while the checks that share M, G and the pair study run here
 _BESIDE: list[Callable] = [
     check_orderedness_agreement,
     check_count_matches_enumeration,
@@ -480,9 +461,26 @@ _BESIDE: list[Callable] = [
 
 
 def run_checks(n: int, level: str = "quick", seed: int = 0) -> list[CheckResult]:
-    """Every check of :data:`_CHECKS` on one run, in that order."""
-    with Run(n, level, seed) as run:
-        results = [None if i in run.away else check(run) for i, check in enumerate(_CHECKS)]
-        for i, r in zip(run.away, run.results_away()):
+    """Every check of :data:`_CHECKS` on one run, in that order.  From
+    three states on, those of :data:`_BESIDE` run in a worker forked before
+    anything is built, on its copy of the run, and reaped however the
+    ``with`` block ends; below three states every check runs here."""
+    # imported here, so that only the commands that fork workers load it
+    from . import workers
+
+    run = Run(n, level, seed)
+    # below three states a fork costs more than the other checks take
+    away = [i for i, check in enumerate(_CHECKS) if check in _BESIDE and run.states == 3]
+
+    def check_away(positions: list[int]):
+        # a failed check is a result too: every line is "ok", its verdict in
+        # "passed", so that the worker goes on to the next check
+        for i in positions:
+            r = _CHECKS[i](run)
+            yield {"ok": True, "name": r.name, "passed": r.ok, "detail": r.detail}
+
+    with workers.beside(check_away, away) as results_away:
+        results = [None if i in away else check(run) for i, check in enumerate(_CHECKS)]
+        for i, r in zip(away, results_away()):
             results[i] = CheckResult(r["name"], r["passed"], r["detail"])
-        return results
+    return results

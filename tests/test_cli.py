@@ -785,6 +785,26 @@ def test_usage_errors_and_help_print_what_the_full_parser_prints(capsys, monkeyp
         _exit_of(capsys, lambda: build_parser().parse_args(argv))
 
 
+def test_unknown_commands_share_the_full_parser(capsys, monkeypatch):
+    # a first argument that names no command is no key of its own: two
+    # unknown commands and --help build one parser, that of every command
+    from ufabound import cli
+
+    built = []
+    real = cli.build_parser
+
+    def counted(command=None):
+        built.append(command)
+        return real(command)
+
+    _parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["bogus"], ["other", "--n", "3"], ["--help"]):
+        _exit_of(capsys, lambda: main(argv))
+    assert built == [None] and _parser.cache_info().currsize == 1
+    _parser.cache_clear()
+
+
 def test_an_abbreviated_option_parses_as_with_the_full_parser(tmp_path, capsys):
     mat = tmp_path / "k2.mat"
     assert run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))[0] == 0

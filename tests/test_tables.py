@@ -125,6 +125,16 @@ class TestRecords:
             assert pickle.loads(pickle.dumps(table)) == table
             assert copy.copy(table) == table == copy.deepcopy(table)
 
+    def test_a_layered_table_is_the_plain_table_of_its_values(self):
+        # the layer structure a table is born with is no field: the table
+        # compares, hashes, prints and pickles as the one built from values
+        [layered] = layered_tables(3, (0b0010, 0b0110, 0b1110), [(0, 1, 2)])
+        plain = PrefixTable(3, layered.values)
+        assert layered == plain == layered and hash(layered) == hash(plain)
+        assert repr(layered) == repr(plain)
+        assert pickle.dumps(layered) == pickle.dumps(plain)
+        assert pickle.loads(pickle.dumps(layered)) == plain
+
     @pytest.mark.parametrize("n, values, message", [
         (0, (), "n must be positive, got 0"),
         (2, (2,), "a prefix table needs one value per state"),

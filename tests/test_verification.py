@@ -144,7 +144,7 @@ def test_a_flipped_bit_of_m_fails_the_augmentation_identity(monkeypatch):
     bits = list(m.bits)
     bits[i] ^= 1
     flipped = witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
-    monkeypatch.setattr(witness, "build_M", lambda size: flipped)
+    monkeypatch.setattr(verification.Run, "m", lambda run, size: flipped)
     r = verification.check_augmentation_identity(verification.Run(3, "quick"))
     assert not r.ok and r.detail == f"violated at {m.row_labels[i]}"
 
@@ -396,7 +396,7 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     studies = _counting(monkeypatch, verification, "_study_of")
     unstaged = _counting(monkeypatch, witness, "build_g_I")
     staged = _counting(monkeypatch, witness, "staged_tables")
-    built = _counting(monkeypatch, witness, "build_M")
+    built = _counting(monkeypatch, witness, "acceptance_matrix")
     built_g = _counting(monkeypatch, witness, "staged_matrix")
     # G stands in for K, which is never built
     built_k = _counting(monkeypatch, witness, "build_K")
@@ -412,17 +412,18 @@ def test_one_run_studies_each_pair_once(monkeypatch):
     # 115 base tables' 2^k staged suffix tables, built in one call
     assert len(built_g) == 1 and g.cols == 115 and len(unstaged) == 115
     assert [f.values for (f,) in staged] == [f.values for f in ordered]
-    assert built == [(3,)] and built_k == []
+    # two acceptance matrices: M over the 133 prefix tables, then G
+    assert [(len(rows), n) for rows, _, n in built] == [(133, 3), (115, 3)] and built_k == []
 
 
 def test_one_run_enumerates_the_ordered_tables_once(monkeypatch):
     # on one CPU the layer-rank check, the count check and the pair study
-    # share one list, and the orderedness check and the count check's
-    # filter enumeration one list of prefix tables; the filter enumeration
+    # share one list, and the orderedness check, the count check's filter
+    # enumeration and M one list of prefix tables; the filter enumeration
     # stays the count check's own oracle
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     enumerated = _counting(monkeypatch, combinatorics, "enumerate_ordered_prefix_tables")
-    prefixes = _counting(monkeypatch, tables, "enumerate_prefix_tables")
+    prefixes = _counting(monkeypatch, tables, "prefix_table_values")
     assert all(r.ok for r in verification.run_checks(3, "full"))
     assert enumerated == [(3,)] and prefixes == [(3,)]
 
@@ -609,11 +610,27 @@ def test_a_failing_check_in_the_worker_still_lets_the_others_report(
 
 
 def test_a_full_run_at_size_four_builds_no_k(monkeypatch):
+    # on one CPU each size's prefix tables are enumerated once, and M's
+    # rows at each size are the run's own prefix tables
+    from ufabound import workers
+
+    runs = []
+
+    class Kept(verification.Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(workers, "_cpus", lambda: 1)
+    monkeypatch.setattr(verification, "Run", Kept)
     built_k = _counting(monkeypatch, witness, "build_K")
-    built_m = _counting(monkeypatch, witness, "build_M")
+    built = _counting(monkeypatch, witness, "acceptance_matrix")
+    enumerated = _counting(monkeypatch, tables, "prefix_table_values")
     results = verification.run_checks(4, "full")
     assert all(r.ok for r in results)
-    assert built_k == [] and built_m == [(3,), (4,)]
+    assert built_k == [] and enumerated == [(3,), (4,)]
+    [run] = runs
+    assert [n for rows, _, n in built if rows is run.prefix(n)] == [3, 4]
 
 
 def test_no_study_survives_a_run():
@@ -631,31 +648,30 @@ def test_a_later_run_sees_a_patched_layer_mask(monkeypatch):
 
 
 def test_leaving_a_run_early_reaps_its_worker_and_keeps_no_study(monkeypatch):
-    # a full run with a second CPU forks its random-automaton worker as it
-    # is entered; an exception inside the block, after the pair study is
-    # built, must still reap the worker and drop the study with the run
+    # a full run with a second CPU forks its worker before the first check;
+    # a first check that raises after the pair study is built must still
+    # reap the worker and drop the study with the run
     from ufabound import workers
 
     real = os.fork
-    forked = []
+    forked, studied = [], []
 
     def counted():
         forked.append(os.getpid())
         return real()
 
+    def left_early(run):
+        studied.append(type(run.study()))
+        raise RuntimeError("left early")
+
     monkeypatch.setattr(workers, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", counted)
-
-    run = verification.Run(3, "full")
+    monkeypatch.setattr(verification, "_CHECKS", [left_early, *verification._CHECKS])
     with pytest.raises(RuntimeError, match="left early"):
-        with run:
-            run.study()
-            raise RuntimeError("left early")
-    assert forked == [os.getpid()]
-    # reaped as the block ends, while the run is still held
+        verification.run_checks(3, "full")
+    assert forked == [os.getpid()] and studied == [verification._PairStudy]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    del run
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, verification._PairStudy)]
 
@@ -709,17 +725,16 @@ def test_a_run_refuses_a_bad_size_or_level_before_any_work(monkeypatch):
 
     monkeypatch.setattr(workers, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_work)
-    for module, name in ((witness, "build_M"), (witness, "staged_matrix"),
+    for module, name in ((tables, "prefix_table_values"), (witness, "acceptance_matrix"),
+                         (witness, "staged_matrix"),
                          (combinatorics, "enumerate_ordered_prefix_tables"),
                          (crossing, "random_records")):
         monkeypatch.setattr(module, name, no_work)
     for level in ("quick", "full"):
         with pytest.raises(CapacityError, match="limited to n <= 4"):
-            with verification.Run(5, level):
-                pass
+            verification.run_checks(5, level)
     with pytest.raises(ValueError, match="level must be quick or full"):
-        with verification.Run(3, "medium"):
-            pass
+        verification.run_checks(3, "medium")
 
 
 @pytest.mark.parametrize("n, message", [("5", "exhaustive table enumeration is limited to n <= 4"),
@@ -736,12 +751,12 @@ def test_verify_refuses_a_size_out_of_range_before_any_work(capsys, monkeypatch,
         forked.append(os.getpid())
         return real()
 
-    def no_build(size):
+    def no_build(*args):
         raise AssertionError("a check ran")
 
     monkeypatch.setattr(workers, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(witness, "build_M", no_build)
+    monkeypatch.setattr(witness, "acceptance_matrix", no_build)
     code = main(["verify", "--n", n, "--level", "full"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -856,7 +871,7 @@ def test_flipped_m_bit_and_wrong_accept_set_fail_under_optimize():
             "bits = list(m.bits)\n"
             "bits[i] ^= 1\n"
             "flipped = witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))\n"
-            "witness.build_M = lambda size: flipped\n"
+            "verification.Run.m = lambda run, size: flipped\n"
             "r = verification.check_augmentation_identity(verification.Run(3, 'quick'))\n"
             "print('PASS' if r.ok else 'FAIL', r.detail == f'violated at {m.row_labels[i]}')\n"
             "real = verification._study_of\n"
