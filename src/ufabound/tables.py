@@ -152,8 +152,12 @@ def augment(f: PrefixTable, u1: int, u2: int, v1: int, v2: int
 
 def is_ordered(f: PrefixTable) -> bool:
     """True iff the values of f form a chain under inclusion."""
-    return all(is_subset(a, b) or is_subset(b, a)
-               for a, b in itertools.combinations(f.values, 2))
+    return _is_chain(f.values)
+
+
+def _is_chain(masks: Sequence[int]) -> bool:
+    # a & b is a or b exactly when one of the two holds the other
+    return all(a & b in (a, b) for a, b in itertools.combinations(masks, 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,7 +268,7 @@ def enumerate_suffix_tables(n: int) -> list[SuffixTable]:
 
 
 def enumerate_ordered_prefix_tables_by_filter(n: int) -> list[PrefixTable]:
-    return [f for f in enumerate_prefix_tables(n) if is_ordered(f)]
+    return [PrefixTable(n, values) for values in prefix_table_values(n) if _is_chain(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ entry is decided by one kernel, bipartite-graph reachability run over a
 whole row of columns at once until no column's reached set grows.  The
 kernel is bit-sliced: per vertex it keeps one int of the columns that
 reach it, so a row comes out packed, one int with bit j = column j, and
-stays that way through the matrix text format and the GF(2) rank.
+stays that way through the matrix text format and the GF(2) rank.  It
+reads a row as its value tuple and starting state s; the first round
+depends on f(s) alone, so a matrix computes it once per starting value.
 Direct two-way simulation of the automaton is the independent oracle it
 is compared against, in :mod:`ufabound.verification` and the test suite.
 """
@@ -159,34 +161,45 @@ def _suffix_arc_maps(n: int, suffixes: Sequence[SuffixTable]):
     return feeds, acc, (1 << len(suffixes)) - 1
 
 
-def _row_bits(f: PrefixTable, feeds, acc: list[int], every: int) -> int:
-    # one matrix row: run the alternating reachability over all columns at
-    # once, left[u] and right[v] being the ints of the columns whose reached
-    # set holds that vertex.  Left sets only grow, so right = f(left) is
-    # recomputed rather than accumulated, and the rounds stop once no left
-    # set changes
-    n = f.n
-    sources = [[u for u in range(1, n + 1) if f.values[u - 1] >> v & 1]
-               for v in range(1, n + 1)]
-    left = [0] * (n + 1)
-    left[starting_state(f)] = every
+def _row_bits(values: tuple, s: int, feeds, acc: list[int], every: int, first: dict) -> int:
+    # one matrix row of the table with these values and starting state s:
+    # the alternating reachability over all columns at once, left[u] and
+    # right[v] being the ints of the columns whose reached set holds that
+    # vertex.  f(s) lies inside every value, so round one reaches f(s)'s
+    # right vertices in every column; first, shared by one matrix's rows,
+    # keeps per f(s) the left ints they feed and the columns they accept.
+    # Later rounds recompute right = f(left) only outside f(s), at the
+    # vertices some state feeds, and stop once no left set changes
+    core = values[s - 1]
+    if core not in first:
+        reached, hit = [0] * (len(values) + 1), 0
+        for v in elements(core):
+            for u, cols in feeds[v - 1]:
+                reached[u] |= cols
+            hit |= acc[v - 1]
+        first[core] = reached, hit
+    left, row = first[core]
+    left = left.copy()
+    left[s] = every
+    outside = [(us, feeds[v - 1], acc[v - 1]) for v in range(1, len(values) + 1)
+               if not core >> v & 1
+               and (us := [u for u, fu in enumerate(values, 1) if fu >> v & 1])]
     while True:
         right = []
-        for us in sources:
+        for us, _, _ in outside:
             r = 0
             for u in us:
                 r |= left[u]
             right.append(r)
         grown = left.copy()
-        for r, arcs in zip(right, feeds):
+        for r, (_, arcs, _) in zip(right, outside):
             if r:
                 for u, cols in arcs:
                     grown[u] |= r & cols
         if grown == left:
             break
         left = grown
-    row = 0
-    for r, a in zip(right, acc):
+    for r, (_, _, a) in zip(right, outside):
         row |= r & a
     return row
 
@@ -200,8 +213,8 @@ def acceptance_matrix(prefixes: Sequence[PrefixTable], suffixes: Sequence[Suffix
     """
     if any(t.n != n for t in (*prefixes, *suffixes)):
         raise ValueError(f"every table must have size n = {n}")
-    maps = _suffix_arc_maps(n, suffixes)
-    bits = [_row_bits(f, *maps) for f in prefixes]
+    maps, first = _suffix_arc_maps(n, suffixes), {}
+    bits = [_row_bits(f.values, starting_state(f), *maps, first) for f in prefixes]
     return BoolMatrix(tuple(prefixes), tuple(suffixes), len(suffixes), tuple(bits))
 
 

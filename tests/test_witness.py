@@ -226,8 +226,9 @@ class TestRowKernel:
     rounds must give the same bits."""
 
     def check_rows(self, fs, gs):
-        maps = witness._suffix_arc_maps(gs[0].n, gs)
-        rows = [witness._row_bits(f, *maps) for f in fs]
+        # one shared first round per call, as acceptance_matrix shares it
+        maps, first = witness._suffix_arc_maps(gs[0].n, gs), {}
+        rows = [witness._row_bits(f.values, starting_state(f), *maps, first) for f in fs]
         assert rows == [fixed_rounds_row(f, gs) for f in fs]
         return rows
 
@@ -239,6 +240,34 @@ class TestRowKernel:
         rng = random.Random(4)
         fs = rng.sample(enumerate_ordered_prefix_tables_by_filter(4), 200)
         self.check_rows(fs, enumerate_suffix_tables(4))
+
+    def test_seeded_unordered_rows_at_n4(self):
+        rng = random.Random(5)
+        fs = rng.sample([f for f in enumerate_prefix_tables(4) if not is_ordered(f)], 200)
+        self.check_rows(fs, enumerate_suffix_tables(4))
+
+    def test_rows_sharing_a_starting_value_or_a_starting_state(self):
+        # the first three share the starting value {1} from states 1, 2 and
+        # 3; the last three share starting state 1 with values {2}, {1, 2}
+        # and {3, 4}
+        fs = [pt(4, {1}, {1, 2}, {1, 3}, {1, 2, 4}),
+              pt(4, {1, 4}, {1}, {1, 2, 3}, {1, 3}),
+              pt(4, {1, 2, 3, 4}, {1, 3}, {1}, {1, 2}),
+              pt(4, {2}, {2, 3}, {1, 2}, {2, 4}),
+              pt(4, {1, 2}, {1, 2, 3}, {1, 2, 4}, {1, 2}),
+              pt(4, {3, 4}, {1, 3, 4}, {2, 3, 4}, {3, 4})]
+        assert [f.values[starting_state(f) - 1] for f in fs[:3]] == [mask_of({1})] * 3
+        assert [starting_state(f) for f in fs] == [1, 2, 3, 1, 1, 1]
+        rows = self.check_rows(fs, enumerate_suffix_tables(4))
+        assert len(set(rows)) == len(rows)
+
+    def test_constant_table_and_a_single_starting_state(self):
+        # a constant table of the full set has no right vertex outside its
+        # starting value; the second table's starting value is one state
+        gs = enumerate_suffix_tables(3)
+        rows = self.check_rows([pt(3, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}),
+                                pt(3, {1, 2}, {2}, {2, 3})], gs)
+        assert rows[0] == (1 << len(gs)) - 1
 
     def test_random_tables_beyond_one_lookup_chunk(self):
         rng = random.Random(23)
