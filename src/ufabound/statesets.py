@@ -77,20 +77,25 @@ def parse_set(text: str, n: int) -> int:
 
 def transpose(rows: Sequence[int], width: int) -> list[int]:
     """Bit j of result i is bit i of rows[j], for i < ``width``; no row may
-    hold a bit at or beyond it.  Up to 8 rows, each row's digits become a
-    byte per column with the row's bit set, all read by one ``to_bytes``;
-    rows of up to 8 bits are packed a byte each, one ``bytes.translate``
-    to digits per column; anything else goes through the rows' text.
+    hold a bit at or beyond it.  Up to 8 rows become a byte per column
+    (:func:`_spread`); more than 8 rows of up to 8 bits are packed a byte
+    each, one ``bytes.translate`` to digits per column; anything else is
+    spread 8 rows at a time, and each column's bytes join to its int.
     """
     if len(rows) <= 8:
-        spread = 0
-        for t, row in enumerate(rows):
-            if row:
-                spread |= int.from_bytes(bin(row)[:1:-1].encode().translate(_SPREAD[t]),
-                                         "little")
-        return list(spread.to_bytes(width, "little"))
+        return list(_spread(rows, width))
     if width <= 8:
         packed = bytes(reversed(rows))
         return [int(packed.translate(_DIGIT[i]), 2) for i in range(width)]
-    lines = [bin(row | 1 << width)[:2:-1] for row in reversed(rows)]
-    return [int("".join(column), 2) for column in zip(*lines)]
+    chunks = [_spread(rows[i:i + 8], width) for i in range(0, len(rows), 8)]
+    return [int.from_bytes(bytes(column), "little") for column in zip(*chunks)]
+
+
+def _spread(rows: Sequence[int], width: int) -> bytes:
+    """Byte i holds bit i of rows[t] as its bit t, for up to 8 rows: each
+    row's digits translate to bytes with bit t set, read by one ``to_bytes``."""
+    spread = 0
+    for t, row in enumerate(rows):
+        if row:
+            spread |= int.from_bytes(bin(row)[:1:-1].encode().translate(_SPREAD[t]), "little")
+    return spread.to_bytes(width, "little")

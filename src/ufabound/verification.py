@@ -239,24 +239,17 @@ def _study_of(g: witness.BoolMatrix, firsts: list, bases: list) -> tuple:
     :func:`witness.staged_tables` of f0 at b, and columns[j][b] the
     int of the first tables with a 1 there; None and 0 where no column of
     G equals it.  arcs[u-1][v] is the int of the first tables with v in
-    f(u), and down[c] that of those with a 1 in column c, made only for
-    the columns that some staged table names.
+    f(u), and down[c] that of those with a 1 in column c, each from one
+    :func:`transpose` per call.
     """
     n = g.row_labels[0].n
     every = (1 << len(firsts)) - 1
     row_of = {f: i for i, f in enumerate(g.row_labels)}
     col_of = {h: c for c, h in enumerate(g.col_labels)}
     arcs = [transpose([f.values[u] for f in firsts], n + 1) for u in range(n)]
-    staged = [[col_of.get(h) for h in witness.staged_tables(f0)] for f0 in bases]
-    # each 8 firsts' rows go through one transpose, to a byte per column,
-    # and only the columns some staged table names become ints
-    chunks = [transpose([g.bits[row_of[f]] for f in firsts[i:i + 8]], g.cols)
-              for i in range(0, len(firsts), 8)]
-    named = {c for cols in staged for c in cols}
-    down = {c: int.from_bytes(bytes(column), "little")
-            for c, column in enumerate(zip(*chunks)) if c in named}
+    down = transpose([g.bits[row_of[f]] for f in firsts], g.cols)
     masks, accepts, columns = [], [], []
-    for f0, cols in zip(bases, staged):
+    for f0 in bases:
         ls = tables.layer_structure(f0)
         k = ls.rank_k
         # reach[v] is the int of the first tables whose reach_i holds v
@@ -276,8 +269,9 @@ def _study_of(g: witness.BoolMatrix, firsts: list, bases: list) -> tuple:
             layers.append((every & ~left_below, left_s_i))
             below = s_i
         masks.append(layers)
+        cols = [col_of.get(h) for h in witness.staged_tables(f0)]
         accepts.append([None if c is None else g.col_labels[c].accept_flags for c in cols])
-        columns.append([down.get(c, 0) for c in cols])
+        columns.append([0 if c is None else down[c] for c in cols])
     return masks, accepts, columns
 
 
