@@ -15,14 +15,14 @@ configuration, whose per-state ints :func:`ufabound.statesets.transpose`
 turns into one state mask per lane.  The concatenation matrix simulates
 every concatenated word as a lane of its own, so its entries never come
 from the tables they are compared against.  An instance lays out its
-concatenated words, prefixes and suffixes as three grids, and one search
-decides a block of instances, each with its own automaton.  One universal
-matrix over the block's distinct tables follows, and each instance reads
-its own rows and columns out of it; :func:`verify_optimality` is the
-one-instance case, and
-:func:`schmidt_matrix`, :func:`prefix_tables_of` and
-:func:`suffix_tables_of` are one-grid cases.  Every string is checked
-against its automaton's alphabet first.
+concatenated words, prefixes and suffixes as three blocks of one grid,
+and one search decides a block of instances, each with its own automaton.
+The search reads each table as a key of values; one table is built per
+distinct key, and one universal matrix over them follows, out of which
+each instance reads its own rows and columns.  :func:`verify_optimality`
+is the one-instance case, and :func:`prefix_tables_of` and
+:func:`suffix_tables_of` are the grid's one-sided cases.  Every string is
+checked against its automaton's alphabet first.
 
 Tables here use 1-based state indices (state q_i of the automaton is
 index i = internal id + 1), matching :mod:`ufabound.tables`.
@@ -33,67 +33,67 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat, starmap
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import exact_linalg
-from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words,
-                       _concatenation_grid, _search, concatenation_bits)
+from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words, _search,
+                       concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
 from .errors import random_block
-from .statesets import full_mask, transpose
+from .statesets import transpose
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
 
 
-def _prefix_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]]) -> tuple:
-    """:func:`prefix_tables_of` as a grid of :func:`ufabound.automata._search`.
+def _instance_grid(a: TwoWayNfa, xs: Sequence, ys: Sequence) -> tuple:
+    """One instance as one grid of :func:`ufabound.automata._search`.
 
-    Lane (i, k) runs on ``⊢ xs[i]``: k = 0 from the initial
-    configuration, k = q + 1 re-entering the last position in state q.
-    The lanes that leave rightwards land on the split, where they are read.
-    """
-    n = a.state_count
-    cols = n + 1
-    rep = sum(1 << i * cols for i in range(len(xs)))
-    seeds = [(-1 - len(x), q, 1 << i * cols) for i, x in enumerate(xs) for q in a.initial]
-    seeds += [(-1, q, rep << q + 1) for q in range(n)]
-
-    def read(right, left, accepted):
-        exits = transpose([0, *right], len(xs) * cols)
-        rows = [tuple(exits[i:i + cols]) for i in range(0, len(exits), cols)]
-        found = {row: PrefixTable(n, tuple(row[0] | t for t in row[1:])) if row[0] else None
-                 for row in dict.fromkeys(rows)}
-        return [found[row] for row in rows]
-
-    return [(LEFT_MARKER, *x) for x in xs], [()] * cols, seeds, read
-
-
-def _suffix_grid(a: TwoWayNfa, ys: Sequence[Sequence[int]]) -> tuple:
-    """:func:`suffix_tables_of` as a grid of :func:`ufabound.automata._search`.
-
-    Lane (q, j) runs on ``ys[j] ⊣`` from state q at its first position.
-    The lanes that leave leftwards land just before the split, where they
-    are read, and so is acceptance.
+    Its rows are ``⊢ xs[i]`` and then n empty heads, its columns
+    ``ys[j] ⊣`` and then n + 1 empty tails, C columns in all.  Lane (i, j)
+    of the words block, i < |xs| and j < |ys|, runs ``⊢ xs[i] ys[j] ⊣``
+    from the initial configuration.  Prefix lane (i, |ys| + k) runs
+    ``⊢ xs[i]``: k = 0 from the initial configuration, with the row's
+    words, and k = q + 1 re-entering its last position in state q; its
+    right exits land on the split.  Suffix lane (|xs| + q, j) runs
+    ``ys[j] ⊣`` from state q at its first position; its left exits land
+    just before the split, and it may accept.  The n(n + 1) corner lanes
+    get no seed.  The read gives the word rows (bit j for ys[j]) and the
+    keys of the tables each string induces, None where it induces none: a
+    prefix table's values, a suffix table's (values, accept flags).
     """
     n = a.state_count
     cols = len(ys)
-    row = (1 << cols) - 1
-    full = full_mask(n)
-
-    def table(col):
-        # col[q - 1]: the exits of the lane started in state q, bit 0 if it accepts
-        a_y = sum((m & 1) << q for q, m in enumerate(col, start=1))
-        return SuffixTable(n, tuple(full if m & 1 else m for m in col), a_y) if a_y else None
+    width = cols + n + 1
+    low = len(xs) * width
+    word = (1 << cols) - 1
+    # bit i·C for each row i < |xs|
+    rep = ((1 << low) - 1) // ((1 << width) - 1)
+    seeds = [(-1 - len(x), q, (word << 1 | 1) << i * width)
+             for i, x in enumerate(xs) for q in a.initial]
+    seeds += [(-1, q, rep << cols + 1 + q) for q in range(n)]
+    seeds += [(0, q, word << low + q * width) for q in range(n)]
 
     def read(right, left, accepted):
-        exits = transpose([accepted, *left], n * cols)
-        columns = [tuple(exits[j::cols]) for j in range(cols)]
-        found = {col: table(col) for col in dict.fromkeys(columns)}
-        return [found[col] for col in columns]
+        exits = transpose([0, *map(((1 << low) - 1).__and__, right)], low)
+        fs = [tuple(map(exits[i].__or__, exits[i + 1:i + n + 1])) if exits[i] else None
+              for i in range(cols, low, width)]
+        # an accepting suffix lane holds every state: g(q) is then the full set
+        acc = accepted >> low
+        exits = transpose([0, *(m >> low | acc for m in left)], n * width)
+        flags = transpose([0, *(acc >> i & word for i in range(0, n * width, width))], cols)
+        return ([accepted >> i & word for i in range(0, low, width)], fs,
+                [(tuple(exits[j::width]), a_y) if a_y else None for j, a_y in enumerate(flags)])
 
-    return ([()] * n, [(*y, RIGHT_MARKER) for y in ys],
-            [(0, q, row << q * cols) for q in range(n)], read)
+    return ([(LEFT_MARKER, *x) for x in xs] + [()] * n,
+            [(*y, RIGHT_MARKER) for y in ys] + [()] * (n + 1), seeds, read)
+
+
+def _tables(keys: Iterable, build) -> dict:
+    """One table per distinct key but None, in first-occurrence order, each
+    from ``build``: a validating constructor."""
+    return {key: build(key) for key in dict.fromkeys(keys) if key is not None}
 
 
 def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
@@ -109,8 +109,8 @@ def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     all zero anyway.
     """
     _check_words(a, xs)
-    [found] = _search([(a, [_prefix_grid(a, xs)])])
-    return found
+    [(_, keys, _)] = _search([(a, [_instance_grid(a, xs, ())])])
+    return list(map(_tables(keys, partial(PrefixTable, a.state_count)).get, keys))
 
 
 def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
@@ -126,16 +126,16 @@ def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
     is then all zero anyway.
     """
     _check_words(a, ys)
-    [found] = _search([(a, [_suffix_grid(a, ys)])])
-    return found
+    [(_, _, keys)] = _search([(a, [_instance_grid(a, (), ys)])])
+    return list(map(_tables(keys, lambda g: SuffixTable(a.state_count, *g)).get, keys))
 
 
 def schmidt_matrix(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                    ys: Sequence[Sequence[int]]) -> BoolMatrix:
     """The 0/1 concatenation matrix: entry (x, y) is acceptance of x·y,
     every concatenated word simulated as one lane of a single search."""
-    xs = tuple(tuple(x) for x in xs)
-    ys = tuple(tuple(y) for y in ys)
+    xs = tuple(map(tuple, xs))
+    ys = tuple(map(tuple, ys))
     return BoolMatrix(xs, ys, len(ys), tuple(concatenation_bits(a, xs, ys)))
 
 
@@ -182,7 +182,7 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     crossing tables and never out-ranks the closed-form bound.
 
     The matrix and the crossing tables of ``xs`` and ``ys`` come from one
-    search, with one grid of lanes each.  The universal acceptance matrix
+    search over one grid of lanes.  The universal acceptance matrix
     is built over the distinct tables, in first-occurrence order.  Each of
     its columns is spread over the matrix's own columns with that suffix
     table, and every row of the matrix must equal the spread row of its
@@ -198,8 +198,8 @@ def verify_optimality(a: TwoWayNfa, xs: Sequence[Sequence[int]],
 
 def _report(a: TwoWayNfa, xs: tuple, ys: tuple, found: Sequence,
             seed: Optional[int], shared: tuple) -> OptimalityReport:
-    """One instance's check, from the (matrix rows, prefix tables, suffix
-    tables) that its three grids found and its block's universal matrix,
+    """One instance's check, from its (matrix rows, prefix tables, suffix
+    tables), read off its grid, and its block's universal matrix,
     ``shared`` = (the row of each prefix table, the column of each suffix
     table)."""
     n = a.state_count
@@ -247,17 +247,16 @@ def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
                  for a, xs, ys, seed in instances]
     for a, xs, ys, _ in instances:
         _check_words(a, xs + ys)
-    results = iter(_search([(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
-                                 _suffix_grid(a, ys)]) for a, xs, ys, _ in instances]))
-    grids = list(zip(results, results, results))
-    universal = acceptance_matrix(
-        list(dict.fromkeys(f for _, fx, _ in grids for f in fx if f is not None)),
-        list(dict.fromkeys(g for _, _, gy in grids for g in gy if g is not None)),
-        instances[0][0].state_count)
+    found = _search([(a, [_instance_grid(a, xs, ys)]) for a, xs, ys, _ in instances])
+    n = instances[0][0].state_count
+    rows = _tables((f for _, fx, _ in found for f in fx), partial(PrefixTable, n))
+    cols = _tables((g for _, _, gy in found for g in gy), lambda g: SuffixTable(n, *g))
+    universal = acceptance_matrix(list(rows.values()), list(cols.values()), n)
     shared = (dict(zip(universal.row_labels, universal.bits)),
-              {g: c for c, g in enumerate(universal.col_labels)})
-    for (a, xs, ys, seed), found in zip(instances, grids):
-        yield _report(a, xs, ys, found, seed, shared)
+              dict(zip(universal.col_labels, range(universal.cols))))
+    for (a, xs, ys, seed), (bits, fx, gy) in zip(instances, found):
+        yield _report(a, xs, ys, (bits, list(map(rows.get, fx)), list(map(cols.get, gy))),
+                      seed, shared)
 
 
 # ---------------------------------------------------------------------------

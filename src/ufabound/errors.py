@@ -34,11 +34,11 @@ RANDOM_ALPHABET_MAX = 240
 # automaton, of which schmidt's workers hold one per CPU, near 370 MB
 RANDOM_MOVES_MAX = 2_000_000
 
-# schmidt --random decides a block of instances in one lane search.  At 3
-# states and 2 letters, blocks of 6, 12, 16, 24 and 32 took about 65, 58, 59,
-# 56 and 58 % of the time of one search each, and schmidt --random 300 peaked
-# 0.10, 0.25, 0.26 and 0.36 MB higher at 12, 16, 24 and 32 than at 6; blocks
-# of 12 ran 4-14 % faster than blocks of 6 at 1-6 states and 2-16 letters.
+# schmidt --random decides a block of instances in one lane search, one grid
+# each.  At 3 states and 2 letters, blocks of 6, 12 and 24 took about 61, 52
+# and 50 % of the time of one search each, and schmidt --random 300 peaked
+# about 0.1 MB higher at 12 and 24 than at 6; with three grids each, blocks of
+# 12 ran 4-14 % faster than blocks of 6 at 1-6 states and 2-16 letters.
 # At 20-240 letters, 50 states or near RANDOM_MOVES_MAX, blocks ran 1.04-1.6
 # times slower.  Beyond these limits an automaton is a block of its own.
 RANDOM_BLOCK_MAX = 12

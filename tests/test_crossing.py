@@ -11,7 +11,7 @@ from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenat
                                _layout, _reach, _search, concatenation_bits,
                                twonfa_accepts)
 from ufabound.combinatorics import enumerate_ordered_prefix_tables
-from ufabound.crossing import (_prefix_grid, _suffix_grid, prefix_tables_of, random_strings,
+from ufabound.crossing import (_instance_grid, prefix_tables_of, random_strings,
                                random_two_way_nfa, schmidt_matrix, suffix_tables_of,
                                verify_optimality)
 from ufabound.errors import (RANDOM_BLOCK_ALPHABET, RANDOM_BLOCK_MAX, RANDOM_BLOCK_MOVES,
@@ -46,6 +46,12 @@ def submatrix(m, rows, cols):
                       tuple(m.col_labels[j] for j in cols), len(cols),
                       tuple(sum((m.bits[i] >> j & 1) << k for k, j in enumerate(cols))
                             for i in rows))
+
+
+def table_keys(bits, fs, gs):
+    """What an instance grid reads: the word rows, each prefix table's
+    values and each suffix table's (values, accept flags), None for None."""
+    return (bits, [f and f.values for f in fs], [g and (g.values, g.accept_flags) for g in gs])
 
 
 def kept_and_first(tables):
@@ -235,8 +241,9 @@ class TestLaneSearch:
         assert tables_seen > 50  # the tables are not vacuously None
 
     def test_one_search_equals_the_one_family_searches(self, sparse_two_way_nfa):
-        # verify_optimality's three grids in one search, against each family
-        # searched alone, with empty families on either side
+        # verify_optimality's one grid, with its words, prefix lanes and
+        # suffix lanes, against each family searched alone, with empty
+        # families on either side
         rng = random.Random(11)
         for states in (1, 2, 3, 5, 9):
             for alphabet in (1, 2, 4):
@@ -247,8 +254,7 @@ class TestLaneSearch:
                     ys = ragged(alphabet, cols, 4, rng) if cols else []
                     alone = [concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
                              suffix_tables_of(a, ys)]
-                    assert _search([(a, [_concatenation_grid(a, xs, ys), _prefix_grid(a, xs),
-                                         _suffix_grid(a, ys)])]) == alone
+                    assert _search([(a, [_instance_grid(a, xs, ys)])]) == [table_keys(*alone)]
                     report = verify_optimality(a, xs, ys)
                     assert report.ok
                     assert report.matrix == schmidt_matrix(a, xs, ys)
@@ -260,19 +266,28 @@ class TestLaneSearch:
                     assert report.universal.col_labels == tuple(alone[2][j] for j in first_cols)
 
     def test_a_grid_without_lanes_takes_no_lanes(self, sparse_two_way_nfa):
-        # grids with no lanes before, between and after the others read
-        # nothing and shift no other grid's lanes
+        # grids with no lanes before, between and after the instance grids
+        # read nothing and shift no other grid's lanes; an instance grid
+        # takes (|xs| + n)(|ys| + n + 1) lanes, n(n + 1) of them with no
+        # strings at all
         rng = random.Random(12)
         a = sparse_two_way_nfa(3, 2, rng)
         xs = ragged(2, 6, 4, rng)
         ys = ragged(2, 5, 4, rng)
-        got = _search([(a, [_prefix_grid(a, []), _concatenation_grid(a, xs, []),
-                            _prefix_grid(a, xs), _suffix_grid(a, []), _suffix_grid(a, ys),
-                            _concatenation_grid(a, [], ys)])])
-        assert got == [[], [0] * len(xs), prefix_tables_of(a, xs), [],
-                       suffix_tables_of(a, ys), []]
-        assert _search([(a, [_prefix_grid(a, [])])]) == [[]]
-        assert _search([(a, [_suffix_grid(a, [])])]) == [[]]
+        grids = [_concatenation_grid(a, [], ys), _instance_grid(a, xs, []),
+                 _concatenation_grid(a, xs, []), _instance_grid(a, [], []),
+                 _instance_grid(a, [], ys), _concatenation_grid(a, [], []),
+                 _instance_grid(a, xs, ys), _concatenation_grid(a, [], ys)]
+        assert _search([(a, grids)]) == [
+            [], table_keys([0] * len(xs), prefix_tables_of(a, xs), []), [0] * len(xs),
+            ([], [], []), table_keys([], [], suffix_tables_of(a, ys)), [],
+            table_keys(concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
+                       suffix_tables_of(a, ys)), []]
+        # each grid's lanes, as (rows)(columns)
+        lanes = [0, 9 * 4, 0, 3 * 4, 3 * 9, 0, 9 * 9, 0]
+        assert _layout(grids)[2] == [0, *itertools.accumulate(lanes)]
+        assert _search([(a, [_instance_grid(a, [], [])])]) == [([], [], [])]
+        assert _search([(a, [_concatenation_grid(a, [], [])])]) == [[]]
         assert transpose([0, 0, 0], 0) == []
 
     @pytest.mark.parametrize("states", [7, 8, 9, 15, 16])
@@ -603,6 +618,35 @@ class TestBlocks:
         seeds = range(2 * RANDOM_BLOCK_MAX)
         assert len(list(crossing.random_campaign(3, 2, seeds))) == len(seeds)
         assert calls == [3, 3]
+
+    def test_a_block_builds_each_distinct_table_once(self, monkeypatch):
+        instances = self.instances(3, 2, random.Random(25))
+        # table occurrences, counted before the constructors are wrapped
+        found = sum(t is not None for a, xs, ys, _ in instances
+                    for t in (*prefix_tables_of(a, xs), *suffix_tables_of(a, ys)))
+        built = []
+        for name in ("PrefixTable", "SuffixTable"):
+            def counted(*args, real=getattr(crossing, name)):
+                built.append(real(*args))
+                return built[-1]
+
+            monkeypatch.setattr(crossing, name, counted)
+        reports = list(crossing._reports(instances))
+        # no table is built twice, every report's labels are the built
+        # objects themselves, and some table occurs more than once
+        assert len(set(built)) == len(built) < found
+        labels = {id(t) for r in reports for t in (*r.universal.row_labels,
+                                                   *r.universal.col_labels)}
+        assert labels == set(map(id, built))
+        # the one-sided searches share one object per repeated string
+        a, xs, ys, _ = instances[1]
+        built.clear()
+        fs = prefix_tables_of(a, [xs[0], *xs, xs[0]])
+        gs = suffix_tables_of(a, [ys[0], *ys, ys[0]])
+        assert fs[0] is not None and gs[0] is not None
+        assert fs[0] is fs[1] is fs[-1] and gs[0] is gs[1] is gs[-1]
+        assert len(set(built)) == len(built)
+        assert set(map(id, built)) == {id(t) for t in (*fs, *gs) if t is not None}
 
     def test_each_lane_of_several_automata_is_its_own_closure(self, sparse_two_way_nfa):
         # the several-automata search against the closure oracle on each
