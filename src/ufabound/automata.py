@@ -16,10 +16,10 @@ a lane may carry its own automaton, of one state count for all.
 Expanding a slot masks it once and costs one AND and one OR per move,
 however many letters and automata its position holds.  :func:`_layout`
 stacks grids of tapes prefixes[i]·suffixes[j] around one split position,
-writing each distinct string once, and :func:`_search` runs groups of
-grids, each group with its automaton and each grid with its seeds and
-readout, as one search; :func:`concatenation_bits` is its one-grid case
-that decides every word xs[i]·ys[j].
+writing each distinct string once, and :func:`_search` runs grids, each
+with its automaton, its seeds and its readout, as one search;
+:func:`concatenation_bits` is its one-grid case that decides every word
+xs[i]·ys[j].
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -216,11 +216,11 @@ def _reach(groups: Sequence[tuple[TwoWayNfa, int]],
     return at
 
 
-def _search(groups: Sequence[tuple[TwoWayNfa, Sequence[tuple]]]) -> list:
+def _search(groups: Sequence[tuple[TwoWayNfa, tuple]]) -> list:
     """Every grid's result, in order, from one :func:`_reach` over the
     stacked lanes of all groups.
 
-    A group is (automaton, grids).  A grid is (prefixes, suffixes, seeds,
+    A group is (automaton, grid).  A grid is (prefixes, suffixes, seeds,
     read) in its own lanes i·C + j: ``seeds`` are (position relative to the
     split, state, lanes), and ``read(right, left, accepted)`` gives its
     result from the states' lanes just after the split, those just before
@@ -229,12 +229,10 @@ def _search(groups: Sequence[tuple[TwoWayNfa, Sequence[tuple]]]) -> list:
     the alphabet first.
     """
     n = groups[0][0].state_count
-    grids = [grid for _, family in groups for grid in family]
+    grids = [grid for _, grid in groups]
     cells, split, offsets = _layout(grids)
-    owners, k = [], 0
-    for a, family in groups:
-        start, k = offsets[k], k + len(family)
-        owners.append((a, ((1 << offsets[k] - start) - 1) << start))
+    owners = [(a, ((1 << end - start) - 1) << start)
+              for (a, _), start, end in zip(groups, offsets, offsets[1:])]
     # the seeds one at a time: a list of them, each as wide as its offset,
     # would grow with the square of the number of grids
     at = _reach(owners, cells, ((split + p, q, lanes << offset)
@@ -278,7 +276,7 @@ def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     """Acceptance of every word xs[i] + ys[j], in one search: row i of the
     result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
     _check_words(a, (*xs, *ys))
-    [bits] = _search([(a, [_concatenation_grid(a, xs, ys)])])
+    [bits] = _search([(a, _concatenation_grid(a, xs, ys))])
     return bits
 
 

@@ -109,7 +109,7 @@ def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     all zero anyway.
     """
     _check_words(a, xs)
-    [(_, keys, _)] = _search([(a, [_instance_grid(a, xs, ())])])
+    [(_, keys, _)] = _search([(a, _instance_grid(a, xs, ()))])
     return list(map(_tables(keys, partial(PrefixTable, a.state_count)).get, keys))
 
 
@@ -126,7 +126,7 @@ def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
     is then all zero anyway.
     """
     _check_words(a, ys)
-    [(_, _, keys)] = _search([(a, [_instance_grid(a, (), ys)])])
+    [(_, _, keys)] = _search([(a, _instance_grid(a, (), ys))])
     return list(map(_tables(keys, lambda g: SuffixTable(a.state_count, *g)).get, keys))
 
 
@@ -247,7 +247,7 @@ def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
                  for a, xs, ys, seed in instances]
     for a, xs, ys, _ in instances:
         _check_words(a, xs + ys)
-    found = _search([(a, [_instance_grid(a, xs, ys)]) for a, xs, ys, _ in instances])
+    found = _search([(a, _instance_grid(a, xs, ys)) for a, xs, ys, _ in instances])
     n = instances[0][0].state_count
     rows = _tables((f for _, fx, _ in found for f in fx), partial(PrefixTable, n))
     cols = _tables((g for _, _, gy in found for g in gy), lambda g: SuffixTable(n, *g))

@@ -28,11 +28,6 @@ from .errors import CapacityError
 from .statesets import elements, full_mask, transpose
 
 MERSENNE_PRIME = 2**31 - 1
-# rows of M per search in the entry check: each search simulates its rows
-# times every column (217 at n = 3), and its layout holds one int of all
-# those lanes per letter; one search over all 133 rows of M would raise
-# the check's peak memory by about 1.5 MB
-ENTRY_BLOCK_ROWS = 32
 
 
 class CheckResult(NamedTuple):
@@ -133,12 +128,9 @@ def check_entry_simulation_agreement(run: Run) -> CheckResult:
     # every row times every column, one lane per word, so that a simulated
     # row reads like M's: a pair's word is two letters of its row and one
     # of its column
+    row_words = [automaton.word(f, m.col_labels[0])[:2] for f in m.row_labels]
     col_words = [automaton.word(m.row_labels[0], g)[2:] for g in m.col_labels]
-    simulated = []
-    for first in range(0, m.rows, ENTRY_BLOCK_ROWS):
-        row_words = [automaton.word(f, m.col_labels[0])[:2]
-                     for f in m.row_labels[first:first + ENTRY_BLOCK_ROWS]]
-        simulated += automata.concatenation_bits(automaton.nfa, row_words, col_words)
+    simulated = automata.concatenation_bits(automaton.nfa, row_words, col_words)
     for i, (row, sim) in enumerate(zip(m.bits, simulated)):
         if diff := row ^ sim:  # the first failing cell, in grid order
             j = (diff & -diff).bit_length() - 1

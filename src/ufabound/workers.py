@@ -2,13 +2,13 @@
 
 One primitive forks: :func:`beside` computes a share of items in an
 ``os.fork`` child while the calling process goes on with other work, or
-here when the share is empty or there is no second CPU or ``os.fork``;
-whether a share is worth a fork its caller decides.  :func:`ordered_map`
-splits its items into contiguous shares of at least :data:`MIN_SHARE`
-items, one per CPU this process may run on, computes the first share
-itself and every other one beside it, and yields the results in item
-order; ``verify`` runs its checks that read nothing the others build
-beside them.  The work they serve is pure Python, which holds the
+here when the share is empty, there is no second CPU or ``os.fork``, or
+the fork fails; whether a share is worth a fork its caller decides.
+:func:`ordered_map` splits its items into contiguous shares of at least
+:data:`MIN_SHARE` items, one per CPU this process may run on, computes
+the first share itself and every other one beside it, and yields the
+results in item order; ``verify`` runs its checks that read nothing the
+others build beside them.  The work they serve is pure Python, which holds the
 interpreter lock, so threads would only take turns.  Importing :mod:`multiprocessing.pool` or
 :mod:`concurrent.futures.process` alone raises the CLI's peak memory by
 1.0 or 1.4 MB, and both pickle the function and its arguments.  A forked
@@ -151,17 +151,20 @@ def beside(fn: Callable[[Sequence], Iterable[dict]],
     with an ``"ok"`` member, and is asked for none after the first whose
     ``"ok"`` is false.  The block gets a function to call once, which waits
     for the child and returns an iterator of its results.  With no items,
-    one CPU or no ``os.fork`` there is no child: then that function
-    computes ``fn(items)`` here, as its results are asked for.  An
-    exception in the child is raised here as a :class:`ChildProcessError`
-    after the results before it, and so is a child that dies or returns too
-    few.  The child is killed if still running and reaped when the block
-    ends, however it ends.
+    one CPU, no ``os.fork`` or a fork that fails there is no child: then
+    that function computes ``fn(items)`` here, as its results are asked
+    for.  An exception in the child is raised here as a
+    :class:`ChildProcessError` after the results before it, and so is a
+    child that dies or returns too few.  The child is killed if still
+    running and reaped when the block ends, however it ends.
     """
-    if not items or _cpus() < 2 or not hasattr(os, "fork"):
+    running = []  # (pid, read end) of the child until it is reaped
+    if items and _cpus() > 1 and hasattr(os, "fork"):
+        with contextlib.suppress(OSError):  # say, EAGAIN: no process id to spare
+            running.append(_start(fn, items))
+    if not running:
         yield lambda: _upto_failure(fn(items))
         return
-    running = [_start(fn, items)]  # (pid, read end) of the child until it is reaped
 
     def results() -> Iterator[dict]:
         pid, r = running[0]

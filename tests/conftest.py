@@ -1,3 +1,6 @@
+import errno
+import os
+
 import pytest
 
 from ufabound.automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa
@@ -30,6 +33,20 @@ def _sparse_two_way_nfa(states, alphabet, rng, moves=2):
 @pytest.fixture
 def sparse_two_way_nfa():
     return _sparse_two_way_nfa
+
+
+@pytest.fixture
+def refused_forks(monkeypatch):
+    """Every ``os.fork`` fails as it does with no process id to spare,
+    without asking the system for one; the list of attempts."""
+    tried = []
+
+    def fork():
+        tried.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    return tried
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ class TestLaneSearch:
                     ys = ragged(alphabet, cols, 4, rng) if cols else []
                     alone = [concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
                              suffix_tables_of(a, ys)]
-                    assert _search([(a, [_instance_grid(a, xs, ys)])]) == [table_keys(*alone)]
+                    assert _search([(a, _instance_grid(a, xs, ys))]) == [table_keys(*alone)]
                     report = verify_optimality(a, xs, ys)
                     assert report.ok
                     assert report.matrix == schmidt_matrix(a, xs, ys)
@@ -278,7 +278,7 @@ class TestLaneSearch:
                  _concatenation_grid(a, xs, []), _instance_grid(a, [], []),
                  _instance_grid(a, [], ys), _concatenation_grid(a, [], []),
                  _instance_grid(a, xs, ys), _concatenation_grid(a, [], ys)]
-        assert _search([(a, grids)]) == [
+        assert _search([(a, grid) for grid in grids]) == [
             [], table_keys([0] * len(xs), prefix_tables_of(a, xs), []), [0] * len(xs),
             ([], [], []), table_keys([], [], suffix_tables_of(a, ys)), [],
             table_keys(concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
@@ -286,8 +286,8 @@ class TestLaneSearch:
         # each grid's lanes, as (rows)(columns)
         lanes = [0, 9 * 4, 0, 3 * 4, 3 * 9, 0, 9 * 9, 0]
         assert _layout(grids)[2] == [0, *itertools.accumulate(lanes)]
-        assert _search([(a, [_instance_grid(a, [], [])])]) == [([], [], [])]
-        assert _search([(a, [_concatenation_grid(a, [], [])])]) == [[]]
+        assert _search([(a, _instance_grid(a, [], []))]) == [([], [], [])]
+        assert _search([(a, _concatenation_grid(a, [], []))]) == [[]]
         assert transpose([0, 0, 0], 0) == []
 
     @pytest.mark.parametrize("states", [7, 8, 9, 15, 16])

@@ -47,7 +47,7 @@ def test_orderedness_disagreement_fails(monkeypatch):
 
 
 def test_entry_simulation_disagreement_fails(monkeypatch):
-    # the check reads its simulation from one batched search per block of rows
+    # the check reads its simulation from one batched search over M
     monkeypatch.setattr(automata, "concatenation_bits", lambda a, xs, ys: [0] * len(xs))
     r = verification.check_entry_simulation_agreement(verification.Run(2, "full"))
     assert not r.ok and "simulation 0" in r.detail
@@ -134,6 +134,20 @@ def test_entry_simulation_names_the_lowest_failing_column_of_a_row(monkeypatch):
     assert not r.ok
     assert r.detail == (f"entry {m.entry(i, j)}, simulation {1 - m.entry(i, j)} "
                         f"on {m.row_labels[i]}, {m.col_labels[j]}")
+
+
+def test_the_entry_check_is_one_search_over_m(monkeypatch):
+    # every row word of M3 against every column word, in one call
+    real = automata.concatenation_bits
+    calls = []
+
+    def counted(a, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return real(a, xs, ys)
+
+    monkeypatch.setattr(automata, "concatenation_bits", counted)
+    r = verification.check_entry_simulation_agreement(verification.Run(3, "full"))
+    assert r.ok and calls == [(133, 217)]
 
 
 def test_a_flipped_bit_of_m_fails_the_augmentation_identity(monkeypatch):
@@ -482,6 +496,17 @@ def test_verify_prints_the_same_bytes_with_one_cpu_and_two(capsys, monkeypatch, 
             one = _verify_on(capsys, monkeypatch, {0}, *argv)
             assert one[0] == 0 and one[1].endswith("11/11 checks passed\n")
             assert _verify_on(capsys, monkeypatch, {0, 1}, *argv) == one
+
+
+def test_a_failed_fork_runs_the_worker_checks_here(monkeypatch, refused_forks):
+    # the checks meant for the worker run in this process, with the
+    # one-CPU results in the same order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = verification.run_checks(3, "full")
+    assert refused_forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verification.run_checks(3, "full") == one
+    assert refused_forks == [1]
 
 
 def _random_seed(level, k, seed=0):

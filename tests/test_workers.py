@@ -59,6 +59,15 @@ def test_without_fork_every_item_is_computed_here(three_cpus, monkeypatch):
     assert {r["pid"] for r in out} == {os.getpid()}
 
 
+def test_a_failed_fork_computes_every_share_here(three_cpus, refused_forks):
+    out = list(workers.ordered_map(each(record), range(20, 29)))
+    assert refused_forks == [1, 1]  # both workers' shares
+    assert [r["item"] for r in out] == list(range(20, 29))
+    assert {r["pid"] for r in out} == {os.getpid()}
+    out = list(workers.ordered_map(each(record), range(4, 16)))
+    assert [r["item"] for r in out] == list(range(4, 14))
+
+
 @pytest.mark.parametrize("items", [range(10, 16), range(4, 16)])
 def test_the_first_failing_result_is_the_last(three_cpus, items):
     # item 13 fails in this process's share, then in a worker's
@@ -231,6 +240,13 @@ def test_beside_forks_nothing_with_one_cpu(monkeypatch):
     assert_no_worker_left()
 
 
+def test_beside_computes_here_when_its_fork_fails(two_cpus, refused_forks):
+    with workers.beside(pid_records, [3, 4]) as results:
+        assert list(results()) == pid_records([3, 4])
+    assert refused_forks == [1]
+    assert_no_worker_left()
+
+
 def test_beside_forks_nothing_for_no_items(two_cpus, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for no items"))
     with workers.beside(pid_records, []) as results:
@@ -290,6 +306,13 @@ def serial_schmidt(capsys, monkeypatch, count, seed=40):
 def test_schmidt_random_prints_the_serial_bytes(capsys, monkeypatch, three_cpus, count):
     assert schmidt(capsys, count) == serial_schmidt(capsys, monkeypatch, count)
     assert_no_worker_left()
+
+
+def test_schmidt_random_prints_the_serial_bytes_when_its_forks_fail(
+        capsys, monkeypatch, three_cpus, refused_forks):
+    code, out, err = schmidt(capsys, 60)
+    assert refused_forks and code == 0 and err == ""
+    assert (code, out, err) == serial_schmidt(capsys, monkeypatch, 60)
 
 
 def fail_at(monkeypatch, bad_seed, error=None):
