@@ -36,6 +36,8 @@ SUITES = {
                                    "--alphabet", str(alphabet)])]
         for states, alphabet in ((2, 2), (3, 2), (4, 2), (5, 2), (3, 5), (2, 8))],
     "verify": [[
+        ("verify --n 3", ["verify", "--n", "3"]),
+        ("verify --n 3 --level full", ["verify", "--n", "3", "--level", "full"]),
         ("verify --n 4", ["verify", "--n", "4"]),
         ("verify --n 4 --level full", ["verify", "--n", "4", "--level", "full"]),
     ]],

@@ -7,10 +7,10 @@ exhaustive.  All sampling is seeded, so identical invocations print
 identical reports.  Every check reads what it needs off one :class:`Run`:
 M, the prefix tables, the ordered tables and the square matrix G
 (:func:`ufabound.witness.staged_matrix`) per size, the pair study, and
-the random check's seeds.  From three states on, the checks that build
-what no other check reads run in a worker that :func:`run_checks` forks
-once the run is made, on its copy of the run, beside the others
-(:data:`_BESIDE`).
+the random check's seeds.  G and M are ranked mod 2 alone, so ``verify``
+never loads numpy.  From three states on, the checks that build what no
+other check reads run in a worker that :func:`run_checks` forks once the
+run is made, on its copy of the run, beside the others (:data:`_BESIDE`).
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from . import automata, combinatorics, crossing, exact_linalg, tables, witness
-from .errors import CapacityError
 from .statesets import elements, full_mask, transpose
-
-MERSENNE_PRIME = 2**31 - 1
 
 
 class CheckResult(NamedTuple):
@@ -42,8 +39,8 @@ class Run:
     per size and the pair study, each built on first use and kept on the
     run, and the random-automaton check's state count and instance seeds.
 
-    A bad level, or n beyond the enumeration cap (G lists every ordered
-    table at n), is refused as the run is made, before anything is built.
+    A bad level, or n beyond the enumeration cap (G, square on columns of
+    K, lists every ordered table at n), is refused before anything is built.
     Each check draws from a fresh generator (:meth:`rng`), so a shared
     sample is the one it would have drawn itself.
     """
@@ -360,23 +357,16 @@ def check_forced_breakthrough(run: Run) -> CheckResult:
 def check_matrix_rank_is_count(run: Run) -> CheckResult:
     name = "matrix rank equals the ordered-table count"
     expected = combinatorics.count_ordered_prefix_tables(run.n)
-    g = run.g(run.n)
-    try:
-        # exact, and at most K's rank, which is at most G's row count
-        got_k = exact_linalg.rank_exact(g)
-    except CapacityError:
-        # refused only when G's distinct rows are dependent mod 2 beyond the
-        # entry cap: their GF(2) rank is then a lower bound, and no proof
-        return CheckResult(name, False, f"rank at least {exact_linalg.rank_mod_p(g, 2)} "
-                           f"(mod 2), count {expected}")
-    if run.n <= 2:
-        got_m = exact_linalg.rank_exact(run.m(run.n))
-    elif run.n == 3 or run.level == "full":
-        # size 4 is heavy: there M is ranked through the cheap packed-bit field only
-        got_m = exact_linalg.rank_mod_p(run.m(run.n), MERSENNE_PRIME if run.n == 3 else 2)
-    else:
-        got_m = got_k
-    return CheckResult(name, got_m == got_k == expected, f"rank {got_k}, count {expected}")
+    # G is square, one row per ordered table (K's rows), on columns of K: a
+    # full rank mod 2 is an odd, hence non-zero, minor of K of order K's row
+    # count, so it is K's rank; a short one is only a lower bound, and fails
+    got_k = exact_linalg.rank_mod_p(run.g(run.n), 2)
+    if got_k != expected:
+        return CheckResult(name, False, f"rank at least {got_k} (mod 2), count {expected}")
+    # size 4 is heavy: there M itself is ranked under full only
+    got_m = (exact_linalg.rank_mod_p(run.m(run.n), 2) if run.n <= 3 or run.level == "full"
+             else got_k)
+    return CheckResult(name, got_m == expected, f"rank {got_k}, count {expected}")
 
 
 def check_random_automata_bound(run: Run) -> CheckResult:

@@ -47,11 +47,15 @@ def test_the_package_runs_as_a_module():
 
 def test_only_rank_mod_an_odd_prime_loads_numpy(tmp_path, capsys):
     # numpy is imported by the GF(p) elimination and BoolMatrix.to_numpy
-    # alone: verify at n = 4 and a random schmidt run finish without it
+    # alone: verify, which ranks mod 2 only, a random schmidt run and a rank
+    # mod 2 finish without it
     mat = tmp_path / "k2.mat"
     assert run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))[0] == 0
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for argv, loaded in ((["verify", "--n", "4"], False), (["schmidt", "--random", "3"], False),
+    for argv, loaded in ((["verify", "--n", "3"], False),
+                         (["verify", "--n", "3", "--level", "full"], False),
+                         (["verify", "--n", "4"], False), (["schmidt", "--random", "3"], False),
+                         (["rank", "--in", str(mat), "--mod", "2"], False),
                          (["rank", "--in", str(mat), "--mod", "7"], True)):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from ufabound.cli import main; code = main(); "

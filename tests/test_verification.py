@@ -702,9 +702,9 @@ def test_leaving_a_run_early_reaps_its_worker_and_keeps_no_study(monkeypatch):
 
 
 def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
-    # M at size 4 has 7891 rows and is the only matrix ranked mod 2: a wrong
-    # rank of M must fail the full check, where the quick one takes M's rank
-    # from G's
+    # G4 (3451 rows) is ranked mod 2 first, then M4 (7891 rows) itself: a
+    # wrong rank of M must fail the full check, where the quick one takes
+    # M's rank from G's
     ranked = []
     real = exact_linalg.rank_mod_p
 
@@ -714,14 +714,14 @@ def test_full_level_ranks_m_itself_at_size_four(monkeypatch):
 
     monkeypatch.setattr(exact_linalg, "rank_mod_p", wrong_on_m)
     r = verification.check_matrix_rank_is_count(verification.Run(4, "full"))
-    assert not r.ok and ranked == [7891]
+    assert not r.ok and ranked == [3451, 7891]
 
 
-def test_g_dependent_mod_2_at_size_four_fails_the_rank_check(capsys, monkeypatch):
-    # row 2 of G4 set to the XOR of rows 0 and 1: the distinct rows are
-    # dependent mod 2 and too many for exact elimination, so the check
-    # reports their GF(2) rank as a lower bound and fails, and the other
-    # checks still report
+@pytest.mark.parametrize("n, count", [(3, 115), (4, 3451)])
+def test_g_dependent_mod_2_fails_the_rank_check(capsys, monkeypatch, n, count):
+    # row 2 of G set to the XOR of rows 0 and 1: the rows are dependent mod
+    # 2, so the check reports their GF(2) rank as a lower bound and fails,
+    # at every size, and the other checks still report
     real = witness.staged_matrix
 
     def dependent(rows, n):
@@ -732,11 +732,11 @@ def test_g_dependent_mod_2_at_size_four_fails_the_rank_check(capsys, monkeypatch
         return witness.BoolMatrix(m.row_labels, m.col_labels, m.cols, tuple(bits))
 
     monkeypatch.setattr(witness, "staged_matrix", dependent)
-    code = main(["verify", "--n", "4"])
+    code = main(["verify", "--n", str(n)])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert ("FAIL  matrix rank equals the ordered-table count "
-            "(rank at least 3450 (mod 2), count 3451)") in out.splitlines()
+            f"(rank at least {count - 1} (mod 2), count {count})") in out.splitlines()
     assert len(out.splitlines()) == len(verification._CHECKS) + 1
 
 
