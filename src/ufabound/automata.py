@@ -16,10 +16,10 @@ a lane may carry its own automaton, of one state count for all.
 Expanding a slot masks it once and costs one AND and one OR per move,
 however many letters and automata its position holds.  :func:`_layout`
 stacks grids of tapes prefixes[i]·suffixes[j] around one split position,
-writing each distinct string once, and :func:`_search` runs grids, each
-with its automaton, its seeds and its readout, as one search;
-:func:`concatenation_bits` is its one-grid case that decides every word
-xs[i]·ys[j].
+writing each distinct string once.  :func:`_search` gives each group
+(automaton, xs, ys) one grid of its words xs[i]·ys[j], its prefixes and
+its suffixes, and reads their word rows and crossing-table keys off one
+search; :func:`concatenation_bits` keeps the word rows of one group.
 
 Automata are immutable after construction and every operation here is
 a pure function.
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .statesets import transpose
 
 
 LEFT_MARKER = -1
@@ -98,7 +100,7 @@ def _check_words(a: TwoWayNfa, words: Sequence[Sequence[int]]) -> None:
 
 
 def _layout(grids: Sequence[tuple]):
-    """Stack the grids (prefixes, suffixes, ...) in lane space around one split.
+    """Stack the grids (prefixes, suffixes) in lane space around one split.
 
     The tape prefixes[i] + suffixes[j] of grid g is lane offsets[g] + i·C + j,
     C = len(suffixes); strings are tuples.  Each distinct prefix and each
@@ -112,7 +114,7 @@ def _layout(grids: Sequence[tuple]):
     heads: dict[tuple, int] = {}
     tails: dict[tuple, int] = {}
     offsets, offset = [], 0
-    for xs, ys, *_ in grids:
+    for xs, ys in grids:
         cols = len(ys)
         row = (1 << cols) - 1
         for i, x in enumerate(xs):
@@ -216,28 +218,47 @@ def _reach(groups: Sequence[tuple[TwoWayNfa, int]],
     return at
 
 
-def _search(groups: Sequence[tuple[TwoWayNfa, tuple]]) -> list:
-    """Every grid's result, in order, from one :func:`_reach` over the
-    stacked lanes of all groups.
+def _search(groups: Sequence[tuple[TwoWayNfa, Sequence, Sequence]]) -> list[tuple]:
+    """Each group's (word rows, prefix keys, suffix keys), in order, from
+    one :func:`_reach` over the stacked lanes of all groups.
 
-    A group is (automaton, grid).  A grid is (prefixes, suffixes, seeds,
-    read) in its own lanes i·C + j: ``seeds`` are (position relative to the
-    split, state, lanes), and ``read(right, left, accepted)`` gives its
-    result from the states' lanes just after the split, those just before
-    it and the lanes that reach their right marker in an accepting state,
-    each masked to the grid's own lanes.  Strings must be checked against
-    the alphabet first.
+    A group is (automaton, xs, ys), its strings checked against the
+    alphabet first.  Its rows are ``⊢ xs[i]`` and then n empty heads, its
+    columns ``ys[j] ⊣`` and then n + 1 empty tails, C columns in all.
+    Lane (i, j) of the words block, i < |xs| and j < |ys|, runs
+    ``⊢ xs[i] ys[j] ⊣`` from the initial configuration.  Prefix lane
+    (i, |ys| + k) runs ``⊢ xs[i]``: k = 0 from the initial configuration,
+    with the row's words, and k = q + 1 re-entering its last position in
+    state q; its right exits land on the split.  Suffix lane (|xs| + q, j)
+    runs ``ys[j] ⊣`` from state q at its first position; its left exits
+    land just before the split, and it may accept.  The n(n + 1) corner
+    lanes get no seed.  The word rows have bit j for ys[j]; the keys are
+    those of the tables each string induces, None where it induces none:
+    a prefix table's values, a suffix table's (values, accept flags).
     """
     n = groups[0][0].state_count
-    grids = [grid for _, grid in groups]
-    cells, split, offsets = _layout(grids)
+    cells, split, offsets = _layout([([(LEFT_MARKER, *x) for x in xs] + [()] * n,
+                                      [(*y, RIGHT_MARKER) for y in ys] + [()] * (n + 1))
+                                     for _, xs, ys in groups])
     owners = [(a, ((1 << end - start) - 1) << start)
-              for (a, _), start, end in zip(groups, offsets, offsets[1:])]
-    # the seeds one at a time: a list of them, each as wide as its offset,
-    # would grow with the square of the number of grids
-    at = _reach(owners, cells, ((split + p, q, lanes << offset)
-                                for (_, _, seeds, _), offset in zip(grids, offsets)
-                                for p, q, lanes in seeds))
+              for (a, _, _), start, end in zip(groups, offsets, offsets[1:])]
+
+    def seeds():
+        # one at a time: a list of them, each as wide as its highest lane, would
+        # grow with the square of the number of rows
+        for (a, xs, ys), offset in zip(groups, offsets):
+            cols = len(ys)
+            width = cols + n + 1
+            for i, x in enumerate(xs):
+                for q in a.initial:
+                    yield split - 1 - len(x), q, ((1 << cols + 1) - 1) << offset + i * width
+            # bit i·C for each row i < |xs|
+            rep = ((1 << len(xs) * width) - 1) // ((1 << width) - 1) << offset
+            for q in range(n):
+                yield split - 1, q, rep << cols + 1 + q
+                yield split, q, ((1 << cols) - 1) << offset + (len(xs) + q) * width
+
+    at = _reach(owners, cells, seeds())
     # each accepting state, with the lanes whose automaton accepts in it
     accepting: dict[int, int] = {}
     for a, own in owners:
@@ -251,24 +272,24 @@ def _search(groups: Sequence[tuple[TwoWayNfa, tuple]]) -> list:
                     accepted |= at[p * n + q] & lanes & own
     right, left = at[split * n:split * n + n], at[split * n - n:split * n]
     out = []
-    for (xs, ys, _, read), offset in zip(grids, offsets):
-        own = (1 << len(xs) * len(ys)) - 1
-        out.append(read([lanes >> offset & own for lanes in right],
-                        [lanes >> offset & own for lanes in left],
-                        accepted >> offset & own))
+    for (_, xs, ys), offset in zip(groups, offsets):
+        cols = len(ys)
+        width = cols + n + 1
+        low = len(xs) * width
+        word = (1 << cols) - 1
+        exits = transpose([0, *(lanes >> offset & (1 << low) - 1 for lanes in right)], low)
+        fs = [tuple(map(exits[i].__or__, exits[i + 1:i + n + 1])) if exits[i] else None
+              for i in range(cols, low, width)]
+        # an accepting suffix lane holds every state: g(q) is then the full set
+        tail = (1 << n * width) - 1
+        acc = accepted >> offset + low & tail
+        exits = transpose([0, *(lanes >> offset + low & tail | acc for lanes in left)],
+                          n * width)
+        flags = transpose([0, *(acc >> i & word for i in range(0, n * width, width))], cols)
+        out.append(([accepted >> offset + i & word for i in range(0, low, width)], fs,
+                    [(tuple(exits[j::width]), a_y) if a_y else None
+                     for j, a_y in enumerate(flags)]))
     return out
-
-
-def _concatenation_grid(a: TwoWayNfa, xs: Sequence[Sequence[int]],
-                        ys: Sequence[Sequence[int]]) -> tuple:
-    """The words ⊢ xs[i] ys[j] ⊣ from the initial configuration, read as
-    one int per row with bit j for ys[j]."""
-    cols = len(ys)
-    row = (1 << cols) - 1
-    return ([(LEFT_MARKER, *x) for x in xs], [(*y, RIGHT_MARKER) for y in ys],
-            [(-1 - len(x), q, row << i * cols) for i, x in enumerate(xs) for q in a.initial],
-            lambda right, left, accepted: [accepted >> i * cols & row
-                                           for i in range(len(xs))])
 
 
 def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
@@ -276,7 +297,7 @@ def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
     """Acceptance of every word xs[i] + ys[j], in one search: row i of the
     result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
     _check_words(a, (*xs, *ys))
-    [bits] = _search([(a, _concatenation_grid(a, xs, ys))])
+    [(bits, _, _)] = _search([(a, xs, ys)])
     return bits
 
 

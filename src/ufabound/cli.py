@@ -75,6 +75,8 @@ def _cmd_build_matrix(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if args.mod is not None:
+        exact_linalg.check_modulus(args.mod)
     m = witness.load_matrix(args.input)
     if args.mod is not None:
         print(exact_linalg.rank_mod_p(m, args.mod))

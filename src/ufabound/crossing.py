@@ -11,18 +11,16 @@ entry and in rank, against the universal acceptance matrix.
 
 Tables are read straight off lane-parallel searches
 (:func:`ufabound.automata._search`), one lane per string and starting
-configuration, whose per-state ints :func:`ufabound.statesets.transpose`
-turns into one state mask per lane.  The concatenation matrix simulates
+configuration, as keys of values.  The concatenation matrix simulates
 every concatenated word as a lane of its own, so its entries never come
-from the tables they are compared against.  An instance lays out its
-concatenated words, prefixes and suffixes as three blocks of one grid,
-and one search decides a block of instances, each with its own automaton.
-The search reads each table as a key of values; one table is built per
-distinct key, and one universal matrix over them follows, out of which
-each instance reads its own rows and columns.  :func:`verify_optimality`
-is the one-instance case, and :func:`prefix_tables_of` and
-:func:`suffix_tables_of` are the grid's one-sided cases.  Every string is
-checked against its automaton's alphabet first.
+from the tables they are compared against.  An instance (automaton, xs,
+ys) is one group of the search, whose grid holds its concatenated words,
+prefixes and suffixes, and one search decides a block of instances.
+One table is built per distinct key, and one universal matrix over them
+follows, out of which each instance reads its own rows and columns.
+:func:`verify_optimality` is the one-instance case, and
+:func:`prefix_tables_of` and :func:`suffix_tables_of` are the one-sided
+cases.  Every string is checked against its automaton's alphabet first.
 
 Tables here use 1-based state indices (state q_i of the automaton is
 index i = internal id + 1), matching :mod:`ufabound.tables`.
@@ -42,52 +40,8 @@ from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words, _sear
                        concatenation_bits)
 from .combinatorics import count_ordered_prefix_tables
 from .errors import random_block
-from .statesets import transpose
 from .tables import PrefixTable, SuffixTable
 from .witness import BoolMatrix, acceptance_matrix
-
-
-def _instance_grid(a: TwoWayNfa, xs: Sequence, ys: Sequence) -> tuple:
-    """One instance as one grid of :func:`ufabound.automata._search`.
-
-    Its rows are ``⊢ xs[i]`` and then n empty heads, its columns
-    ``ys[j] ⊣`` and then n + 1 empty tails, C columns in all.  Lane (i, j)
-    of the words block, i < |xs| and j < |ys|, runs ``⊢ xs[i] ys[j] ⊣``
-    from the initial configuration.  Prefix lane (i, |ys| + k) runs
-    ``⊢ xs[i]``: k = 0 from the initial configuration, with the row's
-    words, and k = q + 1 re-entering its last position in state q; its
-    right exits land on the split.  Suffix lane (|xs| + q, j) runs
-    ``ys[j] ⊣`` from state q at its first position; its left exits land
-    just before the split, and it may accept.  The n(n + 1) corner lanes
-    get no seed.  The read gives the word rows (bit j for ys[j]) and the
-    keys of the tables each string induces, None where it induces none: a
-    prefix table's values, a suffix table's (values, accept flags).
-    """
-    n = a.state_count
-    cols = len(ys)
-    width = cols + n + 1
-    low = len(xs) * width
-    word = (1 << cols) - 1
-    # bit i·C for each row i < |xs|
-    rep = ((1 << low) - 1) // ((1 << width) - 1)
-    seeds = [(-1 - len(x), q, (word << 1 | 1) << i * width)
-             for i, x in enumerate(xs) for q in a.initial]
-    seeds += [(-1, q, rep << cols + 1 + q) for q in range(n)]
-    seeds += [(0, q, word << low + q * width) for q in range(n)]
-
-    def read(right, left, accepted):
-        exits = transpose([0, *map(((1 << low) - 1).__and__, right)], low)
-        fs = [tuple(map(exits[i].__or__, exits[i + 1:i + n + 1])) if exits[i] else None
-              for i in range(cols, low, width)]
-        # an accepting suffix lane holds every state: g(q) is then the full set
-        acc = accepted >> low
-        exits = transpose([0, *(m >> low | acc for m in left)], n * width)
-        flags = transpose([0, *(acc >> i & word for i in range(0, n * width, width))], cols)
-        return ([accepted >> i & word for i in range(0, low, width)], fs,
-                [(tuple(exits[j::width]), a_y) if a_y else None for j, a_y in enumerate(flags)])
-
-    return ([(LEFT_MARKER, *x) for x in xs] + [()] * n,
-            [(*y, RIGHT_MARKER) for y in ys] + [()] * (n + 1), seeds, read)
 
 
 def _tables(keys: Iterable, build) -> dict:
@@ -109,7 +63,7 @@ def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     all zero anyway.
     """
     _check_words(a, xs)
-    [(_, keys, _)] = _search([(a, _instance_grid(a, xs, ()))])
+    [(_, keys, _)] = _search([(a, xs, ())])
     return list(map(_tables(keys, partial(PrefixTable, a.state_count)).get, keys))
 
 
@@ -126,7 +80,7 @@ def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
     is then all zero anyway.
     """
     _check_words(a, ys)
-    [(_, _, keys)] = _search([(a, _instance_grid(a, (), ys))])
+    [(_, _, keys)] = _search([(a, (), ys)])
     return list(map(_tables(keys, lambda g: SuffixTable(a.state_count, *g)).get, keys))
 
 
@@ -247,7 +201,7 @@ def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
                  for a, xs, ys, seed in instances]
     for a, xs, ys, _ in instances:
         _check_words(a, xs + ys)
-    found = _search([(a, _instance_grid(a, xs, ys)) for a, xs, ys, _ in instances])
+    found = _search([(a, xs, ys) for a, xs, ys, _ in instances])
     n = instances[0][0].state_count
     rows = _tables((f for _, fx, _ in found for f in fx), partial(PrefixTable, n))
     cols = _tables((g for _, _, gy in found for g in gy), lambda g: SuffixTable(n, *g))

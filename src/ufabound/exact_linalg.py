@@ -174,10 +174,9 @@ def _eliminate_mod_p(arr: np.ndarray, p: int) -> int:
     return rank
 
 
-def rank_mod_p(m: BoolMatrix, p: int) -> int:
-    """Rank over GF(p) for a prime p below ``MOD_P_LIMIT`` (2^31).  Always a
-    lower bound on :func:`rank_exact`.  For odd p, the GF(2) pivot minor of
-    the distinct rows is eliminated first, as the module docstring says."""
+def check_modulus(p: int) -> None:
+    """Refuse a modulus that :func:`rank_mod_p` cannot take: one of 2^31 or
+    more, or one that is not prime."""
     # refused by size first: a primality test of a 4,000-digit modulus takes
     # seconds, and its digits would make a 4 kB error line
     if p >= MOD_P_LIMIT:
@@ -186,6 +185,13 @@ def rank_mod_p(m: BoolMatrix, p: int) -> int:
             "modulus: the int64 elimination is exact only while p^2 stays below 2^62")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def rank_mod_p(m: BoolMatrix, p: int) -> int:
+    """Rank over GF(p) for a prime p below ``MOD_P_LIMIT`` (2^31).  Always a
+    lower bound on :func:`rank_exact`.  For odd p, the GF(2) pivot minor of
+    the distinct rows is eliminated first, as the module docstring says."""
+    check_modulus(p)
     m = _distinct_rows(m)
     pivots = _rank_mod_2(m.bits)
     if p == 2:

@@ -137,6 +137,8 @@ def test_json_round_trip():
     again, alphabet2 = load_automaton(dump_automaton(a, alphabet))
     assert alphabet2 == alphabet
     assert again == a
+    with pytest.raises(ValueError, match="alphabet length does not match"):
+        dump_automaton(a, alphabet[:1])
 
 
 @pytest.mark.parametrize("mutate", [

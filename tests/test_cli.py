@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from ufabound import crossing, exact_linalg, verification
-from ufabound.cli import _parser, build_parser, main
+from ufabound import crossing, exact_linalg, verification, witness
+from ufabound.cli import _parser, _read_strings, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,6 +23,11 @@ def run(capsys, *argv):
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "--n", "3")
     assert code == 0 and out == "115\n"
+
+
+def test_count_refuses_a_size_below_one(capsys):
+    code, out, err = run(capsys, "count", "--n", "0")
+    assert (code, out, err) == (2, "", "error: n must be positive\n")
 
 
 def test_count_beyond_the_digit_limit_is_a_one_line_error():
@@ -226,6 +231,23 @@ def test_rank_reports_bad_modulus(tmp_path, capsys):
     run(capsys, "build-matrix", "--n", "2", "--kind", "K", "--out", str(mat))
     code, _, err = run(capsys, "rank", "--in", str(mat), "--mod", "4")
     assert code == 2 and "not prime" in err
+
+
+@pytest.mark.parametrize("modulus, error", [
+    ("4", "4 is not prime"),
+    # 53·157, a strong pseudoprime to base 2
+    ("8321", "8321 is not prime"),
+    ("2147483659", "rank_mod_p needs a prime below 2^31, got a 32-bit modulus: "
+                   "the int64 elimination is exact only while p^2 stays below 2^62"),
+], ids=["4", "8321", "2147483659"])
+def test_rank_refuses_a_bad_modulus_before_loading_the_matrix(
+        tmp_path, capsys, monkeypatch, modulus, error):
+    def unread(path):
+        pytest.fail(f"{path} loaded before the modulus was checked")
+
+    monkeypatch.setattr(witness, "load_matrix", unread)
+    code, out, err = run(capsys, "rank", "--in", str(tmp_path / "k.mat"), "--mod", modulus)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_rank_rejects_primes_beyond_the_limit(tmp_path, capsys):
@@ -528,6 +550,12 @@ def test_schmidt_with_files(tmp_path, capsys):
         "rank 2 <= bound 7\n"
         '{"bound": 7, "cols": 4, "n": 2, "ok": true, "rank": 2, "reduced_cols": 2, '
         '"reduced_rows": 2, "rows": 4, "seed": null}\n')
+
+
+def test_string_files_skip_blank_lines(tmp_path):
+    path = tmp_path / "xs.txt"
+    path.write_text("a b\n\n   \n-\n\t\nb\n")
+    assert _read_strings(str(path), ["a", "b"]) == [(0, 1), (), (1,)]
 
 
 def test_schmidt_random_beyond_thirty_states(capsys):

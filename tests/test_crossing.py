@@ -7,13 +7,11 @@ import pytest
 from conftest import (closure_exits, configurations, dfs_two_way_accepts,
                       oracle_prefix_table, oracle_suffix_table)
 from ufabound import crossing
-from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _concatenation_grid,
-                               _layout, _reach, _search, concatenation_bits,
-                               twonfa_accepts)
+from ufabound.automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _layout, _reach,
+                               _search, concatenation_bits, twonfa_accepts)
 from ufabound.combinatorics import enumerate_ordered_prefix_tables
-from ufabound.crossing import (_instance_grid, prefix_tables_of, random_strings,
-                               random_two_way_nfa, schmidt_matrix, suffix_tables_of,
-                               verify_optimality)
+from ufabound.crossing import (prefix_tables_of, random_strings, random_two_way_nfa,
+                               schmidt_matrix, suffix_tables_of, verify_optimality)
 from ufabound.errors import (RANDOM_BLOCK_ALPHABET, RANDOM_BLOCK_MAX, RANDOM_BLOCK_MOVES,
                              random_block)
 from ufabound.statesets import full_mask, mask_of, transpose
@@ -254,7 +252,7 @@ class TestLaneSearch:
                     ys = ragged(alphabet, cols, 4, rng) if cols else []
                     alone = [concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
                              suffix_tables_of(a, ys)]
-                    assert _search([(a, _instance_grid(a, xs, ys))]) == [table_keys(*alone)]
+                    assert _search([(a, xs, ys)]) == [table_keys(*alone)]
                     report = verify_optimality(a, xs, ys)
                     assert report.ok
                     assert report.matrix == schmidt_matrix(a, xs, ys)
@@ -265,29 +263,35 @@ class TestLaneSearch:
                     assert report.universal.row_labels == tuple(alone[1][i] for i in first_rows)
                     assert report.universal.col_labels == tuple(alone[2][j] for j in first_cols)
 
-    def test_a_grid_without_lanes_takes_no_lanes(self, sparse_two_way_nfa):
-        # grids with no lanes before, between and after the instance grids
-        # read nothing and shift no other grid's lanes; an instance grid
+    def test_a_grid_without_lanes_takes_no_lanes(self, sparse_two_way_nfa, monkeypatch):
+        # groups with empty families before, between and after a full one
+        # read only their own lanes and shift no other group's; a group
         # takes (|xs| + n)(|ys| + n + 1) lanes, n(n + 1) of them with no
         # strings at all
         rng = random.Random(12)
         a = sparse_two_way_nfa(3, 2, rng)
         xs = ragged(2, 6, 4, rng)
         ys = ragged(2, 5, 4, rng)
-        grids = [_concatenation_grid(a, [], ys), _instance_grid(a, xs, []),
-                 _concatenation_grid(a, xs, []), _instance_grid(a, [], []),
-                 _instance_grid(a, [], ys), _concatenation_grid(a, [], []),
-                 _instance_grid(a, xs, ys), _concatenation_grid(a, [], ys)]
-        assert _search([(a, grid) for grid in grids]) == [
-            [], table_keys([0] * len(xs), prefix_tables_of(a, xs), []), [0] * len(xs),
-            ([], [], []), table_keys([], [], suffix_tables_of(a, ys)), [],
+        offsets = []
+
+        def spied(grids):
+            cells, split, found = _layout(grids)
+            offsets.append(found)
+            return cells, split, found
+
+        monkeypatch.setattr("ufabound.automata._layout", spied)
+        families = [([], ys), (xs, []), ([], []), (xs, ys), ([], ys)]
+        found = _search([(a, *family) for family in families])
+        # each group's lanes, as (rows)(columns)
+        lanes = [3 * 9, 9 * 4, 3 * 4, 9 * 9, 3 * 9]
+        assert offsets == [[0, *itertools.accumulate(lanes)]]
+        suffixes = table_keys([], [], suffix_tables_of(a, ys))
+        assert found == [
+            suffixes, table_keys([0] * len(xs), prefix_tables_of(a, xs), []), ([], [], []),
             table_keys(concatenation_bits(a, xs, ys), prefix_tables_of(a, xs),
-                       suffix_tables_of(a, ys)), []]
-        # each grid's lanes, as (rows)(columns)
-        lanes = [0, 9 * 4, 0, 3 * 4, 3 * 9, 0, 9 * 9, 0]
-        assert _layout(grids)[2] == [0, *itertools.accumulate(lanes)]
-        assert _search([(a, _instance_grid(a, [], []))]) == [([], [], [])]
-        assert _search([(a, _concatenation_grid(a, [], []))]) == [[]]
+                       suffix_tables_of(a, ys)), suffixes]
+        assert _search([(a, [], [])]) == [([], [], [])]
+        assert concatenation_bits(a, [], []) == []
         assert transpose([0, 0, 0], 0) == []
 
     @pytest.mark.parametrize("states", [7, 8, 9, 15, 16])

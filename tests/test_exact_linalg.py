@@ -233,9 +233,13 @@ def test_rank_mod_p_accepts_numpy_and_packed():
 
 
 def test_rank_mod_p_rejects_composite():
-    for bad in (1, 4, 2**31):
+    # 1763 = 41·43, 8321 = 53·157 (a strong pseudoprime to base 2) and
+    # 252601 = 41·61·101 (a Carmichael number) have no small factor, so
+    # only a witness round of Miller-Rabin refuses them
+    for bad in (1, 4, 2**31, 1763, 8321, 252601):
         with pytest.raises(ValueError):
             rank_mod_p(packed([[1]]), bad)
+    assert not any(map(exact_linalg._is_prime, (1763, 8321, 252601)))
 
 
 def test_rank_mod_p_rejects_primes_beyond_int64_range():

@@ -523,3 +523,5 @@ class TestTextSerialization:
             prefix_table_from_text("2; 1; 3")
         with pytest.raises(ValueError):
             suffix_table_from_text("2; -; -")  # nothing accepts
+        with pytest.raises(ValueError, match="expected 2 values, got 1"):
+            suffix_table_from_text("2; A")

@@ -467,6 +467,8 @@ class TestBoolMatrix:
             assert empty.to_numpy().shape == shape
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="one label per row"):
+            BoolMatrix(("a", "b"), ("x",), 1, (0b1,))
         with pytest.raises(ValueError):
             BoolMatrix(("a",), ("x",), 1, (0b10,))
         with pytest.raises(ValueError):
