@@ -10,8 +10,8 @@ Per run, chain and tree, in a tree order flipped every run, each step is
 one fresh process, timed around its spawn and exit, its peak RSS from
 ``os.wait4``.  Every tree must print the same bytes for a step, the file's
 path masked, or the run stops.  Writes one JSON object with the medians,
-per step the runs in which each tree beat the first one, and every sample
-with the last line it printed.
+each tree's wall-time quartiles per step, the runs in which each tree beat
+the first one, and every sample with the last line it printed.
 """
 
 import argparse
@@ -69,6 +69,8 @@ def main() -> int:
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--out")
     args = ap.parse_args()
+    if args.runs < 2:
+        ap.error("--runs must be at least 2: the quartiles need two samples")
     trees = dict(t.split("=", 1) for t in args.tree)
     chains = SUITES[args.suite]
     samples = {name: {label: [] for chain in chains for label, _ in chain} for name in trees}
@@ -99,6 +101,10 @@ def main() -> int:
         "median": {name: {label: {key: round(statistics.median(r[key] for r in rs), 4)
                                   for key in ("wall_s", "peak_rss_mb")}
                           for label, rs in steps.items()} for name, steps in samples.items()},
+        "wall_s_quartiles": {
+            name: {label: [round(q, 4) for q in statistics.quantiles([r["wall_s"] for r in rs], n=4)]
+                   for label, rs in steps.items()}
+            for name, steps in samples.items()},
         f"faster_than_{first}": {
             name: {label: sum(r["wall_s"] < b["wall_s"] for r, b in zip(rs, samples[first][label]))
                    for label, rs in steps.items()}

@@ -236,6 +236,8 @@ def _search(groups: Sequence[tuple[TwoWayNfa, Sequence, Sequence]]) -> list[tupl
     those of the tables each string induces, None where it induces none:
     a prefix table's values, a suffix table's (values, accept flags).
     """
+    for a, xs, ys in groups:
+        _check_words(a, (*xs, *ys))
     n = groups[0][0].state_count
     cells, split, offsets = _layout([([(LEFT_MARKER, *x) for x in xs] + [()] * n,
                                       [(*y, RIGHT_MARKER) for y in ys] + [()] * (n + 1))
@@ -296,7 +298,6 @@ def concatenation_bits(a: TwoWayNfa, xs: Sequence[Sequence[int]],
                        ys: Sequence[Sequence[int]]) -> list[int]:
     """Acceptance of every word xs[i] + ys[j], in one search: row i of the
     result has bit j set iff ``⊢ xs[i] ys[j] ⊣`` is accepted."""
-    _check_words(a, (*xs, *ys))
     [(bits, _, _)] = _search([(a, xs, ys)])
     return bits
 

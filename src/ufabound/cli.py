@@ -146,8 +146,8 @@ def _cmd_schmidt(args) -> int:
         with contextlib.closing(workers.ordered_map(share, seeds)) as records:
             for record in records:
                 print(json.dumps(record, sort_keys=True))
-        if not record["ok"]:
-            return 1
+                if not record["ok"]:
+                    return 1
         print(f"bound {record['bound']} holds on {args.random} random instances")
         return 0
     with open(args.automaton, "r", encoding="utf-8") as fh:

@@ -36,8 +36,7 @@ from itertools import compress, repeat, starmap
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import exact_linalg
-from .automata import (LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _check_words, _search,
-                       concatenation_bits)
+from .automata import LEFT_MARKER, RIGHT_MARKER, TwoWayNfa, _search, concatenation_bits
 from .combinatorics import count_ordered_prefix_tables
 from .errors import random_block
 from .tables import PrefixTable, SuffixTable
@@ -62,7 +61,6 @@ def prefix_tables_of(a: TwoWayNfa, xs: Sequence[Sequence[int]]
     when s_x is empty: nothing leaves the prefix, and the matrix row is
     all zero anyway.
     """
-    _check_words(a, xs)
     [(_, keys, _)] = _search([(a, xs, ())])
     return list(map(_tables(keys, partial(PrefixTable, a.state_count)).get, keys))
 
@@ -79,7 +77,6 @@ def suffix_tables_of(a: TwoWayNfa, ys: Sequence[Sequence[int]]
     position.  The table is None when no state accepts: the matrix column
     is then all zero anyway.
     """
-    _check_words(a, ys)
     [(_, _, keys)] = _search([(a, (), ys)])
     return list(map(_tables(keys, lambda g: SuffixTable(a.state_count, *g)).get, keys))
 
@@ -199,8 +196,6 @@ def _reports(instances: Sequence[tuple]) -> Iterator[OptimalityReport]:
     asked for."""
     instances = [(a, tuple(map(tuple, xs)), tuple(map(tuple, ys)), seed)
                  for a, xs, ys, seed in instances]
-    for a, xs, ys, _ in instances:
-        _check_words(a, xs + ys)
     found = _search([(a, xs, ys) for a, xs, ys, _ in instances])
     n = instances[0][0].state_count
     rows = _tables((f for _, fx, _ in found for f in fx), partial(PrefixTable, n))

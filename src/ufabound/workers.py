@@ -1,4 +1,4 @@
-"""Independent work in forked worker processes, returned as JSON lines.
+"""Independent work in forked worker processes, returned as one JSON document.
 
 One primitive forks: :func:`beside` computes a share of items in an
 ``os.fork`` child while the calling process goes on with other work, or
@@ -13,20 +13,21 @@ interpreter lock, so threads would only take turns.  Importing :mod:`multiproces
 :mod:`concurrent.futures.process` alone raises the CLI's peak memory by
 1.0 or 1.4 MB, and both pickle the function and its arguments.  A forked
 child already holds the function and every module it needs, and it sends
-back only JSON lines through a pipe.
+back only JSON through a pipe.  Neither reads the results: what to make
+of them, and where to stop, is their caller's.
 
-A child buffers its whole share and writes it once, at the end: written
-line by line, a share past the pipe's buffer would wait for the parent,
-which reads it only after its own work.  Every child leaves through
-``os._exit``, so it never returns into its caller's stack, and every
-child is killed if still running and reaped before its ``with`` block
-ends, on every path out of it.
+A child buffers its whole share and writes it once, at the end, as the
+document ``[results, error]``, the error the text of the exception that
+ended its share or null: written result by result, a share past the
+pipe's buffer would wait for the parent, which reads it only after its
+own work.  Every child leaves through ``os._exit``, so it never returns
+into its caller's stack, and every child is killed if still running and
+reaped before its ``with`` block ends, on every path out of it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,9 +41,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 MIN_SHARE = 24
 # os names no signals; POSIX numbers SIGKILL 9
 _SIGKILL = 9
-# a child's exit status: its share written in full, or up to an exception
-# whose text is the last line, or nothing usable (say, on an interrupt)
-_DONE, _RAISED, _LOST = 0, 1, 2
+# a child's exit status: its document written, or nothing usable (say, on
+# an interrupt)
+_DONE, _LOST = 0, 2
 
 
 def _cpus() -> int:
@@ -61,18 +62,6 @@ def _cpu() -> int | None:
             return int(fh.read().rsplit(b")", 1)[1].split()[36])
     except (OSError, ValueError, IndexError):
         return None
-
-
-def _stops(result: dict) -> bool:
-    return not result["ok"]
-
-
-def _upto_failure(results: Iterable[dict]) -> Iterator[dict]:
-    """``results`` up to and including the first whose ``"ok"`` is false."""
-    for result in results:
-        yield result
-        if _stops(result):
-            return
 
 
 def _move_off(pid: int, cpu: int | None) -> None:
@@ -110,63 +99,58 @@ def _start(fn: Callable, share: Sequence) -> tuple:
         # with the child moved.  The child moves itself too, so that fn sees
         # the move whichever of the two runs first
         _move_off(0, here)
-        lines = []
+        results, error = [], None
         try:
-            for result in _upto_failure(fn(share)):
-                lines.append(json.dumps(result))
-            end = _DONE
+            for result in fn(share):
+                results.append(result)
         except Exception as e:
-            lines.append(json.dumps(f"{type(e).__name__}: {e}"))
-            end = _RAISED
-        data = "".join(line + "\n" for line in lines).encode()
+            error = f"{type(e).__name__}: {e}"
+        data = json.dumps([results, error]).encode()
         while data:
             data = data[os.write(w, data):]
-        status = end
+        status = _DONE
     finally:
         os._exit(status)
 
 
-def _results(status: int, data: bytes, share: Sequence) -> Iterator[dict]:
+def _results(status: int, data: bytes, share: Sequence) -> Iterator:
     """A reaped child's results, then the error it reported, if any."""
     code = os.waitstatus_to_exitcode(status)
     where = f"the worker on items {share[0]!r}..{share[-1]!r}"
-    if code not in (_DONE, _RAISED):
+    if code != _DONE:
         raise ChildProcessError(f"{where} ended with status {code}")
-    lines = data.decode().splitlines()
-    error = json.loads(lines.pop()) if code == _RAISED else None
-    results = [json.loads(line) for line in lines]
+    results, error = json.loads(data)
     yield from results
     if error is not None:
         raise ChildProcessError(f"{where} raised {error}")
-    if len(results) != len(share) and not (results and _stops(results[-1])):
+    if len(results) != len(share):
         raise ChildProcessError(f"{where} returned {len(results)} of {len(share)} results")
 
 
 @contextlib.contextmanager
-def beside(fn: Callable[[Sequence], Iterable[dict]],
-           items: Sequence) -> Iterator[Callable[[], Iterator[dict]]]:
+def beside(fn: Callable[[Sequence], Iterable],
+           items: Sequence) -> Iterator[Callable[[], Iterable]]:
     """Compute ``fn(items)`` in a forked child while the ``with`` body runs.
 
-    ``fn`` of the items yields one JSON object per item, in order, each
-    with an ``"ok"`` member, and is asked for none after the first whose
-    ``"ok"`` is false.  The block gets a function to call once, which waits
-    for the child and returns an iterator of its results.  With no items,
-    one CPU, no ``os.fork`` or a fork that fails there is no child: then
-    that function computes ``fn(items)`` here, as its results are asked
-    for.  An exception in the child is raised here as a
-    :class:`ChildProcessError` after the results before it, and so is a
-    child that dies or returns too few.  The child is killed if still
-    running and reaped when the block ends, however it ends.
+    ``fn`` of the items yields one JSON value per item, in order.  The
+    block gets a function to call once, which waits for the child and
+    returns its results, each as :func:`json.loads` reads it back.  With
+    no items, one CPU, no ``os.fork`` or a fork that fails there is no
+    child: then that function returns ``fn(items)`` itself, computed here
+    as its results are asked for.  An exception in the child is raised
+    here as a :class:`ChildProcessError` after the results before it, and
+    so is a child that dies or returns too few.  The child is killed if
+    still running and reaped when the block ends, however it ends.
     """
     running = []  # (pid, read end) of the child until it is reaped
     if items and _cpus() > 1 and hasattr(os, "fork"):
         with contextlib.suppress(OSError):  # say, EAGAIN: no process id to spare
             running.append(_start(fn, items))
     if not running:
-        yield lambda: _upto_failure(fn(items))
+        yield lambda: fn(items)
         return
 
-    def results() -> Iterator[dict]:
+    def results() -> Iterator:
         pid, r = running[0]
         chunks = []
         while chunk := os.read(r, 1 << 16):
@@ -185,20 +169,20 @@ def beside(fn: Callable[[Sequence], Iterable[dict]],
             os.waitpid(pid, 0)
 
 
-def ordered_map(fn: Callable[[Sequence], Iterable[dict]], items: Sequence) -> Iterator[dict]:
+def ordered_map(fn: Callable[[Sequence], Iterable], items: Sequence) -> Iterator:
     """Yield the result of each item, in order, computed on every CPU.
 
     ``fn`` is as for :func:`beside`.  The items are split into contiguous
     shares of at least :data:`MIN_SHARE` items, one per CPU: the first is
     computed here, as its results are yielded, and every other one
-    :func:`beside` it.  The first result whose ``"ok"`` is false is the
-    last one yielded, and an error in a share is raised after the results
-    before it.
+    :func:`beside` it.  An error in a share is raised after the results
+    before it.  A caller that stops early closes the generator, which
+    kills and reaps the workers still running.
     """
     parts = max(1, min(_cpus(), len(items) // MIN_SHARE))
     cuts = [len(items) * k // parts for k in range(parts + 1)]
     shares = [items[cuts[k]:cuts[k + 1]] for k in range(parts)]
     with contextlib.ExitStack() as stack:
         later = [stack.enter_context(beside(fn, share)) for share in shares[1:]]
-        yield from _upto_failure(itertools.chain.from_iterable(
-            results() for results in [lambda: fn(shares[0]), *later]))
+        for results in [lambda: fn(shares[0]), *later]:
+            yield from results()

@@ -65,27 +65,25 @@ def test_a_failed_fork_computes_every_share_here(three_cpus, refused_forks):
     assert [r["item"] for r in out] == list(range(20, 29))
     assert {r["pid"] for r in out} == {os.getpid()}
     out = list(workers.ordered_map(each(record), range(4, 16)))
-    assert [r["item"] for r in out] == list(range(4, 14))
+    assert [r["item"] for r in out] == list(range(4, 16))
+    assert [r["item"] for r in out if not r["ok"]] == [13]
 
 
 @pytest.mark.parametrize("items", [range(10, 16), range(4, 16)])
-def test_the_first_failing_result_is_the_last(three_cpus, items):
-    # item 13 fails in this process's share, then in a worker's
+def test_every_result_is_yielded_the_failing_one_too(three_cpus, items):
+    # item 13 fails in this process's share, then in a worker's: the map
+    # reads no result, so it goes on past it
     out = list(workers.ordered_map(each(record), items))
-    assert [r["item"] for r in out] == list(range(items.start, 14))
-    assert out[-1]["ok"] is False
+    assert [r["item"] for r in out] == list(items)
+    assert [r["item"] for r in out if not r["ok"]] == [13]
     assert_no_worker_left()
 
 
-def test_a_worker_stops_after_its_first_failure(three_cpus, tmp_path):
-    def noted(item):
-        (tmp_path / str(item)).touch()
-        return record(item)
-
-    assert [r["item"] for r in workers.ordered_map(each(noted), range(0, 30))][-1] == 13
-    # the worker on 10..19 stops at 13; the one on 20..29 is killed wherever it is
-    done = {int(p.name) for p in tmp_path.iterdir()}
-    assert done - set(range(20, 30)) == set(range(14))
+def test_plain_values_come_back_from_a_worker(three_cpus):
+    me = os.getpid()
+    out = list(workers.ordered_map(each(lambda item: item if os.getpid() == me else -item),
+                                   range(9)))
+    assert out == [0, 1, 2, -3, -4, -5, -6, -7, -8]
     assert_no_worker_left()
 
 
@@ -134,7 +132,7 @@ def test_a_worker_that_dies_fails_the_map(three_cpus, end, status):
 
 def test_a_worker_that_returns_too_few_results_fails_the_map():
     with pytest.raises(ChildProcessError, match="returned 1 of 3 results"):
-        list(workers._results(0, b'{"ok": true}\n', range(3)))
+        list(workers._results(0, b'[[{"ok": true}], null]', range(3)))
 
 
 def test_workers_are_killed_when_this_process_stops_early(three_cpus):
@@ -337,6 +335,28 @@ def test_schmidt_random_stops_at_the_first_failure(capsys, monkeypatch, three_cp
     assert code == 1 and len(lines) == bad - 40 + 1 and '"ok": false' in lines[-1]
     assert all('"ok": true' in line for line in lines[:-1])
     assert_no_worker_left()
+
+
+def test_schmidt_random_stops_here_without_waiting_for_its_workers(
+        capsys, monkeypatch, three_cpus):
+    # seed 45 fails in this process's share, while the workers on 50..59 and
+    # 60..69 would take a minute: they are killed and reaped instead
+    me = os.getpid()
+    fail_at(monkeypatch, 45)
+    failing = crossing._report
+
+    def slow(*args):
+        if os.getpid() != me:
+            time.sleep(60)
+        return failing(*args)
+
+    monkeypatch.setattr(crossing, "_report", slow)
+    start = time.monotonic()
+    code, out, err = schmidt(capsys, 30)
+    assert time.monotonic() - start < 30
+    assert_no_worker_left()
+    assert code == 1 and len(out.splitlines()) == 6 and '"ok": false' in out.splitlines()[-1]
+    assert (code, out, err) == serial_schmidt(capsys, monkeypatch, 30)
 
 
 def test_schmidt_random_reports_a_worker_exception(capsys, monkeypatch, three_cpus):
